@@ -56,8 +56,11 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Appends one framed record to `w`. Does **not** flush or sync; callers
-/// that need durability follow up with [`File::sync_data`].
+/// Appends one framed record to `w` with a single `write_all`, so a
+/// socket sends header and payload together instead of tripping the
+/// Nagle / delayed-ACK stall that small back-to-back writes cause. Does
+/// **not** flush or sync; callers that need durability follow up with
+/// [`File::sync_data`].
 ///
 /// # Errors
 ///
@@ -72,9 +75,11 @@ pub fn write_record(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     }
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "record length overflows u32"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(&crc32(payload).to_be_bytes())?;
-    w.write_all(payload)
+    let mut frame = Vec::with_capacity(8 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(&crc32(payload).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)
 }
 
 /// Reads the next framed record from `r`.
@@ -230,6 +235,37 @@ mod tests {
             records,
             vec![b"first".to_vec(), Vec::new(), b"third record".to_vec()]
         );
+    }
+
+    #[test]
+    fn a_record_is_one_write_of_the_same_bytes() {
+        /// Counts `write` calls and keeps the bytes.
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        write_record(&mut w, b"123456789").unwrap();
+        write_record(&mut w, b"").unwrap();
+        assert_eq!(w.writes, 2, "one write per record");
+        // [len BE][crc BE][payload], with the CRC32 KAT of the payload.
+        let mut expected = vec![0, 0, 0, 9, 0xCB, 0xF4, 0x39, 0x26];
+        expected.extend_from_slice(b"123456789");
+        expected.extend_from_slice(&[0; 8]);
+        assert_eq!(w.bytes, expected);
     }
 
     #[test]

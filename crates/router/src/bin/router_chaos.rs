@@ -389,7 +389,7 @@ fn audit_fleet(
             recovery.duplicate_terminals,
             recovery.orphaned
         );
-        for recovered in &recovery.jobs {
+        for recovered in recovery.jobs() {
             holders
                 .entry(recovered.spec.id.clone())
                 .or_default()
@@ -418,7 +418,7 @@ fn audit_fleet(
         "router journal: duplicate terminals {:?}, orphans {:?}",
         bindings.duplicate_terminals,
         bindings
-            .orphans()
+            .pending()
             .iter()
             .map(|j| j.spec.id.as_str())
             .collect::<Vec<_>>()
@@ -438,7 +438,7 @@ fn audit_fleet(
             other => panic!("acked job {id} journaled as {other:?}"),
         }
         let binding = bindings
-            .jobs
+            .jobs()
             .iter()
             .find(|j| j.spec.id == *id)
             .unwrap_or_else(|| panic!("acked job {id} has no router binding"));

@@ -1,10 +1,11 @@
-//! The router's binding journal (`DESIGN.md` §11.3).
+//! The router's binding journal (`DESIGN.md` §11.3): the router's
+//! [`Record`] codec for the shared [`qpdo_serve::journal`], the same
+//! journal the daemon WAL uses.
 //!
 //! Fleet-wide exactly-once rests on one fact: **at any instant, at most
 //! one daemon may hold a given job id in its own journal.** The router
 //! enforces it by journaling every routing decision *before* acting on
-//! it, in the same CRC-framed fsync'd style as the daemon WAL
-//! ([`qpdo_serve::wal`]):
+//! it:
 //!
 //! - `member <name> <addr>` / `left <name>` — fleet membership. A
 //!   rejoin under the same name updates the address in place.
@@ -23,30 +24,47 @@
 //!   non-delivery everywhere; the id is fresh again.
 //! - `acked <id>` — the bound member acknowledged the submit, i.e. the
 //!   job is in that member's WAL. From here the binding is sticky.
-//! - `done <id> <record…>` / `failed <id> <error…>` — the terminal
-//!   outcome relayed from the member, cached so clients can query the
-//!   router even after the member prunes or leaves.
+//! - `done <id> <record…>` / `failed <id> <error…>` /
+//!   `partial <id> <detail…>` — the terminal outcome relayed from the
+//!   member, cached so clients can query the router even after the
+//!   member prunes or leaves.
 //!
 //! After a router crash, replaying the journal yields every bound job
-//! with its member and state: `routed`/`acked` jobs are *orphans* that
-//! the resolver re-resolves against their bound member — resubmission
-//! by job id is idempotent on the daemon side, so an orphan is finished
-//! exactly once, never double-executed.
+//! with its member and state: non-terminal jobs ([`State::pending`])
+//! are *orphans* that the resolver re-resolves against their bound
+//! member — resubmission by job id is idempotent on the daemon side, so
+//! an orphan is finished exactly once, never double-executed.
 //!
-//! Rotation, compaction-on-open, the snapshot marker, terminal-job
-//! retention, and the pruned-id digest ledger all follow the daemon
-//! WAL design (`DESIGN.md` §9.3): a pruned id is never reopened, so a
+//! Segments are `router-<seq>.log`. Compaction carries the members,
+//! then each job as its `route` plus the `sent`/`acked`/terminal
+//! records its state implies. A pruned id is never reopened, so a
 //! resubmission long after compaction is refused deterministically
 //! instead of silently re-hashed onto a possibly different member.
 
-use std::collections::{HashMap, HashSet};
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufReader};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 
-use qpdo_bench::framing::{atomic_replace, read_records, sync_file, sync_parent_dir, write_record};
 use qpdo_serve::job::JobSpec;
-use qpdo_serve::wal::{id_digest, JobOutcome};
+use qpdo_serve::journal::{self, Journal, Record, State};
+use qpdo_serve::wal::JobOutcome;
+
+/// The router's binding journal.
+pub type RouterJournal = Journal<RouterRecord>;
+
+/// What a router journal replay found. Its `extra` field holds the
+/// fleet members in join order, as `(name, addr)`.
+pub type RouterRecovery = State<RouterRecord>;
+
+/// Replays every segment in `dir` without modifying anything — the
+/// read-only audit path (`router_chaos` uses it to cross-check the
+/// bindings against the daemon journals after a drill).
+///
+/// # Errors
+///
+/// Propagates I/O errors; torn tails are tolerated, not errors.
+pub fn recover(dir: &Path) -> io::Result<RouterRecovery> {
+    journal::recover(dir)
+}
 
 /// Where a routed job stands, as reconstructed from the journal.
 #[derive(Clone, Debug, PartialEq)]
@@ -68,6 +86,12 @@ impl RouteState {
     #[must_use]
     pub fn is_terminal(&self) -> bool {
         matches!(self, RouteState::Terminal(_))
+    }
+
+    /// Whether the bound member may not hold the job yet, so the
+    /// binding may still be rebound or abandoned.
+    fn is_unconfirmed(&self) -> bool {
+        matches!(self, RouteState::Routed | RouteState::Sent)
     }
 }
 
@@ -115,18 +139,14 @@ pub enum RouterRecord {
         /// The outcome.
         outcome: JobOutcome,
     },
-    /// First record of a compacted segment (see [`qpdo_serve::wal`]).
-    Snapshot,
-    /// Digest ledger of terminal jobs dropped by retention pruning.
-    Pruned {
-        /// Jobs pruned since the journal began (high water).
-        count: u64,
-        /// One chunk of the pruned-id digest set.
-        hashes: Vec<u64>,
-    },
 }
 
-impl RouterRecord {
+impl Record for RouterRecord {
+    type Job = BoundJob;
+    /// Fleet members in join order: `(name, addr)`.
+    type Extra = Vec<(String, String)>;
+    const SEGMENT_PREFIX: &'static str = "router";
+
     fn encode(&self) -> String {
         match self {
             RouterRecord::Member { name, addr } => format!("member {name} {addr}"),
@@ -137,26 +157,7 @@ impl RouterRecord {
             RouterRecord::Sent { id } => format!("sent {id}"),
             RouterRecord::Unroute { id } => format!("unroute {id}"),
             RouterRecord::Acked { id } => format!("acked {id}"),
-            RouterRecord::Terminal {
-                id,
-                outcome: JobOutcome::Done(record),
-            } => format!("done {id} {record}"),
-            RouterRecord::Terminal {
-                id,
-                outcome: JobOutcome::Failed(error),
-            } => format!("failed {id} {error}"),
-            RouterRecord::Terminal {
-                id,
-                outcome: JobOutcome::Partial(detail),
-            } => format!("partial {id} {detail}"),
-            RouterRecord::Snapshot => "snapshot".to_owned(),
-            RouterRecord::Pruned { count, hashes } => {
-                let mut line = format!("pruned {count}");
-                for hash in hashes {
-                    line.push_str(&format!(" {hash:016x}"));
-                }
-                line
-            }
+            RouterRecord::Terminal { id, outcome } => outcome.line(id),
         }
     }
 
@@ -187,31 +188,165 @@ impl RouterRecord {
             ["acked", id] => Ok(RouterRecord::Acked {
                 id: (*id).to_owned(),
             }),
-            ["done", id, record @ ..] => Ok(RouterRecord::Terminal {
-                id: (*id).to_owned(),
-                outcome: JobOutcome::Done(record.join(" ")),
-            }),
-            ["failed", id, error @ ..] => Ok(RouterRecord::Terminal {
-                id: (*id).to_owned(),
-                outcome: JobOutcome::Failed(error.join(" ")),
-            }),
-            ["partial", id, detail @ ..] => Ok(RouterRecord::Terminal {
-                id: (*id).to_owned(),
-                outcome: JobOutcome::Partial(detail.join(" ")),
-            }),
-            ["snapshot"] => Ok(RouterRecord::Snapshot),
-            ["pruned", count, hashes @ ..] => Ok(RouterRecord::Pruned {
-                count: count
-                    .parse()
-                    .map_err(|_| format!("malformed pruned count {count:?}"))?,
-                hashes: hashes
-                    .iter()
-                    .map(|h| u64::from_str_radix(h, 16))
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| format!("malformed pruned digest in {line:?}"))?,
-            }),
-            _ => Err(format!("unknown router journal record {line:?}")),
+            _ => match JobOutcome::parse_line(&tokens) {
+                Some((id, outcome)) => Ok(RouterRecord::Terminal { id, outcome }),
+                None => Err(format!("unknown router journal record {line:?}")),
+            },
         }
+    }
+
+    fn validate(&self, state: &RouterRecovery) -> Result<(), String> {
+        let state_of = |id: &str| state.job(id).map(|job| &job.state);
+        let is_member = |name: &str| state.extra.iter().any(|(n, _)| n == name);
+        match self {
+            RouterRecord::Member { name, addr } => {
+                validate_member_name(name)?;
+                if addr.is_empty() || addr.contains(|c: char| c.is_whitespace() || c == ',') {
+                    return Err(format!("malformed member addr {addr:?}"));
+                }
+                Ok(())
+            }
+            RouterRecord::Left { name } if is_member(name) => Ok(()),
+            RouterRecord::Left { name } => Err(format!("left for unknown member {name:?}")),
+            RouterRecord::Route { member, .. } if !is_member(member) => {
+                Err(format!("route to unknown member {member:?}"))
+            }
+            RouterRecord::Route { spec, .. } => match state_of(&spec.id) {
+                None => state.refuse_pruned(&spec.id),
+                Some(route) if route.is_unconfirmed() => Ok(()),
+                Some(route) => Err(format!(
+                    "rebind of job {:?} after the binding went sticky ({route:?})",
+                    spec.id
+                )),
+            },
+            RouterRecord::Sent { id } => match state_of(id) {
+                Some(route) if route.is_unconfirmed() => Ok(()),
+                Some(_) => Err(format!("sent for already-confirmed job {id:?}")),
+                None => Err(format!("sent for unknown job {id:?}")),
+            },
+            RouterRecord::Unroute { id } => match state_of(id) {
+                Some(route) if route.is_unconfirmed() => Ok(()),
+                Some(_) => Err(format!(
+                    "unroute of job {id:?} after the binding went sticky"
+                )),
+                None => Err(format!("unroute for unknown job {id:?}")),
+            },
+            RouterRecord::Acked { id } => match state_of(id) {
+                Some(route) if !route.is_terminal() => Ok(()),
+                Some(_) => Err(format!("acked for already-terminal job {id:?}")),
+                None => Err(format!("acked for unknown job {id:?}")),
+            },
+            RouterRecord::Terminal { id, outcome } => match state_of(id) {
+                // A retried append of the identical terminal is
+                // absorbed, exactly like the daemon WAL.
+                Some(RouteState::Terminal(existing)) if existing != outcome => Err(format!(
+                    "conflicting terminal record for job {id:?} (exactly-once violation)"
+                )),
+                Some(_) => Ok(()),
+                None => Err(format!("terminal for unknown job {id:?}")),
+            },
+        }
+    }
+
+    fn fold(&self, state: &mut RouterRecovery) {
+        match self {
+            RouterRecord::Member { name, addr } => {
+                match state.extra.iter_mut().find(|(n, _)| n == name) {
+                    Some((_, a)) => a.clone_from(addr),
+                    None => state.extra.push((name.clone(), addr.clone())),
+                }
+            }
+            RouterRecord::Left { name } => {
+                if state.extra.iter().any(|(n, _)| n == name) {
+                    state.extra.retain(|(n, _)| n != name);
+                } else {
+                    state.orphaned.push(format!("left:{name}"));
+                }
+            }
+            RouterRecord::Route { spec, member } => match state.job_mut(&spec.id) {
+                // A rebind supersedes the old binding and resets
+                // delivery (it is only journaled while the previous
+                // member definitively never journaled the job).
+                Some(job) if job.state.is_unconfirmed() => {
+                    job.member.clone_from(member);
+                    job.state = RouteState::Routed;
+                }
+                Some(_) => state.orphaned.push(format!("rebind-sticky:{}", spec.id)),
+                None => state.insert(BoundJob {
+                    spec: spec.clone(),
+                    member: member.clone(),
+                    state: RouteState::Routed,
+                }),
+            },
+            RouterRecord::Sent { id } => match state.job_mut(id) {
+                Some(job) if job.state.is_unconfirmed() => job.state = RouteState::Sent,
+                Some(_) => state.orphaned.push(format!("sent-after-sticky:{id}")),
+                None => state.orphaned.push(format!("sent:{id}")),
+            },
+            RouterRecord::Unroute { id } => match state.job(id) {
+                Some(job) if job.state.is_unconfirmed() => {
+                    state.remove(id);
+                }
+                Some(_) => state.orphaned.push(format!("unroute-sticky:{id}")),
+                None => state.orphaned.push(format!("unroute:{id}")),
+            },
+            RouterRecord::Acked { id } => match state.job_mut(id) {
+                Some(job) if job.state.is_unconfirmed() => job.state = RouteState::Acked,
+                Some(_) => {}
+                None => state.orphaned.push(format!("acked:{id}")),
+            },
+            RouterRecord::Terminal { id, outcome } => match state.job_mut(id) {
+                Some(BoundJob {
+                    state: RouteState::Terminal(existing),
+                    ..
+                }) if existing == outcome => {}
+                Some(BoundJob {
+                    state: RouteState::Terminal(_),
+                    ..
+                }) => state.duplicate_terminals.push(id.clone()),
+                Some(job) => job.state = RouteState::Terminal(outcome.clone()),
+                None => state.orphaned.push(format!("terminal:{id}")),
+            },
+        }
+    }
+
+    fn job_id(job: &BoundJob) -> &str {
+        &job.spec.id
+    }
+
+    fn is_terminal(job: &BoundJob) -> bool {
+        job.state.is_terminal()
+    }
+
+    fn snapshot(state: &RouterRecovery) -> Vec<Self> {
+        let mut records: Vec<Self> = state
+            .extra
+            .iter()
+            .map(|(name, addr)| RouterRecord::Member {
+                name: name.clone(),
+                addr: addr.clone(),
+            })
+            .collect();
+        for job in state.jobs() {
+            let id = || job.spec.id.clone();
+            records.push(RouterRecord::Route {
+                spec: job.spec.clone(),
+                member: job.member.clone(),
+            });
+            match &job.state {
+                RouteState::Routed => {}
+                RouteState::Sent => records.push(RouterRecord::Sent { id: id() }),
+                RouteState::Acked => records.push(RouterRecord::Acked { id: id() }),
+                RouteState::Terminal(outcome) => {
+                    records.push(RouterRecord::Acked { id: id() });
+                    records.push(RouterRecord::Terminal {
+                        id: id(),
+                        outcome: outcome.clone(),
+                    });
+                }
+            }
+        }
+        records
     }
 }
 
@@ -245,518 +380,14 @@ pub struct BoundJob {
     pub state: RouteState,
 }
 
-/// What a router journal replay found.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RouterRecovery {
-    /// Fleet members in join order: `(name, addr)`.
-    pub members: Vec<(String, String)>,
-    /// Every bound job, in binding order.
-    pub jobs: Vec<BoundJob>,
-    /// Ids with conflicting terminal records — an exactly-once
-    /// violation that must never happen.
-    pub duplicate_terminals: Vec<String>,
-    /// Records whose id or member was never introduced — a
-    /// write-ordering violation that must never happen.
-    pub orphaned: Vec<String>,
-    /// Terminal jobs pruned by retention so far (high water).
-    pub pruned_count: u64,
-    /// Digest set of pruned job ids ([`id_digest`] per id).
-    pub pruned: HashSet<u64>,
-}
-
-impl RouterRecovery {
-    /// Whether the journal satisfies the exactly-once invariants.
-    #[must_use]
-    pub fn is_consistent(&self) -> bool {
-        self.duplicate_terminals.is_empty() && self.orphaned.is_empty()
-    }
-
-    /// Jobs not yet terminal, in binding order: the orphans a restarted
-    /// router must re-resolve against their bound members.
-    #[must_use]
-    pub fn orphans(&self) -> Vec<&BoundJob> {
-        self.jobs
-            .iter()
-            .filter(|j| !j.state.is_terminal())
-            .collect()
-    }
-
-    /// Whether `id` belongs to a terminal job pruned by retention.
-    #[must_use]
-    pub fn was_pruned(&self, id: &str) -> bool {
-        self.pruned.contains(&id_digest(id))
-    }
-
-    fn replay(&mut self, record: &RouterRecord) {
-        match record {
-            RouterRecord::Member { name, addr } => {
-                match self.members.iter_mut().find(|(n, _)| n == name) {
-                    Some((_, a)) => *a = addr.clone(),
-                    None => self.members.push((name.clone(), addr.clone())),
-                }
-            }
-            RouterRecord::Left { name } => {
-                if self.members.iter().any(|(n, _)| n == name) {
-                    self.members.retain(|(n, _)| n != name);
-                } else {
-                    self.orphaned.push(format!("left:{name}"));
-                }
-            }
-            RouterRecord::Route { spec, member } => {
-                match self.jobs.iter_mut().find(|j| j.spec.id == spec.id) {
-                    // A rebind supersedes the old binding and resets
-                    // delivery (it is only journaled while the previous
-                    // member definitively never journaled the job).
-                    Some(job) if matches!(job.state, RouteState::Routed | RouteState::Sent) => {
-                        job.member = member.clone();
-                        job.state = RouteState::Routed;
-                    }
-                    Some(job) => self.orphaned.push(format!("rebind-sticky:{}", job.spec.id)),
-                    None => self.jobs.push(BoundJob {
-                        spec: spec.clone(),
-                        member: member.clone(),
-                        state: RouteState::Routed,
-                    }),
-                }
-            }
-            RouterRecord::Sent { id } => match self.jobs.iter_mut().find(|j| j.spec.id == *id) {
-                Some(job) if matches!(job.state, RouteState::Routed | RouteState::Sent) => {
-                    job.state = RouteState::Sent;
-                }
-                Some(_) => self.orphaned.push(format!("sent-after-sticky:{id}")),
-                None => self.orphaned.push(format!("sent:{id}")),
-            },
-            RouterRecord::Unroute { id } => match self.jobs.iter().position(|j| j.spec.id == *id) {
-                Some(i) if matches!(self.jobs[i].state, RouteState::Routed | RouteState::Sent) => {
-                    self.jobs.remove(i);
-                }
-                Some(_) => self.orphaned.push(format!("unroute-sticky:{id}")),
-                None => self.orphaned.push(format!("unroute:{id}")),
-            },
-            RouterRecord::Acked { id } => match self.jobs.iter_mut().find(|j| j.spec.id == *id) {
-                Some(job) => {
-                    if matches!(job.state, RouteState::Routed | RouteState::Sent) {
-                        job.state = RouteState::Acked;
-                    }
-                }
-                None => self.orphaned.push(format!("acked:{id}")),
-            },
-            RouterRecord::Terminal { id, outcome } => {
-                match self.jobs.iter_mut().find(|j| j.spec.id == *id) {
-                    Some(job) => match &job.state {
-                        RouteState::Terminal(existing) if existing == outcome => {}
-                        RouteState::Terminal(_) => self.duplicate_terminals.push(id.clone()),
-                        _ => job.state = RouteState::Terminal(outcome.clone()),
-                    },
-                    None => self.orphaned.push(format!("terminal:{id}")),
-                }
-            }
-            RouterRecord::Snapshot => {
-                self.members.clear();
-                self.jobs.clear();
-                self.duplicate_terminals.clear();
-                self.orphaned.clear();
-                self.pruned_count = 0;
-                self.pruned.clear();
-            }
-            RouterRecord::Pruned { count, hashes } => {
-                self.pruned_count = self.pruned_count.max(*count);
-                self.pruned.extend(hashes);
-            }
-        }
-    }
-}
-
-fn segment_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("router-{seq:08}.log"))
-}
-
-fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut segments = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.ends_with(".tmp") {
-            let _ = std::fs::remove_file(entry.path());
-            continue;
-        }
-        if let Some(seq) = name
-            .strip_prefix("router-")
-            .and_then(|rest| rest.strip_suffix(".log"))
-            .and_then(|digits| digits.parse::<u64>().ok())
-        {
-            segments.push((seq, entry.path()));
-        }
-    }
-    segments.sort();
-    Ok(segments)
-}
-
-/// Replays every segment in `dir` without modifying anything — the
-/// read-only audit path (`router_chaos` uses it to cross-check the
-/// bindings against the daemon journals after a drill).
-///
-/// # Errors
-///
-/// Propagates I/O errors; torn tails are tolerated, not errors.
-pub fn recover(dir: &Path) -> io::Result<RouterRecovery> {
-    let mut recovery = RouterRecovery::default();
-    if !dir.exists() {
-        return Ok(recovery);
-    }
-    for (_, path) in list_segments(dir)? {
-        let mut reader = BufReader::new(File::open(&path)?);
-        for payload in read_records(&mut reader)? {
-            let line = String::from_utf8(payload).map_err(|_| {
-                io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 router journal")
-            })?;
-            let record = RouterRecord::parse(&line)
-                .map_err(|reason| io::Error::new(io::ErrorKind::InvalidData, reason))?;
-            recovery.replay(&record);
-        }
-    }
-    Ok(recovery)
-}
-
-/// The append side of the router journal.
-pub struct RouterJournal {
-    dir: PathBuf,
-    active: File,
-    active_seq: u64,
-    active_bytes: u64,
-    rotate_at: u64,
-    max_segment_bytes: u64,
-    retain_terminal: usize,
-    /// Mirror of the journal state, for compaction snapshots.
-    members: Vec<(String, String)>,
-    jobs: Vec<BoundJob>,
-    index: HashMap<String, usize>,
-    pruned: HashSet<u64>,
-    pruned_count: u64,
-}
-
-impl RouterJournal {
-    /// The default rotation bound for the active segment.
-    pub const DEFAULT_MAX_SEGMENT_BYTES: u64 = 1 << 20;
-
-    /// The default bound on terminal jobs kept through compaction.
-    pub const DEFAULT_RETAIN_TERMINAL: usize = 1 << 16;
-
-    /// Opens (creating if needed) the journal in `dir`, replays it, and
-    /// compacts the recovered state into a fresh segment.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors and corrupt journal content.
-    pub fn open(dir: &Path, max_segment_bytes: u64) -> io::Result<(Self, RouterRecovery)> {
-        std::fs::create_dir_all(dir)?;
-        let recovery = recover(dir)?;
-        let next_seq = list_segments(dir)?.last().map_or(1, |(seq, _)| seq + 1);
-        let mut journal = RouterJournal {
-            dir: dir.to_path_buf(),
-            // Placeholder; rotate_to() below installs the real handle.
-            active: OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(segment_path(dir, next_seq))?,
-            active_seq: next_seq,
-            active_bytes: 0,
-            rotate_at: max_segment_bytes.max(1),
-            max_segment_bytes: max_segment_bytes.max(1),
-            retain_terminal: Self::DEFAULT_RETAIN_TERMINAL,
-            members: recovery.members.clone(),
-            jobs: recovery.jobs.clone(),
-            index: recovery
-                .jobs
-                .iter()
-                .enumerate()
-                .map(|(i, j)| (j.spec.id.clone(), i))
-                .collect(),
-            pruned: recovery.pruned.clone(),
-            pruned_count: recovery.pruned_count,
-        };
-        journal.rotate_to(next_seq)?;
-        Ok((journal, recovery))
-    }
-
-    /// Bounds the terminal jobs kept through compaction. Takes effect
-    /// at the next rotation.
-    pub fn set_retain_terminal(&mut self, retain_terminal: usize) {
-        self.retain_terminal = retain_terminal.max(1);
-    }
-
-    /// Whether `id` belongs to a terminal job pruned by retention.
-    #[must_use]
-    pub fn was_pruned(&self, id: &str) -> bool {
-        self.pruned.contains(&id_digest(id))
-    }
-
-    /// Terminal jobs pruned by retention since the journal began.
-    #[must_use]
-    pub fn pruned_count(&self) -> u64 {
-        self.pruned_count
-    }
-
-    /// Appends one record, fsyncs it, and rotates once a full size
-    /// bound of fresh records has accumulated. When this returns, the
-    /// record is durable.
-    ///
-    /// # Errors
-    ///
-    /// Refuses invariant-violating records before any byte reaches
-    /// disk; I/O errors are propagated (callers must retry the
-    /// identical record, never a different outcome for the same id).
-    pub fn append(&mut self, record: &RouterRecord) -> io::Result<()> {
-        self.validate(record)?;
-        let line = record.encode();
-        write_record(&mut self.active, line.as_bytes())?;
-        sync_file(&self.active)?;
-        self.active_bytes += 8 + line.len() as u64;
-        self.apply(record);
-        if self.active_bytes > self.rotate_at {
-            self.rotate_to(self.active_seq + 1)?;
-        }
-        Ok(())
-    }
-
-    /// Enforces the journal invariants as programmer-error checks on
-    /// the router, without touching disk or the mirror.
-    fn validate(&self, record: &RouterRecord) -> io::Result<()> {
-        let job_of = |id: &str| self.index.get(id).map(|&i| &self.jobs[i]);
-        match record {
-            RouterRecord::Member { name, addr } => {
-                validate_member_name(name).map_err(io::Error::other)?;
-                if addr.is_empty() || addr.contains(|c: char| c.is_whitespace() || c == ',') {
-                    return Err(io::Error::other(format!("malformed member addr {addr:?}")));
-                }
-                Ok(())
-            }
-            RouterRecord::Left { name } => {
-                if self.members.iter().any(|(n, _)| n == name) {
-                    Ok(())
-                } else {
-                    Err(io::Error::other(format!(
-                        "left for unknown member {name:?}"
-                    )))
-                }
-            }
-            RouterRecord::Route { spec, member } => {
-                if !self.members.iter().any(|(n, _)| n == member) {
-                    return Err(io::Error::other(format!(
-                        "route to unknown member {member:?}"
-                    )));
-                }
-                match job_of(&spec.id) {
-                    None if self.pruned.contains(&id_digest(&spec.id)) => {
-                        Err(io::Error::other(format!(
-                            "job {:?} already reached a terminal state (pruned by retention)",
-                            spec.id
-                        )))
-                    }
-                    None => Ok(()),
-                    Some(job) if matches!(job.state, RouteState::Routed | RouteState::Sent) => {
-                        Ok(())
-                    }
-                    Some(job) => Err(io::Error::other(format!(
-                        "rebind of job {:?} after the binding went sticky ({:?})",
-                        spec.id, job.state
-                    ))),
-                }
-            }
-            RouterRecord::Sent { id } => match job_of(id) {
-                Some(job) if matches!(job.state, RouteState::Routed | RouteState::Sent) => Ok(()),
-                Some(_) => Err(io::Error::other(format!(
-                    "sent for already-confirmed job {id:?}"
-                ))),
-                None => Err(io::Error::other(format!("sent for unknown job {id:?}"))),
-            },
-            RouterRecord::Unroute { id } => match job_of(id) {
-                Some(job) if matches!(job.state, RouteState::Routed | RouteState::Sent) => Ok(()),
-                Some(_) => Err(io::Error::other(format!(
-                    "unroute of job {id:?} after the binding went sticky"
-                ))),
-                None => Err(io::Error::other(format!("unroute for unknown job {id:?}"))),
-            },
-            RouterRecord::Acked { id } => match job_of(id) {
-                Some(job) if !job.state.is_terminal() => Ok(()),
-                Some(_) => Err(io::Error::other(format!(
-                    "acked for already-terminal job {id:?}"
-                ))),
-                None => Err(io::Error::other(format!("acked for unknown job {id:?}"))),
-            },
-            RouterRecord::Terminal { id, outcome } => {
-                let job = job_of(id)
-                    .ok_or_else(|| io::Error::other(format!("terminal for unknown job {id:?}")))?;
-                match &job.state {
-                    // A retried append of the identical terminal is
-                    // absorbed, exactly like the daemon WAL.
-                    RouteState::Terminal(existing) if existing == outcome => Ok(()),
-                    RouteState::Terminal(_) => Err(io::Error::other(format!(
-                        "conflicting terminal record for job {id:?} (exactly-once violation)"
-                    ))),
-                    _ => Ok(()),
-                }
-            }
-            RouterRecord::Snapshot | RouterRecord::Pruned { .. } => Ok(()),
-        }
-    }
-
-    /// Mirrors a validated record into the in-memory state.
-    fn apply(&mut self, record: &RouterRecord) {
-        match record {
-            RouterRecord::Member { name, addr } => {
-                match self.members.iter_mut().find(|(n, _)| n == name) {
-                    Some((_, a)) => *a = addr.clone(),
-                    None => self.members.push((name.clone(), addr.clone())),
-                }
-            }
-            RouterRecord::Left { name } => {
-                self.members.retain(|(n, _)| n != name);
-            }
-            RouterRecord::Route { spec, member } => match self.index.get(&spec.id) {
-                Some(&i) => {
-                    self.jobs[i].member = member.clone();
-                    self.jobs[i].state = RouteState::Routed;
-                }
-                None => {
-                    self.index.insert(spec.id.clone(), self.jobs.len());
-                    self.jobs.push(BoundJob {
-                        spec: spec.clone(),
-                        member: member.clone(),
-                        state: RouteState::Routed,
-                    });
-                }
-            },
-            RouterRecord::Sent { id } => {
-                self.jobs[self.index[id]].state = RouteState::Sent;
-            }
-            RouterRecord::Unroute { id } => {
-                if let Some(i) = self.index.remove(id) {
-                    self.jobs.remove(i);
-                    self.reindex();
-                }
-            }
-            RouterRecord::Acked { id } => {
-                let job = &mut self.jobs[self.index[id]];
-                if matches!(job.state, RouteState::Routed | RouteState::Sent) {
-                    job.state = RouteState::Acked;
-                }
-            }
-            RouterRecord::Terminal { id, outcome } => {
-                let job = &mut self.jobs[self.index[id]];
-                if !job.state.is_terminal() {
-                    job.state = RouteState::Terminal(outcome.clone());
-                }
-            }
-            // Only written directly by `rotate_to`, never appended.
-            RouterRecord::Snapshot | RouterRecord::Pruned { .. } => {}
-        }
-    }
-
-    fn reindex(&mut self) {
-        self.index = self
-            .jobs
-            .iter()
-            .enumerate()
-            .map(|(i, j)| (j.spec.id.clone(), i))
-            .collect();
-    }
-
-    /// Prunes the oldest terminal jobs beyond the retention bound (a
-    /// non-terminal job is never pruned).
-    fn prune_terminal(&mut self) {
-        let terminal = self.jobs.iter().filter(|j| j.state.is_terminal()).count();
-        if terminal <= self.retain_terminal {
-            return;
-        }
-        let mut drop = terminal - self.retain_terminal;
-        let (pruned, pruned_count) = (&mut self.pruned, &mut self.pruned_count);
-        self.jobs.retain(|job| {
-            if drop > 0 && job.state.is_terminal() {
-                drop -= 1;
-                pruned.insert(id_digest(&job.spec.id));
-                *pruned_count += 1;
-                false
-            } else {
-                true
-            }
-        });
-        self.reindex();
-    }
-
-    /// Writes the current state (after retention pruning) as segment
-    /// `seq`, switches appends to it, and deletes every older segment
-    /// (see [`qpdo_serve::wal`] for the crash-safety argument).
-    fn rotate_to(&mut self, seq: u64) -> io::Result<()> {
-        self.prune_terminal();
-        let mut snapshot = Vec::new();
-        write_record(&mut snapshot, RouterRecord::Snapshot.encode().as_bytes())?;
-        if !self.pruned.is_empty() {
-            let mut hashes: Vec<u64> = self.pruned.iter().copied().collect();
-            hashes.sort_unstable();
-            for chunk in hashes.chunks(256) {
-                let record = RouterRecord::Pruned {
-                    count: self.pruned_count,
-                    hashes: chunk.to_vec(),
-                };
-                write_record(&mut snapshot, record.encode().as_bytes())?;
-            }
-        }
-        for (name, addr) in &self.members {
-            let record = RouterRecord::Member {
-                name: name.clone(),
-                addr: addr.clone(),
-            };
-            write_record(&mut snapshot, record.encode().as_bytes())?;
-        }
-        for job in &self.jobs {
-            let route = RouterRecord::Route {
-                spec: job.spec.clone(),
-                member: job.member.clone(),
-            };
-            write_record(&mut snapshot, route.encode().as_bytes())?;
-            if matches!(job.state, RouteState::Sent) {
-                let sent = RouterRecord::Sent {
-                    id: job.spec.id.clone(),
-                };
-                write_record(&mut snapshot, sent.encode().as_bytes())?;
-            }
-            if matches!(job.state, RouteState::Acked | RouteState::Terminal(_)) {
-                let acked = RouterRecord::Acked {
-                    id: job.spec.id.clone(),
-                };
-                write_record(&mut snapshot, acked.encode().as_bytes())?;
-            }
-            if let RouteState::Terminal(outcome) = &job.state {
-                let terminal = RouterRecord::Terminal {
-                    id: job.spec.id.clone(),
-                    outcome: outcome.clone(),
-                };
-                write_record(&mut snapshot, terminal.encode().as_bytes())?;
-            }
-        }
-        let path = segment_path(&self.dir, seq);
-        let bytes = snapshot.len() as u64;
-        atomic_replace(&path, &snapshot)?;
-        for (old_seq, old_path) in list_segments(&self.dir)? {
-            if old_seq < seq {
-                std::fs::remove_file(old_path)?;
-            }
-        }
-        sync_parent_dir(&path)?;
-        self.active = OpenOptions::new().append(true).open(&path)?;
-        self.active_seq = seq;
-        self.active_bytes = bytes;
-        self.rotate_at = bytes + self.max_segment_bytes;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qpdo_bench::framing::read_records;
     use qpdo_serve::job::JobKind;
+    use std::fs::File;
+    use std::io::BufReader;
+    use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("qpdo-router-j-{tag}-{}", std::process::id()));
@@ -815,11 +446,6 @@ mod tests {
                 id: "j3".to_owned(),
                 outcome: JobOutcome::Partial("128 4096 3 0.000244 0.002135".to_owned()),
             },
-            RouterRecord::Snapshot,
-            RouterRecord::Pruned {
-                count: 3,
-                hashes: vec![0, u64::MAX, id_digest("j1")],
-            },
         ];
         for record in records {
             let line = record.encode();
@@ -832,7 +458,7 @@ mod tests {
         let dir = tmp_dir("reopen");
         {
             let (mut j, recovery) = RouterJournal::open(&dir, 1 << 20).unwrap();
-            assert!(recovery.jobs.is_empty());
+            assert!(recovery.jobs().is_empty());
             j.append(&member("d0", "127.0.0.1:4100")).unwrap();
             j.append(&member("d1", "127.0.0.1:4101")).unwrap();
             j.append(&route("a", "d0")).unwrap();
@@ -853,23 +479,23 @@ mod tests {
         let (_, recovery) = RouterJournal::open(&dir, 1 << 20).unwrap();
         assert!(recovery.is_consistent());
         assert_eq!(
-            recovery.members,
+            recovery.extra,
             vec![
                 ("d0".to_owned(), "127.0.0.1:4100".to_owned()),
                 ("d1".to_owned(), "127.0.0.1:4201".to_owned()),
             ]
         );
-        assert_eq!(recovery.jobs.len(), 3);
+        assert_eq!(recovery.jobs().len(), 3);
         assert_eq!(
-            recovery.jobs[0].state,
+            recovery.jobs()[0].state,
             RouteState::Terminal(JobOutcome::Done("0 1 1 0".to_owned()))
         );
-        assert_eq!(recovery.jobs[1].state, RouteState::Routed);
-        assert_eq!(recovery.jobs[2].state, RouteState::Sent);
-        assert_eq!(recovery.orphans().len(), 2);
-        assert_eq!(recovery.orphans()[0].spec.id, "b");
-        assert_eq!(recovery.orphans()[0].member, "d1");
-        assert_eq!(recovery.orphans()[1].spec.id, "c");
+        assert_eq!(recovery.jobs()[1].state, RouteState::Routed);
+        assert_eq!(recovery.jobs()[2].state, RouteState::Sent);
+        assert_eq!(recovery.pending().len(), 2);
+        assert_eq!(recovery.pending()[0].spec.id, "b");
+        assert_eq!(recovery.pending()[0].member, "d1");
+        assert_eq!(recovery.pending()[1].spec.id, "c");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -904,8 +530,8 @@ mod tests {
             .is_err());
         let recovery = recover(&dir).unwrap();
         assert!(recovery.is_consistent());
-        assert_eq!(recovery.jobs[0].member, "d0");
-        assert_eq!(recovery.jobs[0].state, RouteState::Acked);
+        assert_eq!(recovery.jobs()[0].member, "d0");
+        assert_eq!(recovery.jobs()[0].state, RouteState::Acked);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -925,8 +551,8 @@ mod tests {
         j.append(&route("x", "d0")).unwrap();
         let recovery = recover(&dir).unwrap();
         assert!(recovery.is_consistent());
-        assert_eq!(recovery.jobs.len(), 1);
-        assert_eq!(recovery.jobs[0].state, RouteState::Routed);
+        assert_eq!(recovery.jobs().len(), 1);
+        assert_eq!(recovery.jobs()[0].state, RouteState::Routed);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -963,38 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_prunes_terminals_and_keeps_the_pruned_ledger() {
-        let dir = tmp_dir("prune");
-        {
-            let (mut j, _) = RouterJournal::open(&dir, 64).unwrap();
-            j.set_retain_terminal(1);
-            j.append(&member("d0", "a:1")).unwrap();
-            for i in 0..8 {
-                let id = format!("p-{i}");
-                j.append(&route(&id, "d0")).unwrap();
-                j.append(&RouterRecord::Acked { id: id.clone() }).unwrap();
-                j.append(&RouterRecord::Terminal {
-                    id,
-                    outcome: JobOutcome::Done("0 0 1 1".to_owned()),
-                })
-                .unwrap();
-            }
-            assert!(j.pruned_count() > 0, "retention never pruned");
-            assert!(j.was_pruned("p-0"));
-            // A pruned id is never reopened.
-            let err = j.append(&route("p-0", "d0")).unwrap_err();
-            assert!(err.to_string().contains("pruned"), "{err}");
-        }
-        let (mut j, recovery) = RouterJournal::open(&dir, 64).unwrap();
-        assert!(recovery.is_consistent());
-        assert!(recovery.was_pruned("p-0"));
-        assert!(j.was_pruned("p-0"));
-        assert!(j.append(&route("p-0", "d0")).is_err());
-        j.append(&route("fresh", "d0")).unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn member_names_are_validated() {
         let dir = tmp_dir("names");
         let (mut j, _) = RouterJournal::open(&dir, 1 << 20).unwrap();
@@ -1005,6 +599,76 @@ mod tests {
         assert!(j.append(&member("ok-name", "a:1")).is_ok());
         assert!(validate_member_name("d0").is_ok());
         assert!(validate_member_name("a,b").is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compacted_segment_lines_are_stable() {
+        // Pins the on-disk snapshot format: marker, sorted pruned-id
+        // ledger, members, then each retained binding as its route plus
+        // the delivery records its state implies.
+        let dir = tmp_dir("golden");
+        {
+            let (mut j, _) = RouterJournal::open(&dir, 64).unwrap();
+            j.set_retain_terminal(1);
+            let done = |id: &str| RouterRecord::Terminal {
+                id: id.to_owned(),
+                outcome: JobOutcome::Done("0 1".to_owned()),
+            };
+            let acked = |id: &str| RouterRecord::Acked { id: id.to_owned() };
+            for record in [
+                member("d0", "127.0.0.1:4100"),
+                member("d1", "127.0.0.1:4101"),
+                route("p-0", "d0"),
+                acked("p-0"),
+                done("p-0"),
+                route("p-1", "d1"),
+                acked("p-1"),
+                done("p-1"),
+                route("gone", "d0"),
+                RouterRecord::Unroute {
+                    id: "gone".to_owned(),
+                },
+                route("s", "d1"),
+                RouterRecord::Sent { id: "s".to_owned() },
+                route("r", "d0"),
+                route("k", "d0"),
+                acked("k"),
+                route("f", "d1"),
+                acked("f"),
+                done("f"),
+                RouterRecord::Left {
+                    name: "d0".to_owned(),
+                },
+                member("d2", "127.0.0.1:4102"),
+            ] {
+                j.append(&record).unwrap();
+            }
+        }
+        let (j, _) = RouterJournal::open(&dir, 64).unwrap();
+        let path = dir.join(format!("router-{:08}.log", j.active_seq()));
+        let lines: Vec<String> = read_records(&mut BufReader::new(File::open(path).unwrap()))
+            .unwrap()
+            .into_iter()
+            .map(|payload| String::from_utf8(payload).unwrap())
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                "snapshot",
+                "pruned 2 787b2419570ce662 787b2519570ce815",
+                "member d1 127.0.0.1:4101",
+                "member d2 127.0.0.1:4102",
+                "route s d1 - bell 2",
+                "sent s",
+                "route r d0 - bell 2",
+                "route k d0 - bell 2",
+                "acked k",
+                "route f d1 - bell 2",
+                "acked f",
+                "done f 0 1",
+            ]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

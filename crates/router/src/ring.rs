@@ -10,7 +10,7 @@
 //! member order for an id, so a dead first choice fails over to the
 //! next live member deterministically.
 //!
-//! Ring positions are the WAL's FNV-1a digest ([`id_digest`]) passed
+//! Ring positions are the journal's FNV-1a digest ([`id_digest`]) passed
 //! through a splitmix64-style finalizer: raw FNV-1a of short,
 //! near-identical keys (`a#0` … `a#63`, `job-17`) clusters badly in
 //! the high bits that dominate ring ordering — measured on 3 members ×
@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use qpdo_serve::wal::id_digest;
+use qpdo_serve::journal::id_digest;
 
 /// splitmix64's finalizer: full-avalanche mixing of a 64-bit value.
 fn spread(digest: u64) -> u64 {

@@ -61,10 +61,10 @@ use qpdo_rng::rngs::StdRng;
 use qpdo_rng::{Rng, SeedableRng};
 use qpdo_serve::breaker::{BreakerState, CircuitBreaker};
 use qpdo_serve::job::JobSpec;
+use qpdo_serve::journal::id_digest;
 use qpdo_serve::protocol::{
     recv_line, send_line, Client, HealthSnapshot, JobState, RejectCode, Request, Response,
 };
-use qpdo_serve::wal::id_digest;
 use qpdo_serve::wal::JobOutcome;
 
 use crate::journal::{validate_member_name, RouteState, RouterJournal, RouterRecord};
@@ -254,7 +254,8 @@ pub fn run(
     let mut members = HashMap::new();
     let mut order = Vec::new();
     let mut ring = HashRing::new(HashRing::DEFAULT_REPLICAS);
-    for (name, addr) in &recovery.members {
+    // The journal state beside the jobs is the fleet membership.
+    for (name, addr) in &recovery.extra {
         members.insert(
             name.clone(),
             Member {
@@ -290,7 +291,7 @@ pub fn run(
         routed: recovery.pruned_count,
         ..RouterStats::default()
     };
-    for job in &recovery.jobs {
+    for job in recovery.jobs() {
         stats.routed += 1;
         match &job.state {
             RouteState::Routed | RouteState::Sent => inflight += 1,
@@ -321,10 +322,10 @@ pub fn run(
             },
         );
     }
-    if !recovery.jobs.is_empty() {
+    if !recovery.jobs().is_empty() {
         eprintln!(
             "recovered {} journaled bindings ({} unresolved) across {} members",
-            recovery.jobs.len(),
+            recovery.jobs().len(),
             inflight,
             order.len()
         );

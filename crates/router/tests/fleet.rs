@@ -610,7 +610,7 @@ fn deadline_partial_is_a_delivered_terminal_fleet_wide() {
         bindings.duplicate_terminals
     );
     let terminals: Vec<_> = bindings
-        .jobs
+        .jobs()
         .iter()
         .filter(|j| j.spec.id == spec.id)
         .collect();

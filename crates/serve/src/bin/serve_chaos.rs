@@ -275,7 +275,7 @@ fn crash_drill(root: &Path, seed: u64, kills: usize, wave_size: usize) {
             recovery.duplicate_terminals,
             recovery.orphaned
         );
-        assert_eq!(recovery.jobs.len(), specs.len(), "accepted jobs survive");
+        assert_eq!(recovery.jobs().len(), specs.len(), "accepted jobs survive");
         interrupted += recovery.pending().len();
         println!(
             "   kill {}: {} of {} jobs caught unfinished",
@@ -324,11 +324,11 @@ fn crash_drill(root: &Path, seed: u64, kills: usize, wave_size: usize) {
         recovery.duplicate_terminals,
         recovery.orphaned
     );
-    assert_eq!(recovery.jobs.len(), specs.len(), "journal job count");
+    assert_eq!(recovery.jobs().len(), specs.len(), "journal job count");
     assert!(recovery.pending().is_empty(), "no job may stay pending");
     for spec in &specs {
         let recovered = recovery
-            .jobs
+            .jobs()
             .iter()
             .find(|j| j.spec.id == spec.id)
             .unwrap_or_else(|| panic!("{} missing from journal", spec.id));
@@ -540,13 +540,13 @@ fn drain_deadline_drill(root: &Path, seed: u64, jobs: usize) {
         recovery.duplicate_terminals,
         recovery.orphaned
     );
-    assert_eq!(recovery.jobs.len(), specs.len(), "accepted jobs survive");
+    assert_eq!(recovery.jobs().len(), specs.len(), "accepted jobs survive");
     assert!(
         recovery.pending().is_empty(),
         "drain returned with jobs still pending"
     );
     let mut expired = 0;
-    for job in &recovery.jobs {
+    for job in recovery.jobs() {
         match &job.outcome {
             Some(JobOutcome::Failed(error)) => {
                 assert!(
@@ -648,7 +648,7 @@ fn group_commit_crash_drill(root: &Path, seed: u64, jobs: usize) {
     );
     for id in &acked {
         assert!(
-            recovery.jobs.iter().any(|j| j.spec.id == *id),
+            recovery.jobs().iter().any(|j| j.spec.id == *id),
             "{id} was acked through a group commit but is missing from the torn journal"
         );
     }
@@ -714,7 +714,7 @@ fn group_commit_crash_drill(root: &Path, seed: u64, jobs: usize) {
         recovery.duplicate_terminals,
         recovery.orphaned
     );
-    assert_eq!(recovery.jobs.len(), specs.len(), "journal job count");
+    assert_eq!(recovery.jobs().len(), specs.len(), "journal job count");
     assert!(recovery.pending().is_empty(), "no job may stay pending");
     println!("   exactly-once verified for all {} jobs", specs.len());
 }
@@ -809,7 +809,7 @@ fn overload_wave_drill(root: &Path, seed: u64, waves: usize, clients: usize) {
         recovery.duplicate_terminals,
         recovery.orphaned
     );
-    assert_eq!(recovery.jobs.len(), accepted.len(), "journal job count");
+    assert_eq!(recovery.jobs().len(), accepted.len(), "journal job count");
     println!(
         "   {} accepted, {shed} shed across {waves} wave(s), all accepted completed",
         accepted.len()
@@ -1084,7 +1084,7 @@ fn resume_drill(root: &Path, seed: u64, d: usize, shots: u64, kill_after: u64) {
             .collect::<Vec<_>>()
     );
     let ckpt = recovery
-        .jobs
+        .jobs()
         .iter()
         .find(|j| j.spec.id == spec.id)
         .expect("killed sweep in the journal")
@@ -1209,7 +1209,7 @@ fn partial_drill(root: &Path, seed: u64) {
         recovery.orphaned
     );
     assert!(recovery.pending().is_empty(), "no job may stay pending");
-    match &recovery.jobs[0].outcome {
+    match &recovery.jobs()[0].outcome {
         Some(JobOutcome::Partial(journaled)) => assert_eq!(journaled, &detail),
         other => panic!("partial journaled as {other:?}"),
     }
@@ -1321,7 +1321,7 @@ fn checkpoint_fault_drill(root: &Path, seed: u64, d: usize, shots: u64, kill_aft
         recovery.orphaned
     );
     let ckpt = recovery
-        .jobs
+        .jobs()
         .iter()
         .find(|j| j.spec.id == spec.id)
         .expect("killed sweep in the journal")

@@ -408,9 +408,9 @@ mod tests {
         drop(commit);
         let recovery = recover(&dir).unwrap();
         assert!(recovery.is_consistent());
-        assert_eq!(recovery.jobs.len(), 10);
+        assert_eq!(recovery.jobs().len(), 10);
         assert_eq!(
-            recovery.jobs[0].outcome,
+            recovery.jobs()[0].outcome,
             Some(JobOutcome::Done("1".to_owned()))
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -440,7 +440,7 @@ mod tests {
         drop(commit);
         let recovery = recover(&dir).unwrap();
         assert!(recovery.is_consistent());
-        assert_eq!(recovery.jobs.len(), 64);
+        assert_eq!(recovery.jobs().len(), 64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -543,12 +543,12 @@ mod tests {
             let acked = done.iter().any(|c| c.token == *token && c.result.is_ok());
             if acked {
                 assert!(
-                    recovery.jobs.iter().any(|j| j.spec.id == *id),
+                    recovery.jobs().iter().any(|j| j.spec.id == *id),
                     "acked {id} lost"
                 );
             }
         }
-        assert!(recovery.jobs.iter().any(|j| j.spec.id == "w-0"));
+        assert!(recovery.jobs().iter().any(|j| j.spec.id == "w-0"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -613,8 +613,8 @@ mod tests {
         // provably absent.
         let recovery = recover(&dir).unwrap();
         assert!(recovery.is_consistent());
-        assert!(recovery.jobs.iter().any(|j| j.spec.id == "d-0"));
-        assert!(recovery.jobs.iter().all(|j| j.spec.id != "d-2"));
+        assert!(recovery.jobs().iter().any(|j| j.spec.id == "d-0"));
+        assert!(recovery.jobs().iter().all(|j| j.spec.id != "d-2"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

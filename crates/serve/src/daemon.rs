@@ -340,7 +340,7 @@ pub fn serve(
     let mut jobs = HashMap::new();
     let mut queue = VecDeque::new();
     let mut stats = ServeStats::default();
-    for job in &recovery.jobs {
+    for job in recovery.jobs() {
         stats.accepted += 1;
         let state = match &job.outcome {
             Some(JobOutcome::Done(record)) => {
@@ -374,10 +374,10 @@ pub fn serve(
             },
         );
     }
-    if !recovery.jobs.is_empty() {
+    if !recovery.jobs().is_empty() {
         eprintln!(
             "recovered {} journaled jobs ({} pending re-execution, {} resumable)",
-            recovery.jobs.len(),
+            recovery.jobs().len(),
             queue.len(),
             recovery.resumable().len()
         );

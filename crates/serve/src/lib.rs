@@ -6,7 +6,8 @@
 //! results. The daemon is built for hostile conditions:
 //!
 //! - **Write-ahead journal** ([`wal`]): every `accepted → dispatched →
-//!   completed` transition is a CRC-framed, fsync'd record. `kill -9`
+//!   completed` transition is a CRC-framed, fsync'd record in the
+//!   shared [`journal`], which the fleet router's binding log uses too. `kill -9`
 //!   at any instant loses at most the jobs never acknowledged; every
 //!   acknowledged job is re-executed on restart onto a byte-identical
 //!   result (deterministic substream seeding), exactly once.
@@ -43,5 +44,6 @@ pub mod daemon;
 pub mod eventloop;
 pub mod frame;
 pub mod job;
+pub mod journal;
 pub mod protocol;
 pub mod wal;

@@ -457,8 +457,8 @@ fn pruned_terminal_resubmit_is_answered_not_reexecuted() {
         recovery.was_pruned("pruned-1"),
         "retention never pruned the first job; drill setup is broken"
     );
-    assert!(!recovery.jobs.iter().any(|j| j.spec.id == "pruned-1"));
-    let recovered = recovery.jobs.len() as u64;
+    assert!(!recovery.jobs().iter().any(|j| j.spec.id == "pruned-1"));
+    let recovered = recovery.jobs().len() as u64;
 
     let daemon = TestDaemon::start(&dir, DaemonConfig::default());
     let mut client = daemon.client();
@@ -555,7 +555,7 @@ fn drain_completes_inflight_and_rejects_new_with_draining() {
     assert!(recovery.pending().is_empty(), "drain left pending jobs");
     for spec in &inflight {
         let journaled = recovery
-            .jobs
+            .jobs()
             .iter()
             .find(|j| j.spec.id == spec.id)
             .unwrap_or_else(|| panic!("{} missing from journal", spec.id));

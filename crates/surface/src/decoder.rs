@@ -8,9 +8,7 @@
 //! paper cites for larger codes); for the sparse defect sets that
 //! dominate below threshold the bitmask dynamic program here is exact,
 //! and dense syndromes hand off to the near-linear
-//! [`UnionFindDecoder`]. The legacy greedy nearest-pair pass survives as
-//! [`MatchingDecoder::decode_greedy`], pinned by regression tests as the
-//! baseline the union-find path replaced.
+//! [`UnionFindDecoder`].
 //!
 //! Geometry: X errors flip Z checks, whose plaquette coordinates step
 //! diagonally (`±1, ±1`) per data-qubit error, and whose chains may
@@ -109,34 +107,6 @@ impl MatchingDecoder {
         self.chains_of(&defects, &pairing)
     }
 
-    /// Decodes with the legacy greedy nearest-pair fallback — the path
-    /// dense syndromes took before the union-find decoder replaced it.
-    /// Retained (and pinned by regression tests) as the baseline the
-    /// default path is measured against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the syndrome length does not match the code.
-    #[must_use]
-    pub fn decode_greedy(&self, syndrome: &[bool]) -> Vec<usize> {
-        assert_eq!(
-            syndrome.len(),
-            self.check_coords.len(),
-            "syndrome length mismatch"
-        );
-        let defects: Vec<(usize, usize)> = syndrome
-            .iter()
-            .zip(&self.check_coords)
-            .filter(|(fired, _)| **fired)
-            .map(|(_, &coords)| coords)
-            .collect();
-        if defects.is_empty() {
-            return Vec::new();
-        }
-        let pairing = self.greedy_pairing(&defects);
-        self.chains_of(&defects, &pairing)
-    }
-
     /// Materializes a pairing into correction chains, cancelling
     /// overlapping qubits.
     fn chains_of(&self, defects: &[(usize, usize)], pairing: &[Pairing]) -> Vec<usize> {
@@ -213,33 +183,6 @@ impl MatchingDecoder {
                 Pairing::Together(a, b) => set &= !((1 << a) | (1 << b)),
             }
             pairing.push(c);
-        }
-        pairing
-    }
-
-    fn greedy_pairing(&self, defects: &[(usize, usize)]) -> Vec<Pairing> {
-        let n = defects.len();
-        let mut unmatched: Vec<usize> = (0..n).collect();
-        let mut pairing = Vec::new();
-        while let Some(&a) = unmatched.first() {
-            let boundary = self.boundary_cost(defects[a]);
-            let mut best: Option<(usize, usize)> = None; // (cost, partner)
-            for &b in &unmatched[1..] {
-                let cost = self.pair_cost(defects[a], defects[b]);
-                if best.is_none_or(|(c, _)| cost < c) {
-                    best = Some((cost, b));
-                }
-            }
-            match best {
-                Some((cost, b)) if cost <= boundary => {
-                    pairing.push(Pairing::Together(a, b));
-                    unmatched.retain(|&x| x != a && x != b);
-                }
-                _ => {
-                    pairing.push(Pairing::Boundary(a));
-                    unmatched.retain(|&x| x != a);
-                }
-            }
         }
         pairing
     }
@@ -503,21 +446,6 @@ mod tests {
             if syndrome.iter().filter(|s| **s).count() > EXACT_LIMIT {
                 assert_eq!(matching.decode(&syndrome), uf.decode(&syndrome));
             }
-        }
-    }
-
-    #[test]
-    fn greedy_fallback_still_annihilates_dense_syndromes() {
-        let mut rng = StdRng::seed_from_u64(90);
-        let code = RotatedSurfaceCode::new(9);
-        let decoder = MatchingDecoder::new(&code, CheckKind::X);
-        for _ in 0..20 {
-            let errors: Vec<usize> = (0..25)
-                .map(|_| rng.gen_range(0..code.num_data_qubits()))
-                .collect();
-            let syndrome = code.syndrome_of(&errors, CheckKind::X);
-            let correction = decoder.decode_greedy(&syndrome);
-            assert_eq!(code.syndrome_of(&correction, CheckKind::X), syndrome);
         }
     }
 

@@ -3,9 +3,8 @@
 //!
 //! Two things must stay true while the default dense path evolves:
 //!
-//! - the legacy greedy fallback (`decode_greedy`) still produces valid
-//!   corrections on both sides of the 12-defect boundary — it is the
-//!   baseline the union-find decoder is measured against, and
+//! - the split itself: up to 12 defects take the exact minimum-weight
+//!   path, from 13 on the union-find decoder, and
 //! - the exact path (≤ 12 defects) is byte-stable against a golden KAT,
 //!   because it is the oracle the differential tests trust.
 
@@ -24,34 +23,11 @@ fn syndrome_with_defects(len: usize, defects: usize, rng: &mut StdRng) -> Vec<bo
 }
 
 #[test]
-fn greedy_fallback_annihilates_at_the_exact_limit_boundary() {
-    // 12 defects (last exact-path count) and 13 (first dense count):
-    // the greedy fallback must clear both, as it did before the
-    // union-find decoder took over the default dense path.
-    let mut rng = StdRng::seed_from_u64(0xEC0);
-    let code = RotatedSurfaceCode::new(9);
-    for kind in [CheckKind::X, CheckKind::Z] {
-        let decoder = MatchingDecoder::new(&code, kind);
-        for defects in [12, 13] {
-            for trial in 0..25 {
-                let syndrome = syndrome_with_defects(decoder.syndrome_len(), defects, &mut rng);
-                let correction = decoder.decode_greedy(&syndrome);
-                assert_eq!(
-                    code.syndrome_of(&correction, kind),
-                    syndrome,
-                    "{kind:?} {defects} defects trial {trial}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn default_path_switches_to_union_find_above_the_limit() {
     // At exactly 13 defects, decode() must be byte-identical to the
-    // union-find decoder (no greedy fallback on the default path); at
-    // 12 it takes the exact path, which is minimum-weight and therefore
-    // never longer than greedy's answer.
+    // union-find decoder; at 12 it takes the exact path, which is
+    // minimum-weight and therefore never longer than union-find's
+    // answer.
     let mut rng = StdRng::seed_from_u64(0xB0DA);
     let code = RotatedSurfaceCode::new(9);
     let decoder = MatchingDecoder::new(&code, CheckKind::X);
@@ -65,12 +41,12 @@ fn default_path_switches_to_union_find_above_the_limit() {
         );
         let sparse = syndrome_with_defects(decoder.syndrome_len(), 12, &mut rng);
         let exact = decoder.decode(&sparse);
-        let greedy = decoder.decode_greedy(&sparse);
+        let peeled = uf.decode(&sparse);
         assert_eq!(code.syndrome_of(&exact, CheckKind::X), sparse);
-        assert_eq!(code.syndrome_of(&greedy, CheckKind::X), sparse);
+        assert_eq!(code.syndrome_of(&peeled, CheckKind::X), sparse);
         assert!(
-            exact.len() <= greedy.len(),
-            "trial {trial}: exact correction longer than greedy's"
+            exact.len() <= peeled.len(),
+            "trial {trial}: exact correction longer than union-find's"
         );
     }
 }
