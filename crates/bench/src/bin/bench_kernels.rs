@@ -22,6 +22,10 @@
 //!   median divided by the 64 lanes and
 //!   `derived.sc17_slicing_speedup` compares that against `sc17_shot`.
 //! - `frame_merge` — word-parallel merge of two 17-qubit Pauli frames.
+//! - `surface_batch_d13` — one warmed 64-shot [`run_ler_surface`] call at
+//!   d = 13, p = 0.08: a 64-lane Pauli frame pushed through the 337-qubit
+//!   ESM round against the cached noiseless reference, plus 64
+//!   union-find decodes.
 //!
 //! Flags: `--out DIR` (default `results`), `--samples N` (default 25),
 //! `--seed N` (default 2016), `--smoke` (minimal iterations + schema
@@ -38,6 +42,8 @@ use qpdo_pauli::{Pauli, PauliFrame};
 use qpdo_rng::rngs::StdRng;
 use qpdo_rng::{Rng, SeedableRng};
 use qpdo_stabilizer::{ReferenceTableau, StabilizerSim, LANES};
+use qpdo_surface::experiment::{run_ler_surface, SurfaceLerConfig};
+use qpdo_surface::CheckKind;
 use qpdo_surface17::experiment::{LerConfig, LogicalErrorKind};
 use qpdo_surface17::{run_ler_sliced, NinjaStar, StarLayout};
 
@@ -190,6 +196,7 @@ fn validate_report(doc: &Json) -> Result<(), String> {
         "sc17_shot",
         "sc17_shot_sliced",
         "frame_merge",
+        "surface_batch_d13",
     ];
     for name in required {
         let entry = kernels
@@ -395,6 +402,30 @@ fn run(args: &Args) -> Result<(), String> {
     )?;
     println!("frame_merge: {:.1} ns", frame_merge.median_ns);
 
+    // -- surface_batch_d13: one 64-shot code-capacity batch. The
+    // harness's untimed warm-up builds this thread's decoder and frame
+    // reference, so samples time the steady-state batch only.
+    let mut surface_config = SurfaceLerConfig {
+        distance: 13,
+        physical_error_rate: 0.08,
+        error: CheckKind::X,
+        shots: LANES as u64,
+        seed: args.seed,
+    };
+    let surface_batch_d13 = measured(
+        "surface_batch_d13",
+        measure_batched_ns(
+            samples,
+            window_iters,
+            || {
+                surface_config.seed = surface_config.seed.wrapping_add(1);
+                surface_config
+            },
+            |config| run_ler_surface(&config).expect("valid configuration"),
+        ),
+    )?;
+    println!("surface_batch_d13: {:.1} ns", surface_batch_d13.median_ns);
+
     let report = Json::object([
         ("schema", Json::from(SCHEMA)),
         ("seed", Json::from(args.seed)),
@@ -409,6 +440,7 @@ fn run(args: &Args) -> Result<(), String> {
                 kernel_entry("sc17_shot", &sc17_shot),
                 kernel_entry("sc17_shot_sliced", &sc17_shot_sliced),
                 kernel_entry("frame_merge", &frame_merge),
+                kernel_entry("surface_batch_d13", &surface_batch_d13),
             ]),
         ),
         (

@@ -3,10 +3,12 @@
 //! Phase 1 (the headline, `results/distance_scaling.csv`): a
 //! code-capacity Monte-Carlo sweep of the union-find-decoded rotated
 //! surface code over a physical-error-rate grid that straddles
-//! threshold. Every (d, p) point runs [`run_ler_surface`]: 64-lane
-//! packed syndrome extraction through the real ESM circuit, one
-//! union-find decode per lane (the exact matcher below `EXACT_LIMIT`
-//! defects), failure counted against the crossing logical operator.
+//! threshold. Every (d, p) point runs [`run_ler_surface`]: the
+//! noiseless ESM round runs once on the sliced tableau as a reference,
+//! then each 64-shot batch pushes a 64-lane Pauli frame of its errors
+//! through the same circuit (syndromes are reference outcome ⊕ frame
+//! flip), one union-find decode per lane, failure counted against the
+//! crossing logical operator from the frame and correction parity.
 //! Successive-distance LER curves cross at threshold; the harness
 //! interpolates each crossing with [`curve_crossing`] and reports the
 //! median as the threshold estimate.

@@ -32,10 +32,14 @@ use qpdo_surface17::experiment::run_ler_reference_cancellable;
 /// The longest job id the service accepts.
 pub const MAX_JOB_ID_LEN: usize = 128;
 
-/// The most shots a single `ler_surface` job may request. One decode
-/// per shot at d = 13 makes this the service's heaviest compute-bound
-/// kind; bigger sweeps should be split across jobs so deadlines,
-/// cancellation, and fleet rebalancing stay responsive.
+/// The most shots a single `ler_surface` job may request. Syndromes
+/// come from a Pauli frame pushed through the ESM round, so a 64-shot
+/// batch costs under a millisecond even at d = 13 (mostly the 64
+/// union-find decodes) and a capped d = 13 job runs in about 10 s.
+/// Cancellation and deadlines are polled between batches, so a job
+/// stops within one batch at any size; the cap only bounds how long
+/// one job holds a worker, so that fleet rebalancing stays responsive.
+/// Bigger sweeps should be split across jobs.
 pub const MAX_SURFACE_SHOTS: u64 = 1 << 20;
 
 /// The largest code distance a `ler_surface` job may request — the top
@@ -128,9 +132,9 @@ pub enum JobKind {
     },
     /// A code-capacity LER point on the generic rotated surface code
     /// (`DESIGN.md` §13): `shots` Monte-Carlo shots of Bernoulli `X`
-    /// errors at rate `per`, syndromes extracted through the packed
-    /// 64-lane sliced engine and decoded by the union-find decoder
-    /// (exact matching below its defect limit). The result is
+    /// errors at rate `per`, syndromes sampled by pushing a 64-lane
+    /// Pauli frame through the ESM round and decoded by the union-find
+    /// decoder (exact matching below its defect limit). The result is
     /// `<shots> <failures> <defects>`.
     LerSurface {
         /// Code distance (odd, `3..=MAX_SURFACE_DISTANCE`).

@@ -10,12 +10,17 @@
 //!   decoder; the correction goes through the stack — where a
 //!   Pauli-frame layer absorbs it without touching the qubits.
 //! - [`run_ler_surface`] — the code-capacity Monte-Carlo sweep behind
-//!   the d = 3…13 threshold workload: 64 shots per word on
-//!   [`ShotSlicedSim`], i.i.d. data errors injected through per-lane
-//!   masks, syndromes extracted by executing the real ESM circuit on the
-//!   sliced engine (packed syndrome planes read straight off the ancilla
-//!   measurement words), every lane decoded by the union-find decoder,
-//!   and logical failures read as one `expectation` lane word.
+//!   the d = 3…13 threshold workload, sampled with the paper's own Pauli
+//!   frame (reference-sample frame sampling): the noiseless ESM round
+//!   runs **once** per sweep point on [`ShotSlicedSim`], recording every
+//!   measurement's reference outcome and the logical observable's
+//!   reference sign; each 64-shot batch then only pushes a
+//!   [`LanePauliFrame`] holding that batch's i.i.d. data errors through
+//!   the same ESM circuit with the record maps of Tables 3.4–3.5.
+//!   Syndrome words are `reference ⊕ measurement flip`, every lane is
+//!   decoded by the union-find decoder, and the failure word is the
+//!   reference sign XOR the frame-plus-correction parity on the logical
+//!   support — the rule `logical_z_value` applies to a stack's frame.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -23,9 +28,9 @@ use std::collections::HashMap;
 use qpdo_core::{
     ChpCore, ControlStack, CoreError, CounterLayer, DepolarizingModel, ErrorCounts, PauliFrameLayer,
 };
-use qpdo_pauli::{Pauli, PauliString};
+use qpdo_pauli::{LanePauliFrame, Pauli, PauliString};
 use qpdo_rng::rngs::StdRng;
-use qpdo_rng::{Rng, SeedableRng};
+use qpdo_rng::{Rng, RngCore, SeedableRng};
 use qpdo_stabilizer::{ShotSlicedSim, LANES};
 
 use crate::{CheckKind, MatchingDecoder, RotatedSurfaceCode, UnionFindDecoder};
@@ -276,8 +281,8 @@ fn correction_slot(x_corrections: &[usize], z_corrections: &[usize]) -> Option<T
     Some(slot)
 }
 
-/// Configuration of a code-capacity LER sweep point decoded by the
-/// union-find decoder on the 64-lane shot-sliced engine.
+/// Configuration of a code-capacity LER sweep point, sampled 64 shots
+/// per Pauli-frame word and decoded by the union-find decoder.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SurfaceLerConfig {
     /// Code distance (odd, ≥ 3).
@@ -319,9 +324,15 @@ impl SurfaceLerOutcome {
     }
 }
 
-/// Runs one code-capacity LER point: 64-lane error injection, real ESM
-/// syndrome extraction on [`ShotSlicedSim`], union-find decoding of every
-/// lane, and a packed logical-failure readout.
+/// Runs one code-capacity LER point by reference-sample frame sampling:
+/// one noiseless ESM round on [`ShotSlicedSim`] per sweep point and
+/// worker thread, then per 64-shot batch a [`LanePauliFrame`] of i.i.d.
+/// data errors pushed through the same ESM circuit, union-find decoding
+/// of every lane, and a packed logical-failure readout.
+///
+/// `(shots, failures, defects)` depend only on the error words, the
+/// first draws of each batch's RNG substream, so they are identical to
+/// re-executing the noisy round on the tableau every batch.
 ///
 /// # Errors
 ///
@@ -375,16 +386,290 @@ pub struct SurfaceProgress {
     pub defects: u64,
 }
 
+/// The noiseless reference of one `(distance, error kind)` sweep point.
+///
+/// A noisy batch is this reference state times a 64-lane Pauli frame,
+/// so the tableau runs once and every batch only tracks the frame: a
+/// measurement reads `reference ⊕ flip` and the logical observable
+/// `reference sign ⊕ frame parity` (Gidney's reference-sample frame
+/// simulation, Stim).
+struct FrameReference {
+    code: RotatedSurfaceCode,
+    error: CheckKind,
+    esm: Circuit,
+    /// Reference outcome word of each qubit's ESM measurement (every
+    /// ancilla is measured exactly once per round).
+    outcomes: Vec<u64>,
+    /// Ancillas of the checks that detect `error`, in decoder order.
+    ancillas: Vec<usize>,
+    /// Support of the logical operator `error` threatens.
+    logical: Vec<usize>,
+    /// Reference sign word of that logical operator after the round.
+    logical_sign: u64,
+}
+
+impl FrameReference {
+    fn new(code: RotatedSurfaceCode, error: CheckKind) -> Self {
+        let esm = code.esm_circuit();
+        // X errors flip Z checks and threaten Z_L (its support crosses
+        // their termination boundary); dually for Z errors, which are
+        // watched on |+…+⟩ so that X_L starts deterministic.
+        let (detecting, observable, logical) = match error {
+            CheckKind::X => (
+                CheckKind::Z,
+                code.logical_z_string(),
+                code.logical_z_support(),
+            ),
+            CheckKind::Z => (
+                CheckKind::X,
+                code.logical_x_string(),
+                code.logical_x_support(),
+            ),
+        };
+        let mut sim = ShotSlicedSim::new(code.num_qubits());
+        if error == CheckKind::Z {
+            for q in 0..code.num_data_qubits() {
+                sim.h(q);
+            }
+        }
+        // Random measurements collapse onto the all-zeros branch; the
+        // frame's gauge words re-randomize them per lane.
+        let mut outcomes = vec![0u64; code.num_qubits()];
+        esm_on_tableau(&mut sim, &esm, |_| 0, &mut outcomes);
+        // The observable commutes with every ESM measurement, so it
+        // stays deterministic through the round.
+        let logical_sign = sim
+            .expectation(&observable)
+            .expect("logical observable stays deterministic through ESM");
+        FrameReference {
+            ancillas: code.checks_of(detecting).map(|ch| ch.ancilla).collect(),
+            code,
+            error,
+            esm,
+            outcomes,
+            logical,
+            logical_sign,
+        }
+    }
+
+    /// Loads one batch of error words into `frame` and pushes it through
+    /// the ESM round, writing each measured qubit's outcome word to
+    /// `meas`.
+    ///
+    /// Stabilizers of the reference state may join the frame freely, and
+    /// they must, with a random lane word each, for measurements that are
+    /// random in the reference to come out random per lane: the data
+    /// qubits' initial stabilizers (`Z` on `|0⟩`, `X` on `|+⟩`) and `Z`
+    /// on every freshly reset or measured qubit. A reset clears the
+    /// record first; a measurement keeps its `X` part, since the lane's
+    /// qubit stays in the flipped outcome state.
+    fn sample(&self, frame: &mut LanePauliFrame, err: &[u64], rng: &mut StdRng, meas: &mut [u64]) {
+        frame.reset_all();
+        for (q, &word) in err.iter().enumerate() {
+            let gauge = rng.next_u64();
+            match self.error {
+                CheckKind::X => frame.apply_pauli_words(q, word, gauge),
+                CheckKind::Z => frame.apply_pauli_words(q, gauge, word),
+            }
+        }
+        for slot in self.esm.slots() {
+            for op in slot {
+                let q = op.qubits();
+                match op.kind() {
+                    OperationKind::Prep => {
+                        frame.reset(q[0]);
+                        frame.apply_pauli_words(q[0], 0, rng.next_u64());
+                    }
+                    OperationKind::Measure => {
+                        meas[q[0]] = self.outcomes[q[0]] ^ frame.measurement_flip_word(q[0]);
+                        frame.apply_pauli_words(q[0], 0, rng.next_u64());
+                    }
+                    OperationKind::Gate(Gate::H) => frame.apply_h(q[0]),
+                    OperationKind::Gate(Gate::Cnot) => frame.apply_cnot(q[0], q[1]),
+                    kind => {
+                        unreachable!("ESM rounds are resets, H, CNOT and measurements: {kind:?}")
+                    }
+                }
+            }
+        }
+    }
+
+    /// The per-lane logical failure word after the correction planes
+    /// `corr`: the reference sign XOR the parity of frame ⊕ correction
+    /// on the logical support. (The frame's gauge part commutes with the
+    /// deterministic observable, so it cancels from the parity.)
+    fn failure_word(&self, frame: &LanePauliFrame, corr: &[u64]) -> u64 {
+        self.logical.iter().fold(self.logical_sign, |acc, &q| {
+            let (x, z) = frame.record_words(q);
+            let flip = match self.error {
+                CheckKind::X => x,
+                CheckKind::Z => z,
+            };
+            acc ^ flip ^ corr[q]
+        })
+    }
+}
+
+/// Executes an ESM round on the sliced tableau, writing each measured
+/// qubit's outcome word to `meas`. A measurement the tableau classifies
+/// as random takes its outcome word from `random(qubit)`.
+///
+/// Qubits the round resets before any other operation (the ancillas)
+/// must enter in `|0⟩`: that first reset is the identity and is
+/// skipped, which halves the cost of the round on a fresh tableau.
+fn esm_on_tableau(
+    sim: &mut ShotSlicedSim,
+    esm: &Circuit,
+    mut random: impl FnMut(usize) -> u64,
+    meas: &mut [u64],
+) {
+    let mut touched = vec![false; sim.num_qubits()];
+    for slot in esm.slots() {
+        for op in slot {
+            let q = op.qubits();
+            match op.kind() {
+                OperationKind::Prep if !touched[q[0]] => {
+                    debug_assert_eq!(
+                        sim.peek_deterministic(q[0]),
+                        Some(0),
+                        "qubit {} entered the round outside |0>",
+                        q[0]
+                    );
+                }
+                OperationKind::Prep => sim.reset_with(q[0], |_| false),
+                OperationKind::Measure => {
+                    let word = if sim.is_random(q[0]) { random(q[0]) } else { 0 };
+                    meas[q[0]] = sim.measure_with(q[0], |lane| (word >> lane) & 1 == 1);
+                }
+                OperationKind::Gate(Gate::H) => sim.h(q[0]),
+                OperationKind::Gate(Gate::Cnot) => sim.cnot(q[0], q[1]),
+                kind => unreachable!("ESM rounds are resets, H, CNOT and measurements: {kind:?}"),
+            }
+            for &q in q {
+                touched[q] = true;
+            }
+        }
+    }
+}
+
+/// One warm sweep point: the union-find decoder and the frame reference
+/// of a `(distance, error kind)` pair.
+struct SweepPoint {
+    decoder: UnionFindDecoder,
+    reference: FrameReference,
+}
+
+/// Per-run working buffers, allocated once per run and reused by every
+/// batch.
+struct BatchBuffers {
+    frame: LanePauliFrame,
+    /// Injected error word per data qubit.
+    err: Vec<u64>,
+    /// Outcome word per measured qubit.
+    meas: Vec<u64>,
+    /// Correction word per data qubit.
+    corr: Vec<u64>,
+    syndrome: Vec<bool>,
+    correction: Vec<usize>,
+}
+
+impl SweepPoint {
+    fn new(distance: usize, error: CheckKind) -> Self {
+        let code = RotatedSurfaceCode::new(distance);
+        SweepPoint {
+            decoder: UnionFindDecoder::new(&code, error),
+            reference: FrameReference::new(code, error),
+        }
+    }
+
+    fn buffers(&self) -> BatchBuffers {
+        let code = &self.reference.code;
+        BatchBuffers {
+            frame: LanePauliFrame::new(code.num_qubits()),
+            err: vec![0; code.num_data_qubits()],
+            meas: vec![0; code.num_qubits()],
+            corr: vec![0; code.num_data_qubits()],
+            syndrome: vec![false; self.reference.ancillas.len()],
+            correction: Vec::new(),
+        }
+    }
+
+    /// Samples, extracts and decodes one 64-lane batch; returns the
+    /// per-lane logical failure word.
+    fn sample_batch(&self, p: f64, rng: &mut StdRng, buf: &mut BatchBuffers) -> u64 {
+        let reference = &self.reference;
+        // I.i.d. data errors, one lane word each: the batch substream's
+        // first draws, so the outcome depends on nothing else.
+        for word in &mut buf.err {
+            *word = 0;
+            for lane in 0..LANES {
+                if rng.gen_bool(p) {
+                    *word |= 1 << lane;
+                }
+            }
+        }
+        reference.sample(&mut buf.frame, &buf.err, rng, &mut buf.meas);
+        // Checks of the other kind detect the error.
+        #[cfg(debug_assertions)]
+        for ch in reference
+            .code
+            .checks()
+            .iter()
+            .filter(|ch| ch.kind != reference.error)
+        {
+            let expect = ch.support.iter().fold(0u64, |acc, &q| acc ^ buf.err[q]);
+            debug_assert_eq!(
+                buf.meas[ch.ancilla], expect,
+                "packed syndrome plane disagrees with check supports (ancilla {})",
+                ch.ancilla
+            );
+        }
+        // Decode each lane and accumulate the correction planes.
+        buf.corr.fill(0);
+        for lane in 0..LANES {
+            for (s, &anc) in buf.syndrome.iter_mut().zip(&reference.ancillas) {
+                *s = (buf.meas[anc] >> lane) & 1 == 1;
+            }
+            self.decoder.decode_into(&buf.syndrome, &mut buf.correction);
+            for &q in &buf.correction {
+                buf.corr[q] |= 1 << lane;
+            }
+        }
+        let fail_word = reference.failure_word(&buf.frame, &buf.corr);
+        // Cross-check against pure classical bookkeeping: a lane fails
+        // iff error ⊕ correction overlaps the logical support oddly.
+        debug_assert_eq!(
+            fail_word,
+            reference
+                .logical
+                .iter()
+                .fold(0u64, |acc, &q| acc ^ buf.err[q] ^ buf.corr[q]),
+            "frame and classical failure words differ"
+        );
+        fail_word
+    }
+}
+
 thread_local! {
-    // One warm decoder per (distance, error kind) per worker thread: the
-    // union-find scratch arrays inside survive across decode calls *and*
-    // across jobs hitting the same sweep point, so the serving path pays
-    // decoder construction and steady-state allocation once per worker
-    // (ROADMAP: decoder throughput on the serving path). The decoder is
-    // taken out of the map for the duration of a run and put back after,
-    // so the cache is never borrowed across user code.
-    static DECODER_CACHE: RefCell<HashMap<(usize, CheckKind), UnionFindDecoder>> =
+    // One warm sweep point per (distance, error kind) per worker thread:
+    // the union-find scratch arrays inside the decoder survive across
+    // decode calls *and* across jobs hitting the same sweep point, and
+    // the frame reference means the tableau runs once per point, not
+    // once per batch — so the serving path pays decoder construction,
+    // the reference ESM round and steady-state allocation once per
+    // worker (ROADMAP: decoder throughput on the serving path). The
+    // entry is taken out of the map for the duration of a run and put
+    // back after, so the cache is never borrowed across user code.
+    static DECODER_CACHE: RefCell<HashMap<(usize, CheckKind), SweepPoint>> =
         RefCell::new(HashMap::new());
+}
+
+/// The RNG substream of one 64-shot batch. Substreams are independent
+/// per batch: results for a prefix of shots are unchanged when the total
+/// grows, and a resumed run replays exactly the batches a scratch run
+/// would have.
+fn batch_rng(seed: u64, batch: u64) -> StdRng {
+    StdRng::seed_from_u64(seed ^ (batch + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// [`run_ler_surface_cancellable`] that can start from a previously
@@ -416,25 +701,11 @@ pub fn run_ler_surface_resumable(
             context: "surface LER physical error rate",
         });
     }
-    let code = RotatedSurfaceCode::new(config.distance);
-    let decoder = DECODER_CACHE.with(|cache| {
-        cache
-            .borrow_mut()
-            .remove(&(config.distance, config.error))
-            .unwrap_or_else(|| UnionFindDecoder::new(&code, config.error))
-    });
-    let detecting = match config.error {
-        CheckKind::X => CheckKind::Z,
-        CheckKind::Z => CheckKind::X,
-    };
-    // X errors flip Z checks and threaten Z_L (its support crosses
-    // their termination boundary); dually for Z errors.
-    let observable = match config.error {
-        CheckKind::X => code.logical_z_string(),
-        CheckKind::Z => code.logical_x_string(),
-    };
-    let ancillas: Vec<usize> = code.checks_of(detecting).map(|ch| ch.ancilla).collect();
-    let esm = code.esm_circuit();
+    let key = (config.distance, config.error);
+    let point = DECODER_CACHE
+        .with(|cache| cache.borrow_mut().remove(&key))
+        .unwrap_or_else(|| SweepPoint::new(config.distance, config.error));
+    let mut buf = point.buffers();
 
     let batches = config.shots.div_ceil(LANES as u64);
     let start = resume.map_or(0, |r| r.batches.min(batches));
@@ -442,12 +713,6 @@ pub fn run_ler_surface_resumable(
     let mut failures = resume.map_or(0, |r| r.failures);
     let mut defects = resume.map_or(0, |r| r.defects);
     let mut stopped = false;
-    // Per-batch working buffers, allocated once and reused.
-    let mut err = vec![0u64; code.num_data_qubits()];
-    let mut meas = vec![0u64; code.num_qubits()];
-    let mut corr = vec![0u64; code.num_data_qubits()];
-    let mut syndrome = vec![false; ancillas.len()];
-    let mut correction = Vec::new();
     for batch in start..batches {
         if cancelled() {
             stopped = true;
@@ -459,89 +724,11 @@ pub fn run_ler_surface_resumable(
         } else {
             (1u64 << lanes) - 1
         };
-        // One independent substream per batch: results for a prefix of
-        // shots are unchanged when the total grows, and a resumed run
-        // replays exactly the batches a scratch run would have.
-        let mut rng =
-            StdRng::seed_from_u64(config.seed ^ (batch + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-
-        let mut sim = ShotSlicedSim::new(code.num_qubits());
-        if config.error == CheckKind::Z {
-            // Z errors are watched on |+…+⟩ so X_L starts deterministic.
-            for q in 0..code.num_data_qubits() {
-                sim.h(q);
-            }
-        }
-        // Inject i.i.d. errors on the data qubits, one lane word each.
-        err.fill(0);
-        for (q, word) in err.iter_mut().enumerate() {
-            for lane in 0..LANES {
-                if rng.gen_bool(p) {
-                    *word |= 1 << lane;
-                }
-            }
-            match config.error {
-                CheckKind::X => sim.x_masked(q, *word),
-                CheckKind::Z => sim.z_masked(q, *word),
-            }
-        }
-        // Execute the real ESM round on the sliced engine; the detecting
-        // checks' ancilla measurement words are the packed syndromes.
-        // (The opposite family measures randomly — first-round gauge
-        // fixing — which cannot disturb the commuting observable.)
-        meas.fill(0);
-        run_circuit_sliced(&mut sim, &esm, &mut rng, &mut meas);
-        #[cfg(debug_assertions)]
-        for (i, ch) in code.checks_of(detecting).enumerate() {
-            let expect = ch.support.iter().fold(0u64, |acc, &q| acc ^ err[q]);
-            debug_assert_eq!(
-                meas[ch.ancilla], expect,
-                "packed syndrome plane disagrees with check supports (check {i})"
-            );
-        }
-        // Decode each lane and accumulate the correction planes.
-        corr.fill(0);
-        for lane in 0..LANES {
-            for (s, &anc) in syndrome.iter_mut().zip(&ancillas) {
-                *s = (meas[anc] >> lane) & 1 == 1;
-            }
-            decoder.decode_into(&syndrome, &mut correction);
-            for &q in &correction {
-                corr[q] |= 1 << lane;
-            }
-        }
-        for (q, &word) in corr.iter().enumerate() {
-            if word != 0 {
-                match config.error {
-                    CheckKind::X => sim.x_masked(q, word),
-                    CheckKind::Z => sim.z_masked(q, word),
-                }
-            }
-        }
-        // The observable commutes with every ESM measurement, so it
-        // stays deterministic: the lane word *is* the failure word.
-        let fail_word = sim
-            .expectation(&observable)
-            .expect("logical observable stays deterministic through ESM + correction");
-        // Cross-check against pure classical bookkeeping: a lane fails
-        // iff error ⊕ correction overlaps the logical support oddly.
-        #[cfg(debug_assertions)]
-        {
-            let classical = match config.error {
-                CheckKind::X => code.logical_z_support(),
-                CheckKind::Z => code.logical_x_support(),
-            }
-            .iter()
-            .fold(0u64, |acc, &q| acc ^ err[q] ^ corr[q]);
-            debug_assert_eq!(
-                fail_word, classical,
-                "sim and classical failure words differ"
-            );
-        }
+        let fail_word = point.sample_batch(p, &mut batch_rng(config.seed, batch), &mut buf);
         shots += lanes;
         failures += u64::from((fail_word & mask).count_ones());
-        for &anc in &ancillas {
-            defects += u64::from((meas[anc] & mask).count_ones());
+        for &anc in &point.reference.ancillas {
+            defects += u64::from((buf.meas[anc] & mask).count_ones());
         }
         on_batch(&SurfaceProgress {
             batches: batch + 1,
@@ -551,9 +738,7 @@ pub fn run_ler_surface_resumable(
         });
     }
     DECODER_CACHE.with(|cache| {
-        cache
-            .borrow_mut()
-            .insert((config.distance, config.error), decoder);
+        cache.borrow_mut().insert(key, point);
     });
     Ok((
         SurfaceLerOutcome {
@@ -563,43 +748,6 @@ pub fn run_ler_surface_resumable(
         },
         stopped,
     ))
-}
-
-/// Executes a Clifford circuit directly on the sliced engine, recording
-/// the last measurement lane word per qubit. Random prep/measure branches
-/// draw from `rng` per lane, in deterministic order.
-fn run_circuit_sliced(
-    sim: &mut ShotSlicedSim,
-    circuit: &Circuit,
-    rng: &mut StdRng,
-    meas: &mut [u64],
-) {
-    for slot in circuit.slots() {
-        for op in slot {
-            let q = op.qubits();
-            match op.kind() {
-                OperationKind::Prep => sim.reset_with(q[0], |_| rng.gen::<bool>()),
-                OperationKind::Measure => {
-                    meas[q[0]] = sim.measure_with(q[0], |_| rng.gen::<bool>())
-                }
-                OperationKind::Gate(gate) => match gate {
-                    Gate::I => {}
-                    Gate::X => sim.x(q[0]),
-                    Gate::Y => sim.y(q[0]),
-                    Gate::Z => sim.z(q[0]),
-                    Gate::H => sim.h(q[0]),
-                    Gate::S => sim.s(q[0]),
-                    Gate::Sdg => sim.sdg(q[0]),
-                    Gate::Cnot => sim.cnot(q[0], q[1]),
-                    Gate::Cz => sim.cz(q[0], q[1]),
-                    Gate::Swap => sim.swap(q[0], q[1]),
-                    Gate::T | Gate::Tdg | Gate::Toffoli => {
-                        unreachable!("ESM schedules are Clifford-only")
-                    }
-                },
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -755,6 +903,111 @@ mod tests {
             .unwrap();
         assert!(!stopped);
         assert_eq!(outcome, scratch);
+    }
+
+    /// Frame-vs-tableau differential oracle: the frame sampler's batch
+    /// must agree word for word with a tableau run of the same noisy ESM
+    /// round — every ancilla word, and the failure word read as the
+    /// tableau's post-correction `expectation`. Measurements the tableau
+    /// classifies as random take the frame's outcome word, so both
+    /// engines follow the same branch.
+    #[test]
+    fn frame_sampler_matches_the_tableau() {
+        for d in [3, 5, 7, 13] {
+            for kind in [CheckKind::X, CheckKind::Z] {
+                let point = SweepPoint::new(d, kind);
+                let reference = &point.reference;
+                let code = &reference.code;
+                let observable = match kind {
+                    CheckKind::X => code.logical_z_string(),
+                    CheckKind::Z => code.logical_x_string(),
+                };
+                let mut buf = point.buffers();
+                for batch in 0..4 {
+                    let fail_word =
+                        point.sample_batch(0.08, &mut batch_rng(d as u64, batch), &mut buf);
+
+                    let mut sim = ShotSlicedSim::new(code.num_qubits());
+                    for (q, &word) in buf.err.iter().enumerate() {
+                        match kind {
+                            CheckKind::X => sim.x_masked(q, word),
+                            CheckKind::Z => {
+                                sim.h(q);
+                                sim.z_masked(q, word);
+                            }
+                        }
+                    }
+                    let mut meas = vec![0u64; code.num_qubits()];
+                    esm_on_tableau(&mut sim, &reference.esm, |q| buf.meas[q], &mut meas);
+                    for ch in code.checks() {
+                        assert_eq!(
+                            meas[ch.ancilla], buf.meas[ch.ancilla],
+                            "d={d} {kind:?} batch {batch}: ancilla {} diverged",
+                            ch.ancilla
+                        );
+                    }
+                    for (q, &word) in buf.corr.iter().enumerate() {
+                        match kind {
+                            CheckKind::X => sim.x_masked(q, word),
+                            CheckKind::Z => sim.z_masked(q, word),
+                        }
+                    }
+                    assert_eq!(
+                        sim.expectation(&observable),
+                        Some(fail_word),
+                        "d={d} {kind:?} batch {batch}: failure word diverged"
+                    );
+                    // The gauge words make the non-detecting family random
+                    // per lane rather than pinned to the reference branch.
+                    // (The checks of the error's own kind do not detect it.)
+                    if d == 5 {
+                        for ch in code.checks_of(kind) {
+                            let word = buf.meas[ch.ancilla];
+                            assert!(
+                                word != 0 && word != u64::MAX,
+                                "d=5 {kind:?} batch {batch}: ancilla {} constant across lanes",
+                                ch.ancilla
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `(shots, failures, defects)` recorded from the tableau-per-batch
+    /// sampler this one replaced, at p = 0.08 and 200 shots (three whole
+    /// batches and one 8-lane partial batch). The serve `done` records,
+    /// the resume oracle and perfbench's classical golden check all rely
+    /// on these counts never moving.
+    #[test]
+    fn outcomes_match_the_recorded_goldens() {
+        let goldens = [
+            (3, CheckKind::X, 7, (200, 14, 168)),
+            (3, CheckKind::X, 2016, (200, 16, 155)),
+            (3, CheckKind::Z, 7, (200, 18, 163)),
+            (3, CheckKind::Z, 2016, (200, 8, 157)),
+            (5, CheckKind::X, 7, (200, 18, 510)),
+            (5, CheckKind::X, 2016, (200, 15, 492)),
+            (5, CheckKind::Z, 7, (200, 15, 523)),
+            (5, CheckKind::Z, 2016, (200, 19, 490)),
+            (13, CheckKind::X, 7, (200, 16, 3956)),
+            (13, CheckKind::X, 2016, (200, 9, 3926)),
+            (13, CheckKind::Z, 7, (200, 29, 3962)),
+            (13, CheckKind::Z, 2016, (200, 18, 3861)),
+        ];
+        for (d, kind, seed, (shots, failures, defects)) in goldens {
+            let outcome = run_ler_surface(&surface(d, 0.08, kind, 200, seed)).unwrap();
+            assert_eq!(
+                outcome,
+                SurfaceLerOutcome {
+                    shots,
+                    failures,
+                    defects
+                },
+                "d={d} {kind:?} seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //!   gated against the matching oracle by `tests/uf_oracle.rs`.
 //! - [`experiment`] — the distance-scaling LER drivers: the circuit-level
 //!   Pauli-frame comparison with `d − 1` syndrome rounds per window
-//!   ([`experiment::run_distance_ler`]), and the 64-lane shot-sliced
-//!   code-capacity sweep behind the d = 3…13 threshold workload
-//!   ([`experiment::run_ler_surface`]).
+//!   ([`experiment::run_distance_ler`]), and the code-capacity sweep
+//!   behind the d = 3…13 threshold workload, sampled by pushing a
+//!   64-lane Pauli frame through the ESM round against a noiseless
+//!   tableau reference ([`experiment::run_ler_surface`]).
 //!
 //! At `d = 3` the code reproduces exactly the SC17 stabilizers of
 //! Table 2.1 (checked in tests), so the extension is a strict superset of

@@ -48,8 +48,8 @@ use crate::{CheckKind, RotatedSurfaceCode};
 ///
 /// The decoder owns its decode scratch (see the module docs), so one
 /// instance should be reused across as many `decode` calls as possible;
-/// [`crate::run_ler_surface`] keeps one per `(d, kind)` per worker
-/// thread for exactly this reason. The scratch sits behind a
+/// [`crate::experiment::run_ler_surface`] keeps one per `(d, kind)` per
+/// worker thread for exactly this reason. The scratch sits behind a
 /// [`RefCell`], which makes the decoder cheap to call through a shared
 /// reference but not `Sync` — give each worker its own clone.
 ///
