@@ -101,12 +101,14 @@ impl std::error::Error for CoreError {}
 /// Errors produced while executing a shot batch under supervision.
 ///
 /// A *shot batch* is the unit of work of the supervised execution engine
-/// (`qpdo_bench::supervisor`): a contiguous run of shots/windows with its
-/// own deterministic RNG substream. Batches fail in ways an individual
-/// stack operation cannot — a worker panic, a watchdog timeout, a dead
-/// worker pool, or a cross-backend disagreement — so those outcomes get
-/// their own error type, with [`CoreError`] embedded for the ordinary
-/// stack-level failures.
+/// (`qpdo_bench::supervisor`) and of the batched LER drivers: a
+/// contiguous run of shots/windows with its own deterministic RNG
+/// substream, so the counters over a prefix of completed batches (a
+/// [`Checkpoint`]) fully determine the rest of a sweep. Batches fail in
+/// ways an individual stack operation cannot — a worker panic, a
+/// watchdog timeout, a dead worker pool, or a cross-backend
+/// disagreement — so those outcomes get their own error type, with
+/// [`CoreError`] embedded for the ordinary stack-level failures.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShotError {
     /// The batch failed inside the control stack.
@@ -143,6 +145,42 @@ pub enum ShotError {
         /// The backends that were tried, comma-separated.
         backends: String,
     },
+}
+
+/// A durable position inside a batched sweep: how many whole batches
+/// completed and the counters accumulated over exactly those batches.
+///
+/// The batched LER drivers report one after every completed batch and
+/// resume from one; the serving journal persists them. The first three
+/// counters are common to every checkpointed kind; the kind-specific
+/// remainder (`ler_surface`: defects; `ler_sliced`: the ten `LerOutcome`
+/// fields) rides in `counters`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Checkpoint {
+    /// Completed whole batches.
+    pub batches: u64,
+    /// Shots (or windows) counted over those batches.
+    pub shots: u64,
+    /// Failures among those shots.
+    pub failures: u64,
+    /// Kind-specific extra counters, replayed verbatim.
+    pub counters: Vec<u64>,
+}
+
+impl Checkpoint {
+    /// Semantic plausibility, enforced at replay rather than append so
+    /// that CRC-valid but corrupt records (torn page, bit rot, injected
+    /// corruption) are *dropped* — falling back to the previous
+    /// checkpoint — instead of poisoning recovery. Both checkpointed
+    /// kinds are 64-lane sweeps, so a batch never yields more than 64
+    /// shots, and failures can never exceed shots.
+    #[must_use]
+    pub fn plausible(&self) -> bool {
+        self.batches > 0
+            && self.shots > 0
+            && self.shots <= self.batches.saturating_mul(64)
+            && self.failures <= self.shots
+    }
 }
 
 impl From<CoreError> for ShotError {

@@ -61,7 +61,7 @@ pub mod testbench;
 #[cfg(feature = "reference")]
 pub use backend::ReferenceChpCore;
 pub use backend::{ChpCore, Core, SvCore};
-pub use error::{CoreError, ShotError};
+pub use error::{Checkpoint, CoreError, ShotError};
 pub use error_model::{DepolarizingModel, ErrorCounts};
 pub use layer::{Layer, LayerContext};
 pub use layers::counter::{CounterLayer, Counters};

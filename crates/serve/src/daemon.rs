@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 use qpdo_bench::supervisor::{
     run_supervised_cancellable, BatchCtx, BatchSpec, CancelToken, SeedPolicy, SupervisorConfig,
 };
-use qpdo_core::ShotError;
+use qpdo_core::{Checkpoint, ShotError};
 
 use crate::breaker::CircuitBreaker;
 use crate::commit::{CommitError, GroupCommit};
@@ -59,7 +59,7 @@ use crate::job::{execute_tracked, partial_detail, Backend, Execution, JobKind, J
 use crate::protocol::{
     recv_line, send_line, HealthSnapshot, JobState, RejectCode, Request, Response,
 };
-use crate::wal::{Checkpoint, JobOutcome, WalRecord, WriteAheadLog};
+use crate::wal::{JobOutcome, WalRecord, WriteAheadLog};
 
 /// Which connection-handling architecture the daemon runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

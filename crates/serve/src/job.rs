@@ -11,23 +11,19 @@
 
 use qpdo_bench::supervisor::{round_up_to_lanes, sliced_lane_seeds, substream_seed, CancelToken};
 use qpdo_core::testbench::random_circuit;
-use qpdo_core::{ChpCore, ControlStack, PauliFrameLayer, ShotError, SvCore};
+use qpdo_core::{Checkpoint, ChpCore, ControlStack, PauliFrameLayer, ShotError, SvCore};
 use qpdo_rng::rngs::StdRng;
 use qpdo_rng::SeedableRng;
 use qpdo_stabilizer::{CliffordTableau, StabilizerSim, LANES};
 use qpdo_statevector::Complex;
 use qpdo_stats::wilson_interval;
-use qpdo_surface::experiment::{run_ler_surface_resumable, SurfaceLerConfig, SurfaceProgress};
+use qpdo_surface::experiment::{run_ler_surface_controlled, SurfaceLerConfig};
 use qpdo_surface::CheckKind;
-use qpdo_surface17::experiment::{run_ler_partial, LerConfig, LerOutcome, LogicalErrorKind};
+use qpdo_surface17::experiment::{run_ler_on, LerConfig, LerOutcome, LogicalErrorKind};
 use qpdo_surface17::{logical_cnot, run_ler_sliced, NinjaStar, StarLayout};
-
-use crate::wal::Checkpoint;
 
 #[cfg(feature = "reference")]
 use qpdo_stabilizer::ReferenceTableau;
-#[cfg(feature = "reference")]
-use qpdo_surface17::experiment::run_ler_reference_cancellable;
 
 /// The longest job id the service accepts.
 pub const MAX_JOB_ID_LEN: usize = 128;
@@ -509,10 +505,17 @@ pub fn execute_tracked(
                 target,
                 max_windows,
             },
-            Backend::Packed,
+            Backend::Packed | Backend::Reference,
         ) => {
             let config = ler_config(*per, *kind, *with_pf, *target, *max_windows, seed);
-            let (outcome, stopped) = run_ler_partial(&config, &|| cancel.is_cancelled())?;
+            let cancelled = || cancel.is_cancelled();
+            let (outcome, stopped) = match backend {
+                #[cfg(feature = "reference")]
+                Backend::Reference => run_ler_on::<ReferenceTableau>(&config, &cancelled)?,
+                #[cfg(not(feature = "reference"))]
+                Backend::Reference => return unsupported(),
+                _ => run_ler_on::<StabilizerSim>(&config, &cancelled)?,
+            };
             if stopped {
                 // Windows are the scalar run's shot unit: one window per
                 // "batch", so the checkpoint stays plausible (shots ≤
@@ -529,22 +532,6 @@ pub fn execute_tracked(
                 });
             }
             Ok(Execution::Done(outcome.to_record()))
-        }
-        #[cfg(feature = "reference")]
-        (
-            JobKind::Ler {
-                per,
-                kind,
-                with_pf,
-                target,
-                max_windows,
-            },
-            Backend::Reference,
-        ) => {
-            let config = ler_config(*per, *kind, *with_pf, *target, *max_windows, seed);
-            Ok(Execution::Done(
-                run_ler_reference_cancellable(&config, &|| cancel.is_cancelled())?.to_record(),
-            ))
         }
         (
             JobKind::LerSliced {
@@ -568,30 +555,14 @@ pub fn execute_tracked(
                 shots: *shots,
                 seed,
             };
-            // `counters[0]` carries the kind-specific defect total; a
-            // checkpoint without it (foreign or truncated) resumes the
-            // defect count from zero, which only skews the historical
-            // counter, never the failure estimate.
-            let surface_resume = resume.map(|c| SurfaceProgress {
-                batches: c.batches,
-                shots: c.shots,
-                failures: c.failures,
-                defects: c.counters.first().copied().unwrap_or(0),
-            });
             let mut last = resume.cloned();
-            let (outcome, stopped) = run_ler_surface_resumable(
+            let (outcome, stopped) = run_ler_surface_controlled(
                 &config,
-                surface_resume.as_ref(),
+                resume,
                 &|| cancel.is_cancelled(),
-                &mut |p| {
-                    let checkpoint = Checkpoint {
-                        batches: p.batches,
-                        shots: p.shots,
-                        failures: p.failures,
-                        counters: vec![p.defects],
-                    };
-                    on_batch(&checkpoint);
-                    last = Some(checkpoint);
+                &mut |checkpoint| {
+                    on_batch(checkpoint);
+                    last = Some(checkpoint.clone());
                 },
             )?;
             if stopped {
@@ -675,8 +646,8 @@ fn ler_config(
 /// differential contract of `surface17::sliced`), and resuming from a
 /// checkpoint's batch count replays exactly the remaining batches.
 ///
-/// The checkpoint's kind-specific `counters` hold the running ten-field
-/// [`LerOutcome`] sum in record order; a checkpoint without all ten
+/// The checkpoint's kind-specific `counters` hold the running
+/// [`LerOutcome::counters`] sum; a checkpoint without all ten
 /// (foreign or truncated) is ignored and the sweep restarts from
 /// scratch rather than resuming onto corrupt counters.
 fn sliced_ler_tracked(
@@ -689,32 +660,10 @@ fn sliced_ler_tracked(
 ) -> Result<Execution, ShotError> {
     let executed = round_up_to_lanes(shots);
     let batches = executed / LANES as u64;
-    let resume = resume.filter(|c| c.counters.len() == 10 && c.batches <= batches);
-    let mut total = match resume {
-        Some(c) => LerOutcome {
-            windows: c.counters[0],
-            logical_errors: c.counters[1],
-            ops_above_frame: c.counters[2],
-            slots_above_frame: c.counters[3],
-            ops_below_frame: c.counters[4],
-            slots_below_frame: c.counters[5],
-            injected: qpdo_core::ErrorCounts {
-                single_qubit: c.counters[6],
-                two_qubit: c.counters[7],
-                measurement: c.counters[8],
-                idle: c.counters[9],
-            },
-        },
-        None => LerOutcome {
-            windows: 0,
-            logical_errors: 0,
-            ops_above_frame: 0,
-            slots_above_frame: 0,
-            ops_below_frame: 0,
-            slots_below_frame: 0,
-            injected: qpdo_core::ErrorCounts::default(),
-        },
-    };
+    let (resume, mut total) = resume
+        .filter(|c| c.batches <= batches)
+        .and_then(|c| Some((Some(c), LerOutcome::from_counters(&c.counters)?)))
+        .unwrap_or_default();
     let start = resume.map_or(0, |c| c.batches);
     // The checkpoint's `failures` counts failed *trajectories* (at
     // least one logical error), not summed logical errors — a
@@ -735,35 +684,15 @@ fn sliced_ler_tracked(
                 ),
             });
         }
-        for outcome in &outcomes {
+        for outcome in outcomes {
             failed_shots += u64::from(outcome.logical_errors > 0);
-            total.windows += outcome.windows;
-            total.logical_errors += outcome.logical_errors;
-            total.ops_above_frame += outcome.ops_above_frame;
-            total.slots_above_frame += outcome.slots_above_frame;
-            total.ops_below_frame += outcome.ops_below_frame;
-            total.slots_below_frame += outcome.slots_below_frame;
-            total.injected.single_qubit += outcome.injected.single_qubit;
-            total.injected.two_qubit += outcome.injected.two_qubit;
-            total.injected.measurement += outcome.injected.measurement;
-            total.injected.idle += outcome.injected.idle;
+            total += outcome;
         }
         let checkpoint = Checkpoint {
             batches: batch + 1,
             shots: (batch + 1) * LANES as u64,
             failures: failed_shots,
-            counters: vec![
-                total.windows,
-                total.logical_errors,
-                total.ops_above_frame,
-                total.slots_above_frame,
-                total.ops_below_frame,
-                total.slots_below_frame,
-                total.injected.single_qubit,
-                total.injected.two_qubit,
-                total.injected.measurement,
-                total.injected.idle,
-            ],
+            counters: total.counters().to_vec(),
         };
         on_batch(&checkpoint);
         last = Some(checkpoint);
@@ -1031,6 +960,33 @@ mod tests {
         assert!(matches!(result, Err(ShotError::Cancelled { .. })));
     }
 
+    /// A breaker may reroute an `ler` job to the reference engine; a
+    /// cancellation must end it the same way there — `Stopped`, which a
+    /// deadline turns into an anytime `partial` — not as an error.
+    #[cfg(feature = "reference")]
+    #[test]
+    fn cancelled_ler_job_stops_identically_on_both_backends() {
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let kind = JobKind::Ler {
+            per: 0.005,
+            kind: LogicalErrorKind::XL,
+            with_pf: true,
+            target: 50,
+            max_windows: 1_000_000,
+        };
+        let run = |backend| execute_tracked(&kind, backend, 1, &cancel, None, &mut |_| {});
+        let packed = run(Backend::Packed).unwrap();
+        assert_eq!(
+            packed,
+            Execution::Stopped {
+                checkpoint: None,
+                reason: "ler run cancelled after 0 windows".to_owned(),
+            }
+        );
+        assert_eq!(run(Backend::Reference).unwrap(), packed);
+    }
+
     #[test]
     fn sliced_ler_job_sums_its_scalar_lane_twins() {
         use qpdo_surface17::experiment::run_ler;
@@ -1056,31 +1012,13 @@ mod tests {
         };
         let record = execute(&kind, Backend::Packed, seed, &cancel).unwrap();
 
-        let mut expected = LerOutcome {
-            windows: 0,
-            logical_errors: 0,
-            ops_above_frame: 0,
-            slots_above_frame: 0,
-            ops_below_frame: 0,
-            slots_below_frame: 0,
-            injected: qpdo_core::ErrorCounts::default(),
-        };
+        let mut expected = LerOutcome::default();
         for lane_seed in sliced_lane_seeds(seed, "lanes", 0) {
-            let scalar = run_ler(&LerConfig {
+            expected += run_ler(&LerConfig {
                 seed: lane_seed,
                 ..config
             })
             .unwrap();
-            expected.windows += scalar.windows;
-            expected.logical_errors += scalar.logical_errors;
-            expected.ops_above_frame += scalar.ops_above_frame;
-            expected.slots_above_frame += scalar.slots_above_frame;
-            expected.ops_below_frame += scalar.ops_below_frame;
-            expected.slots_below_frame += scalar.slots_below_frame;
-            expected.injected.single_qubit += scalar.injected.single_qubit;
-            expected.injected.two_qubit += scalar.injected.two_qubit;
-            expected.injected.measurement += scalar.injected.measurement;
-            expected.injected.idle += scalar.injected.idle;
         }
         assert_eq!(record, format!("64 {}", expected.to_record()));
     }

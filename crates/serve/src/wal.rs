@@ -42,6 +42,8 @@
 use std::io;
 use std::path::Path;
 
+use qpdo_core::Checkpoint;
+
 use crate::job::{Backend, JobSpec};
 use crate::journal::{self, Journal, Record, State};
 
@@ -105,39 +107,6 @@ impl JobOutcome {
             _ => return None,
         };
         Some(((*id).to_owned(), outcome(detail.join(" "))))
-    }
-}
-
-/// A durable checkpoint of a running shot sweep: how many whole batches
-/// completed and the counters accumulated over exactly those batches.
-/// The first three counters are common to every checkpointed kind; the
-/// kind-specific remainder (`ler_surface`: defects; `ler_sliced`: the
-/// ten `LerOutcome` fields) rides in `counters`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Checkpoint {
-    /// Completed whole batches.
-    pub batches: u64,
-    /// Shots (or windows) counted over those batches.
-    pub shots: u64,
-    /// Failures among those shots.
-    pub failures: u64,
-    /// Kind-specific extra counters, replayed verbatim.
-    pub counters: Vec<u64>,
-}
-
-impl Checkpoint {
-    /// Semantic plausibility, enforced at replay rather than append so
-    /// that CRC-valid but corrupt records (torn page, bit rot, injected
-    /// corruption) are *dropped* — falling back to the previous
-    /// checkpoint — instead of poisoning recovery. Both checkpointed
-    /// kinds are 64-lane sweeps, so a batch never yields more than 64
-    /// shots, and failures can never exceed shots.
-    #[must_use]
-    pub fn plausible(&self) -> bool {
-        self.batches > 0
-            && self.shots > 0
-            && self.shots <= self.batches.saturating_mul(64)
-            && self.failures <= self.shots
     }
 }
 

@@ -760,8 +760,9 @@ fn deadline_mid_sweep_delivers_an_anytime_partial() {
 /// only the unfinished suffix was re-executed.
 #[test]
 fn restart_resumes_a_checkpointed_sweep_from_its_durable_prefix() {
+    use qpdo_core::Checkpoint;
     use qpdo_serve::job::execute_tracked;
-    use qpdo_serve::wal::{Checkpoint, WriteAheadLog};
+    use qpdo_serve::wal::WriteAheadLog;
 
     let dir = fresh_dir("resume");
     let config = DaemonConfig {

@@ -21,12 +21,19 @@
 //!   decoded by the union-find decoder, and the failure word is the
 //!   reference sign XOR the frame-plus-correction parity on the logical
 //!   support — the rule `logical_z_value` applies to a stack's frame.
+//!
+//! The sweep has one loop, [`run_ler_surface_controlled`]: polled for
+//! cancellation per batch, resumable from a [`Checkpoint`] and
+//! reporting one after every batch (the shot service's crash-resume
+//! and deadline path). [`run_ler_surface`] is its uncontrolled
+//! one-line call.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 
 use qpdo_core::{
-    ChpCore, ControlStack, CoreError, CounterLayer, DepolarizingModel, ErrorCounts, PauliFrameLayer,
+    Checkpoint, ChpCore, ControlStack, CoreError, CounterLayer, DepolarizingModel, ErrorCounts,
+    PauliFrameLayer,
 };
 use qpdo_pauli::{LanePauliFrame, Pauli, PauliString};
 use qpdo_rng::rngs::StdRng;
@@ -343,47 +350,7 @@ impl SurfaceLerOutcome {
 ///
 /// Panics unless the distance is odd and ≥ 3.
 pub fn run_ler_surface(config: &SurfaceLerConfig) -> Result<SurfaceLerOutcome, CoreError> {
-    let (outcome, _stopped) = run_ler_surface_cancellable(config, &|| false)?;
-    Ok(outcome)
-}
-
-/// [`run_ler_surface`] with a cooperative cancellation hook, polled once
-/// per 64-shot batch. Returns the partial outcome and whether the run
-/// stopped early.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidProbability`] unless
-/// `physical_error_rate ∈ [0, 1]`.
-///
-/// # Panics
-///
-/// Panics unless the distance is odd and ≥ 3.
-pub fn run_ler_surface_cancellable(
-    config: &SurfaceLerConfig,
-    cancelled: &dyn Fn() -> bool,
-) -> Result<(SurfaceLerOutcome, bool), CoreError> {
-    run_ler_surface_resumable(config, None, cancelled, &mut |_| {})
-}
-
-/// A durable position inside a [`run_ler_surface_resumable`] sweep: the
-/// number of completed whole 64-shot batches and the counters accumulated
-/// over exactly those batches.
-///
-/// Because every batch draws from its own RNG substream, a checkpoint
-/// plus the sweep config fully determines the rest of the run — resuming
-/// from any recorded `SurfaceProgress` reproduces the uninterrupted
-/// outcome bit for bit (see `tests/resume_oracle.rs`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SurfaceProgress {
-    /// Completed whole batches.
-    pub batches: u64,
-    /// Shots counted over those batches.
-    pub shots: u64,
-    /// Logical failures among those shots.
-    pub failures: u64,
-    /// Defects decoded across those shots.
-    pub defects: u64,
+    run_ler_surface_controlled(config, None, &|| false, &mut |_| {}).map(|(outcome, _)| outcome)
 }
 
 /// The noiseless reference of one `(distance, error kind)` sweep point.
@@ -672,13 +639,22 @@ fn batch_rng(seed: u64, batch: u64) -> StdRng {
     StdRng::seed_from_u64(seed ^ (batch + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// [`run_ler_surface_cancellable`] that can start from a previously
-/// recorded [`SurfaceProgress`] checkpoint and reports a checkpoint after
-/// every completed batch through `on_batch`.
+/// The controlled surface-code driver: [`run_ler_surface`] polled for
+/// cancellation once per 64-shot batch, started from an optional
+/// [`Checkpoint`], and reporting the accumulated checkpoint after every
+/// completed batch through `on_batch`. Returns the outcome so far plus
+/// whether the run stopped early.
 ///
-/// `resume` restarts the sweep after `resume.batches` whole batches with
-/// the recorded counters; `None` runs from scratch. A checkpoint at or
-/// past the final batch returns the recorded counters untouched.
+/// A checkpoint counts completed batches, with the defect total in
+/// `counters[0]`. `resume` restarts the sweep after `resume.batches`
+/// batches with the recorded counters; `None` runs from scratch. A
+/// checkpoint at or past the final batch returns the recorded counters
+/// untouched. One without a defect counter (foreign or truncated)
+/// resumes the defect total from zero, which only skews that
+/// historical counter, never the failure estimate. Every batch draws
+/// from its own RNG substream, so resuming from any recorded checkpoint
+/// reproduces the uninterrupted outcome bit for bit
+/// (`tests/resume_oracle.rs`).
 ///
 /// # Errors
 ///
@@ -688,11 +664,11 @@ fn batch_rng(seed: u64, batch: u64) -> StdRng {
 /// # Panics
 ///
 /// Panics unless the distance is odd and ≥ 3.
-pub fn run_ler_surface_resumable(
+pub fn run_ler_surface_controlled(
     config: &SurfaceLerConfig,
-    resume: Option<&SurfaceProgress>,
+    resume: Option<&Checkpoint>,
     cancelled: &dyn Fn() -> bool,
-    on_batch: &mut dyn FnMut(&SurfaceProgress),
+    on_batch: &mut dyn FnMut(&Checkpoint),
 ) -> Result<(SurfaceLerOutcome, bool), CoreError> {
     let p = config.physical_error_rate;
     if !(0.0..=1.0).contains(&p) {
@@ -708,10 +684,12 @@ pub fn run_ler_surface_resumable(
     let mut buf = point.buffers();
 
     let batches = config.shots.div_ceil(LANES as u64);
-    let start = resume.map_or(0, |r| r.batches.min(batches));
-    let mut shots = resume.map_or(0, |r| r.shots);
-    let mut failures = resume.map_or(0, |r| r.failures);
-    let mut defects = resume.map_or(0, |r| r.defects);
+    // The running position is the checkpoint `on_batch` observes: one
+    // per run, updated in place, so the uncontrolled path allocates
+    // nothing per batch.
+    let mut progress = resume.cloned().unwrap_or_default();
+    progress.counters.resize(1, 0);
+    let start = progress.batches.min(batches);
     let mut stopped = false;
     for batch in start..batches {
         if cancelled() {
@@ -725,26 +703,26 @@ pub fn run_ler_surface_resumable(
             (1u64 << lanes) - 1
         };
         let fail_word = point.sample_batch(p, &mut batch_rng(config.seed, batch), &mut buf);
-        shots += lanes;
-        failures += u64::from((fail_word & mask).count_ones());
-        for &anc in &point.reference.ancillas {
-            defects += u64::from((buf.meas[anc] & mask).count_ones());
-        }
-        on_batch(&SurfaceProgress {
-            batches: batch + 1,
-            shots,
-            failures,
-            defects,
-        });
+        let defects: u32 = point
+            .reference
+            .ancillas
+            .iter()
+            .map(|&anc| (buf.meas[anc] & mask).count_ones())
+            .sum();
+        progress.batches = batch + 1;
+        progress.shots += lanes;
+        progress.failures += u64::from((fail_word & mask).count_ones());
+        progress.counters[0] += u64::from(defects);
+        on_batch(&progress);
     }
     DECODER_CACHE.with(|cache| {
         cache.borrow_mut().insert(key, point);
     });
     Ok((
         SurfaceLerOutcome {
-            shots,
-            failures,
-            defects,
+            shots: progress.shots,
+            failures: progress.failures,
+            defects: progress.counters[0],
         },
         stopped,
     ))
@@ -861,7 +839,8 @@ mod tests {
     #[test]
     fn sliced_cancellation_stops_between_batches() {
         let config = surface(3, 0.05, CheckKind::X, 6400, 3);
-        let (outcome, stopped) = run_ler_surface_cancellable(&config, &|| true).unwrap();
+        let (outcome, stopped) =
+            run_ler_surface_controlled(&config, None, &|| true, &mut |_| {}).unwrap();
         assert!(stopped);
         assert_eq!(outcome.shots, 0);
     }
@@ -871,12 +850,15 @@ mod tests {
         let config = surface(3, 0.08, CheckKind::X, 520, 9);
         let scratch = run_ler_surface(&config).unwrap();
         let mut checkpoints = Vec::new();
-        run_ler_surface_resumable(&config, None, &|| false, &mut |p| checkpoints.push(*p)).unwrap();
+        run_ler_surface_controlled(&config, None, &|| false, &mut |c| {
+            checkpoints.push(c.clone())
+        })
+        .unwrap();
         assert_eq!(checkpoints.len(), 9, "520 shots is 9 batches");
-        let mid = checkpoints[4];
+        let mid = &checkpoints[4];
         let mut replayed = 0u64;
         let (outcome, stopped) =
-            run_ler_surface_resumable(&config, Some(&mid), &|| false, &mut |_| replayed += 1)
+            run_ler_surface_controlled(&config, Some(mid), &|| false, &mut |_| replayed += 1)
                 .unwrap();
         assert!(!stopped);
         assert_eq!(outcome, scratch, "resumed run diverged from scratch");
@@ -890,14 +872,14 @@ mod tests {
     fn resume_at_or_past_the_end_returns_the_checkpoint() {
         let config = surface(3, 0.08, CheckKind::X, 128, 5);
         let scratch = run_ler_surface(&config).unwrap();
-        let done = SurfaceProgress {
+        let done = Checkpoint {
             batches: 99,
             shots: scratch.shots,
             failures: scratch.failures,
-            defects: scratch.defects,
+            counters: vec![scratch.defects],
         };
         let (outcome, stopped) =
-            run_ler_surface_resumable(&config, Some(&done), &|| false, &mut |_| {
+            run_ler_surface_controlled(&config, Some(&done), &|| false, &mut |_| {
                 panic!("no batch should run")
             })
             .unwrap();

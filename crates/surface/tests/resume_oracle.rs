@@ -1,16 +1,15 @@
 //! Resume-vs-scratch identity oracle for the checkpointed surface sweep.
 //!
 //! The serving layer's crash-resume story (DESIGN.md §14) rests on one
-//! property: resuming `run_ler_surface_resumable` from *any* recorded
-//! [`SurfaceProgress`] checkpoint and running the remaining batches must
+//! property: resuming `run_ler_surface_controlled` from *any* recorded
+//! [`Checkpoint`] and running the remaining batches must
 //! reproduce the uninterrupted outcome bit for bit. Per-batch RNG
 //! substreams make that true by construction; this oracle pins it by
 //! replaying a sweep from every checkpoint offset, for both error kinds
 //! and a ragged tail batch, and asserting byte-identical wire records.
 
-use qpdo_surface::experiment::{
-    run_ler_surface, run_ler_surface_resumable, SurfaceLerConfig, SurfaceProgress,
-};
+use qpdo_core::Checkpoint;
+use qpdo_surface::experiment::{run_ler_surface, run_ler_surface_controlled, SurfaceLerConfig};
 use qpdo_surface::CheckKind;
 
 fn sweep(kind: CheckKind, shots: u64, seed: u64) -> SurfaceLerConfig {
@@ -38,9 +37,10 @@ fn resume_from_every_checkpoint_matches_scratch() {
         assert!(scratch.defects > 0, "workload too thin to be a real oracle");
 
         let mut checkpoints = Vec::new();
-        let (full, stopped) =
-            run_ler_surface_resumable(&config, None, &|| false, &mut |p| checkpoints.push(*p))
-                .unwrap();
+        let (full, stopped) = run_ler_surface_controlled(&config, None, &|| false, &mut |c| {
+            checkpoints.push(c.clone())
+        })
+        .unwrap();
         assert!(!stopped);
         assert_eq!(full, scratch);
         assert_eq!(checkpoints.len(), 6);
@@ -48,7 +48,7 @@ fn resume_from_every_checkpoint_matches_scratch() {
         for (i, checkpoint) in checkpoints.iter().enumerate() {
             let mut replayed = 0u64;
             let (resumed, stopped) =
-                run_ler_surface_resumable(&config, Some(checkpoint), &|| false, &mut |_| {
+                run_ler_surface_controlled(&config, Some(checkpoint), &|| false, &mut |_| {
                     replayed += 1;
                 })
                 .unwrap();
@@ -70,8 +70,11 @@ fn resume_from_every_checkpoint_matches_scratch() {
 #[test]
 fn checkpoints_are_monotonic_and_consistent() {
     let config = sweep(CheckKind::X, 640, 7);
-    let mut checkpoints: Vec<SurfaceProgress> = Vec::new();
-    run_ler_surface_resumable(&config, None, &|| false, &mut |p| checkpoints.push(*p)).unwrap();
+    let mut checkpoints: Vec<Checkpoint> = Vec::new();
+    run_ler_surface_controlled(&config, None, &|| false, &mut |c| {
+        checkpoints.push(c.clone())
+    })
+    .unwrap();
     assert_eq!(checkpoints.len(), 10);
     for (i, p) in checkpoints.iter().enumerate() {
         assert_eq!(p.batches, i as u64 + 1);
@@ -81,7 +84,7 @@ fn checkpoints_are_monotonic_and_consistent() {
     for pair in checkpoints.windows(2) {
         assert!(pair[1].shots > pair[0].shots);
         assert!(pair[1].failures >= pair[0].failures);
-        assert!(pair[1].defects >= pair[0].defects);
+        assert!(pair[1].counters[0] >= pair[0].counters[0]);
     }
 }
 
@@ -95,12 +98,12 @@ fn cancellation_mid_sweep_leaves_a_resumable_checkpoint() {
     // Cancel after three completed batches, as a deadline or SIGKILL
     // window would; the last on_batch checkpoint must resume cleanly.
     let polls = AtomicU64::new(0);
-    let mut last = SurfaceProgress::default();
-    let (partial, stopped) = run_ler_surface_resumable(
+    let mut last = Checkpoint::default();
+    let (partial, stopped) = run_ler_surface_controlled(
         &config,
         None,
         &|| polls.fetch_add(1, Ordering::Relaxed) >= 3,
-        &mut |p| last = *p,
+        &mut |c| last = c.clone(),
     )
     .unwrap();
     assert!(stopped);
@@ -108,7 +111,7 @@ fn cancellation_mid_sweep_leaves_a_resumable_checkpoint() {
     assert_eq!(partial.shots, last.shots);
 
     let (resumed, stopped) =
-        run_ler_surface_resumable(&config, Some(&last), &|| false, &mut |_| {}).unwrap();
+        run_ler_surface_controlled(&config, Some(&last), &|| false, &mut |_| {}).unwrap();
     assert!(!stopped);
     assert_eq!(record(&resumed), record(&scratch));
 }

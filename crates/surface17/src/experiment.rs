@@ -17,6 +17,15 @@
 //! symmetric depolarizing error layer, an optional Pauli-frame layer, and
 //! counter layers around the frame so the experiment can report exactly
 //! what the frame saved (Figs 5.25–5.26).
+//!
+//! One loop runs the experiment. [`run_ler_on`] is its controlled
+//! driver: generic over the stabilizer engine, polled for cancellation
+//! before every window, returning `(outcome, stopped)`. [`run_ler`]
+//! (packed engine) and `run_ler_reference` (cell-per-entry reference
+//! engine, the differential oracle) are the uncancelled one-line calls
+//! into it; [`run_ler_classical`] swaps in the protected frame layer.
+
+use std::ops::AddAssign;
 
 use qpdo_core::fault::{FaultPlan, FaultRates};
 use qpdo_core::{
@@ -82,7 +91,7 @@ impl LerConfig {
 }
 
 /// The result of one LER run.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LerOutcome {
     /// Windows executed (`R` in Eq 5.1).
     pub windows: u64,
@@ -131,38 +140,32 @@ impl LerOutcome {
         }
     }
 
-    /// Serializes the outcome as one whitespace-separated record line
-    /// (the sweep-checkpoint format; see
-    /// [`from_record`](Self::from_record)).
+    /// The ten counters in record order: windows, logical errors, ops
+    /// and slots above then below the frame, and the four injected
+    /// error counts.
     #[must_use]
-    pub fn to_record(&self) -> String {
-        format!(
-            "{} {} {} {} {} {} {} {} {} {}",
+    pub fn counters(&self) -> [u64; 10] {
+        let i = &self.injected;
+        [
             self.windows,
             self.logical_errors,
             self.ops_above_frame,
             self.slots_above_frame,
             self.ops_below_frame,
             self.slots_below_frame,
-            self.injected.single_qubit,
-            self.injected.two_qubit,
-            self.injected.measurement,
-            self.injected.idle,
-        )
+            i.single_qubit,
+            i.two_qubit,
+            i.measurement,
+            i.idle,
+        ]
     }
 
-    /// Parses a record line produced by [`to_record`](Self::to_record).
-    /// Returns `None` on any malformed field (a truncated checkpoint line
-    /// must never crash a resuming sweep).
+    /// The inverse of [`counters`](Self::counters); `None` unless
+    /// exactly ten counters are given.
     #[must_use]
-    pub fn from_record(line: &str) -> Option<Self> {
-        let fields: Vec<u64> = line
-            .split_whitespace()
-            .map(str::parse)
-            .collect::<Result<_, _>>()
-            .ok()?;
+    pub fn from_counters(counters: &[u64]) -> Option<Self> {
         let [windows, logical_errors, ops_above_frame, slots_above_frame, ops_below_frame, slots_below_frame, single_qubit, two_qubit, measurement, idle] =
-            fields[..]
+            *counters
         else {
             return None;
         };
@@ -181,6 +184,39 @@ impl LerOutcome {
             },
         })
     }
+
+    /// Serializes the outcome as one whitespace-separated record line
+    /// of its ten [`counters`](Self::counters) (the sweep-checkpoint
+    /// format; see [`from_record`](Self::from_record)).
+    #[must_use]
+    pub fn to_record(&self) -> String {
+        self.counters().map(|c| c.to_string()).join(" ")
+    }
+
+    /// Parses a record line produced by [`to_record`](Self::to_record).
+    /// Returns `None` on any malformed field (a truncated checkpoint line
+    /// must never crash a resuming sweep).
+    #[must_use]
+    pub fn from_record(line: &str) -> Option<Self> {
+        Self::from_counters(&parse_counters(line)?)
+    }
+}
+
+/// The field-wise sum: the ten counters of a batch of runs add up.
+impl AddAssign for LerOutcome {
+    fn add_assign(&mut self, other: Self) {
+        let mut sum = self.counters();
+        for (total, c) in sum.iter_mut().zip(other.counters()) {
+            *total += c;
+        }
+        *self = Self::from_counters(&sum).expect("ten counters");
+    }
+}
+
+/// Parses a whitespace-separated line of counters; `None` on any
+/// malformed field.
+fn parse_counters(line: &str) -> Option<Vec<u64>> {
+    line.split_whitespace().map(|f| f.parse().ok()).collect()
 }
 
 /// Runs one LER experiment per Listing 5.7 on the Fig 5.8 stack.
@@ -191,49 +227,7 @@ impl LerOutcome {
 /// is outside `[0, 1]`, and propagates stack errors (none are expected
 /// for valid configurations).
 pub fn run_ler(config: &LerConfig) -> Result<LerOutcome, CoreError> {
-    let frame: Option<PauliFrameLayer> = config.with_pauli_frame.then(PauliFrameLayer::new);
-    run_ler_stack::<StabilizerSim>(config, frame, &|| false).map(|(outcome, _, _)| outcome)
-}
-
-/// [`run_ler`] with a cooperative cancellation check consulted between
-/// windows, so a deadline watcher (e.g. the shot service's supervisor
-/// `CancelToken`) can stop a long run promptly instead of waiting for
-/// the window loop to hit its target or cap.
-///
-/// # Errors
-///
-/// Returns [`ShotError::Cancelled`] when `cancelled` reports true, and
-/// wraps the [`run_ler`] error contract in [`ShotError::Core`].
-pub fn run_ler_cancellable(
-    config: &LerConfig,
-    cancelled: &dyn Fn() -> bool,
-) -> Result<LerOutcome, ShotError> {
-    let (outcome, stopped) = run_ler_partial(config, cancelled)?;
-    cancelled_outcome(outcome, stopped)
-}
-
-/// [`run_ler_cancellable`] that surfaces the counters accumulated up to a
-/// cancellation instead of discarding them: returns the (possibly
-/// partial) outcome plus whether the window loop stopped early.
-///
-/// The partial window count depends on *when* the cancellation landed,
-/// so callers must treat a stopped outcome as an anytime estimate, never
-/// as the record of the configured experiment — the serving layer turns
-/// it into a typed `Partial` result carrying a confidence interval
-/// rather than a `done` record.
-///
-/// # Errors
-///
-/// Wraps the [`run_ler`] error contract in [`ShotError::Core`]; early
-/// cancellation is *not* an error here.
-pub fn run_ler_partial(
-    config: &LerConfig,
-    cancelled: &dyn Fn() -> bool,
-) -> Result<(LerOutcome, bool), ShotError> {
-    let frame: Option<PauliFrameLayer> = config.with_pauli_frame.then(PauliFrameLayer::new);
-    let (outcome, _, stopped) =
-        run_ler_stack::<StabilizerSim>(config, frame, cancelled).map_err(ShotError::Core)?;
-    Ok((outcome, stopped))
+    run_ler_on::<StabilizerSim>(config, &|| false).map(|(outcome, _)| outcome)
 }
 
 /// Runs the identical LER experiment on the cell-per-entry
@@ -250,38 +244,29 @@ pub fn run_ler_partial(
 /// Same contract as [`run_ler`].
 #[cfg(feature = "reference")]
 pub fn run_ler_reference(config: &LerConfig) -> Result<LerOutcome, CoreError> {
-    let frame: Option<PauliFrameLayer> = config.with_pauli_frame.then(PauliFrameLayer::new);
-    run_ler_stack::<ReferenceTableau>(config, frame, &|| false).map(|(outcome, _, _)| outcome)
+    run_ler_on::<ReferenceTableau>(config, &|| false).map(|(outcome, _)| outcome)
 }
 
-/// [`run_ler_reference`] with the cooperative cancellation check of
-/// [`run_ler_cancellable`].
+/// The controlled LER driver: the experiment of [`run_ler`] on the
+/// stabilizer engine `T`, with a cooperative cancellation poll
+/// consulted once before every window, so a deadline watcher (e.g. the
+/// shot service's `CancelToken`) can stop a long run promptly.
+///
+/// Returns the outcome accumulated so far plus whether the window loop
+/// stopped on `cancelled`. A stopped outcome's window count depends on
+/// *when* the cancellation landed, so callers must treat it as an
+/// anytime estimate, never as the record of the configured experiment
+/// — the serving layer turns it into a typed `Partial` result.
 ///
 /// # Errors
 ///
-/// Same contract as [`run_ler_cancellable`].
-#[cfg(feature = "reference")]
-pub fn run_ler_reference_cancellable(
+/// Same contract as [`run_ler`]; cancellation is not an error.
+pub fn run_ler_on<T: CliffordTableau>(
     config: &LerConfig,
     cancelled: &dyn Fn() -> bool,
-) -> Result<LerOutcome, ShotError> {
+) -> Result<(LerOutcome, bool), CoreError> {
     let frame: Option<PauliFrameLayer> = config.with_pauli_frame.then(PauliFrameLayer::new);
-    let (outcome, _, stopped) =
-        run_ler_stack::<ReferenceTableau>(config, frame, cancelled).map_err(ShotError::Core)?;
-    cancelled_outcome(outcome, stopped)
-}
-
-/// Maps a cancelled window loop to [`ShotError::Cancelled`]; a partial
-/// outcome is never returned, since its window count depends on when
-/// the cancellation landed rather than on the configuration.
-fn cancelled_outcome(outcome: LerOutcome, stopped: bool) -> Result<LerOutcome, ShotError> {
-    if stopped {
-        Err(ShotError::Cancelled {
-            reason: format!("ler run cancelled after {} windows", outcome.windows),
-        })
-    } else {
-        Ok(outcome)
-    }
+    run_ler_stack::<T>(config, frame, cancelled).map(|(outcome, _, stopped)| (outcome, stopped))
 }
 
 /// Classical-fault configuration for [`run_ler_classical`]: the fault
@@ -349,23 +334,15 @@ impl ClassicalLerOutcome {
     /// Returns `None` on any malformed field.
     #[must_use]
     pub fn from_record(line: &str) -> Option<Self> {
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() != 19 {
-            return None;
-        }
-        let ler = LerOutcome::from_record(&fields[..10].join(" "))?;
-        let tail: Vec<u64> = fields[10..]
-            .iter()
-            .map(|f| f.parse())
-            .collect::<Result<_, _>>()
-            .ok()?;
+        let fields = parse_counters(line)?;
+        let (ler, tail) = fields.split_at_checked(10)?;
         let [injected, detected, recovered, missed, scrubs, checkpoints, rollbacks, degraded_flushes, fault_events] =
-            tail[..]
+            *tail
         else {
             return None;
         };
         Some(ClassicalLerOutcome {
-            ler,
+            ler: LerOutcome::from_counters(ler)?,
             protection: FrameProtectionStats {
                 injected,
                 detected,
@@ -717,28 +694,29 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_run_matches_plain_run_when_never_cancelled() {
+    fn controlled_run_matches_plain_run_when_never_cancelled() {
         let config = quick(0.01, true, LogicalErrorKind::XL, 12);
         let plain = run_ler(&config).unwrap();
-        let cancellable = run_ler_cancellable(&config, &|| false).unwrap();
-        assert_eq!(plain, cancellable);
+        let controlled = run_ler_on::<StabilizerSim>(&config, &|| false).unwrap();
+        assert_eq!((plain, false), controlled);
     }
 
     #[test]
     fn cancellation_stops_the_window_loop() {
         let config = quick(0.01, true, LogicalErrorKind::XL, 13);
-        let err = run_ler_cancellable(&config, &|| true).unwrap_err();
-        assert!(matches!(err, ShotError::Cancelled { .. }), "{err}");
-        assert!(err.to_string().contains("after 0 windows"), "{err}");
+        let (outcome, stopped) = run_ler_on::<StabilizerSim>(&config, &|| true).unwrap();
+        assert!(stopped);
+        assert_eq!(outcome.windows, 0);
 
         // Mid-run: cancel once three windows have been admitted.
         let windows = std::cell::Cell::new(0u64);
-        let err = run_ler_cancellable(&config, &|| {
+        let (outcome, stopped) = run_ler_on::<StabilizerSim>(&config, &|| {
             windows.set(windows.get() + 1);
             windows.get() > 3
         })
-        .unwrap_err();
-        assert!(err.to_string().contains("after 3 windows"), "{err}");
+        .unwrap();
+        assert!(stopped);
+        assert_eq!(outcome.windows, 3);
     }
 
     #[test]

@@ -75,6 +75,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo build --release --offline =="
 cargo build --release --offline --workspace --all-targets
 
+echo "== frozen benchmark compiles against the tree: perfbench =="
+# perfbench/ is its own Cargo workspace with path dependencies on
+# crates/*, so an API change that breaks it would otherwise surface
+# only when the benchmark runs. Same target directory as perfbench/run.py.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test -q --offline =="
 cargo test -q --offline --workspace
 
