@@ -26,6 +26,9 @@
 //!   d = 13, p = 0.08: a 64-lane Pauli frame pushed through the 337-qubit
 //!   ESM round against the cached noiseless reference, plus 64
 //!   union-find decodes.
+//! - `surface_batch_d5` — the same warmed call at d = 5, p = 0.08: the
+//!   12-bit syndromes mostly hit the sweep point's decoded-parity
+//!   table, so the error draw and the frame push dominate.
 //!
 //! Flags: `--out DIR` (default `results`), `--samples N` (default 25),
 //! `--seed N` (default 2016), `--smoke` (minimal iterations + schema
@@ -197,6 +200,7 @@ fn validate_report(doc: &Json) -> Result<(), String> {
         "sc17_shot_sliced",
         "frame_merge",
         "surface_batch_d13",
+        "surface_batch_d5",
     ];
     for name in required {
         let entry = kernels
@@ -405,26 +409,42 @@ fn run(args: &Args) -> Result<(), String> {
     // -- surface_batch_d13: one 64-shot code-capacity batch. The
     // harness's untimed warm-up builds this thread's decoder and frame
     // reference, so samples time the steady-state batch only.
-    let mut surface_config = SurfaceLerConfig {
-        distance: 13,
+    let surface_batch = |name: &str, distance: usize| {
+        let mut config = SurfaceLerConfig {
+            distance,
+            physical_error_rate: 0.08,
+            error: CheckKind::X,
+            shots: LANES as u64,
+            seed: args.seed,
+        };
+        let stats = measured(
+            name,
+            measure_batched_ns(
+                samples,
+                window_iters,
+                || {
+                    config.seed = config.seed.wrapping_add(1);
+                    config
+                },
+                |config| run_ler_surface(&config).expect("valid configuration"),
+            ),
+        )?;
+        println!("{name}: {:.1} ns", stats.median_ns);
+        Ok::<_, String>(stats)
+    };
+    let surface_batch_d13 = surface_batch("surface_batch_d13", 13)?;
+    // -- surface_batch_d5: the same at d = 5, after an untimed sweep
+    // has filled most of the point's parity table, as any sweep long
+    // enough to matter does.
+    run_ler_surface(&SurfaceLerConfig {
+        distance: 5,
         physical_error_rate: 0.08,
         error: CheckKind::X,
-        shots: LANES as u64,
-        seed: args.seed,
-    };
-    let surface_batch_d13 = measured(
-        "surface_batch_d13",
-        measure_batched_ns(
-            samples,
-            window_iters,
-            || {
-                surface_config.seed = surface_config.seed.wrapping_add(1);
-                surface_config
-            },
-            |config| run_ler_surface(&config).expect("valid configuration"),
-        ),
-    )?;
-    println!("surface_batch_d13: {:.1} ns", surface_batch_d13.median_ns);
+        shots: 80_000,
+        seed: !args.seed,
+    })
+    .expect("valid configuration");
+    let surface_batch_d5 = surface_batch("surface_batch_d5", 5)?;
 
     let report = Json::object([
         ("schema", Json::from(SCHEMA)),
@@ -441,6 +461,7 @@ fn run(args: &Args) -> Result<(), String> {
                 kernel_entry("sc17_shot_sliced", &sc17_shot_sliced),
                 kernel_entry("frame_merge", &frame_merge),
                 kernel_entry("surface_batch_d13", &surface_batch_d13),
+                kernel_entry("surface_batch_d5", &surface_batch_d5),
             ]),
         ),
         (

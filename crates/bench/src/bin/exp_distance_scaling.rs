@@ -7,8 +7,9 @@
 //! noiseless ESM round runs once on the sliced tableau as a reference,
 //! then each 64-shot batch pushes a 64-lane Pauli frame of its errors
 //! through the same circuit (syndromes are reference outcome ⊕ frame
-//! flip), one union-find decode per lane, failure counted against the
-//! crossing logical operator from the frame and correction parity.
+//! flip), one union-find decode per lane (once per distinct syndrome at
+//! d ≤ 5), failure counted against the crossing logical operator from
+//! the frame and correction parity.
 //! Successive-distance LER curves cross at threshold; the harness
 //! interpolates each crossing with [`curve_crossing`] and reports the
 //! median as the threshold estimate.

@@ -17,10 +17,14 @@
 //!   reference sign; each 64-shot batch then only pushes a
 //!   [`LanePauliFrame`] holding that batch's i.i.d. data errors through
 //!   the same ESM circuit with the record maps of Tables 3.4–3.5.
-//!   Syndrome words are `reference ⊕ measurement flip`, every lane is
-//!   decoded by the union-find decoder, and the failure word is the
-//!   reference sign XOR the frame-plus-correction parity on the logical
-//!   support — the rule `logical_z_value` applies to a stack's frame.
+//!   Syndrome words are `reference ⊕ measurement flip`, every live lane
+//!   is decoded by the union-find decoder down to one bit, the parity
+//!   of its correction on the logical support, and the failure word is
+//!   the reference sign XOR the frame parity XOR that parity word: the
+//!   rule `logical_z_value` applies to a stack's frame. Up to 16
+//!   syndrome bits (d ≤ 5) a lazily filled syndrome → parity table sits
+//!   in front of the decoder, so each distinct syndrome is decoded once
+//!   per sweep point and worker thread.
 //!
 //! The sweep has one loop, [`run_ler_surface_controlled`]: polled for
 //! cancellation per batch, resumable from a [`Checkpoint`] and
@@ -335,7 +339,8 @@ impl SurfaceLerOutcome {
 /// one noiseless ESM round on [`ShotSlicedSim`] per sweep point and
 /// worker thread, then per 64-shot batch a [`LanePauliFrame`] of i.i.d.
 /// data errors pushed through the same ESM circuit, union-find decoding
-/// of every lane, and a packed logical-failure readout.
+/// of every live lane (once per distinct syndrome at d ≤ 5), and a
+/// packed logical-failure readout.
 ///
 /// `(shots, failures, defects)` depend only on the error words, the
 /// first draws of each batch's RNG substream, so they are identical to
@@ -371,6 +376,8 @@ struct FrameReference {
     ancillas: Vec<usize>,
     /// Support of the logical operator `error` threatens.
     logical: Vec<usize>,
+    /// Per data qubit: whether it is in `logical`.
+    on_logical: Vec<bool>,
     /// Reference sign word of that logical operator after the round.
     logical_sign: u64,
 }
@@ -408,7 +415,12 @@ impl FrameReference {
         let logical_sign = sim
             .expectation(&observable)
             .expect("logical observable stays deterministic through ESM");
+        let mut on_logical = vec![false; code.num_data_qubits()];
+        for &q in &logical {
+            on_logical[q] = true;
+        }
         FrameReference {
+            on_logical,
             ancillas: code.checks_of(detecting).map(|ch| ch.ancilla).collect(),
             code,
             error,
@@ -461,19 +473,21 @@ impl FrameReference {
         }
     }
 
-    /// The per-lane logical failure word after the correction planes
-    /// `corr`: the reference sign XOR the parity of frame ⊕ correction
-    /// on the logical support. (The frame's gauge part commutes with the
-    /// deterministic observable, so it cancels from the parity.)
-    fn failure_word(&self, frame: &LanePauliFrame, corr: &[u64]) -> u64 {
-        self.logical.iter().fold(self.logical_sign, |acc, &q| {
-            let (x, z) = frame.record_words(q);
-            let flip = match self.error {
-                CheckKind::X => x,
-                CheckKind::Z => z,
-            };
-            acc ^ flip ^ corr[q]
-        })
+    /// The per-lane logical failure word after corrections whose parity
+    /// on the logical support is `parity`: the reference sign XOR the
+    /// frame's parity there XOR `parity`. (The frame's gauge part
+    /// commutes with the deterministic observable, so it cancels from
+    /// the parity.)
+    fn failure_word(&self, frame: &LanePauliFrame, parity: u64) -> u64 {
+        self.logical
+            .iter()
+            .fold(self.logical_sign ^ parity, |acc, &q| {
+                let (x, z) = frame.record_words(q);
+                acc ^ match self.error {
+                    CheckKind::X => x,
+                    CheckKind::Z => z,
+                }
+            })
     }
 }
 
@@ -519,11 +533,23 @@ fn esm_on_tableau(
     }
 }
 
-/// One warm sweep point: the union-find decoder and the frame reference
-/// of a `(distance, error kind)` pair.
+/// Syndromes of at most this many bits get a parity table: d = 3 has
+/// 4, d = 5 has 12 (a 4 KiB table); d = 7's 24 would need 16 MiB.
+const PARITY_TABLE_MAX_BITS: usize = 16;
+
+/// One warm sweep point: the union-find decoder, the frame reference
+/// and the decoded-parity table of a `(distance, error kind)` pair.
 struct SweepPoint {
     decoder: UnionFindDecoder,
     reference: FrameReference,
+    /// Entry `i` is the parity on the logical support of the union-find
+    /// correction of packed syndrome `i` (bit `k` = detecting check
+    /// `k`), the one bit of a decode the failure word needs; `None`
+    /// until a lane first meets that syndrome. The decoder is a pure
+    /// function of the syndrome, so an entry never goes stale across
+    /// seeds, error rates or shot counts. Empty above
+    /// [`PARITY_TABLE_MAX_BITS`] syndrome bits.
+    table: Vec<Option<bool>>,
 }
 
 /// Per-run working buffers, allocated once per run and reused by every
@@ -534,8 +560,6 @@ struct BatchBuffers {
     err: Vec<u64>,
     /// Outcome word per measured qubit.
     meas: Vec<u64>,
-    /// Correction word per data qubit.
-    corr: Vec<u64>,
     syndrome: Vec<bool>,
     correction: Vec<usize>,
 }
@@ -543,8 +567,16 @@ struct BatchBuffers {
 impl SweepPoint {
     fn new(distance: usize, error: CheckKind) -> Self {
         let code = RotatedSurfaceCode::new(distance);
+        let decoder = UnionFindDecoder::new(&code, error);
+        let len = decoder.syndrome_len();
+        let entries = if len <= PARITY_TABLE_MAX_BITS {
+            1 << len
+        } else {
+            0
+        };
         SweepPoint {
-            decoder: UnionFindDecoder::new(&code, error),
+            table: vec![None; entries],
+            decoder,
             reference: FrameReference::new(code, error),
         }
     }
@@ -555,15 +587,23 @@ impl SweepPoint {
             frame: LanePauliFrame::new(code.num_qubits()),
             err: vec![0; code.num_data_qubits()],
             meas: vec![0; code.num_qubits()],
-            corr: vec![0; code.num_data_qubits()],
             syndrome: vec![false; self.reference.ancillas.len()],
-            correction: Vec::new(),
+            // A correction touches each data qubit at most once, so the
+            // decode path never grows this buffer mid-run.
+            correction: Vec::with_capacity(code.num_data_qubits()),
         }
     }
 
-    /// Samples, extracts and decodes one 64-lane batch; returns the
-    /// per-lane logical failure word.
-    fn sample_batch(&self, p: f64, rng: &mut StdRng, buf: &mut BatchBuffers) -> u64 {
+    /// Samples, extracts and decodes one 64-lane batch, of which the
+    /// first `live` lanes count; returns the per-lane logical failure
+    /// word.
+    fn sample_batch(
+        &mut self,
+        p: f64,
+        live: usize,
+        rng: &mut StdRng,
+        buf: &mut BatchBuffers,
+    ) -> u64 {
         let reference = &self.reference;
         // I.i.d. data errors, one lane word each: the batch substream's
         // first draws, so the outcome depends on nothing else.
@@ -591,18 +631,9 @@ impl SweepPoint {
                 ch.ancilla
             );
         }
-        // Decode each lane and accumulate the correction planes.
-        buf.corr.fill(0);
-        for lane in 0..LANES {
-            for (s, &anc) in buf.syndrome.iter_mut().zip(&reference.ancillas) {
-                *s = (buf.meas[anc] >> lane) & 1 == 1;
-            }
-            self.decoder.decode_into(&buf.syndrome, &mut buf.correction);
-            for &q in &buf.correction {
-                buf.corr[q] |= 1 << lane;
-            }
-        }
-        let fail_word = reference.failure_word(&buf.frame, &buf.corr);
+        let parity = self.decode_lanes(live, buf);
+        let reference = &self.reference;
+        let fail_word = reference.failure_word(&buf.frame, parity);
         // Cross-check against pure classical bookkeeping: a lane fails
         // iff error ⊕ correction overlaps the logical support oddly.
         debug_assert_eq!(
@@ -610,10 +641,68 @@ impl SweepPoint {
             reference
                 .logical
                 .iter()
-                .fold(0u64, |acc, &q| acc ^ buf.err[q] ^ buf.corr[q]),
+                .fold(parity, |acc, &q| acc ^ buf.err[q]),
             "frame and classical failure words differ"
         );
         fail_word
+    }
+
+    /// The parity word of the first `live` lanes' corrections on the
+    /// logical support, for the syndromes in `buf.meas`. A lane whose
+    /// syndrome is in the table reads its bit; any other lane runs the
+    /// decoder and, if the point has a table, records the result.
+    fn decode_lanes(&mut self, live: usize, buf: &mut BatchBuffers) -> u64 {
+        let reference = &self.reference;
+        let mut parity = 0u64;
+        for lane in 0..live {
+            let index = (!self.table.is_empty()).then(|| {
+                reference
+                    .ancillas
+                    .iter()
+                    .enumerate()
+                    .fold(0, |index, (k, &anc)| {
+                        index | (((buf.meas[anc] >> lane) & 1) as usize) << k
+                    })
+            });
+            let bit = match index.and_then(|i| self.table[i]) {
+                Some(bit) => bit,
+                None => {
+                    for (s, &anc) in buf.syndrome.iter_mut().zip(&reference.ancillas) {
+                        *s = (buf.meas[anc] >> lane) & 1 == 1;
+                    }
+                    self.decoder.decode_into(&buf.syndrome, &mut buf.correction);
+                    // The correction annihilates the lane's syndrome:
+                    // `code.syndrome_of(correction)` without its
+                    // allocation, so debug builds stay off the heap too.
+                    debug_assert!(
+                        reference
+                            .code
+                            .checks()
+                            .iter()
+                            .filter(|ch| ch.kind != reference.error)
+                            .zip(&buf.syndrome)
+                            .all(|(ch, &s)| {
+                                let hits = ch.support.iter().filter(|q| buf.correction.contains(q));
+                                (hits.count() % 2 == 1) == s
+                            }),
+                        "union-find correction does not annihilate its syndrome"
+                    );
+                    let bit = buf
+                        .correction
+                        .iter()
+                        .filter(|&&q| reference.on_logical[q])
+                        .count()
+                        % 2
+                        == 1;
+                    if let Some(i) = index {
+                        self.table[i] = Some(bit);
+                    }
+                    bit
+                }
+            };
+            parity |= u64::from(bit) << lane;
+        }
+        parity
     }
 }
 
@@ -622,9 +711,11 @@ thread_local! {
     // the union-find scratch arrays inside the decoder survive across
     // decode calls *and* across jobs hitting the same sweep point, and
     // the frame reference means the tableau runs once per point, not
-    // once per batch — so the serving path pays decoder construction,
-    // the reference ESM round and steady-state allocation once per
-    // worker (ROADMAP: decoder throughput on the serving path). The
+    // once per batch, and the parity table keeps every syndrome decoded
+    // so far — so the serving path pays decoder construction, the
+    // reference ESM round, each distinct d ≤ 5 decode and steady-state
+    // allocation once per worker (ROADMAP: decoder throughput on the
+    // serving path). The
     // entry is taken out of the map for the duration of a run and put
     // back after, so the cache is never borrowed across user code.
     static DECODER_CACHE: RefCell<HashMap<(usize, CheckKind), SweepPoint>> =
@@ -678,7 +769,7 @@ pub fn run_ler_surface_controlled(
         });
     }
     let key = (config.distance, config.error);
-    let point = DECODER_CACHE
+    let mut point = DECODER_CACHE
         .with(|cache| cache.borrow_mut().remove(&key))
         .unwrap_or_else(|| SweepPoint::new(config.distance, config.error));
     let mut buf = point.buffers();
@@ -702,7 +793,12 @@ pub fn run_ler_surface_controlled(
         } else {
             (1u64 << lanes) - 1
         };
-        let fail_word = point.sample_batch(p, &mut batch_rng(config.seed, batch), &mut buf);
+        let fail_word = point.sample_batch(
+            p,
+            lanes as usize,
+            &mut batch_rng(config.seed, batch),
+            &mut buf,
+        );
         let defects: u32 = point
             .reference
             .ancillas
@@ -887,27 +983,37 @@ mod tests {
         assert_eq!(outcome, scratch);
     }
 
+    /// The logical-support parity of a direct union-find decode.
+    fn direct_parity(point: &SweepPoint, syndrome: &[bool]) -> bool {
+        let correction = point.decoder.decode(syndrome);
+        let logical = &point.reference.logical;
+        correction.iter().filter(|q| logical.contains(q)).count() % 2 == 1
+    }
+
     /// Frame-vs-tableau differential oracle: the frame sampler's batch
     /// must agree word for word with a tableau run of the same noisy ESM
     /// round — every ancilla word, and the failure word read as the
-    /// tableau's post-correction `expectation`. Measurements the tableau
-    /// classifies as random take the frame's outcome word, so both
-    /// engines follow the same branch.
+    /// tableau's `expectation` after each lane's union-find correction.
+    /// Measurements the tableau classifies as random take the frame's
+    /// outcome word, so both engines follow the same branch. Where the
+    /// point has a parity table, every lane's entry must match its
+    /// direct decode.
     #[test]
     fn frame_sampler_matches_the_tableau() {
         for d in [3, 5, 7, 13] {
             for kind in [CheckKind::X, CheckKind::Z] {
-                let point = SweepPoint::new(d, kind);
-                let reference = &point.reference;
-                let code = &reference.code;
-                let observable = match kind {
-                    CheckKind::X => code.logical_z_string(),
-                    CheckKind::Z => code.logical_x_string(),
-                };
+                let mut point = SweepPoint::new(d, kind);
+                assert_eq!(!point.table.is_empty(), d <= 5, "d={d}: table cap");
                 let mut buf = point.buffers();
                 for batch in 0..4 {
                     let fail_word =
-                        point.sample_batch(0.08, &mut batch_rng(d as u64, batch), &mut buf);
+                        point.sample_batch(0.08, LANES, &mut batch_rng(d as u64, batch), &mut buf);
+                    let reference = &point.reference;
+                    let code = &reference.code;
+                    let observable = match kind {
+                        CheckKind::X => code.logical_z_string(),
+                        CheckKind::Z => code.logical_x_string(),
+                    };
 
                     let mut sim = ShotSlicedSim::new(code.num_qubits());
                     for (q, &word) in buf.err.iter().enumerate() {
@@ -928,7 +1034,28 @@ mod tests {
                             ch.ancilla
                         );
                     }
-                    for (q, &word) in buf.corr.iter().enumerate() {
+                    // Decode every lane here and apply the correction
+                    // planes to the tableau.
+                    let mut corr = vec![0u64; code.num_data_qubits()];
+                    let mut syndrome = vec![false; reference.ancillas.len()];
+                    for lane in 0..LANES {
+                        for (s, &anc) in syndrome.iter_mut().zip(&reference.ancillas) {
+                            *s = (buf.meas[anc] >> lane) & 1 == 1;
+                        }
+                        for q in point.decoder.decode(&syndrome) {
+                            corr[q] |= 1 << lane;
+                        }
+                        if !point.table.is_empty() {
+                            let index = (syndrome.iter().enumerate())
+                                .fold(0, |index, (k, &s)| index | usize::from(s) << k);
+                            assert_eq!(
+                                point.table[index],
+                                Some(direct_parity(&point, &syndrome)),
+                                "d={d} {kind:?} batch {batch} lane {lane}: table entry"
+                            );
+                        }
+                    }
+                    for (q, &word) in corr.iter().enumerate() {
                         match kind {
                             CheckKind::X => sim.x_masked(q, word),
                             CheckKind::Z => sim.z_masked(q, word),
@@ -957,11 +1084,56 @@ mod tests {
         }
     }
 
+    /// The parity table is exact: every syndrome index, filled through
+    /// the lane path (including syndromes the sampler never draws),
+    /// holds the logical-support parity of a direct union-find decode,
+    /// and a fresh point starts with nothing known.
+    #[test]
+    fn parity_table_matches_direct_decoding() {
+        for d in [3, 5] {
+            for kind in [CheckKind::X, CheckKind::Z] {
+                let mut point = SweepPoint::new(d, kind);
+                let len = point.decoder.syndrome_len();
+                let entries = 1usize << len;
+                assert_eq!(point.table.len(), entries, "d={d} {kind:?}: table size");
+                assert!(
+                    point.table.iter().all(Option::is_none),
+                    "d={d} {kind:?}: a fresh table is pre-filled"
+                );
+                let mut buf = point.buffers();
+                for base in (0..entries).step_by(LANES) {
+                    // Lane `l` carries syndrome index `base + l`.
+                    let live = (entries - base).min(LANES);
+                    for (k, &anc) in point.reference.ancillas.iter().enumerate() {
+                        buf.meas[anc] = (0..live).fold(0, |word, lane| {
+                            word | ((((base + lane) >> k) & 1) as u64) << lane
+                        });
+                    }
+                    let missed = point.decode_lanes(live, &mut buf);
+                    let hit = point.decode_lanes(live, &mut buf);
+                    assert_eq!(missed, hit, "d={d} {kind:?}: lookup disagrees with fill");
+                    for lane in 0..live {
+                        let index = base + lane;
+                        let syndrome: Vec<bool> = (0..len).map(|k| (index >> k) & 1 == 1).collect();
+                        let expect = direct_parity(&point, &syndrome);
+                        assert_eq!(
+                            (missed >> lane) & 1 == 1,
+                            expect,
+                            "d={d} {kind:?}: syndrome {index:#x}"
+                        );
+                        assert_eq!(point.table[index], Some(expect));
+                    }
+                }
+            }
+        }
+    }
+
     /// `(shots, failures, defects)` recorded from the tableau-per-batch
     /// sampler this one replaced, at p = 0.08 and 200 shots (three whole
     /// batches and one 8-lane partial batch). The serve `done` records,
     /// the resume oracle and perfbench's classical golden check all rely
-    /// on these counts never moving.
+    /// on these counts never moving. The points run twice on one thread:
+    /// cold, then with the d = 5 parity tables warmed by a p = 0.3 sweep.
     #[test]
     fn outcomes_match_the_recorded_goldens() {
         let goldens = [
@@ -978,8 +1150,19 @@ mod tests {
             (13, CheckKind::Z, 7, (200, 29, 3962)),
             (13, CheckKind::Z, 2016, (200, 18, 3861)),
         ];
-        for (d, kind, seed, (shots, failures, defects)) in goldens {
-            let outcome = run_ler_surface(&surface(d, 0.08, kind, 200, seed)).unwrap();
+        let run_all = || {
+            goldens.map(|(d, kind, seed, _)| {
+                run_ler_surface(&surface(d, 0.08, kind, 200, seed)).unwrap()
+            })
+        };
+        let cold = run_all();
+        for kind in [CheckKind::X, CheckKind::Z] {
+            run_ler_surface(&surface(5, 0.3, kind, 6400, 1)).unwrap();
+        }
+        let warm = run_all();
+        assert_eq!(cold, warm, "warm parity tables changed the outcomes");
+        for ((d, kind, seed, (shots, failures, defects)), outcome) in goldens.into_iter().zip(cold)
+        {
             assert_eq!(
                 outcome,
                 SurfaceLerOutcome {

@@ -26,10 +26,12 @@
 //!
 //! ## Scratch reuse
 //!
-//! Decoding a 64-lane batch calls the decoder 64 times on the same
-//! graph; the serving path decodes hundreds of batches per job. The
-//! per-decode cluster state (union-find forest, frontier lists, growth
-//! counters, peeling scratch) therefore lives *inside* the decoder,
+//! Decoding a 64-lane batch calls the decoder once per live lane on the
+//! same graph (at d ≤ 5 only for syndromes the sweep point's parity
+//! table has not seen yet, see [`crate::experiment`]); the serving path
+//! decodes hundreds of batches per job. The per-decode cluster state
+//! (union-find forest, frontier lists, growth counters, peeling
+//! scratch) therefore lives *inside* the decoder,
 //! behind a [`RefCell`], and is reset — never reallocated — on each
 //! call. A warmed decoder runs [`UnionFindDecoder::decode_into`]
 //! without touching the heap (pinned by `tests/uf_alloc.rs`), which is

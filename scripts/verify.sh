@@ -147,7 +147,7 @@ for key in \
     '"name": "rowsum_packed_n17"' '"name": "rowsum_reference_n17"' \
     '"name": "esm_round"' '"name": "sc17_shot"' \
     '"name": "sc17_shot_sliced"' '"name": "frame_merge"' \
-    '"name": "surface_batch_d13"' \
+    '"name": "surface_batch_d13"' '"name": "surface_batch_d5"' \
     '"rowsum_speedup_n17"' '"rowsum_targets_n17"' \
     '"sc17_sliced_amortized_ns"' '"sc17_slicing_speedup"'; do
     if ! grep -qF "$key" results/BENCH_stabilizer.json; then
