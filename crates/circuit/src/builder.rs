@@ -112,6 +112,34 @@ impl Circuit {
         self
     }
 
+    /// Filters the circuit in place, slot by slot in execution order.
+    ///
+    /// `keep` sees every operation once and returns whether it stays. It
+    /// may also push whole slots onto its second argument: they are
+    /// inserted immediately before the slot holding the operation, in
+    /// push order, and are not themselves passed to `keep`. Slots left
+    /// empty are removed. Returns how many of the circuit's own slots
+    /// emptied out.
+    pub fn retain_operations<F>(&mut self, mut keep: F) -> u64
+    where
+        F: FnMut(&Operation, &mut Vec<TimeSlot>) -> bool,
+    {
+        let mut inserted = Vec::new();
+        let mut emptied = 0;
+        let mut i = 0;
+        while i < self.slots.len() {
+            self.slots[i].retain(|op| keep(op, &mut inserted));
+            emptied += u64::from(self.slots[i].is_empty());
+            let n = inserted.len();
+            if n > 0 {
+                self.slots.splice(i..i, inserted.drain(..));
+            }
+            i += n + 1;
+        }
+        self.prune_empty_slots();
+        emptied
+    }
+
     /// Drops any slots that became empty (e.g. after filtering).
     pub fn prune_empty_slots(&mut self) -> &mut Self {
         self.slots.retain(|s| !s.is_empty());
@@ -352,10 +380,40 @@ mod tests {
         let mut c = Circuit::new();
         c.x(0).h(1);
         for slot in &mut c.slots {
-            slot.drain_where(Operation::is_pauli_gate);
+            slot.retain(|op| !op.is_pauli_gate());
         }
         c.prune_empty_slots();
         assert_eq!(c.operation_count(), 1);
+        assert_eq!(c.slot_count(), 1);
+    }
+
+    #[test]
+    fn retain_operations_filters_in_place_and_inserts_before_the_slot() {
+        let mut c = Circuit::new();
+        c.x(0).h(1); // slot 0
+        c.z(0).t(1); // slot 1
+        c.cnot(0, 1); // slot 2
+        let mut seen = Vec::new();
+        let emptied = c.retain_operations(|op, before| {
+            seen.push(op.to_string());
+            if op.is_non_clifford_gate() {
+                let mut x = TimeSlot::new();
+                x.push(Operation::gate(Gate::X, op.qubits()));
+                let mut z = TimeSlot::new();
+                z.push(Operation::gate(Gate::Z, op.qubits()));
+                before.extend([x, z]);
+            }
+            !op.is_pauli_gate()
+        });
+        // Inserted slots are not offered to `keep`.
+        assert_eq!(seen, ["x q0", "h q1", "z q0", "t q1", "cnot q0,q1"]);
+        assert_eq!(emptied, 0);
+        assert_eq!(c.to_string(), "h q1\nx q1\nz q1\nt q1\ncnot q0,q1\n");
+
+        let mut c = Circuit::new();
+        c.x(0).h(1).z(0).z(1).x(0);
+        // Slots: [x q0, h q1] [z q0, z q1] [x q0]; the last two empty out.
+        assert_eq!(c.retain_operations(|op, _| !op.is_pauli_gate()), 2);
         assert_eq!(c.slot_count(), 1);
     }
 

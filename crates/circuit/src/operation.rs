@@ -15,6 +15,11 @@ pub enum OperationKind {
 
 /// A single scheduled operation: a kind plus the qubits it acts on.
 ///
+/// The qubits are stored inline (no operation has more than three, the
+/// Toffoli's), so building, cloning and dropping an operation never
+/// touches the heap. Unused qubit slots stay zero, which keeps the
+/// derived `Eq` and `Hash` equal to comparing [`qubits`](Self::qubits).
+///
 /// # Example
 ///
 /// ```
@@ -28,26 +33,24 @@ pub enum OperationKind {
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Operation {
     kind: OperationKind,
-    qubits: Vec<usize>,
+    len: u8,
+    qubits: [usize; MAX_QUBITS],
 }
+
+/// The most qubits any operation acts on.
+const MAX_QUBITS: usize = 3;
 
 impl Operation {
     /// A qubit initialization to `|0⟩`.
     #[must_use]
     pub fn prep(q: usize) -> Self {
-        Operation {
-            kind: OperationKind::Prep,
-            qubits: vec![q],
-        }
+        Operation::new(OperationKind::Prep, &[q])
     }
 
     /// A computational-basis measurement.
     #[must_use]
     pub fn measure(q: usize) -> Self {
-        Operation {
-            kind: OperationKind::Measure,
-            qubits: vec![q],
-        }
+        Operation::new(OperationKind::Measure, &[q])
     }
 
     /// A gate on the given qubits.
@@ -70,9 +73,16 @@ impl Operation {
                 assert_ne!(a, b, "gate {gate} repeats qubit {a}");
             }
         }
+        Operation::new(OperationKind::Gate(gate), qubits)
+    }
+
+    fn new(kind: OperationKind, qubits: &[usize]) -> Self {
+        let mut inline = [0; MAX_QUBITS];
+        inline[..qubits.len()].copy_from_slice(qubits);
         Operation {
-            kind: OperationKind::Gate(gate),
-            qubits: qubits.to_vec(),
+            kind,
+            len: qubits.len() as u8,
+            qubits: inline,
         }
     }
 
@@ -86,7 +96,7 @@ impl Operation {
     /// control before target for `CNOT`).
     #[must_use]
     pub fn qubits(&self) -> &[usize] {
-        &self.qubits
+        &self.qubits[..usize::from(self.len)]
     }
 
     /// The gate, if this operation is a gate.
@@ -128,7 +138,7 @@ impl Operation {
     #[must_use]
     pub fn max_qubit(&self) -> usize {
         *self
-            .qubits
+            .qubits()
             .iter()
             .max()
             .expect("operations touch >=1 qubit")
@@ -143,7 +153,7 @@ impl fmt::Display for Operation {
             OperationKind::Gate(g) => g.name(),
         };
         write!(f, "{mnemonic} ")?;
-        for (i, q) in self.qubits.iter().enumerate() {
+        for (i, q) in self.qubits().iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
@@ -170,6 +180,26 @@ mod tests {
         let g = Operation::gate(Gate::Toffoli, &[0, 2, 4]);
         assert_eq!(g.as_gate(), Some(Gate::Toffoli));
         assert_eq!(g.max_qubit(), 4);
+    }
+
+    #[test]
+    fn equality_and_hash_follow_kind_and_qubits() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |op: &Operation| {
+            let mut h = DefaultHasher::new();
+            op.hash(&mut h);
+            h.finish()
+        };
+        let a = Operation::gate(Gate::Cnot, &[3, 4]);
+        assert_eq!(a, Operation::gate(Gate::Cnot, &[3, 4]));
+        assert_eq!(hash(&a), hash(&Operation::gate(Gate::Cnot, &[3, 4])));
+        assert_ne!(a, Operation::gate(Gate::Cnot, &[4, 3]));
+        assert_ne!(Operation::prep(0), Operation::measure(0));
+        assert_eq!(
+            Operation::gate(Gate::Toffoli, &[5, 6, 7]).qubits(),
+            &[5, 6, 7]
+        );
     }
 
     #[test]

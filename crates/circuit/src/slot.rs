@@ -92,21 +92,13 @@ impl TimeSlot {
         self.operations.iter()
     }
 
-    /// Removes all operations matching the predicate, returning them.
-    pub fn drain_where<F>(&mut self, mut predicate: F) -> Vec<Operation>
+    /// Keeps only the operations for which `keep` returns `true`, in
+    /// order, without reallocating.
+    pub fn retain<F>(&mut self, keep: F)
     where
         F: FnMut(&Operation) -> bool,
     {
-        let mut removed = Vec::new();
-        self.operations.retain(|op| {
-            if predicate(op) {
-                removed.push(op.clone());
-                false
-            } else {
-                true
-            }
-        });
-        removed
+        self.operations.retain(keep);
     }
 }
 
@@ -164,15 +156,14 @@ mod tests {
     }
 
     #[test]
-    fn drain_where_removes_matching() {
+    fn retain_keeps_matching_in_order() {
         let mut slot = TimeSlot::new();
         slot.push(Operation::gate(Gate::X, &[0]));
         slot.push(Operation::gate(Gate::H, &[1]));
         slot.push(Operation::gate(Gate::Z, &[2]));
-        let paulis = slot.drain_where(Operation::is_pauli_gate);
-        assert_eq!(paulis.len(), 2);
-        assert_eq!(slot.len(), 1);
-        assert_eq!(slot.operations()[0].as_gate(), Some(Gate::H));
+        slot.push(Operation::measure(3));
+        slot.retain(|op| !op.is_pauli_gate());
+        assert_eq!(slot.to_string(), "h q1; measure q3");
     }
 
     #[test]

@@ -2,7 +2,7 @@ use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use qpdo_circuit::{Circuit, GateKind, OperationKind, TimeSlot};
+use qpdo_circuit::{Circuit, GateKind, OperationKind};
 
 use crate::{Layer, LayerContext};
 
@@ -12,19 +12,18 @@ use crate::{Layer, LayerContext};
 /// and read it while (or after) the layer sits boxed inside a stack.
 #[derive(Clone, Debug, Default)]
 pub struct Counters {
-    inner: Arc<CounterCells>,
+    inner: Arc<[AtomicU64; CELLS]>,
 }
 
-#[derive(Debug, Default)]
-struct CounterCells {
-    time_slots: AtomicU64,
-    operations: AtomicU64,
-    preps: AtomicU64,
-    measures: AtomicU64,
-    pauli_gates: AtomicU64,
-    clifford_gates: AtomicU64,
-    non_clifford_gates: AtomicU64,
-}
+/// Cell indices, shared by the atomics and the per-circuit tally.
+const TIME_SLOTS: usize = 0;
+const OPERATIONS: usize = 1;
+const PREPS: usize = 2;
+const MEASURES: usize = 3;
+const PAULI_GATES: usize = 4;
+const CLIFFORD_GATES: usize = 5;
+const NON_CLIFFORD_GATES: usize = 6;
+const CELLS: usize = 7;
 
 impl Counters {
     /// A fresh zeroed handle.
@@ -33,79 +32,83 @@ impl Counters {
         Counters::default()
     }
 
+    fn get(&self, cell: usize) -> u64 {
+        self.inner[cell].load(Ordering::Relaxed)
+    }
+
     /// Time slots that passed the layer.
     #[must_use]
     pub fn time_slots(&self) -> u64 {
-        self.inner.time_slots.load(Ordering::Relaxed)
+        self.get(TIME_SLOTS)
     }
 
     /// Total operations that passed the layer.
     #[must_use]
     pub fn operations(&self) -> u64 {
-        self.inner.operations.load(Ordering::Relaxed)
+        self.get(OPERATIONS)
     }
 
     /// Qubit initializations.
     #[must_use]
     pub fn preps(&self) -> u64 {
-        self.inner.preps.load(Ordering::Relaxed)
+        self.get(PREPS)
     }
 
     /// Measurements.
     #[must_use]
     pub fn measures(&self) -> u64 {
-        self.inner.measures.load(Ordering::Relaxed)
+        self.get(MEASURES)
     }
 
     /// Pauli-group gates.
     #[must_use]
     pub fn pauli_gates(&self) -> u64 {
-        self.inner.pauli_gates.load(Ordering::Relaxed)
+        self.get(PAULI_GATES)
     }
 
     /// Clifford (non-Pauli) gates.
     #[must_use]
     pub fn clifford_gates(&self) -> u64 {
-        self.inner.clifford_gates.load(Ordering::Relaxed)
+        self.get(CLIFFORD_GATES)
     }
 
     /// Non-Clifford gates.
     #[must_use]
     pub fn non_clifford_gates(&self) -> u64 {
-        self.inner.non_clifford_gates.load(Ordering::Relaxed)
+        self.get(NON_CLIFFORD_GATES)
     }
 
     /// Resets every counter to zero.
     pub fn reset(&self) {
-        for cell in [
-            &self.inner.time_slots,
-            &self.inner.operations,
-            &self.inner.preps,
-            &self.inner.measures,
-            &self.inner.pauli_gates,
-            &self.inner.clifford_gates,
-            &self.inner.non_clifford_gates,
-        ] {
+        for cell in self.inner.iter() {
             cell.store(0, Ordering::Relaxed);
         }
     }
 
-    fn record_slot(&self, slot: &TimeSlot) {
-        self.inner.time_slots.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .operations
-            .fetch_add(slot.len() as u64, Ordering::Relaxed);
-        for op in slot {
-            let cell = match op.kind() {
-                OperationKind::Prep => &self.inner.preps,
-                OperationKind::Measure => &self.inner.measures,
-                OperationKind::Gate(g) => match g.kind() {
-                    GateKind::Pauli => &self.inner.pauli_gates,
-                    GateKind::Clifford => &self.inner.clifford_gates,
-                    GateKind::NonClifford => &self.inner.non_clifford_gates,
-                },
-            };
-            cell.fetch_add(1, Ordering::Relaxed);
+    /// Tallies the whole circuit locally, then publishes the tally with
+    /// at most one atomic add per counter.
+    fn record(&self, circuit: &Circuit) {
+        let mut tally = [0u64; CELLS];
+        for slot in circuit.slots() {
+            tally[TIME_SLOTS] += 1;
+            tally[OPERATIONS] += slot.len() as u64;
+            for op in slot {
+                let cell = match op.kind() {
+                    OperationKind::Prep => PREPS,
+                    OperationKind::Measure => MEASURES,
+                    OperationKind::Gate(g) => match g.kind() {
+                        GateKind::Pauli => PAULI_GATES,
+                        GateKind::Clifford => CLIFFORD_GATES,
+                        GateKind::NonClifford => NON_CLIFFORD_GATES,
+                    },
+                };
+                tally[cell] += 1;
+            }
+        }
+        for (cell, n) in self.inner.iter().zip(tally) {
+            if n > 0 {
+                cell.fetch_add(n, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -163,9 +166,7 @@ impl Layer for CounterLayer {
 
     fn process_circuit(&mut self, circuit: Circuit, ctx: &mut LayerContext<'_>) -> Circuit {
         if !ctx.bypass {
-            for slot in circuit.slots() {
-                self.counters.record_slot(slot);
-            }
+            self.counters.record(&circuit);
         }
         circuit
     }
@@ -217,6 +218,26 @@ mod tests {
         layer.process_circuit(c, &mut ctx(&mut rng, true));
         assert_eq!(counts.operations(), 0);
         assert_eq!(counts.time_slots(), 0);
+    }
+
+    #[test]
+    fn tallies_accumulate_across_circuits_and_handles_are_shareable() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Counters>();
+        let mut layer = CounterLayer::new();
+        let counts = layer.counters();
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut c = Circuit::new();
+        c.prep(0).cnot(0, 1).measure(1);
+        for _ in 0..3 {
+            layer.process_circuit(c.clone(), &mut ctx(&mut rng, false));
+        }
+        assert_eq!(counts.time_slots(), 9);
+        assert_eq!(counts.operations(), 9);
+        assert_eq!(counts.preps(), 3);
+        assert_eq!(counts.clifford_gates(), 3);
+        assert_eq!(counts.measures(), 3);
+        assert_eq!(counts.pauli_gates(), 0);
     }
 
     #[test]

@@ -93,20 +93,20 @@ impl PauliFrameLayer {
         self.flush_gates_emitted
     }
 
-    /// Applies the frame bookkeeping for one operation, returning what (if
-    /// anything) must still execute: the flush slots to prepend, and
-    /// whether the operation itself is forwarded.
-    fn track(&mut self, op: &Operation) -> (Vec<TimeSlot>, bool) {
+    /// Applies the frame bookkeeping for one operation and returns whether
+    /// the operation itself is forwarded. Flush slots that must run first
+    /// are pushed onto `before`.
+    fn track(&mut self, op: &Operation, before: &mut Vec<TimeSlot>) -> bool {
         match op.kind() {
             OperationKind::Prep => {
                 self.frame.reset(op.qubits()[0]);
-                (Vec::new(), true)
+                true
             }
             OperationKind::Measure => {
                 let q = op.qubits()[0];
                 let flip = self.frame.measurement_flipped(q);
                 self.pending_flips[q].push_back(flip);
-                (Vec::new(), true)
+                true
             }
             OperationKind::Gate(gate) => {
                 let q = op.qubits();
@@ -114,7 +114,7 @@ impl PauliFrameLayer {
                     Gate::I => {
                         // Identity is trivially a Pauli gate: absorbed.
                         self.filtered_gates += 1;
-                        (Vec::new(), false)
+                        false
                     }
                     Gate::X | Gate::Y | Gate::Z => {
                         let p = match gate {
@@ -124,64 +124,59 @@ impl PauliFrameLayer {
                         };
                         self.frame.apply_pauli(q[0], p);
                         self.filtered_gates += 1;
-                        (Vec::new(), false)
+                        false
                     }
                     Gate::H => {
                         self.frame.apply_h(q[0]);
-                        (Vec::new(), true)
+                        true
                     }
                     Gate::S => {
                         self.frame.apply_s(q[0]);
-                        (Vec::new(), true)
+                        true
                     }
                     Gate::Sdg => {
                         self.frame.apply_sdg(q[0]);
-                        (Vec::new(), true)
+                        true
                     }
                     Gate::Cnot => {
                         self.frame.apply_cnot(q[0], q[1]);
-                        (Vec::new(), true)
+                        true
                     }
                     Gate::Cz => {
                         self.frame.apply_cz(q[0], q[1]);
-                        (Vec::new(), true)
+                        true
                     }
                     Gate::Swap => {
                         self.frame.apply_swap(q[0], q[1]);
-                        (Vec::new(), true)
+                        true
                     }
-                    Gate::T | Gate::Tdg | Gate::Toffoli => (self.flush_slots(q), true),
+                    Gate::T | Gate::Tdg | Gate::Toffoli => {
+                        self.flush_slots(q, before);
+                        true
+                    }
                 }
             }
         }
     }
 
-    /// Builds the flush slots for the given qubits: one slot of `X`s and
-    /// one slot of `Z`s (a qubit can need both), resetting the records.
-    fn flush_slots(&mut self, qubits: &[usize]) -> Vec<TimeSlot> {
+    /// Pushes the flush slots for the given qubits onto `before`: one slot
+    /// of `X`s and one slot of `Z`s (a qubit can need both), each only if
+    /// non-empty, resetting the records.
+    fn flush_slots(&mut self, qubits: &[usize], before: &mut Vec<TimeSlot>) {
         let mut x_slot = TimeSlot::new();
         let mut z_slot = TimeSlot::new();
         for &q in qubits {
             for gate in self.frame.flush(q) {
                 self.flush_gates_emitted += 1;
-                let slot = match gate {
-                    Pauli::X => &mut x_slot,
-                    Pauli::Z => &mut z_slot,
+                let (slot, gate) = match gate {
+                    Pauli::X => (&mut x_slot, Gate::X),
+                    Pauli::Z => (&mut z_slot, Gate::Z),
                     _ => unreachable!("flush emits only X and Z"),
                 };
-                slot.push(Operation::gate(
-                    match gate {
-                        Pauli::X => Gate::X,
-                        _ => Gate::Z,
-                    },
-                    &[q],
-                ));
+                slot.push(Operation::gate(gate, &[q]));
             }
         }
-        [x_slot, z_slot]
-            .into_iter()
-            .filter(|s| !s.is_empty())
-            .collect()
+        before.extend([x_slot, z_slot].into_iter().filter(|s| !s.is_empty()));
     }
 }
 
@@ -196,28 +191,13 @@ impl Layer for PauliFrameLayer {
             .resize_with(self.pending_flips.len() + n, VecDeque::new);
     }
 
-    fn process_circuit(&mut self, circuit: Circuit, _ctx: &mut LayerContext<'_>) -> Circuit {
-        let mut out = Circuit::new();
-        for slot in circuit.slots() {
-            let mut out_slot = TimeSlot::new();
-            let mut pre_slots: Vec<TimeSlot> = Vec::new();
-            for op in slot {
-                let (flush, forward) = self.track(op);
-                pre_slots.extend(flush);
-                if forward {
-                    out_slot.push(op.clone());
-                }
-            }
-            for pre in pre_slots {
-                out.push_slot(pre);
-            }
-            if out_slot.is_empty() {
-                self.filtered_slots += 1;
-            } else {
-                out.push_slot(out_slot);
-            }
-        }
-        out
+    fn process_circuit(&mut self, mut circuit: Circuit, _ctx: &mut LayerContext<'_>) -> Circuit {
+        // The stream is filtered as it passes (Figs 3.10-3.12): absorbed
+        // Pauli gates leave their slot, flush slots go in ahead of the
+        // non-Clifford gate, and nothing else is copied.
+        let emptied = circuit.retain_operations(|op, before| self.track(op, before));
+        self.filtered_slots += emptied;
+        circuit
     }
 
     fn process_measurement(&mut self, qubit: usize, raw: bool) -> bool {

@@ -26,6 +26,8 @@ pub struct ControlStack<C> {
     rng: StdRng,
     error_model: Option<DepolarizingModel>,
     state: State,
+    /// Scratch occupancy map for the idle-error pass of one slot.
+    busy: Vec<bool>,
 }
 
 impl<C: Core> ControlStack<C> {
@@ -39,6 +41,7 @@ impl<C: Core> ControlStack<C> {
             rng: StdRng::from_entropy(),
             error_model: None,
             state: State::default(),
+            busy: Vec::new(),
         }
     }
 
@@ -337,16 +340,26 @@ impl<C: Core> ControlStack<C> {
         }
         // Idle errors: every qubit not touched this slot idles for one
         // time slot, which the model treats as an identity operation.
+        // One pass marks the busy qubits; idlers are drawn in ascending
+        // qubit order.
         if inject {
+            self.busy.clear();
+            self.busy.resize(n, false);
+            for op in slot {
+                for &q in op.qubits() {
+                    self.busy[q] = true;
+                }
+            }
             for q in 0..n {
-                if !slot.uses_qubit(q) {
-                    let err = match self.error_model.as_mut() {
-                        Some(model) => model.sample_idle(&mut self.rng),
-                        None => None,
-                    };
-                    if let Some(p) = err {
-                        self.apply_error(q, p)?;
-                    }
+                if self.busy[q] {
+                    continue;
+                }
+                let err = match self.error_model.as_mut() {
+                    Some(model) => model.sample_idle(&mut self.rng),
+                    None => None,
+                };
+                if let Some(p) = err {
+                    self.apply_error(q, p)?;
                 }
             }
         }
@@ -377,8 +390,7 @@ impl<C: Core> ControlStack<C> {
             ref qubits => {
                 // Three-qubit gates (outside the paper's error analysis):
                 // independent single-qubit depolarizing per operand.
-                let qubits = qubits.to_vec();
-                for q in qubits {
+                for &q in qubits {
                     let err = match self.error_model.as_mut() {
                         Some(model) => model.sample_single(&mut self.rng),
                         None => None,

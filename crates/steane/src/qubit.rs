@@ -79,6 +79,8 @@ pub struct SteaneQubit {
     layout: SteaneLayout,
     x_tracker: SteaneTracker,
     z_tracker: SteaneTracker,
+    /// The ESM round, built once; every round executes a clone.
+    esm: Circuit,
 }
 
 impl SteaneQubit {
@@ -86,6 +88,7 @@ impl SteaneQubit {
     #[must_use]
     pub fn new(layout: SteaneLayout) -> Self {
         SteaneQubit {
+            esm: esm_circuit(&layout),
             layout,
             x_tracker: SteaneTracker::new(),
             z_tracker: SteaneTracker::new(),
@@ -160,7 +163,7 @@ impl SteaneQubit {
         }
         stack.execute_diagnostic(circuit)?;
 
-        stack.execute_diagnostic(esm_circuit(&self.layout))?;
+        stack.execute_diagnostic(self.esm.clone())?;
         let (x_round, z_round) = self.read_syndromes(stack);
         // Gauge-fix the random first-round checks: Z corrections for X
         // checks, X corrections for Z checks (the other family must read
@@ -173,7 +176,7 @@ impl SteaneQubit {
             stack.execute_diagnostic(circuit)?;
         }
         for _ in 0..2 {
-            stack.execute_diagnostic(esm_circuit(&self.layout))?;
+            stack.execute_diagnostic(self.esm.clone())?;
             let (x_round, z_round) = self.read_syndromes(stack);
             debug_assert_eq!(x_round, [false; 3], "gauge fixed");
             debug_assert_eq!(z_round, [false; 3], "error-free initialization");
@@ -289,9 +292,9 @@ impl SteaneQubit {
         &mut self,
         stack: &mut ControlStack<C>,
     ) -> Result<SteaneWindowReport, CoreError> {
-        stack.execute_now(esm_circuit(&self.layout))?;
+        stack.execute_now(self.esm.clone())?;
         let (x1, z1) = self.read_syndromes(stack);
-        stack.execute_now(esm_circuit(&self.layout))?;
+        stack.execute_now(self.esm.clone())?;
         let (x2, z2) = self.read_syndromes(stack);
         let z_correction = self.x_tracker.process_window(x1, x2); // Z fix
         let x_correction = self.z_tracker.process_window(z1, z2); // X fix
@@ -316,7 +319,7 @@ impl SteaneQubit {
         &mut self,
         stack: &mut ControlStack<C>,
     ) -> Result<bool, CoreError> {
-        stack.execute_diagnostic(esm_circuit(&self.layout))?;
+        stack.execute_diagnostic(self.esm.clone())?;
         let (x_round, z_round) = self.read_syndromes(stack);
         Ok(x_round != self.x_tracker.reference() || z_round != self.z_tracker.reference())
     }

@@ -124,7 +124,9 @@ pub fn run_distance_ler(config: &DistanceLerConfig) -> Result<DistanceLerOutcome
     stack.set_error_model(DepolarizingModel::new(config.physical_error_rate));
     stack.create_qubits(code.num_qubits())?;
 
-    initialize_zero(&mut stack, &code, &z_decoder)?;
+    // Built once; every round executes a clone.
+    let esm = code.esm_circuit();
+    initialize_zero(&mut stack, &code, &esm, &z_decoder)?;
     above_counts.reset();
     below_counts.reset();
 
@@ -144,7 +146,7 @@ pub fn run_distance_ler(config: &DistanceLerConfig) -> Result<DistanceLerOutcome
         for _ in 0..rounds / 2 {
             let mut pair: Vec<(Vec<bool>, Vec<bool>)> = Vec::with_capacity(2);
             for _ in 0..2 {
-                stack.execute_now(code.esm_circuit())?;
+                stack.execute_now(esm.clone())?;
                 pair.push(read_syndromes(&stack, &code));
             }
             let stable = |a: &Vec<bool>, b: &Vec<bool>| -> Vec<bool> {
@@ -166,7 +168,7 @@ pub fn run_distance_ler(config: &DistanceLerConfig) -> Result<DistanceLerOutcome
         }
         windows += 1;
 
-        if !has_observable_error(&mut stack, &code)? {
+        if !has_observable_error(&mut stack, &code, &esm)? {
             if let Some(value) = logical_z_value(&mut stack, &code) {
                 if value != reference {
                     logical_errors += 1;
@@ -193,6 +195,7 @@ pub fn run_distance_ler(config: &DistanceLerConfig) -> Result<DistanceLerOutcome
 fn initialize_zero(
     stack: &mut ControlStack<ChpCore>,
     code: &RotatedSurfaceCode,
+    esm: &Circuit,
     z_decoder: &MatchingDecoder,
 ) -> Result<(), CoreError> {
     let mut circuit = Circuit::new();
@@ -201,7 +204,7 @@ fn initialize_zero(
     }
     stack.execute_diagnostic(circuit)?;
 
-    stack.execute_diagnostic(code.esm_circuit())?;
+    stack.execute_diagnostic(esm.clone())?;
     let (x_synd, z_synd) = read_syndromes(stack, code);
     debug_assert!(
         z_synd.iter().all(|s| !s),
@@ -219,7 +222,7 @@ fn initialize_zero(
         stack.execute_diagnostic(circuit)?;
     }
     for _ in 0..code.distance() - 1 {
-        stack.execute_diagnostic(code.esm_circuit())?;
+        stack.execute_diagnostic(esm.clone())?;
         let (x_synd, z_synd) = read_syndromes(stack, code);
         debug_assert!(x_synd.iter().all(|s| !s), "gauge fixed");
         debug_assert!(z_synd.iter().all(|s| !s), "error-free initialization");
@@ -243,8 +246,9 @@ fn read_syndromes(
 fn has_observable_error(
     stack: &mut ControlStack<ChpCore>,
     code: &RotatedSurfaceCode,
+    esm: &Circuit,
 ) -> Result<bool, CoreError> {
-    stack.execute_diagnostic(code.esm_circuit())?;
+    stack.execute_diagnostic(esm.clone())?;
     let (x_synd, z_synd) = read_syndromes(stack, code);
     Ok(x_synd.iter().any(|s| *s) || z_synd.iter().any(|s| *s))
 }

@@ -36,6 +36,9 @@ pub struct NinjaStar {
     x_tracker: SyndromeTracker,
     /// Z-parity checks — detect X errors.
     z_tracker: SyndromeTracker,
+    /// ESM rounds built on first use, one per `(Rotation, DanceMode)`;
+    /// every round executes a clone.
+    esm_rounds: [Option<Circuit>; 4],
 }
 
 impl NinjaStar {
@@ -48,6 +51,7 @@ impl NinjaStar {
             props: StarProperties::default(),
             x_tracker: SyndromeTracker::new(&StarLayout::x_check_supports(Rotation::Normal)),
             z_tracker: SyndromeTracker::new(&StarLayout::z_check_supports(Rotation::Normal)),
+            esm_rounds: Default::default(),
         }
     }
 
@@ -134,7 +138,7 @@ impl NinjaStar {
 
         // Step 2: first ESM round fixes the gauge — the first X-check
         // outcomes on |0..0> (or Z-check outcomes on |+..+>) are random.
-        stack.execute_diagnostic(esm_circuit(&self.layout, Rotation::Normal, DanceMode::All))?;
+        stack.execute_diagnostic(self.esm_round(DanceMode::All))?;
         let (x_round, z_round) = self.read_syndromes(stack);
 
         // Step 3: decode the -1 readings into corrections. -1 on an
@@ -150,11 +154,7 @@ impl NinjaStar {
 
         // Steps 4-5: the remaining d-1 rounds confirm a clean state.
         for _ in 0..2 {
-            stack.execute_diagnostic(esm_circuit(
-                &self.layout,
-                Rotation::Normal,
-                DanceMode::All,
-            ))?;
+            stack.execute_diagnostic(self.esm_round(DanceMode::All))?;
             let (x_round, z_round) = self.read_syndromes(stack);
             debug_assert_eq!(x_round, [false; 4], "gauge fixed by initialization decode");
             debug_assert_eq!(z_round, [false; 4], "error-free initialization");
@@ -284,11 +284,7 @@ impl NinjaStar {
         // Step 2: partial ESM (Z-parity ancillas only), diagnostic so the
         // readout verification itself is noise-free classical logic.
         self.props.dance_mode = DanceMode::ZOnly;
-        stack.execute_diagnostic(esm_circuit(
-            &self.layout,
-            self.props.rotation,
-            DanceMode::ZOnly,
-        ))?;
+        stack.execute_diagnostic(self.esm_round(DanceMode::ZOnly))?;
         let (_, z_round) = self.read_syndromes(stack);
 
         // Step 3: mismatches against the expected Z syndromes reveal X
@@ -354,11 +350,7 @@ impl NinjaStar {
             DanceMode::All,
             "windows need the full ESM dance; re-initialize the star"
         );
-        stack.execute_now(esm_circuit(
-            &self.layout,
-            self.props.rotation,
-            DanceMode::All,
-        ))?;
+        stack.execute_now(self.esm_round(DanceMode::All))?;
         Ok(self.read_syndromes(stack))
     }
 
@@ -406,11 +398,7 @@ impl NinjaStar {
         &mut self,
         stack: &mut ControlStack<C>,
     ) -> Result<bool, CoreError> {
-        stack.execute_diagnostic(esm_circuit(
-            &self.layout,
-            self.props.rotation,
-            DanceMode::All,
-        ))?;
+        stack.execute_diagnostic(self.esm_round(DanceMode::All))?;
         let (x_round, z_round) = self.read_syndromes(stack);
         Ok(x_round != self.x_tracker.reference() || z_round != self.z_tracker.reference())
     }
@@ -476,6 +464,17 @@ impl NinjaStar {
 
     // ---- helpers -------------------------------------------------------------
 
+    /// One ESM round in the current orientation and the given dance mode,
+    /// built on first use and cloned for every later round.
+    fn esm_round(&mut self, dance: DanceMode) -> Circuit {
+        let rotation = self.props.rotation;
+        let index =
+            2 * (rotation == Rotation::Rotated) as usize + (dance == DanceMode::ZOnly) as usize;
+        self.esm_rounds[index]
+            .get_or_insert_with(|| esm_circuit(&self.layout, rotation, dance))
+            .clone()
+    }
+
     /// Reads the latest `(x_checks, z_checks)` syndromes from the stack's
     /// classical state, in Table 2.1 check order. `true` = `-1`.
     fn read_syndromes<C: Core>(&self, stack: &ControlStack<C>) -> ([bool; 4], [bool; 4]) {
@@ -540,6 +539,21 @@ mod tests {
             obs.set_op(q, Pauli::Z);
         }
         stack.core_mut().simulator_mut().unwrap().expectation(&obs)
+    }
+
+    #[test]
+    fn cached_esm_rounds_match_fresh_builds_in_every_orientation() {
+        let mut star = star();
+        for rotation in [Rotation::Normal, Rotation::Rotated] {
+            star.props.rotation = rotation;
+            for dance in [DanceMode::All, DanceMode::ZOnly] {
+                let fresh = esm_circuit(&star.layout, rotation, dance);
+                assert_eq!(star.esm_round(dance), fresh);
+                // The second call is served from the cache.
+                assert_eq!(star.esm_round(dance), fresh);
+            }
+        }
+        assert!(star.esm_rounds.iter().all(Option::is_some));
     }
 
     #[test]

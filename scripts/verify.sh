@@ -98,6 +98,10 @@ echo "== sliced oracle: 64-lane engine vs scalar twins (release) =="
 # driver, with and without the Pauli-frame layer.
 cargo test -q --offline --release -p qpdo-stabilizer --test sliced_oracle
 cargo test -q --offline --release -p qpdo-surface17 --lib 'sliced::'
+# Stack-level byte identity (packed vs reference tableau through the
+# whole Fig 5.8 stack, frame on and off) in the shipped codegen: every
+# operation flows through the streamed layers this checks.
+cargo test -q --offline --release -p qpdo-surface17 --test engine_equivalence
 
 # Throwaway output directory for every smoke artifact below.
 smoke_out=$(mktemp -d)
