@@ -24,7 +24,11 @@
 //!   rule `logical_z_value` applies to a stack's frame. Up to 16
 //!   syndrome bits (d ≤ 5) a lazily filled syndrome → parity table sits
 //!   in front of the decoder, so each distinct syndrome is decoded once
-//!   per sweep point and worker thread.
+//!   per sweep point and worker thread. Above that (d ≥ 7) each batch's
+//!   decodes fan out over every core: the calling thread and one scoped
+//!   helper thread per further core claim lanes from a shared counter,
+//!   and the caller gathers their bits. Each bit depends only on its
+//!   lane's syndrome, so the outcome does not depend on the scheduling.
 //!
 //! The sweep has one loop, [`run_ler_surface_controlled`]: polled for
 //! cancellation per batch, resumable from a [`Checkpoint`] and
@@ -34,6 +38,10 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
+use std::thread::{self, Thread};
+use std::time::{Duration, Instant};
 
 use qpdo_core::{
     Checkpoint, ChpCore, ControlStack, CoreError, CounterLayer, DepolarizingModel, ErrorCounts,
@@ -343,12 +351,16 @@ impl SurfaceLerOutcome {
 /// one noiseless ESM round on [`ShotSlicedSim`] per sweep point and
 /// worker thread, then per 64-shot batch a [`LanePauliFrame`] of i.i.d.
 /// data errors pushed through the same ESM circuit, union-find decoding
-/// of every live lane (once per distinct syndrome at d ≤ 5), and a
-/// packed logical-failure readout.
+/// of every live lane (once per distinct syndrome at d ≤ 5, spread over
+/// every core at d ≥ 7), and a packed logical-failure readout.
 ///
 /// `(shots, failures, defects)` depend only on the error words, the
 /// first draws of each batch's RNG substream, so they are identical to
-/// re-executing the noisy round on the tableau every batch.
+/// re-executing the noisy round on the tableau every batch, and to
+/// decoding every lane on one thread.
+///
+/// At d ≥ 7 a run uses every core of the host (see
+/// [`run_ler_surface_controlled`]), so concurrent runs share them.
 ///
 /// # Errors
 ///
@@ -493,6 +505,58 @@ impl FrameReference {
                 }
             })
     }
+
+    fn buffers(&self) -> BatchBuffers {
+        BatchBuffers {
+            frame: LanePauliFrame::new(self.code.num_qubits()),
+            err: vec![0; self.code.num_data_qubits()],
+            meas: vec![0; self.code.num_qubits()],
+        }
+    }
+
+    /// Samples, extracts and decodes one 64-lane batch, of which the
+    /// first `live` lanes count; returns the per-lane logical failure
+    /// word. `decode` is a [`with_decode_pool`] lane decoder.
+    fn sample_batch(
+        &self,
+        p: f64,
+        live: usize,
+        rng: &mut StdRng,
+        buf: &mut BatchBuffers,
+        decode: &mut dyn FnMut(usize, &[u64]) -> u64,
+    ) -> u64 {
+        // I.i.d. data errors, one lane word each: the batch substream's
+        // first draws, so the outcome depends on nothing else.
+        for word in &mut buf.err {
+            *word = 0;
+            for lane in 0..LANES {
+                if rng.gen_bool(p) {
+                    *word |= 1 << lane;
+                }
+            }
+        }
+        self.sample(&mut buf.frame, &buf.err, rng, &mut buf.meas);
+        // Checks of the other kind detect the error.
+        #[cfg(debug_assertions)]
+        for ch in (self.code.checks().iter()).filter(|ch| ch.kind != self.error) {
+            let expect = ch.support.iter().fold(0u64, |acc, &q| acc ^ buf.err[q]);
+            debug_assert_eq!(
+                buf.meas[ch.ancilla], expect,
+                "packed syndrome plane disagrees with check supports (ancilla {})",
+                ch.ancilla
+            );
+        }
+        let parity = decode(live, &buf.meas);
+        let fail_word = self.failure_word(&buf.frame, parity);
+        // Cross-check against pure classical bookkeeping: a lane fails
+        // iff error ⊕ correction overlaps the logical support oddly.
+        debug_assert_eq!(
+            fail_word,
+            (self.logical.iter()).fold(parity, |acc, &q| acc ^ buf.err[q]),
+            "frame and classical failure words differ"
+        );
+        fail_word
+    }
 }
 
 /// Executes an ESM round on the sliced tableau, writing each measured
@@ -541,10 +605,9 @@ fn esm_on_tableau(
 /// 4, d = 5 has 12 (a 4 KiB table); d = 7's 24 would need 16 MiB.
 const PARITY_TABLE_MAX_BITS: usize = 16;
 
-/// One warm sweep point: the union-find decoder, the frame reference
-/// and the decoded-parity table of a `(distance, error kind)` pair.
+/// One warm sweep point: the frame reference, the decoded-parity table
+/// and the lane decoders of a `(distance, error kind)` pair.
 struct SweepPoint {
-    decoder: UnionFindDecoder,
     reference: FrameReference,
     /// Entry `i` is the parity on the logical support of the union-find
     /// correction of packed syndrome `i` (bit `k` = detecting check
@@ -554,6 +617,12 @@ struct SweepPoint {
     /// seeds, error rates or shot counts. Empty above
     /// [`PARITY_TABLE_MAX_BITS`] syndrome bits.
     table: Vec<Option<bool>>,
+    /// One lane decoder per thread that decodes this point's batches,
+    /// the calling thread's first. A point without a table grows one
+    /// per decode helper thread the first time a run fans out, on the
+    /// calling thread, and keeps them across runs and jobs: a helper
+    /// allocates nothing.
+    decoders: Vec<LaneDecoder>,
 }
 
 /// Per-run working buffers, allocated once per run and reused by every
@@ -564,15 +633,13 @@ struct BatchBuffers {
     err: Vec<u64>,
     /// Outcome word per measured qubit.
     meas: Vec<u64>,
-    syndrome: Vec<bool>,
-    correction: Vec<usize>,
 }
 
 impl SweepPoint {
     fn new(distance: usize, error: CheckKind) -> Self {
-        let code = RotatedSurfaceCode::new(distance);
-        let decoder = UnionFindDecoder::new(&code, error);
-        let len = decoder.syndrome_len();
+        let reference = FrameReference::new(RotatedSurfaceCode::new(distance), error);
+        let own = LaneDecoder::new(&reference);
+        let len = own.decoder.syndrome_len();
         let entries = if len <= PARITY_TABLE_MAX_BITS {
             1 << len
         } else {
@@ -580,126 +647,120 @@ impl SweepPoint {
         };
         SweepPoint {
             table: vec![None; entries],
-            decoder,
-            reference: FrameReference::new(code, error),
+            decoders: vec![own],
+            reference,
         }
     }
 
-    fn buffers(&self) -> BatchBuffers {
-        let code = &self.reference.code;
-        BatchBuffers {
-            frame: LanePauliFrame::new(code.num_qubits()),
-            err: vec![0; code.num_data_qubits()],
-            meas: vec![0; code.num_qubits()],
-            syndrome: vec![false; self.reference.ancillas.len()],
+    /// Threads that decode this point's batches: one where the parity
+    /// table, filled as lanes decode, serves most lanes (d ≤ 5), else
+    /// every core.
+    fn threads(&self) -> usize {
+        if self.table.is_empty() {
+            decode_threads()
+        } else {
+            1
+        }
+    }
+}
+
+/// The host's cores, asked once per process, up to one per lane.
+fn decode_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS
+        .get_or_init(|| thread::available_parallelism().map_or(1, |cores| cores.get().min(LANES)))
+}
+
+/// One decoding thread's union-find decoder and lane buffers, aligned
+/// to its own cache lines so that neighbouring threads' decoders in a
+/// sweep point do not share one.
+#[repr(align(128))]
+struct LaneDecoder {
+    decoder: UnionFindDecoder,
+    /// Outcome word of each detecting check, in decoder order: bit
+    /// `lane` is that lane's syndrome bit.
+    words: Vec<u64>,
+    syndrome: Vec<bool>,
+    correction: Vec<usize>,
+}
+
+impl LaneDecoder {
+    /// A decoder with all its scratch allocated, on the calling thread.
+    fn new(reference: &FrameReference) -> Self {
+        let decoder = UnionFindDecoder::new(&reference.code, reference.error);
+        let len = decoder.syndrome_len();
+        LaneDecoder {
+            decoder,
+            words: vec![0; len],
+            syndrome: vec![false; len],
             // A correction touches each data qubit at most once, so the
             // decode path never grows this buffer mid-run.
-            correction: Vec::with_capacity(code.num_data_qubits()),
+            correction: Vec::with_capacity(reference.code.num_data_qubits()),
         }
     }
 
-    /// Samples, extracts and decodes one 64-lane batch, of which the
-    /// first `live` lanes count; returns the per-lane logical failure
-    /// word.
-    fn sample_batch(
-        &mut self,
-        p: f64,
-        live: usize,
-        rng: &mut StdRng,
-        buf: &mut BatchBuffers,
-    ) -> u64 {
-        let reference = &self.reference;
-        // I.i.d. data errors, one lane word each: the batch substream's
-        // first draws, so the outcome depends on nothing else.
-        for word in &mut buf.err {
-            *word = 0;
-            for lane in 0..LANES {
-                if rng.gen_bool(p) {
-                    *word |= 1 << lane;
-                }
-            }
+    /// Loads `words` from a batch's outcome words.
+    fn gather(&mut self, reference: &FrameReference, meas: &[u64]) {
+        for (word, &anc) in self.words.iter_mut().zip(&reference.ancillas) {
+            *word = meas[anc];
         }
-        reference.sample(&mut buf.frame, &buf.err, rng, &mut buf.meas);
-        // Checks of the other kind detect the error.
-        #[cfg(debug_assertions)]
-        for ch in reference
-            .code
-            .checks()
-            .iter()
-            .filter(|ch| ch.kind != reference.error)
-        {
-            let expect = ch.support.iter().fold(0u64, |acc, &q| acc ^ buf.err[q]);
-            debug_assert_eq!(
-                buf.meas[ch.ancilla], expect,
-                "packed syndrome plane disagrees with check supports (ancilla {})",
-                ch.ancilla
-            );
+    }
+
+    /// Runs the decoder on lane `lane` of `words`; returns the parity of
+    /// its correction on the logical support.
+    fn decode(&mut self, reference: &FrameReference, lane: usize) -> bool {
+        for (s, &word) in self.syndrome.iter_mut().zip(&self.words) {
+            *s = (word >> lane) & 1 == 1;
         }
-        let parity = self.decode_lanes(live, buf);
-        let reference = &self.reference;
-        let fail_word = reference.failure_word(&buf.frame, parity);
-        // Cross-check against pure classical bookkeeping: a lane fails
-        // iff error ⊕ correction overlaps the logical support oddly.
-        debug_assert_eq!(
-            fail_word,
+        self.decoder
+            .decode_into(&self.syndrome, &mut self.correction);
+        // The correction annihilates the lane's syndrome:
+        // `code.syndrome_of(correction)` without its allocation, so debug
+        // builds stay off the heap too.
+        debug_assert!(
             reference
-                .logical
+                .code
+                .checks()
                 .iter()
-                .fold(parity, |acc, &q| acc ^ buf.err[q]),
-            "frame and classical failure words differ"
+                .filter(|ch| ch.kind != reference.error)
+                .zip(&self.syndrome)
+                .all(|(ch, &s)| {
+                    let hits = ch.support.iter().filter(|q| self.correction.contains(q));
+                    (hits.count() % 2 == 1) == s
+                }),
+            "union-find correction does not annihilate its syndrome"
         );
-        fail_word
+        self.correction
+            .iter()
+            .filter(|&&q| reference.on_logical[q])
+            .count()
+            % 2
+            == 1
     }
 
-    /// The parity word of the first `live` lanes' corrections on the
-    /// logical support, for the syndromes in `buf.meas`. A lane whose
-    /// syndrome is in the table reads its bit; any other lane runs the
-    /// decoder and, if the point has a table, records the result.
-    fn decode_lanes(&mut self, live: usize, buf: &mut BatchBuffers) -> u64 {
-        let reference = &self.reference;
+    /// The parity word of the first `live` lanes of `words`, decoded on
+    /// this thread. A lane whose syndrome is in `table` reads its bit;
+    /// any other lane runs the decoder and, if there is a table, records
+    /// the result.
+    fn decode_lanes(
+        &mut self,
+        reference: &FrameReference,
+        table: &mut [Option<bool>],
+        live: usize,
+    ) -> u64 {
         let mut parity = 0u64;
         for lane in 0..live {
-            let index = (!self.table.is_empty()).then(|| {
-                reference
-                    .ancillas
-                    .iter()
-                    .enumerate()
-                    .fold(0, |index, (k, &anc)| {
-                        index | (((buf.meas[anc] >> lane) & 1) as usize) << k
-                    })
+            let index = (!table.is_empty()).then(|| {
+                (self.words.iter().enumerate()).fold(0, |index, (k, &word)| {
+                    index | (((word >> lane) & 1) as usize) << k
+                })
             });
-            let bit = match index.and_then(|i| self.table[i]) {
+            let bit = match index.and_then(|i| table[i]) {
                 Some(bit) => bit,
                 None => {
-                    for (s, &anc) in buf.syndrome.iter_mut().zip(&reference.ancillas) {
-                        *s = (buf.meas[anc] >> lane) & 1 == 1;
-                    }
-                    self.decoder.decode_into(&buf.syndrome, &mut buf.correction);
-                    // The correction annihilates the lane's syndrome:
-                    // `code.syndrome_of(correction)` without its
-                    // allocation, so debug builds stay off the heap too.
-                    debug_assert!(
-                        reference
-                            .code
-                            .checks()
-                            .iter()
-                            .filter(|ch| ch.kind != reference.error)
-                            .zip(&buf.syndrome)
-                            .all(|(ch, &s)| {
-                                let hits = ch.support.iter().filter(|q| buf.correction.contains(q));
-                                (hits.count() % 2 == 1) == s
-                            }),
-                        "union-find correction does not annihilate its syndrome"
-                    );
-                    let bit = buf
-                        .correction
-                        .iter()
-                        .filter(|&&q| reference.on_logical[q])
-                        .count()
-                        % 2
-                        == 1;
+                    let bit = self.decode(reference, lane);
                     if let Some(i) = index {
-                        self.table[i] = Some(bit);
+                        table[i] = Some(bit);
                     }
                     bit
                 }
@@ -710,18 +771,245 @@ impl SweepPoint {
     }
 }
 
+/// Runs `body` with the point's frame reference and a lane decoder
+/// `decode(live, meas)` that returns the correction parity word of the
+/// first `live` lanes of a batch's outcome words `meas`.
+///
+/// With one thread the calling thread decodes every lane through the
+/// parity table. With more, a scope holds `threads − 1` helper threads
+/// for the whole of `body`: per batch the caller posts its syndrome
+/// words, every thread, the caller included, claims lanes from one
+/// atomic counter, and the caller ORs its own lanes' bits with those
+/// the helpers record. Each bit depends only on its lane's syndrome, so
+/// the word does not depend on which thread decoded which lane. The
+/// table is left alone, which is why only table-less points fan out.
+/// The helpers borrow their decoders from the point, so every exit
+/// path, a panic included, leaves them there.
+fn with_decode_pool<R>(
+    point: &mut SweepPoint,
+    threads: usize,
+    body: impl FnOnce(&FrameReference, &mut dyn FnMut(usize, &[u64]) -> u64) -> R,
+) -> R {
+    let SweepPoint {
+        reference,
+        table,
+        decoders,
+    } = point;
+    let reference = &*reference;
+    if threads <= 1 {
+        let own = &mut decoders[0];
+        return body(reference, &mut |live, meas| {
+            own.gather(reference, meas);
+            own.decode_lanes(reference, table, live)
+        });
+    }
+    debug_assert!(table.is_empty(), "only table-less points fan out");
+    while decoders.len() < threads {
+        decoders.push(LaneDecoder::new(reference));
+    }
+    let (own, helpers) = decoders.split_at_mut(1);
+    let own = &mut own[0];
+    let pool = DecodePool::new(own.words.len());
+    thread::scope(|scope| {
+        // Dropped before the scope joins the helpers, also if a spawn
+        // or `body` panics.
+        let mut handle = PoolHandle {
+            pool: &pool,
+            helpers: Vec::with_capacity(threads - 1),
+        };
+        for helper in &mut helpers[..threads - 1] {
+            let pool = &pool;
+            let spawned = scope.spawn(move || pool.help(helper, reference));
+            handle.helpers.push(spawned.thread().clone());
+        }
+        body(reference, &mut |live, meas| {
+            own.gather(reference, meas);
+            handle.decode(own, reference, live)
+        })
+    })
+}
+
+/// The hand-off between a run's calling thread and its decode helpers.
+///
+/// The caller never waits long for a helper: a helper descheduled in
+/// the middle of a lane (by another process or the hypervisor) would
+/// stall the whole batch, so after a short wait the caller decodes that
+/// lane again itself. A decode depends only on the lane's syndrome, so
+/// both give the same bit, and a helper's late result is told apart by
+/// its batch number.
+///
+/// Orderings: the caller writes a batch (`words`, `live`) and resets
+/// `claim` with `Relaxed` stores, then publishes them with a `Release`
+/// store of `posted`, which a helper loads with `Acquire` before it
+/// reads them. A helper may read a later batch's words mixed in, so it
+/// decodes a lane only if its claim, an `AcqRel` read-modify-write,
+/// returns the batch it read: that claim then precedes the caller's
+/// last claim of the batch, which comes before the caller writes the
+/// next one. `lanes` values carry their batch number and bit in one
+/// word, so they are `Relaxed`; `closed` pairs `Release` with
+/// `Acquire`.
+struct DecodePool {
+    /// The number of the posted batch (from 1).
+    posted: AtomicU64,
+    /// Set when the run is over; the helpers return.
+    closed: AtomicBool,
+    /// The posted batch: its live lane count and syndrome words.
+    live: AtomicUsize,
+    words: Vec<AtomicU64>,
+    /// The posted batch's number (mod 2^32) in the high half and its
+    /// next unclaimed lane in the low half.
+    claim: AtomicU64,
+    /// Per lane, the last helper result: `batch << 1 | parity bit`.
+    lanes: [AtomicU64; LANES],
+}
+
+/// How long an idle helper yields before it parks: a few times a
+/// d = 13 batch's serial part. Unparking a thread can take longer than
+/// that on a virtual machine, and yielding rather than spinning leaves
+/// the core to other runnable threads on an oversubscribed host.
+const YIELD_FOR: Duration = Duration::from_micros(200);
+
+/// The calling thread's end of a decode pool: posts batches to the
+/// helpers, and closes the pool when dropped, also on unwind, so that
+/// the scope can join them.
+struct PoolHandle<'a> {
+    pool: &'a DecodePool,
+    helpers: Vec<Thread>,
+}
+
+impl Drop for PoolHandle<'_> {
+    fn drop(&mut self) {
+        self.pool.closed.store(true, Ordering::Release);
+        for helper in &self.helpers {
+            helper.unpark();
+        }
+    }
+}
+
+impl PoolHandle<'_> {
+    /// Decodes the first `live` lanes of `own.words` on the calling
+    /// thread and the helpers; returns their parity word.
+    fn decode(&self, own: &mut LaneDecoder, reference: &FrameReference, live: usize) -> u64 {
+        let batch = self.pool.post(&own.words, live);
+        for helper in &self.helpers {
+            helper.unpark();
+        }
+        self.pool.finish(own, reference, batch, live)
+    }
+}
+
+impl DecodePool {
+    fn new(checks: usize) -> Self {
+        DecodePool {
+            posted: AtomicU64::new(0),
+            closed: AtomicBool::new(false),
+            live: AtomicUsize::new(0),
+            words: (0..checks).map(|_| AtomicU64::new(0)).collect(),
+            claim: AtomicU64::new(0),
+            lanes: [const { AtomicU64::new(0) }; LANES],
+        }
+    }
+
+    /// Claims the next lane of batch `batch`, if that batch is still
+    /// the posted one and has a lane left below `live`.
+    fn claim(&self, batch: u64, live: usize) -> Option<usize> {
+        let claim = self.claim.fetch_add(1, Ordering::AcqRel);
+        let lane = (claim & u64::from(u32::MAX)) as usize;
+        (claim >> 32 == batch & u64::from(u32::MAX) && lane < live).then_some(lane)
+    }
+
+    /// Posts the next batch, the first `live` lanes of `words`; returns
+    /// its number.
+    fn post(&self, words: &[u64], live: usize) -> u64 {
+        let batch = self.posted.load(Ordering::Relaxed) + 1;
+        for (posted, &word) in self.words.iter().zip(words) {
+            posted.store(word, Ordering::Relaxed);
+        }
+        self.live.store(live, Ordering::Relaxed);
+        self.claim.store(batch << 32, Ordering::Relaxed);
+        self.posted.store(batch, Ordering::Release);
+        batch
+    }
+
+    /// The calling thread's part of posted batch `batch`: decodes the
+    /// lanes it claims, then gathers the helpers' bits, waiting about
+    /// two of its own decodes for them before it decodes a straggler's
+    /// lane itself. Returns the batch's parity word.
+    fn finish(
+        &self,
+        own: &mut LaneDecoder,
+        reference: &FrameReference,
+        batch: u64,
+        live: usize,
+    ) -> u64 {
+        let start = Instant::now();
+        let (mut parity, mut mine) = (0u64, 0u64);
+        while let Some(lane) = self.claim(batch, live) {
+            parity |= u64::from(own.decode(reference, lane)) << lane;
+            mine |= 1 << lane;
+        }
+        let deadline = Instant::now() + start.elapsed() * 2 / mine.count_ones().max(1);
+        for lane in (0..live).filter(|&lane| (mine >> lane) & 1 == 0) {
+            let bit = loop {
+                let result = self.lanes[lane].load(Ordering::Relaxed);
+                if result >> 1 == batch {
+                    break result & 1 == 1;
+                }
+                if Instant::now() >= deadline {
+                    break own.decode(reference, lane);
+                }
+                thread::yield_now();
+            };
+            parity |= u64::from(bit) << lane;
+        }
+        parity
+    }
+
+    /// A helper thread: decodes lanes of the posted batch and records
+    /// their bits in `lanes`, until the pool closes.
+    fn help(&self, decoder: &mut LaneDecoder, reference: &FrameReference) {
+        let mut seen = 0;
+        loop {
+            let start = Instant::now();
+            while self.posted.load(Ordering::Acquire) == seen
+                && !self.closed.load(Ordering::Acquire)
+            {
+                if start.elapsed() < YIELD_FOR {
+                    thread::yield_now();
+                } else {
+                    thread::park();
+                }
+            }
+            if self.closed.load(Ordering::Acquire) {
+                return;
+            }
+            seen = self.posted.load(Ordering::Acquire);
+            for (word, posted) in decoder.words.iter_mut().zip(&self.words) {
+                *word = posted.load(Ordering::Relaxed);
+            }
+            let live = self.live.load(Ordering::Relaxed);
+            while let Some(lane) = self.claim(seen, live) {
+                let bit = decoder.decode(reference, lane);
+                self.lanes[lane].store(seen << 1 | u64::from(bit), Ordering::Relaxed);
+            }
+        }
+    }
+}
+
 thread_local! {
     // One warm sweep point per (distance, error kind) per worker thread:
-    // the union-find scratch arrays inside the decoder survive across
-    // decode calls *and* across jobs hitting the same sweep point, and
-    // the frame reference means the tableau runs once per point, not
-    // once per batch, and the parity table keeps every syndrome decoded
-    // so far — so the serving path pays decoder construction, the
-    // reference ESM round, each distinct d ≤ 5 decode and steady-state
-    // allocation once per worker (ROADMAP: decoder throughput on the
-    // serving path). The
-    // entry is taken out of the map for the duration of a run and put
-    // back after, so the cache is never borrowed across user code.
+    // the union-find scratch arrays inside its lane decoders survive
+    // across decode calls *and* across jobs hitting the same sweep
+    // point, the frame reference means the tableau runs once per point,
+    // not once per batch, and the parity table keeps every syndrome
+    // decoded so far — so the serving path pays decoder construction,
+    // the reference ESM round, each distinct d ≤ 5 decode and
+    // steady-state allocation once per worker (ROADMAP: decoder
+    // throughput on the serving path). At d ≥ 7 the entry also holds
+    // the decoders of the run's helper threads, which borrow them for
+    // the run; they are not per-thread caches of their own. The entry
+    // is taken out of the map for the duration of a run and put back
+    // after, so the cache is never borrowed across user code.
     static DECODER_CACHE: RefCell<HashMap<(usize, CheckKind), SweepPoint>> =
         RefCell::new(HashMap::new());
 }
@@ -751,6 +1039,14 @@ fn batch_rng(seed: u64, batch: u64) -> StdRng {
 /// reproduces the uninterrupted outcome bit for bit
 /// (`tests/resume_oracle.rs`).
 ///
+/// Above [`PARITY_TABLE_MAX_BITS`] syndrome bits (d ≥ 7) a run with
+/// batches left starts one scoped helper thread per core beyond the
+/// first and joins them before it returns. Only the decodes fan out:
+/// the error draw, the frame push, the cancellation poll, `on_batch`
+/// and the defect count stay on the calling thread, in batch order, so
+/// checkpoints and resume are unchanged. A single-core host decodes on
+/// the calling thread alone.
+///
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidProbability`] unless
@@ -776,7 +1072,6 @@ pub fn run_ler_surface_controlled(
     let mut point = DECODER_CACHE
         .with(|cache| cache.borrow_mut().remove(&key))
         .unwrap_or_else(|| SweepPoint::new(config.distance, config.error));
-    let mut buf = point.buffers();
 
     let batches = config.shots.div_ceil(LANES as u64);
     // The running position is the checkpoint `on_batch` observes: one
@@ -785,36 +1080,37 @@ pub fn run_ler_surface_controlled(
     let mut progress = resume.cloned().unwrap_or_default();
     progress.counters.resize(1, 0);
     let start = progress.batches.min(batches);
-    let mut stopped = false;
-    for batch in start..batches {
-        if cancelled() {
-            stopped = true;
-            break;
+    let threads = if start < batches { point.threads() } else { 1 };
+    let stopped = with_decode_pool(&mut point, threads, |reference, decode| {
+        let mut buf = reference.buffers();
+        for batch in start..batches {
+            if cancelled() {
+                return true;
+            }
+            let lanes = (config.shots - batch * LANES as u64).min(LANES as u64);
+            let mask = if lanes == LANES as u64 {
+                u64::MAX
+            } else {
+                (1u64 << lanes) - 1
+            };
+            let fail_word = reference.sample_batch(
+                p,
+                lanes as usize,
+                &mut batch_rng(config.seed, batch),
+                &mut buf,
+                decode,
+            );
+            let defects: u32 = (reference.ancillas.iter())
+                .map(|&anc| (buf.meas[anc] & mask).count_ones())
+                .sum();
+            progress.batches = batch + 1;
+            progress.shots += lanes;
+            progress.failures += u64::from((fail_word & mask).count_ones());
+            progress.counters[0] += u64::from(defects);
+            on_batch(&progress);
         }
-        let lanes = (config.shots - batch * LANES as u64).min(LANES as u64);
-        let mask = if lanes == LANES as u64 {
-            u64::MAX
-        } else {
-            (1u64 << lanes) - 1
-        };
-        let fail_word = point.sample_batch(
-            p,
-            lanes as usize,
-            &mut batch_rng(config.seed, batch),
-            &mut buf,
-        );
-        let defects: u32 = point
-            .reference
-            .ancillas
-            .iter()
-            .map(|&anc| (buf.meas[anc] & mask).count_ones())
-            .sum();
-        progress.batches = batch + 1;
-        progress.shots += lanes;
-        progress.failures += u64::from((fail_word & mask).count_ones());
-        progress.counters[0] += u64::from(defects);
-        on_batch(&progress);
-    }
+        false
+    });
     DECODER_CACHE.with(|cache| {
         cache.borrow_mut().insert(key, point);
     });
@@ -831,6 +1127,7 @@ pub fn run_ler_surface_controlled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     fn quick(d: usize, p: f64, with_pf: bool, seed: u64) -> DistanceLerConfig {
         DistanceLerConfig {
@@ -987,9 +1284,65 @@ mod tests {
         assert_eq!(outcome, scratch);
     }
 
+    /// The parity word of the first `live` lanes of `meas`, decoded on
+    /// the calling thread.
+    fn serial_decode(point: &mut SweepPoint, live: usize, meas: &[u64]) -> u64 {
+        with_decode_pool(point, 1, |_, decode| decode(live, meas))
+    }
+
+    /// The outcome words of `n` undecoded p = 0.08 batches.
+    fn sampled_batches(point: &SweepPoint, seed: u64, n: u64) -> Vec<Vec<u64>> {
+        let mut buf = point.reference.buffers();
+        (0..n)
+            .map(|batch| {
+                let rng = &mut batch_rng(seed, batch);
+                (point.reference).sample_batch(0.08, LANES, rng, &mut buf, &mut |_, _| 0);
+                buf.meas.clone()
+            })
+            .collect()
+    }
+
+    /// A run borrows the helper decoders from the cached sweep point, so
+    /// every exit path leaves them in `DECODER_CACHE` and the next run on
+    /// the thread fans out again.
+    #[test]
+    fn helper_decoders_stay_cached_on_every_exit_path() {
+        let key = (7, CheckKind::X);
+        let cached =
+            || DECODER_CACHE.with(|cache| cache.borrow().get(&key).map(|p| p.decoders.len()));
+        let config = surface(7, 0.08, CheckKind::X, 200, 3);
+        let scratch = run_ler_surface(&config).unwrap();
+        assert_eq!(cached(), Some(decode_threads()), "a full run");
+
+        let (outcome, stopped) =
+            run_ler_surface_controlled(&config, None, &|| true, &mut |_| {}).unwrap();
+        assert!(stopped && outcome.shots == 0);
+        assert_eq!(cached(), Some(decode_threads()), "cancelled before batch 0");
+
+        let done = Checkpoint {
+            batches: 4,
+            shots: scratch.shots,
+            failures: scratch.failures,
+            counters: vec![scratch.defects],
+        };
+        let (outcome, _) = run_ler_surface_controlled(&config, Some(&done), &|| false, &mut |_| {
+            panic!("no batch should run")
+        })
+        .unwrap();
+        assert_eq!(outcome, scratch);
+        assert_eq!(cached(), Some(decode_threads()), "resumed at the end");
+
+        let empty = run_ler_surface(&surface(7, 0.08, CheckKind::X, 0, 3)).unwrap();
+        assert_eq!(empty.shots, 0);
+        assert_eq!(cached(), Some(decode_threads()), "no batches");
+
+        assert_eq!(run_ler_surface(&config).unwrap(), scratch);
+        assert_eq!(cached(), Some(decode_threads()), "a full run after them");
+    }
+
     /// The logical-support parity of a direct union-find decode.
     fn direct_parity(point: &SweepPoint, syndrome: &[bool]) -> bool {
-        let correction = point.decoder.decode(syndrome);
+        let correction = point.decoders[0].decoder.decode(syndrome);
         let logical = &point.reference.logical;
         correction.iter().filter(|q| logical.contains(q)).count() % 2 == 1
     }
@@ -1008,10 +1361,12 @@ mod tests {
             for kind in [CheckKind::X, CheckKind::Z] {
                 let mut point = SweepPoint::new(d, kind);
                 assert_eq!(!point.table.is_empty(), d <= 5, "d={d}: table cap");
-                let mut buf = point.buffers();
+                let mut buf = point.reference.buffers();
                 for batch in 0..4 {
-                    let fail_word =
-                        point.sample_batch(0.08, LANES, &mut batch_rng(d as u64, batch), &mut buf);
+                    let fail_word = with_decode_pool(&mut point, 1, |reference, decode| {
+                        let rng = &mut batch_rng(d as u64, batch);
+                        reference.sample_batch(0.08, LANES, rng, &mut buf, decode)
+                    });
                     let reference = &point.reference;
                     let code = &reference.code;
                     let observable = match kind {
@@ -1046,7 +1401,7 @@ mod tests {
                         for (s, &anc) in syndrome.iter_mut().zip(&reference.ancillas) {
                             *s = (buf.meas[anc] >> lane) & 1 == 1;
                         }
-                        for q in point.decoder.decode(&syndrome) {
+                        for q in point.decoders[0].decoder.decode(&syndrome) {
                             corr[q] |= 1 << lane;
                         }
                         if !point.table.is_empty() {
@@ -1097,14 +1452,14 @@ mod tests {
         for d in [3, 5] {
             for kind in [CheckKind::X, CheckKind::Z] {
                 let mut point = SweepPoint::new(d, kind);
-                let len = point.decoder.syndrome_len();
+                let len = point.decoders[0].decoder.syndrome_len();
                 let entries = 1usize << len;
                 assert_eq!(point.table.len(), entries, "d={d} {kind:?}: table size");
                 assert!(
                     point.table.iter().all(Option::is_none),
                     "d={d} {kind:?}: a fresh table is pre-filled"
                 );
-                let mut buf = point.buffers();
+                let mut buf = point.reference.buffers();
                 for base in (0..entries).step_by(LANES) {
                     // Lane `l` carries syndrome index `base + l`.
                     let live = (entries - base).min(LANES);
@@ -1113,8 +1468,8 @@ mod tests {
                             word | ((((base + lane) >> k) & 1) as u64) << lane
                         });
                     }
-                    let missed = point.decode_lanes(live, &mut buf);
-                    let hit = point.decode_lanes(live, &mut buf);
+                    let mut serial = || serial_decode(&mut point, live, &buf.meas);
+                    let (missed, hit) = (serial(), serial());
                     assert_eq!(missed, hit, "d={d} {kind:?}: lookup disagrees with fill");
                     for lane in 0..live {
                         let index = base + lane;
@@ -1134,10 +1489,13 @@ mod tests {
 
     /// `(shots, failures, defects)` recorded from the tableau-per-batch
     /// sampler this one replaced, at p = 0.08 and 200 shots (three whole
-    /// batches and one 8-lane partial batch). The serve `done` records,
-    /// the resume oracle and perfbench's classical golden check all rely
-    /// on these counts never moving. The points run twice on one thread:
-    /// cold, then with the d = 5 parity tables warmed by a p = 0.3 sweep.
+    /// batches and one 8-lane partial batch); the d = 7 and 9 rows from
+    /// the frame sampler while it still decoded every lane on one
+    /// thread, the serial reference for the fan-out. The serve `done`
+    /// records, the resume oracle and perfbench's classical golden check
+    /// all rely on these counts never moving. The points run twice on
+    /// one thread: cold, then with the d = 5 parity tables warmed by a
+    /// p = 0.3 sweep.
     #[test]
     fn outcomes_match_the_recorded_goldens() {
         let goldens = [
@@ -1149,6 +1507,14 @@ mod tests {
             (5, CheckKind::X, 2016, (200, 15, 492)),
             (5, CheckKind::Z, 7, (200, 15, 523)),
             (5, CheckKind::Z, 2016, (200, 19, 490)),
+            (7, CheckKind::X, 7, (200, 17, 1105)),
+            (7, CheckKind::X, 2016, (200, 19, 1070)),
+            (7, CheckKind::Z, 7, (200, 21, 1055)),
+            (7, CheckKind::Z, 2016, (200, 18, 1053)),
+            (9, CheckKind::X, 7, (200, 25, 1876)),
+            (9, CheckKind::X, 2016, (200, 22, 1834)),
+            (9, CheckKind::Z, 7, (200, 23, 1951)),
+            (9, CheckKind::Z, 2016, (200, 25, 1815)),
             (13, CheckKind::X, 7, (200, 16, 3956)),
             (13, CheckKind::X, 2016, (200, 9, 3926)),
             (13, CheckKind::Z, 7, (200, 29, 3962)),
@@ -1177,6 +1543,94 @@ mod tests {
                 "d={d} {kind:?} seed {seed}"
             );
         }
+    }
+
+    /// Fanning a batch's decodes out over helper threads changes nothing:
+    /// at every thread count, including more threads than live lanes,
+    /// each parity word equals the calling thread's serial decode.
+    #[test]
+    fn fanned_out_decodes_match_the_serial_decode() {
+        for d in [7, 13] {
+            let mut point = SweepPoint::new(d, CheckKind::X);
+            let batches = sampled_batches(&point, d as u64, 3);
+            let lives = [1, 3, 8, 63, 64];
+            let serial: Vec<u64> = (batches.iter())
+                .flat_map(|meas| lives.map(|live| (live, meas)))
+                .map(|(live, meas)| serial_decode(&mut point, live, meas))
+                .collect();
+            for (i, &word) in serial.iter().enumerate() {
+                let live = lives[i % lives.len()];
+                assert!(
+                    live == LANES || word >> live == 0,
+                    "d={d}: dead lane decoded"
+                );
+            }
+            assert!(serial.iter().any(|&word| word != 0), "d={d}: vacuous");
+            for threads in 1..=4 {
+                let fanned: Vec<u64> = with_decode_pool(&mut point, threads, |_, decode| {
+                    (batches.iter())
+                        .flat_map(|meas| lives.map(|live| (live, meas)))
+                        .map(|(live, meas)| decode(live, meas))
+                        .collect()
+                });
+                assert_eq!(fanned, serial, "d={d}, {threads} threads");
+            }
+            assert_eq!(point.decoders.len(), 4, "d={d}: helper decoders kept");
+        }
+    }
+
+    /// A helper stuck in the middle of a lane neither stalls its batch
+    /// nor changes a parity word: the caller decodes that lane again
+    /// itself, and the helper's late result, tagged with a finished
+    /// batch, is ignored, as is the lane its stale claim used up.
+    #[test]
+    fn a_stuck_helper_neither_stalls_nor_changes_the_parity() {
+        let mut point = SweepPoint::new(7, CheckKind::X);
+        let batches = sampled_batches(&point, 11, 2);
+        let serial: Vec<u64> = (batches.iter())
+            .map(|meas| serial_decode(&mut point, LANES, meas))
+            .collect();
+        let SweepPoint {
+            reference,
+            decoders,
+            ..
+        } = &mut point;
+        let (reference, own) = (&*reference, &mut decoders[0]);
+        let pool = DecodePool::new(own.words.len());
+        let step = Barrier::new(2);
+        thread::scope(|scope| {
+            scope.spawn(|| {
+                // Batch 1 is posted: claim a lane, then hold it while the
+                // caller finishes the batch.
+                step.wait();
+                let lane = pool.claim(1, LANES).expect("batch 1 has lanes left");
+                step.wait();
+                // Batch 2 is posted: a late bit for batch 1 that is wrong
+                // for batch 2, then a claim for batch 1.
+                step.wait();
+                let wrong = !(serial[1] >> lane) & 1;
+                pool.lanes[lane].store(1 << 1 | wrong, Ordering::Relaxed);
+                let stale = pool.claim(1, LANES);
+                step.wait();
+                assert_eq!(stale, None, "a claim for a finished batch");
+            });
+            let mut decode = |meas: &[u64], hold: &dyn Fn()| {
+                own.gather(reference, meas);
+                let batch = pool.post(&own.words, LANES);
+                hold();
+                pool.finish(own, reference, batch, LANES)
+            };
+            let first = decode(&batches[0], &|| {
+                step.wait();
+                step.wait();
+            });
+            assert_eq!(first, serial[0], "batch 1");
+            let second = decode(&batches[1], &|| {
+                step.wait();
+                step.wait();
+            });
+            assert_eq!(second, serial[1], "batch 2");
+        });
     }
 
     #[test]

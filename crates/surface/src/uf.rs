@@ -28,15 +28,18 @@
 //!
 //! Decoding a 64-lane batch calls the decoder once per live lane on the
 //! same graph (at d ≤ 5 only for syndromes the sweep point's parity
-//! table has not seen yet, see [`crate::experiment`]); the serving path
-//! decodes hundreds of batches per job. The per-decode cluster state
-//! (union-find forest, frontier lists, growth counters, peeling
-//! scratch) therefore lives *inside* the decoder,
-//! behind a [`RefCell`], and is reset — never reallocated — on each
-//! call. A warmed decoder runs [`UnionFindDecoder::decode_into`]
-//! without touching the heap (pinned by `tests/uf_alloc.rs`), which is
-//! where the `uf_decode_*` latency wins in `results/BENCH_decoder.json`
-//! come from.
+//! table has not seen yet; at d ≥ 7 spread over one decoder per core,
+//! see [`crate::experiment`]); the serving path decodes hundreds of
+//! batches per job. The per-decode cluster state (union-find forest,
+//! frontier lists, growth counters, peeling scratch) therefore lives
+//! *inside* the decoder, behind a [`RefCell`], and is reset, never
+//! reallocated, on each call. Every buffer is allocated with the
+//! decoder at the largest size the graph allows, and the
+//! frontier lists are linked lists over one fixed node arena, so
+//! [`UnionFindDecoder::decode_into`] never touches the heap, whatever
+//! the syndrome (pinned by `tests/uf_alloc.rs`). A decode helper thread
+//! therefore allocates nothing, and the `uf_decode_*` latency wins in
+//! `results/BENCH_decoder.json` come from this reuse.
 
 use std::cell::RefCell;
 
@@ -51,9 +54,9 @@ use crate::{CheckKind, RotatedSurfaceCode};
 /// The decoder owns its decode scratch (see the module docs), so one
 /// instance should be reused across as many `decode` calls as possible;
 /// [`crate::experiment::run_ler_surface`] keeps one per `(d, kind)` per
-/// worker thread for exactly this reason. The scratch sits behind a
+/// decoding thread for exactly this reason. The scratch sits behind a
 /// [`RefCell`], which makes the decoder cheap to call through a shared
-/// reference but not `Sync` — give each worker its own clone.
+/// reference but not `Sync` — give each thread its own decoder.
 ///
 /// # Example
 ///
@@ -130,11 +133,11 @@ impl UnionFindDecoder {
             adj[b as usize].push(e as u32);
         }
         UnionFindDecoder {
+            scratch: RefCell::new(Scratch::for_graph(num_nodes, &edges, &adj)),
             num_checks,
             num_nodes,
             edges,
             adj,
-            scratch: RefCell::new(Scratch::default()),
         }
     }
 
@@ -187,10 +190,10 @@ impl UnionFindDecoder {
 
 /// Per-decode cluster state: a union-find forest over the graph vertices
 /// with per-root parity/boundary bookkeeping, per-edge growth, and the
-/// peeling workspace. Lives inside the decoder and is reset — with every
-/// buffer's capacity retained — on each call, so a warmed decoder never
-/// reallocates it.
-#[derive(Clone, Debug, Default)]
+/// peeling workspace. Lives inside the decoder, is allocated with it at
+/// the largest size the graph can need, and is reset on each call, so
+/// decoding never allocates.
+#[derive(Clone, Debug)]
 struct Scratch {
     parent: Vec<u32>,
     /// Vertices in the tree (for weighted union), valid at roots.
@@ -199,18 +202,23 @@ struct Scratch {
     odd: Vec<bool>,
     /// Cluster contains a virtual boundary vertex, valid at roots.
     boundary: Vec<bool>,
-    /// Frontier edge lists, valid at roots. May contain edges that have
-    /// since become internal; those are dropped lazily when popped.
-    frontier: Vec<Vec<u32>>,
+    /// Frontier edge lists, valid at roots: singly linked lists over a
+    /// node arena with one node per vertex–edge incidence, so a merge
+    /// splices two lists in O(1) and the arena never grows. May contain
+    /// edges that have since become internal; those are dropped lazily
+    /// when the cluster next grows. First node per vertex ([`NIL`] =
+    /// empty).
+    head: Vec<u32>,
+    /// Last node per vertex, valid where `head` is not [`NIL`].
+    tail: Vec<u32>,
+    /// Edge id per node.
+    node_edge: Vec<u32>,
+    /// Next node per node.
+    node_next: Vec<u32>,
     /// Half-edge growth per edge, saturating at 2 (= fully grown).
     growth: Vec<u8>,
     /// Growth-round seeds (active roots at the start of the round).
     seeds: Vec<u32>,
-    /// The frontier list being grown, swapped out of its slot so merges
-    /// can append to live frontier slots mid-iteration.
-    work: Vec<u32>,
-    /// Frontier edges surviving a growth round.
-    keep: Vec<u32>,
     /// Peeling: erasure adjacency over fully-grown edges only.
     grown_adj: Vec<Vec<(u32, u32)>>,
     /// Peeling: live defect flags, consumed leaf-by-leaf.
@@ -226,6 +234,38 @@ struct Scratch {
     /// Peeling: spanning-tree BFS order (parents before children).
     order: Vec<u32>,
 }
+
+impl Scratch {
+    /// Every buffer at its bound for a graph of `n` vertices: a
+    /// frontier list holds at most every vertex–edge incidence, a vertex
+    /// at most its degree of grown edges, and every other buffer one
+    /// entry per vertex or edge.
+    fn for_graph(n: usize, edges: &[(u32, u32, u32)], adj: &[Vec<u32>]) -> Self {
+        let incidences = 2 * edges.len();
+        Scratch {
+            parent: Vec::with_capacity(n),
+            size: Vec::with_capacity(n),
+            odd: Vec::with_capacity(n),
+            boundary: Vec::with_capacity(n),
+            head: Vec::with_capacity(n),
+            tail: Vec::with_capacity(n),
+            node_edge: Vec::with_capacity(incidences),
+            node_next: Vec::with_capacity(incidences),
+            growth: Vec::with_capacity(edges.len()),
+            seeds: Vec::with_capacity(n),
+            grown_adj: adj.iter().map(|a| Vec::with_capacity(a.len())).collect(),
+            defect: Vec::with_capacity(n),
+            visited: Vec::with_capacity(n),
+            peel_parent: Vec::with_capacity(n),
+            peel_edge: Vec::with_capacity(n),
+            comp: Vec::with_capacity(n),
+            order: Vec::with_capacity(n),
+        }
+    }
+}
+
+/// The empty link of a frontier list.
+const NIL: u32 = u32::MAX;
 
 /// A borrow of the decoder graph plus its scratch for one decode call.
 struct Clusters<'a> {
@@ -258,12 +298,25 @@ impl Clusters<'_> {
         s.boundary.extend((0..n).map(|v| v >= self.dec.num_checks));
         s.growth.clear();
         s.growth.resize(self.dec.edges.len(), 0);
-        if s.frontier.len() < n {
-            s.frontier.resize_with(n, Vec::new);
-        }
-        for (slot, adj) in s.frontier.iter_mut().zip(&self.dec.adj) {
-            slot.clear();
-            slot.extend_from_slice(adj);
+        s.head.clear();
+        s.tail.clear();
+        s.node_edge.clear();
+        s.node_next.clear();
+        for adj in &self.dec.adj {
+            let (mut head, mut tail) = (NIL, NIL);
+            for &e in adj {
+                let node = s.node_edge.len() as u32;
+                s.node_edge.push(e);
+                s.node_next.push(NIL);
+                if tail == NIL {
+                    head = node;
+                } else {
+                    s.node_next[tail as usize] = node;
+                }
+                tail = node;
+            }
+            s.head.push(head);
+            s.tail.push(tail);
         }
     }
 
@@ -292,15 +345,16 @@ impl Clusters<'_> {
         let child_odd = s.odd[child as usize];
         s.odd[root as usize] ^= child_odd;
         s.boundary[root as usize] |= s.boundary[child as usize];
-        // Copy-and-clear instead of moving the child's buffer: every
-        // frontier buffer stays in its home slot, so slot capacities
-        // ratchet to their per-slot high-water mark and a single warmed
-        // pass decodes with zero allocations (tests/uf_alloc.rs).
-        let moved = std::mem::take(&mut s.frontier[child as usize]);
-        s.frontier[root as usize].extend_from_slice(&moved);
-        let mut moved = moved;
-        moved.clear();
-        s.frontier[child as usize] = moved;
+        // The child's frontier goes after the root's.
+        let (head, tail) = (s.head[child as usize], s.tail[child as usize]);
+        if head != NIL {
+            match s.head[root as usize] {
+                NIL => s.head[root as usize] = head,
+                _ => s.node_next[s.tail[root as usize] as usize] = head,
+            }
+            s.tail[root as usize] = tail;
+            s.head[child as usize] = NIL;
+        }
         root
     }
 
@@ -342,37 +396,44 @@ impl Clusters<'_> {
 
     /// Advances every frontier edge of one cluster by half a step.
     fn grow_cluster(&mut self, root: u32) {
-        // Copy the list into the workspace and clear the slot in place
-        // (never move buffers between slots): merges during the loop may
-        // append to the slot, and home-slot buffers are what lets the
-        // warmed decoder run allocation-free.
-        {
-            let s = &mut *self.s;
-            s.work.clear();
-            s.work.extend_from_slice(&s.frontier[root as usize]);
-            s.frontier[root as usize].clear();
-        }
-        self.s.keep.clear();
-        for i in 0..self.s.work.len() {
-            let e = self.s.work[i];
+        // Detach the cluster's list and walk it: merges during the walk
+        // append to the cluster's (now empty) list, not to this one.
+        let mut node = std::mem::replace(&mut self.s.head[root as usize], NIL);
+        let (mut kept, mut kept_tail) = (NIL, NIL);
+        while node != NIL {
+            let next = self.s.node_next[node as usize];
+            let e = self.s.node_edge[node as usize];
             let (a, b, _) = self.dec.edges[e as usize];
             let ra = self.find(a);
             let rb = self.find(b);
-            if ra == rb {
-                // Became internal; completing it would only add a cycle.
-                continue;
+            // An edge that became internal is dropped: completing it
+            // would only add a cycle.
+            if ra != rb {
+                self.s.growth[e as usize] += 1;
+                if self.s.growth[e as usize] >= 2 {
+                    self.union(ra, rb);
+                } else {
+                    // Half-grown: it stays on the frontier, in order.
+                    match kept_tail {
+                        NIL => kept = node,
+                        _ => self.s.node_next[kept_tail as usize] = node,
+                    }
+                    kept_tail = node;
+                }
             }
-            self.s.growth[e as usize] += 1;
-            if self.s.growth[e as usize] >= 2 {
-                self.union(ra, rb);
-            } else {
-                self.s.keep.push(e);
-            }
+            node = next;
         }
-        self.s.work.clear();
-        let root = self.find(root);
-        let s = &mut *self.s;
-        s.frontier[root as usize].extend_from_slice(&s.keep);
+        // The surviving edges go back on the end of the cluster's list.
+        if kept != NIL {
+            let root = self.find(root) as usize;
+            let s = &mut *self.s;
+            s.node_next[kept_tail as usize] = NIL;
+            match s.head[root] {
+                NIL => s.head[root] = kept,
+                _ => s.node_next[s.tail[root] as usize] = kept,
+            }
+            s.tail[root] = kept_tail;
+        }
     }
 
     /// Extracts a correction from the fully-grown edges by peeling a
@@ -384,10 +445,7 @@ impl Clusters<'_> {
         let s = self.s;
         let n = dec.num_nodes;
         // Erasure adjacency: fully-grown edges only.
-        if s.grown_adj.len() < n {
-            s.grown_adj.resize_with(n, Vec::new);
-        }
-        for slot in s.grown_adj.iter_mut().take(n) {
+        for slot in &mut s.grown_adj {
             slot.clear();
         }
         for (e, &(a, b, _)) in dec.edges.iter().enumerate() {

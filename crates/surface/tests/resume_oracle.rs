@@ -7,19 +7,26 @@
 //! substreams make that true by construction; this oracle pins it by
 //! replaying a sweep from every checkpoint offset, for both error kinds
 //! and a ragged tail batch, and asserting byte-identical wire records.
+//! It does so at d = 5, where one thread decodes through the parity
+//! table, and at d = 7, where each batch's decodes fan out over every
+//! core.
 
 use qpdo_core::Checkpoint;
 use qpdo_surface::experiment::{run_ler_surface, run_ler_surface_controlled, SurfaceLerConfig};
 use qpdo_surface::CheckKind;
 
-fn sweep(kind: CheckKind, shots: u64, seed: u64) -> SurfaceLerConfig {
+fn sweep_at(distance: usize, kind: CheckKind, shots: u64, seed: u64) -> SurfaceLerConfig {
     SurfaceLerConfig {
-        distance: 5,
+        distance,
         physical_error_rate: 0.08,
         error: kind,
         shots,
         seed,
     }
+}
+
+fn sweep(kind: CheckKind, shots: u64, seed: u64) -> SurfaceLerConfig {
+    sweep_at(5, kind, shots, seed)
 }
 
 /// The wire record the daemon publishes for a surface sweep; byte
@@ -31,8 +38,13 @@ fn record(outcome: &qpdo_surface::experiment::SurfaceLerOutcome) -> String {
 #[test]
 fn resume_from_every_checkpoint_matches_scratch() {
     // 330 shots → 6 batches with a 10-lane ragged tail.
-    for kind in [CheckKind::X, CheckKind::Z] {
-        let config = sweep(kind, 330, 0xC0FFEE);
+    for (distance, kind) in [
+        (5, CheckKind::X),
+        (5, CheckKind::Z),
+        (7, CheckKind::X),
+        (7, CheckKind::Z),
+    ] {
+        let config = sweep_at(distance, kind, 330, 0xC0FFEE);
         let scratch = run_ler_surface(&config).unwrap();
         assert!(scratch.defects > 0, "workload too thin to be a real oracle");
 
@@ -56,12 +68,12 @@ fn resume_from_every_checkpoint_matches_scratch() {
             assert_eq!(
                 record(&resumed),
                 record(&scratch),
-                "{kind:?}: resume from checkpoint {i} diverged from scratch"
+                "d={distance} {kind:?}: resume from checkpoint {i} diverged from scratch"
             );
             assert_eq!(
                 replayed,
                 5 - i as u64,
-                "{kind:?}: resume from checkpoint {i} re-executed completed batches"
+                "d={distance} {kind:?}: resume from checkpoint {i} re-executed completed batches"
             );
         }
     }

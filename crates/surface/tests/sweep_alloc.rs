@@ -6,7 +6,11 @@
 //! heap. On a warmed thread, a one-batch run and a 1250-batch run must
 //! therefore allocate exactly as often. The long run reaches syndromes
 //! the warm-up never drew, so both the table-hit and the decode path
-//! are exercised. A counting global allocator proves it.
+//! are exercised. At d = 13, where every batch's decodes fan out over
+//! helper threads, a one-batch and a 64-batch warm run must allocate
+//! equally often too: the helpers are spawned once per run and decode
+//! into buffers the calling thread allocated. A counting global
+//! allocator proves it; being global, it sees the helper threads too.
 //!
 //! This file deliberately holds a single `#[test]`: Rust runs tests in
 //! threads sharing one global allocator, so any sibling test's
@@ -41,14 +45,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn d5(shots: u64, seed: u64) -> SurfaceLerConfig {
+fn at(distance: usize, shots: u64, seed: u64) -> SurfaceLerConfig {
     SurfaceLerConfig {
-        distance: 5,
+        distance,
         physical_error_rate: 0.08,
         error: CheckKind::X,
         shots,
         seed,
     }
+}
+
+fn d5(shots: u64, seed: u64) -> SurfaceLerConfig {
+    at(5, shots, seed)
 }
 
 /// Runs one sweep and returns its outcome with the allocations it made.
@@ -71,4 +79,17 @@ fn warm_sweeps_allocate_the_same_at_any_length() {
         "a 1250-batch warm sweep allocated more than a one-batch sweep"
     );
     assert!(outcome.defects > 0, "the long sweep decoded nothing");
+
+    // d = 13: every batch's decodes fan out over helper threads, each
+    // with its own lane decoder. One warm-up run gives every decoder its
+    // scratch; a decoder allocates only on its first decode, whichever
+    // syndromes it meets later.
+    run_ler_surface(&at(13, 64 * 4, 1)).expect("valid configuration");
+    let (_, short) = counted(&at(13, 64, 2));
+    let (outcome, long) = counted(&at(13, 64 * 64, 2));
+    assert_eq!(
+        short, long,
+        "a 64-batch warm d = 13 sweep allocated more than a one-batch sweep"
+    );
+    assert!(outcome.defects > 0, "the long d = 13 sweep decoded nothing");
 }

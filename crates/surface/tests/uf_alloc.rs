@@ -2,10 +2,10 @@
 //!
 //! ROADMAP's "decoder throughput on the serving path" item: the decoder
 //! used to rebuild its parent/size/frontier arrays on every `decode`
-//! call. The scratch now lives inside the decoder and is reused, so a
-//! warmed decoder driven through `decode_into` with a warmed output
-//! buffer must not touch the heap. A counting global allocator proves
-//! it.
+//! call. The scratch now lives inside the decoder, sized for the graph
+//! when the decoder is built, so a decoder driven through
+//! `decode_into` with a warmed output buffer must not touch the heap.
+//! A counting global allocator proves it.
 //!
 //! This file deliberately holds a single `#[test]`: Rust runs tests in
 //! threads sharing one global allocator, so any sibling test's
@@ -48,9 +48,8 @@ fn warmed_decoder_decodes_without_allocating() {
     let n = decoder.syndrome_len();
 
     // A fixed syndrome workload, dense enough to exercise growth, merges
-    // and peeling. The measured window replays the exact same syndromes
-    // as the warm-up, so every scratch buffer has already reached its
-    // high-water mark before counting starts.
+    // and peeling. The scratch is sized for the graph at construction;
+    // the warm-up only grows the output buffer.
     let mut rng = StdRng::seed_from_u64(0xDEC0DE);
     let workload: Vec<Vec<bool>> = (0..32)
         .map(|_| (0..n).map(|_| rng.gen_bool(0.12)).collect())
@@ -76,8 +75,25 @@ fn warmed_decoder_decodes_without_allocating() {
         0,
         "warmed union-find decode window allocated on the heap"
     );
+    // A fresh decoder's scratch is full-size from construction: even
+    // its first decodes stay off the heap.
+    let fresh = UnionFindDecoder::new(&code, CheckKind::X);
+    let mut first = 0usize;
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for syndrome in &workload {
+        fresh.decode_into(syndrome, &mut correction);
+        first += correction.len();
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "a fresh decoder's first decodes allocated"
+    );
+
     // Keep the corrections observable so the loops cannot be optimized
     // away wholesale, and check the workload was not vacuous.
     assert_eq!(warm, measured);
+    assert_eq!(warm, first);
     assert!(warm > 0, "workload decoded no corrections at all");
 }
