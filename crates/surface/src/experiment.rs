@@ -25,10 +25,12 @@
 //!   syndrome bits (d ≤ 5) a lazily filled syndrome → parity table sits
 //!   in front of the decoder, so each distinct syndrome is decoded once
 //!   per sweep point and worker thread. Above that (d ≥ 7) each batch's
-//!   decodes fan out over every core: the calling thread and one scoped
-//!   helper thread per further core claim lanes from a shared counter,
-//!   and the caller gathers their bits. Each bit depends only on its
-//!   lane's syndrome, so the outcome does not depend on the scheduling.
+//!   decodes fan out over the run's share of the cores (all of them
+//!   when it is the process's only surface run): the calling thread and
+//!   one scoped helper thread per further core claim lanes from a
+//!   shared counter, and the caller gathers their bits. Each bit
+//!   depends only on its lane's syndrome, so the outcome does not
+//!   depend on the scheduling.
 //!
 //! The sweep has one loop, [`run_ler_surface_controlled`]: polled for
 //! cancellation per batch, resumable from a [`Checkpoint`] and
@@ -651,17 +653,6 @@ impl SweepPoint {
             reference,
         }
     }
-
-    /// Threads that decode this point's batches: one where the parity
-    /// table, filled as lanes decode, serves most lanes (d ≤ 5), else
-    /// every core.
-    fn threads(&self) -> usize {
-        if self.table.is_empty() {
-            decode_threads()
-        } else {
-            1
-        }
-    }
 }
 
 /// The host's cores, asked once per process, up to one per lane.
@@ -669,6 +660,33 @@ fn decode_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS
         .get_or_init(|| thread::available_parallelism().map_or(1, |cores| cores.get().min(LANES)))
+}
+
+/// Surface runs in progress in this process, on any thread.
+static RUNS: AtomicUsize = AtomicUsize::new(0);
+
+/// A surface run's claim on the host's cores, held for the length of
+/// the run. The runs in progress share the cores equally, so concurrent
+/// jobs (a serving daemon runs one per core) decode on about as many
+/// threads in total as there are cores instead of each taking them all.
+struct RunShare;
+
+impl RunShare {
+    fn join() -> Self {
+        RUNS.fetch_add(1, Ordering::Relaxed);
+        RunShare
+    }
+
+    /// The threads this run may decode on now, its own included.
+    fn threads(&self) -> usize {
+        (decode_threads() / RUNS.load(Ordering::Relaxed).max(1)).max(1)
+    }
+}
+
+impl Drop for RunShare {
+    fn drop(&mut self) {
+        RUNS.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// One decoding thread's union-find decoder and lane buffers, aligned
@@ -775,19 +793,22 @@ impl LaneDecoder {
 /// `decode(live, meas)` that returns the correction parity word of the
 /// first `live` lanes of a batch's outcome words `meas`.
 ///
-/// With one thread the calling thread decodes every lane through the
-/// parity table. With more, a scope holds `threads − 1` helper threads
-/// for the whole of `body`: per batch the caller posts its syndrome
-/// words, every thread, the caller included, claims lanes from one
-/// atomic counter, and the caller ORs its own lanes' bits with those
-/// the helpers record. Each bit depends only on its lane's syndrome, so
-/// the word does not depend on which thread decoded which lane. The
-/// table is left alone, which is why only table-less points fan out.
-/// The helpers borrow their decoders from the point, so every exit
-/// path, a panic included, leaves them there.
+/// `threads()` is how many threads may decode now, the caller's
+/// included; it is read once to spawn the helpers and again for every
+/// batch, which wakes at most that many. With one thread the calling
+/// thread decodes every lane through the parity table. With more, a
+/// scope holds `threads() − 1` helper threads for the whole of `body`:
+/// per batch the caller posts its syndrome words, every thread it
+/// wakes, the caller included, claims lanes from one atomic counter,
+/// and the caller ORs its own lanes' bits with those the helpers
+/// record. Each bit depends only on its lane's syndrome, so the word
+/// does not depend on which thread decoded which lane. The table is
+/// left alone, which is why only table-less points fan out. The
+/// helpers borrow their decoders from the point, so every exit path, a
+/// panic included, leaves them there.
 fn with_decode_pool<R>(
     point: &mut SweepPoint,
-    threads: usize,
+    threads: &dyn Fn() -> usize,
     body: impl FnOnce(&FrameReference, &mut dyn FnMut(usize, &[u64]) -> u64) -> R,
 ) -> R {
     let SweepPoint {
@@ -796,7 +817,8 @@ fn with_decode_pool<R>(
         decoders,
     } = point;
     let reference = &*reference;
-    if threads <= 1 {
+    let spawn = threads();
+    if spawn <= 1 {
         let own = &mut decoders[0];
         return body(reference, &mut |live, meas| {
             own.gather(reference, meas);
@@ -804,7 +826,7 @@ fn with_decode_pool<R>(
         });
     }
     debug_assert!(table.is_empty(), "only table-less points fan out");
-    while decoders.len() < threads {
+    while decoders.len() < spawn {
         decoders.push(LaneDecoder::new(reference));
     }
     let (own, helpers) = decoders.split_at_mut(1);
@@ -815,11 +837,13 @@ fn with_decode_pool<R>(
         // or `body` panics.
         let mut handle = PoolHandle {
             pool: &pool,
-            helpers: Vec::with_capacity(threads - 1),
+            helpers: Vec::with_capacity(spawn - 1),
+            threads,
+            per_decode: YIELD_FOR,
         };
-        for helper in &mut helpers[..threads - 1] {
+        for (index, helper) in helpers[..spawn - 1].iter_mut().enumerate() {
             let pool = &pool;
-            let spawned = scope.spawn(move || pool.help(helper, reference));
+            let spawned = scope.spawn(move || pool.help(index, helper, reference));
             handle.helpers.push(spawned.thread().clone());
         }
         body(reference, &mut |live, meas| {
@@ -838,23 +862,25 @@ fn with_decode_pool<R>(
 /// both give the same bit, and a helper's late result is told apart by
 /// its batch number.
 ///
-/// Orderings: the caller writes a batch (`words`, `live`) and resets
-/// `claim` with `Relaxed` stores, then publishes them with a `Release`
-/// store of `posted`, which a helper loads with `Acquire` before it
-/// reads them. A helper may read a later batch's words mixed in, so it
-/// decodes a lane only if its claim, an `AcqRel` read-modify-write,
-/// returns the batch it read: that claim then precedes the caller's
-/// last claim of the batch, which comes before the caller writes the
-/// next one. `lanes` values carry their batch number and bit in one
-/// word, so they are `Relaxed`; `closed` pairs `Release` with
-/// `Acquire`.
+/// Orderings: the caller writes a batch (`words`, `live`, `helpers`)
+/// and resets `claim` with `Relaxed` stores, then publishes them with a
+/// `Release` store of `posted`, which a helper loads with `Acquire`
+/// before it reads them. A helper may read a later batch's words mixed
+/// in, so it decodes a lane only if its claim, an `AcqRel`
+/// read-modify-write, returns the batch it read: that claim then
+/// precedes the caller's last claim of the batch, which comes before
+/// the caller writes the next one. `lanes` values carry their batch
+/// number and bit in one word, so they are `Relaxed`; `closed` pairs
+/// `Release` with `Acquire`.
 struct DecodePool {
     /// The number of the posted batch (from 1).
     posted: AtomicU64,
     /// Set when the run is over; the helpers return.
     closed: AtomicBool,
-    /// The posted batch: its live lane count and syndrome words.
+    /// The posted batch: its live lane count, how many helpers (the
+    /// first ones) decode it, and its syndrome words.
     live: AtomicUsize,
+    helpers: AtomicUsize,
     words: Vec<AtomicU64>,
     /// The posted batch's number (mod 2^32) in the high half and its
     /// next unclaimed lane in the low half.
@@ -875,6 +901,12 @@ const YIELD_FOR: Duration = Duration::from_micros(200);
 struct PoolHandle<'a> {
     pool: &'a DecodePool,
     helpers: Vec<Thread>,
+    /// The threads that may decode the next batch, the caller's
+    /// included.
+    threads: &'a dyn Fn() -> usize,
+    /// The caller's last measured time per decode; until it has timed
+    /// one, [`YIELD_FOR`], an overestimate.
+    per_decode: Duration,
 }
 
 impl Drop for PoolHandle<'_> {
@@ -888,13 +920,18 @@ impl Drop for PoolHandle<'_> {
 
 impl PoolHandle<'_> {
     /// Decodes the first `live` lanes of `own.words` on the calling
-    /// thread and the helpers; returns their parity word.
-    fn decode(&self, own: &mut LaneDecoder, reference: &FrameReference, live: usize) -> u64 {
-        let batch = self.pool.post(&own.words, live);
-        for helper in &self.helpers {
+    /// thread and as many helpers as `threads` allows now; returns their
+    /// parity word.
+    fn decode(&mut self, own: &mut LaneDecoder, reference: &FrameReference, live: usize) -> u64 {
+        let helpers = (self.threads)().saturating_sub(1).min(self.helpers.len());
+        if helpers == 0 {
+            return own.decode_lanes(reference, &mut [], live);
+        }
+        let batch = self.pool.post(&own.words, live, helpers);
+        for helper in &self.helpers[..helpers] {
             helper.unpark();
         }
-        self.pool.finish(own, reference, batch, live)
+        (self.pool).finish(own, reference, batch, live, &mut self.per_decode)
     }
 }
 
@@ -904,6 +941,7 @@ impl DecodePool {
             posted: AtomicU64::new(0),
             closed: AtomicBool::new(false),
             live: AtomicUsize::new(0),
+            helpers: AtomicUsize::new(0),
             words: (0..checks).map(|_| AtomicU64::new(0)).collect(),
             claim: AtomicU64::new(0),
             lanes: [const { AtomicU64::new(0) }; LANES],
@@ -918,14 +956,15 @@ impl DecodePool {
         (claim >> 32 == batch & u64::from(u32::MAX) && lane < live).then_some(lane)
     }
 
-    /// Posts the next batch, the first `live` lanes of `words`; returns
-    /// its number.
-    fn post(&self, words: &[u64], live: usize) -> u64 {
+    /// Posts the next batch, the first `live` lanes of `words`, to the
+    /// first `helpers` helpers; returns its number.
+    fn post(&self, words: &[u64], live: usize, helpers: usize) -> u64 {
         let batch = self.posted.load(Ordering::Relaxed) + 1;
         for (posted, &word) in self.words.iter().zip(words) {
             posted.store(word, Ordering::Relaxed);
         }
         self.live.store(live, Ordering::Relaxed);
+        self.helpers.store(helpers, Ordering::Relaxed);
         self.claim.store(batch << 32, Ordering::Relaxed);
         self.posted.store(batch, Ordering::Release);
         batch
@@ -933,14 +972,17 @@ impl DecodePool {
 
     /// The calling thread's part of posted batch `batch`: decodes the
     /// lanes it claims, then gathers the helpers' bits, waiting about
-    /// two of its own decodes for them before it decodes a straggler's
-    /// lane itself. Returns the batch's parity word.
+    /// two decode times for them before it decodes a straggler's lane
+    /// itself. A decode time is `per_decode`, which this batch's own
+    /// decodes update; a batch in which the helpers claimed every lane
+    /// keeps the last one. Returns the batch's parity word.
     fn finish(
         &self,
         own: &mut LaneDecoder,
         reference: &FrameReference,
         batch: u64,
         live: usize,
+        per_decode: &mut Duration,
     ) -> u64 {
         let start = Instant::now();
         let (mut parity, mut mine) = (0u64, 0u64);
@@ -948,7 +990,10 @@ impl DecodePool {
             parity |= u64::from(own.decode(reference, lane)) << lane;
             mine |= 1 << lane;
         }
-        let deadline = Instant::now() + start.elapsed() * 2 / mine.count_ones().max(1);
+        if mine != 0 {
+            *per_decode = start.elapsed() / mine.count_ones();
+        }
+        let deadline = Instant::now() + *per_decode * 2;
         for lane in (0..live).filter(|&lane| (mine >> lane) & 1 == 0) {
             let bit = loop {
                 let result = self.lanes[lane].load(Ordering::Relaxed);
@@ -965,25 +1010,26 @@ impl DecodePool {
         parity
     }
 
-    /// A helper thread: decodes lanes of the posted batch and records
-    /// their bits in `lanes`, until the pool closes.
-    fn help(&self, decoder: &mut LaneDecoder, reference: &FrameReference) {
-        let mut seen = 0;
+    /// Helper thread `index`: decodes lanes of each posted batch that
+    /// wakes it and records their bits in `lanes`, until the pool
+    /// closes.
+    fn help(&self, index: usize, decoder: &mut LaneDecoder, reference: &FrameReference) {
+        let (mut seen, mut idle) = (0, Instant::now());
         loop {
-            let start = Instant::now();
-            while self.posted.load(Ordering::Acquire) == seen
-                && !self.closed.load(Ordering::Acquire)
-            {
-                if start.elapsed() < YIELD_FOR {
+            let posted = self.posted.load(Ordering::Acquire);
+            if self.closed.load(Ordering::Acquire) {
+                return;
+            }
+            if posted == seen || index >= self.helpers.load(Ordering::Relaxed) {
+                seen = posted;
+                if idle.elapsed() < YIELD_FOR {
                     thread::yield_now();
                 } else {
                     thread::park();
                 }
+                continue;
             }
-            if self.closed.load(Ordering::Acquire) {
-                return;
-            }
-            seen = self.posted.load(Ordering::Acquire);
+            seen = posted;
             for (word, posted) in decoder.words.iter_mut().zip(&self.words) {
                 *word = posted.load(Ordering::Relaxed);
             }
@@ -992,6 +1038,7 @@ impl DecodePool {
                 let bit = decoder.decode(reference, lane);
                 self.lanes[lane].store(seen << 1 | u64::from(bit), Ordering::Relaxed);
             }
+            idle = Instant::now();
         }
     }
 }
@@ -1040,12 +1087,14 @@ fn batch_rng(seed: u64, batch: u64) -> StdRng {
 /// (`tests/resume_oracle.rs`).
 ///
 /// Above [`PARITY_TABLE_MAX_BITS`] syndrome bits (d ≥ 7) a run with
-/// batches left starts one scoped helper thread per core beyond the
+/// batches left decodes on its share of the cores: the cores divided by
+/// the surface runs in progress in the process, re-read every batch.
+/// It starts one scoped helper thread per core of its share beyond the
 /// first and joins them before it returns. Only the decodes fan out:
 /// the error draw, the frame push, the cancellation poll, `on_batch`
 /// and the defect count stay on the calling thread, in batch order, so
-/// checkpoints and resume are unchanged. A single-core host decodes on
-/// the calling thread alone.
+/// checkpoints and resume are unchanged. A single-core host, or a run
+/// whose share is one core, decodes on the calling thread alone.
 ///
 /// # Errors
 ///
@@ -1080,8 +1129,12 @@ pub fn run_ler_surface_controlled(
     let mut progress = resume.cloned().unwrap_or_default();
     progress.counters.resize(1, 0);
     let start = progress.batches.min(batches);
-    let threads = if start < batches { point.threads() } else { 1 };
-    let stopped = with_decode_pool(&mut point, threads, |reference, decode| {
+    let share = RunShare::join();
+    // A parity table, filled as lanes decode, serves most lanes at
+    // d ≤ 5; only table-less points fan out.
+    let fans_out = start < batches && point.table.is_empty();
+    let threads = || if fans_out { share.threads() } else { 1 };
+    let stopped = with_decode_pool(&mut point, &threads, |reference, decode| {
         let mut buf = reference.buffers();
         for batch in start..batches {
             if cancelled() {
@@ -1127,6 +1180,7 @@ pub fn run_ler_surface_controlled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::sync::Barrier;
 
     fn quick(d: usize, p: f64, with_pf: bool, seed: u64) -> DistanceLerConfig {
@@ -1287,7 +1341,7 @@ mod tests {
     /// The parity word of the first `live` lanes of `meas`, decoded on
     /// the calling thread.
     fn serial_decode(point: &mut SweepPoint, live: usize, meas: &[u64]) -> u64 {
-        with_decode_pool(point, 1, |_, decode| decode(live, meas))
+        with_decode_pool(point, &|| 1, |_, decode| decode(live, meas))
     }
 
     /// The outcome words of `n` undecoded p = 0.08 batches.
@@ -1304,20 +1358,27 @@ mod tests {
 
     /// A run borrows the helper decoders from the cached sweep point, so
     /// every exit path leaves them in `DECODER_CACHE` and the next run on
-    /// the thread fans out again.
+    /// the thread fans out again. The point is primed with four lane
+    /// decoders, since a run's own share of the cores depends on the
+    /// host and on the tests running beside it.
     #[test]
     fn helper_decoders_stay_cached_on_every_exit_path() {
         let key = (7, CheckKind::X);
-        let cached =
-            || DECODER_CACHE.with(|cache| cache.borrow().get(&key).map(|p| p.decoders.len()));
+        let mut point = SweepPoint::new(7, CheckKind::X);
+        with_decode_pool(&mut point, &|| 4, |_, _| ());
+        DECODER_CACHE.with(|cache| cache.borrow_mut().insert(key, point));
+        let kept = || {
+            DECODER_CACHE
+                .with(|cache| (cache.borrow().get(&key)).is_some_and(|p| p.decoders.len() >= 4))
+        };
         let config = surface(7, 0.08, CheckKind::X, 200, 3);
         let scratch = run_ler_surface(&config).unwrap();
-        assert_eq!(cached(), Some(decode_threads()), "a full run");
+        assert!(kept(), "a full run");
 
         let (outcome, stopped) =
             run_ler_surface_controlled(&config, None, &|| true, &mut |_| {}).unwrap();
         assert!(stopped && outcome.shots == 0);
-        assert_eq!(cached(), Some(decode_threads()), "cancelled before batch 0");
+        assert!(kept(), "cancelled before batch 0");
 
         let done = Checkpoint {
             batches: 4,
@@ -1330,14 +1391,14 @@ mod tests {
         })
         .unwrap();
         assert_eq!(outcome, scratch);
-        assert_eq!(cached(), Some(decode_threads()), "resumed at the end");
+        assert!(kept(), "resumed at the end");
 
         let empty = run_ler_surface(&surface(7, 0.08, CheckKind::X, 0, 3)).unwrap();
         assert_eq!(empty.shots, 0);
-        assert_eq!(cached(), Some(decode_threads()), "no batches");
+        assert!(kept(), "no batches");
 
         assert_eq!(run_ler_surface(&config).unwrap(), scratch);
-        assert_eq!(cached(), Some(decode_threads()), "a full run after them");
+        assert!(kept(), "a full run after them");
     }
 
     /// The logical-support parity of a direct union-find decode.
@@ -1363,7 +1424,7 @@ mod tests {
                 assert_eq!(!point.table.is_empty(), d <= 5, "d={d}: table cap");
                 let mut buf = point.reference.buffers();
                 for batch in 0..4 {
-                    let fail_word = with_decode_pool(&mut point, 1, |reference, decode| {
+                    let fail_word = with_decode_pool(&mut point, &|| 1, |reference, decode| {
                         let rng = &mut batch_rng(d as u64, batch);
                         reference.sample_batch(0.08, LANES, rng, &mut buf, decode)
                     });
@@ -1566,8 +1627,10 @@ mod tests {
                 );
             }
             assert!(serial.iter().any(|&word| word != 0), "d={d}: vacuous");
-            for threads in 1..=4 {
-                let fanned: Vec<u64> = with_decode_pool(&mut point, threads, |_, decode| {
+            // More threads than cores too: helpers then wait for a core.
+            let most = (decode_threads() + 2).max(4);
+            for threads in (1..=4).chain([most]) {
+                let fanned: Vec<u64> = with_decode_pool(&mut point, &|| threads, |_, decode| {
                     (batches.iter())
                         .flat_map(|meas| lives.map(|live| (live, meas)))
                         .map(|(live, meas)| decode(live, meas))
@@ -1575,8 +1638,37 @@ mod tests {
                 });
                 assert_eq!(fanned, serial, "d={d}, {threads} threads");
             }
-            assert_eq!(point.decoders.len(), 4, "d={d}: helper decoders kept");
+            // A run's share of the cores may shrink and grow between
+            // batches: 4 threads to spawn, then 1, 3, 2, 4, ...
+            let calls = Cell::new(0);
+            let varying = || {
+                calls.set(calls.get() + 1);
+                [4, 1, 3, 2][(calls.get() - 1) % 4]
+            };
+            let fanned: Vec<u64> = with_decode_pool(&mut point, &varying, |_, decode| {
+                (batches.iter())
+                    .flat_map(|meas| lives.map(|live| (live, meas)))
+                    .map(|(live, meas)| decode(live, meas))
+                    .collect()
+            });
+            assert_eq!(fanned, serial, "d={d}, a varying share");
+            assert_eq!(point.decoders.len(), most, "d={d}: helper decoders kept");
         }
+    }
+
+    /// Surface runs in progress share the cores: with as many runs as
+    /// cores each decodes on its own thread alone, and two runs get at
+    /// most half the cores each. Other tests' runs only lower a share.
+    #[test]
+    fn concurrent_runs_share_the_cores() {
+        let cores = decode_threads();
+        let all: Vec<RunShare> = (0..cores).map(|_| RunShare::join()).collect();
+        assert!(all.iter().all(|share| share.threads() == 1));
+        drop(all);
+        let two = [RunShare::join(), RunShare::join()];
+        assert!(two
+            .iter()
+            .all(|share| share.threads() <= (cores / 2).max(1)));
     }
 
     /// A helper stuck in the middle of a lane neither stalls its batch
@@ -1614,11 +1706,12 @@ mod tests {
                 step.wait();
                 assert_eq!(stale, None, "a claim for a finished batch");
             });
+            let mut per_decode = Duration::ZERO;
             let mut decode = |meas: &[u64], hold: &dyn Fn()| {
                 own.gather(reference, meas);
-                let batch = pool.post(&own.words, LANES);
+                let batch = pool.post(&own.words, LANES, 1);
                 hold();
-                pool.finish(own, reference, batch, LANES)
+                pool.finish(own, reference, batch, LANES, &mut per_decode)
             };
             let first = decode(&batches[0], &|| {
                 step.wait();
@@ -1631,6 +1724,41 @@ mod tests {
             });
             assert_eq!(second, serial[1], "batch 2");
         });
+    }
+
+    /// When the helpers claim every lane of a batch, the caller has not
+    /// timed a decode of its own in that batch; it waits for their bits
+    /// for about two of its last measured decode times instead of
+    /// decoding every lane again at once. The helper here reports after
+    /// 20 ms, well inside a measured one second per decode, and reports
+    /// every bit flipped, so a lane the caller decoded itself would show.
+    #[test]
+    fn a_caller_that_claimed_no_lane_waits_for_the_helpers() {
+        let mut point = SweepPoint::new(7, CheckKind::X);
+        let meas = &sampled_batches(&point, 5, 1)[0];
+        let serial = serial_decode(&mut point, LANES, meas);
+        let SweepPoint {
+            reference,
+            decoders,
+            ..
+        } = &mut point;
+        let (reference, own) = (&*reference, &mut decoders[0]);
+        let pool = DecodePool::new(own.words.len());
+        own.gather(reference, meas);
+        let batch = pool.post(&own.words, LANES, 1);
+        while pool.claim(batch, LANES).is_some() {}
+        let parity = thread::scope(|scope| {
+            scope.spawn(|| {
+                thread::sleep(Duration::from_millis(20));
+                for (lane, result) in pool.lanes.iter().enumerate() {
+                    let flipped = !(serial >> lane) & 1;
+                    result.store(batch << 1 | flipped, Ordering::Relaxed);
+                }
+            });
+            let mut per_decode = Duration::from_secs(1);
+            pool.finish(own, reference, batch, LANES, &mut per_decode)
+        });
+        assert_eq!(parity, !serial, "the caller decoded a helper's lane");
     }
 
     #[test]

@@ -34,8 +34,9 @@
 //! frontier lists, growth counters, peeling scratch) therefore lives
 //! *inside* the decoder, behind a [`RefCell`], and is reset, never
 //! reallocated, on each call. Every buffer is allocated with the
-//! decoder at the largest size the graph allows, and the
-//! frontier lists are linked lists over one fixed node arena, so
+//! decoder, or a clone of it, at the largest size the graph allows,
+//! and the frontier lists are linked lists over one fixed node arena,
+//! reset by copying the decoder's initial lists, so
 //! [`UnionFindDecoder::decode_into`] never touches the heap, whatever
 //! the syndrome (pinned by `tests/uf_alloc.rs`). A decode helper thread
 //! therefore allocates nothing, and the `uf_decode_*` latency wins in
@@ -70,7 +71,7 @@ use crate::{CheckKind, RotatedSurfaceCode};
 /// let correction = decoder.decode(&syndrome);
 /// assert_eq!(code.syndrome_of(&correction, CheckKind::X), syndrome);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct UnionFindDecoder {
     /// Number of detecting checks == syndrome length. Check vertices are
     /// `0..num_checks` in `checks_of` (syndrome) order; virtual boundary
@@ -83,6 +84,11 @@ pub struct UnionFindDecoder {
     edges: Vec<(u32, u32, u32)>,
     /// Vertex → incident edge ids.
     adj: Vec<Vec<u32>>,
+    /// Edge id per frontier node: one node per vertex–edge incidence,
+    /// each vertex's incident edges as one run in `adj` order.
+    node_edge: Vec<u32>,
+    /// The frontier lists before any growth: each vertex's own run.
+    initial: Frontiers,
     /// Per-decode cluster/peeling state, reset (not reallocated) each
     /// call.
     scratch: RefCell<Scratch>,
@@ -132,12 +138,30 @@ impl UnionFindDecoder {
             adj[a as usize].push(e as u32);
             adj[b as usize].push(e as u32);
         }
+        let mut node_edge = Vec::with_capacity(2 * edges.len());
+        let mut initial = Frontiers {
+            head: Vec::with_capacity(num_nodes),
+            tail: Vec::with_capacity(num_nodes),
+            next: Vec::with_capacity(2 * edges.len()),
+        };
+        // Every vertex has an edge: a check covers data qubits, and a
+        // virtual vertex exists for its boundary qubit.
+        for incident in &adj {
+            let first = node_edge.len() as u32;
+            node_edge.extend_from_slice(incident);
+            let end = node_edge.len() as u32;
+            initial.next.extend((first + 1..end).chain([NIL]));
+            initial.head.push(first);
+            initial.tail.push(end - 1);
+        }
         UnionFindDecoder {
-            scratch: RefCell::new(Scratch::for_graph(num_nodes, &edges, &adj)),
+            scratch: RefCell::new(Scratch::for_graph(&edges, &adj, &initial)),
             num_checks,
             num_nodes,
             edges,
             adj,
+            node_edge,
+            initial,
         }
     }
 
@@ -188,12 +212,29 @@ impl UnionFindDecoder {
     }
 }
 
+/// A clone gets scratch of its own, sized like [`UnionFindDecoder::new`]'s:
+/// a copied `Vec` keeps its length, not its capacity, so a copied
+/// scratch would allocate on the clone's first decodes.
+impl Clone for UnionFindDecoder {
+    fn clone(&self) -> Self {
+        UnionFindDecoder {
+            num_checks: self.num_checks,
+            num_nodes: self.num_nodes,
+            edges: self.edges.clone(),
+            adj: self.adj.clone(),
+            node_edge: self.node_edge.clone(),
+            initial: self.initial.clone(),
+            scratch: RefCell::new(Scratch::for_graph(&self.edges, &self.adj, &self.initial)),
+        }
+    }
+}
+
 /// Per-decode cluster state: a union-find forest over the graph vertices
 /// with per-root parity/boundary bookkeeping, per-edge growth, and the
 /// peeling workspace. Lives inside the decoder, is allocated with it at
 /// the largest size the graph can need, and is reset on each call, so
 /// decoding never allocates.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Scratch {
     parent: Vec<u32>,
     /// Vertices in the tree (for weighted union), valid at roots.
@@ -202,19 +243,10 @@ struct Scratch {
     odd: Vec<bool>,
     /// Cluster contains a virtual boundary vertex, valid at roots.
     boundary: Vec<bool>,
-    /// Frontier edge lists, valid at roots: singly linked lists over a
-    /// node arena with one node per vertex–edge incidence, so a merge
-    /// splices two lists in O(1) and the arena never grows. May contain
-    /// edges that have since become internal; those are dropped lazily
-    /// when the cluster next grows. First node per vertex ([`NIL`] =
-    /// empty).
-    head: Vec<u32>,
-    /// Last node per vertex, valid where `head` is not [`NIL`].
-    tail: Vec<u32>,
-    /// Edge id per node.
-    node_edge: Vec<u32>,
-    /// Next node per node.
-    node_next: Vec<u32>,
+    /// Frontier edge lists, valid at roots. May contain edges that have
+    /// since become internal; those are dropped lazily when the cluster
+    /// next grows.
+    frontiers: Frontiers,
     /// Half-edge growth per edge, saturating at 2 (= fully grown).
     growth: Vec<u8>,
     /// Growth-round seeds (active roots at the start of the round).
@@ -236,21 +268,18 @@ struct Scratch {
 }
 
 impl Scratch {
-    /// Every buffer at its bound for a graph of `n` vertices: a
-    /// frontier list holds at most every vertex–edge incidence, a vertex
-    /// at most its degree of grown edges, and every other buffer one
-    /// entry per vertex or edge.
-    fn for_graph(n: usize, edges: &[(u32, u32, u32)], adj: &[Vec<u32>]) -> Self {
-        let incidences = 2 * edges.len();
+    /// Every buffer at its bound for a graph with initial frontier
+    /// lists `initial`: the frontier arena is fixed, a vertex holds at
+    /// most its degree of grown edges, and every other buffer one entry
+    /// per vertex or edge.
+    fn for_graph(edges: &[(u32, u32, u32)], adj: &[Vec<u32>], initial: &Frontiers) -> Self {
+        let n = adj.len();
         Scratch {
             parent: Vec::with_capacity(n),
             size: Vec::with_capacity(n),
             odd: Vec::with_capacity(n),
             boundary: Vec::with_capacity(n),
-            head: Vec::with_capacity(n),
-            tail: Vec::with_capacity(n),
-            node_edge: Vec::with_capacity(incidences),
-            node_next: Vec::with_capacity(incidences),
+            frontiers: initial.clone(),
             growth: Vec::with_capacity(edges.len()),
             seeds: Vec::with_capacity(n),
             grown_adj: adj.iter().map(|a| Vec::with_capacity(a.len())).collect(),
@@ -266,6 +295,19 @@ impl Scratch {
 
 /// The empty link of a frontier list.
 const NIL: u32 = u32::MAX;
+
+/// Frontier edge lists: singly linked lists over the decoder's node
+/// arena, so a merge splices two lists in O(1) and the arena never
+/// grows.
+#[derive(Clone, Debug)]
+struct Frontiers {
+    /// First node per vertex ([`NIL`] = empty).
+    head: Vec<u32>,
+    /// Last node per vertex, valid where `head` is not [`NIL`].
+    tail: Vec<u32>,
+    /// Next node per node.
+    next: Vec<u32>,
+}
 
 /// A borrow of the decoder graph plus its scratch for one decode call.
 struct Clusters<'a> {
@@ -298,26 +340,10 @@ impl Clusters<'_> {
         s.boundary.extend((0..n).map(|v| v >= self.dec.num_checks));
         s.growth.clear();
         s.growth.resize(self.dec.edges.len(), 0);
-        s.head.clear();
-        s.tail.clear();
-        s.node_edge.clear();
-        s.node_next.clear();
-        for adj in &self.dec.adj {
-            let (mut head, mut tail) = (NIL, NIL);
-            for &e in adj {
-                let node = s.node_edge.len() as u32;
-                s.node_edge.push(e);
-                s.node_next.push(NIL);
-                if tail == NIL {
-                    head = node;
-                } else {
-                    s.node_next[tail as usize] = node;
-                }
-                tail = node;
-            }
-            s.head.push(head);
-            s.tail.push(tail);
-        }
+        let (lists, initial) = (&mut s.frontiers, &self.dec.initial);
+        lists.head.copy_from_slice(&initial.head);
+        lists.tail.copy_from_slice(&initial.tail);
+        lists.next.copy_from_slice(&initial.next);
     }
 
     /// Path-halving find.
@@ -346,14 +372,15 @@ impl Clusters<'_> {
         s.odd[root as usize] ^= child_odd;
         s.boundary[root as usize] |= s.boundary[child as usize];
         // The child's frontier goes after the root's.
-        let (head, tail) = (s.head[child as usize], s.tail[child as usize]);
+        let lists = &mut s.frontiers;
+        let (head, tail) = (lists.head[child as usize], lists.tail[child as usize]);
         if head != NIL {
-            match s.head[root as usize] {
-                NIL => s.head[root as usize] = head,
-                _ => s.node_next[s.tail[root as usize] as usize] = head,
+            match lists.head[root as usize] {
+                NIL => lists.head[root as usize] = head,
+                _ => lists.next[lists.tail[root as usize] as usize] = head,
             }
-            s.tail[root as usize] = tail;
-            s.head[child as usize] = NIL;
+            lists.tail[root as usize] = tail;
+            lists.head[child as usize] = NIL;
         }
         root
     }
@@ -398,11 +425,11 @@ impl Clusters<'_> {
     fn grow_cluster(&mut self, root: u32) {
         // Detach the cluster's list and walk it: merges during the walk
         // append to the cluster's (now empty) list, not to this one.
-        let mut node = std::mem::replace(&mut self.s.head[root as usize], NIL);
+        let mut node = std::mem::replace(&mut self.s.frontiers.head[root as usize], NIL);
         let (mut kept, mut kept_tail) = (NIL, NIL);
         while node != NIL {
-            let next = self.s.node_next[node as usize];
-            let e = self.s.node_edge[node as usize];
+            let next = self.s.frontiers.next[node as usize];
+            let e = self.dec.node_edge[node as usize];
             let (a, b, _) = self.dec.edges[e as usize];
             let ra = self.find(a);
             let rb = self.find(b);
@@ -416,7 +443,7 @@ impl Clusters<'_> {
                     // Half-grown: it stays on the frontier, in order.
                     match kept_tail {
                         NIL => kept = node,
-                        _ => self.s.node_next[kept_tail as usize] = node,
+                        _ => self.s.frontiers.next[kept_tail as usize] = node,
                     }
                     kept_tail = node;
                 }
@@ -426,13 +453,13 @@ impl Clusters<'_> {
         // The surviving edges go back on the end of the cluster's list.
         if kept != NIL {
             let root = self.find(root) as usize;
-            let s = &mut *self.s;
-            s.node_next[kept_tail as usize] = NIL;
-            match s.head[root] {
-                NIL => s.head[root] = kept,
-                _ => s.node_next[s.tail[root] as usize] = kept,
+            let lists = &mut self.s.frontiers;
+            lists.next[kept_tail as usize] = NIL;
+            match lists.head[root] {
+                NIL => lists.head[root] = kept,
+                _ => lists.next[lists.tail[root] as usize] = kept,
             }
-            s.tail[root] = kept_tail;
+            lists.tail[root] = kept_tail;
         }
     }
 

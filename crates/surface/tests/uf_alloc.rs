@@ -91,9 +91,25 @@ fn warmed_decoder_decodes_without_allocating() {
         "a fresh decoder's first decodes allocated"
     );
 
+    // So is a clone's, though the decoder it copies has decoded.
+    let clone = decoder.clone();
+    let mut cloned = 0usize;
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for syndrome in &workload {
+        clone.decode_into(syndrome, &mut correction);
+        cloned += correction.len();
+    }
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "a cloned decoder's first decodes allocated"
+    );
+
     // Keep the corrections observable so the loops cannot be optimized
     // away wholesale, and check the workload was not vacuous.
     assert_eq!(warm, measured);
     assert_eq!(warm, first);
+    assert_eq!(warm, cloned);
     assert!(warm > 0, "workload decoded no corrections at all");
 }
