@@ -1,27 +1,33 @@
 //! `loadgen` — the serving-core load generator and regression gate.
 //!
 //! Spawns the `qpdo_serve` daemon (sibling binary in the same target
-//! dir), drives N concurrent client connections with an **open-loop**
+//! dir), drives 4× the baseline connection count with an **open-loop**
 //! arrival schedule (seeded jitter around a fixed interarrival, so a
 //! slow server cannot slow the offered load down — latency is measured
 //! from the *scheduled* arrival, which makes the tail
 //! coordinated-omission-proof), and writes
-//! `results/BENCH_serve.json` (schema `qpdo-bench-serve-v1`).
+//! `<out>/BENCH_serve.json` (schema `qpdo-bench-serve-v1`).
 //!
-//! Two scenarios duel on identical per-connection schedules:
+//! The report holds two scenarios:
 //!
-//! - `threaded_baseline` — `--io-model threaded --commit-batch 1
-//!   --commit-interval-us 0`: thread-per-connection with one fsync per
-//!   journal record, the pre-event-loop serving core.
-//! - `event_4x` — `--io-model event` with group commit at its
-//!   defaults, driven by **4x the connection count** of the baseline.
+//! - `event_4x` — measured live: the event loop with group commit at
+//!   its defaults, driven by **4x the connection count** of the
+//!   baseline, against a stalled executor so the arrival wave
+//!   genuinely overloads the queue.
+//! - `threaded_baseline` — frozen: the thread-per-connection server
+//!   with one fsync per journal record, measured at 1x the
+//!   connections before that server was deleted. A run reads it from
+//!   the report already at `<out>/BENCH_serve.json` and copies it into
+//!   the new report unchanged.
 //!
-//! Both run against a stalled executor so the arrival wave genuinely
-//! overloads the queue: the report carries throughput, p50/p99/p999
-//! ack latency, and the shed rate (typed `overloaded`/`busy`
-//! rejections over total replies) for each side, plus
-//! `derived.event_p99_not_worse` — the event loop must hold 4x the
-//! connections at equal-or-better p99.
+//! Each scenario carries throughput, p50/p99/p999 ack latency, and the
+//! shed rate (typed `overloaded`/`busy` rejections over total
+//! replies). A full run fails unless a frozen baseline measured under
+//! the same workload is present and the event loop's p99 at 4x the
+//! connections is equal or better than its p99
+//! (`derived.event_p99_not_worse`). A `--smoke` run measures
+//! `event_4x` on a tiny configuration and schema-checks the report; it
+//! gates nothing against the baseline.
 //!
 //! This binary deliberately speaks the wire protocol through
 //! [`qpdo_bench::framing`] alone (the serve crate depends on this one,
@@ -49,6 +55,13 @@ use qpdo_rng::rngs::StdRng;
 use qpdo_rng::{Rng, SeedableRng};
 
 const SCHEMA: &str = "qpdo-bench-serve-v1";
+/// The frozen scenario, carried forward from the previous report.
+const THREADED: &str = "threaded_baseline";
+/// The live scenario.
+const EVENT: &str = "event_4x";
+/// The live scenario's group commit, pinned at the daemon's defaults.
+const COMMIT_BATCH: usize = 64;
+const COMMIT_INTERVAL_US: u64 = 200;
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 const CALL_TIMEOUT: Duration = Duration::from_secs(30);
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(120);
@@ -229,19 +242,8 @@ impl Daemon {
     }
 }
 
-struct Scenario {
-    name: &'static str,
-    io_model: &'static str,
-    conns: usize,
-    commit_batch: usize,
-    commit_interval_us: u64,
-}
-
 struct ScenarioResult {
-    name: &'static str,
-    io_model: &'static str,
     conns: usize,
-    commit_batch: usize,
     ops_offered: u64,
     replies: u64,
     accepted: u64,
@@ -264,29 +266,28 @@ fn percentile(sorted_us: &[u64], q: f64) -> f64 {
     sorted_us[idx.min(sorted_us.len() - 1)] as f64
 }
 
-/// Runs one scenario: spawn the daemon, drive `conns` open-loop
+/// Runs the live scenario: spawn the daemon, drive `conns` open-loop
 /// clients, drain, reduce to percentiles.
-fn run_scenario(
+fn run_event_scenario(
     root: &Path,
-    args: &Args,
-    scenario: &Scenario,
+    seed: u64,
+    conns: usize,
+    ops: usize,
     interarrival: Duration,
     stall_ms: u64,
 ) -> Result<ScenarioResult, String> {
-    let wal_dir = root.join(format!("wal-{}", scenario.name));
+    let wal_dir = root.join(format!("wal-{EVENT}"));
     if wal_dir.exists() {
         std::fs::remove_dir_all(&wal_dir)
             .map_err(|e| format!("clear {}: {e}", wal_dir.display()))?;
     }
-    let batch = scenario.commit_batch.to_string();
-    let interval = scenario.commit_interval_us.to_string();
+    let batch = COMMIT_BATCH.to_string();
+    let interval = COMMIT_INTERVAL_US.to_string();
     let stall = stall_ms.to_string();
-    let seed = args.seed.to_string();
+    let seed_flag = seed.to_string();
     let daemon = Daemon::spawn(
         &wal_dir,
         &[
-            "--io-model",
-            scenario.io_model,
             "--commit-batch",
             &batch,
             "--commit-interval-us",
@@ -298,7 +299,7 @@ fn run_scenario(
             "--chaos-stall-ms",
             &stall,
             "--seed",
-            &seed,
+            &seed_flag,
         ],
     )?;
     let addr = daemon.addr;
@@ -310,12 +311,10 @@ fn run_scenario(
     let replies = AtomicU64::new(0);
     let start = Instant::now();
     std::thread::scope(|scope| {
-        for c in 0..scenario.conns {
+        for c in 0..conns {
             let latencies = &latencies;
             let (accepted, shed, errors, replies) = (&accepted, &shed, &errors, &replies);
-            let name = scenario.name;
-            let ops = args.ops;
-            let mut rng = StdRng::seed_from_u64(args.seed ^ fnv(name) ^ c as u64);
+            let mut rng = StdRng::seed_from_u64(seed ^ fnv(EVENT) ^ c as u64);
             scope.spawn(move || {
                 let Ok(mut wire) = Wire::connect(addr) else {
                     errors.fetch_add(ops as u64, Ordering::Relaxed);
@@ -331,7 +330,7 @@ fn run_scenario(
                     if now < scheduled {
                         std::thread::sleep(scheduled - now);
                     }
-                    let line = format!("submit {name}-{c}-{k} - bell 1");
+                    let line = format!("submit {EVENT}-{c}-{k} - bell 1");
                     match wire.call(&line) {
                         Ok(reply) => {
                             let lat = scheduled.elapsed().as_micros().max(1) as u64;
@@ -367,11 +366,8 @@ fn run_scenario(
     let replies = replies.into_inner();
     let shed = shed.into_inner();
     Ok(ScenarioResult {
-        name: scenario.name,
-        io_model: scenario.io_model,
-        conns: scenario.conns,
-        commit_batch: scenario.commit_batch,
-        ops_offered: (scenario.conns * args.ops) as u64,
+        conns,
+        ops_offered: (conns * ops) as u64,
         replies,
         accepted: accepted.into_inner(),
         shed,
@@ -391,10 +387,9 @@ fn run_scenario(
 
 fn scenario_entry(result: &ScenarioResult) -> Json {
     Json::object([
-        ("name", Json::from(result.name)),
-        ("io_model", Json::from(result.io_model)),
+        ("name", Json::from(EVENT)),
         ("conns", Json::from(result.conns)),
-        ("commit_batch", Json::from(result.commit_batch)),
+        ("commit_batch", Json::from(COMMIT_BATCH)),
         ("ops_offered", Json::from(result.ops_offered)),
         ("replies", Json::from(result.replies)),
         ("accepted", Json::from(result.accepted)),
@@ -409,8 +404,18 @@ fn scenario_entry(result: &ScenarioResult) -> Json {
     ])
 }
 
+/// The report's entry for scenario `name`, if it has one.
+fn scenario<'a>(doc: &'a Json, name: &str) -> Option<&'a Json> {
+    doc.get("scenarios")?
+        .as_array()?
+        .iter()
+        .find(|s| s.get("name").and_then(Json::as_str) == Some(name))
+}
+
 /// Validates the report against the `qpdo-bench-serve-v1` schema; the
-/// smoke gate in `scripts/verify.sh` rides on this.
+/// smoke gate in `scripts/verify.sh` rides on this. A full report
+/// needs both scenarios and the derived comparison; a smoke report
+/// needs only `event_4x`.
 fn validate_report(doc: &Json) -> Result<(), String> {
     if doc.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
         return Err(format!("schema field must be {SCHEMA:?}"));
@@ -420,15 +425,17 @@ fn validate_report(doc: &Json) -> Result<(), String> {
             .and_then(Json::as_f64)
             .ok_or(format!("missing numeric field {field:?}"))?;
     }
-    let scenarios = doc
-        .get("scenarios")
-        .and_then(Json::as_array)
-        .ok_or("missing scenarios array")?;
-    for name in ["threaded_baseline", "event_4x"] {
-        let entry = scenarios
-            .iter()
-            .find(|s| s.get("name").and_then(Json::as_str) == Some(name))
-            .ok_or(format!("missing scenario entry {name:?}"))?;
+    let smoke = match doc.get("smoke") {
+        Some(Json::Bool(smoke)) => *smoke,
+        _ => return Err("missing boolean field \"smoke\"".into()),
+    };
+    for name in [THREADED, EVENT] {
+        let Some(entry) = scenario(doc, name) else {
+            if smoke && name == THREADED {
+                continue;
+            }
+            return Err(format!("missing scenario entry {name:?}"));
+        };
         for field in ["conns", "ops_offered", "replies", "throughput_rps"] {
             let v = entry
                 .get(field)
@@ -460,6 +467,9 @@ fn validate_report(doc: &Json) -> Result<(), String> {
             return Err(format!("scenario {name:?} shed_rate must be in [0, 1]"));
         }
     }
+    if smoke {
+        return Ok(());
+    }
     let derived = doc.get("derived").ok_or("missing derived object")?;
     let ratio = derived
         .get("conn_ratio")
@@ -485,6 +495,44 @@ fn validate_report(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
+/// Reads the frozen `threaded_baseline` entry from the report at
+/// `path` and checks that it was measured under this run's workload.
+fn frozen_baseline(
+    path: &Path,
+    ops: usize,
+    interarrival: Duration,
+    stall_ms: u64,
+) -> Result<Json, String> {
+    let missing = |why: String| {
+        format!(
+            "{why}; a full run gates against the frozen {THREADED:?} entry there \
+             (the committed results/BENCH_serve.json holds one)"
+        )
+    };
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| missing(format!("cannot read {}: {e}", path.display())))?;
+    let doc = Json::parse(&text)
+        .map_err(|e| missing(format!("{} is not valid JSON: {e}", path.display())))?;
+    let entry = scenario(&doc, THREADED)
+        .ok_or_else(|| missing(format!("{} has no {THREADED:?} entry", path.display())))?;
+    let workload = [
+        ("ops_per_conn", ops as f64),
+        ("interarrival_us", interarrival.as_micros() as f64),
+        ("stall_ms", stall_ms as f64),
+    ];
+    for (field, value) in workload {
+        let frozen = doc.get(field).and_then(Json::as_f64);
+        if frozen != Some(value) {
+            return Err(format!(
+                "the frozen baseline in {} was measured with {field} {frozen:?}, \
+                 this run uses {value}",
+                path.display()
+            ));
+        }
+    }
+    Ok(entry.clone())
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
@@ -507,98 +555,91 @@ fn run(args: &Args) -> Result<(), String> {
     } else {
         (args.conns, args.ops, Duration::from_millis(20), 5)
     };
-    let effective = Args {
-        out: args.out.clone(),
-        conns: base_conns,
-        ops,
-        seed: args.seed,
-        smoke: args.smoke,
+    let path = args.out.join("BENCH_serve.json");
+    // Read before measuring: a full run without its baseline fails fast.
+    let baseline = if args.smoke {
+        None
+    } else {
+        Some(frozen_baseline(&path, ops, interarrival, stall_ms)?)
     };
     let root = std::env::temp_dir().join(format!("loadgen-{}", std::process::id()));
     std::fs::create_dir_all(&root).map_err(|e| format!("create {}: {e}", root.display()))?;
 
-    let scenarios = [
-        Scenario {
-            name: "threaded_baseline",
-            io_model: "threaded",
-            conns: base_conns,
-            commit_batch: 1,
-            commit_interval_us: 0,
-        },
-        Scenario {
-            name: "event_4x",
-            io_model: "event",
-            conns: base_conns * 4,
-            commit_batch: 64,
-            commit_interval_us: 200,
-        },
-    ];
-    let mut results = Vec::new();
-    for scenario in &scenarios {
-        println!(
-            "scenario {}: {} conns, io-model {}, commit batch {}",
-            scenario.name, scenario.conns, scenario.io_model, scenario.commit_batch
-        );
-        let result = run_scenario(&root, &effective, scenario, interarrival, stall_ms)?;
-        println!(
-            "   {:.0} rps, p50 {:.0} us, p99 {:.0} us, p999 {:.0} us, shed {:.1}%, errors {}",
-            result.throughput_rps,
-            result.p50_us,
-            result.p99_us,
-            result.p999_us,
-            result.shed_rate * 100.0,
-            result.errors
-        );
-        results.push(result);
-    }
+    let conns = base_conns * 4;
+    println!("scenario {EVENT}: {conns} conns, commit batch {COMMIT_BATCH}");
+    let event = run_event_scenario(&root, args.seed, conns, ops, interarrival, stall_ms);
     std::fs::remove_dir_all(&root).ok();
-
-    let threaded = &results[0];
-    let event = &results[1];
-    if threaded.replies == 0 || event.replies == 0 {
-        return Err("a scenario completed zero requests".into());
-    }
-    let p99_ratio = event.p99_us / threaded.p99_us.max(1.0);
-    let event_p99_not_worse = event.p99_us <= threaded.p99_us;
-    if !args.smoke && !event_p99_not_worse {
-        // The full run is the regression gate proper: the event loop
-        // holding 4x the connections must not cost tail latency.
-        return Err(format!(
-            "event loop p99 {:.0} us is worse than the threaded baseline {:.0} us at 4x conns",
-            event.p99_us, threaded.p99_us
-        ));
+    let event = event?;
+    println!(
+        "   {:.0} rps, p50 {:.0} us, p99 {:.0} us, p999 {:.0} us, shed {:.1}%, errors {}",
+        event.throughput_rps,
+        event.p50_us,
+        event.p99_us,
+        event.p999_us,
+        event.shed_rate * 100.0,
+        event.errors
+    );
+    if event.replies == 0 {
+        return Err("the event scenario completed zero requests".into());
     }
 
-    let report = Json::object([
-        ("schema", Json::from(SCHEMA)),
-        ("seed", Json::from(args.seed)),
-        ("smoke", Json::from(args.smoke)),
-        ("ops_per_conn", Json::from(ops)),
-        (
-            "interarrival_us",
-            Json::from(interarrival.as_micros() as u64),
-        ),
-        ("stall_ms", Json::from(stall_ms)),
-        (
-            "scenarios",
-            Json::array([scenario_entry(threaded), scenario_entry(event)]),
-        ),
-        (
-            "derived",
-            Json::object([
-                (
-                    "conn_ratio",
-                    Json::from(event.conns as f64 / threaded.conns as f64),
-                ),
-                ("p99_ratio_event_over_threaded", Json::from(p99_ratio)),
-                (
-                    "throughput_ratio",
-                    Json::from(event.throughput_rps / threaded.throughput_rps),
-                ),
-                ("event_p99_not_worse", Json::from(event_p99_not_worse)),
-            ]),
-        ),
-    ]);
+    // A full run gates against the frozen baseline and carries it
+    // forward unchanged; a smoke run reports `event_4x` alone.
+    let mut scenarios = Vec::new();
+    let mut derived = None;
+    if let Some(threaded) = baseline {
+        let number = |field: &str| {
+            threaded
+                .get(field)
+                .and_then(Json::as_f64)
+                .ok_or(format!("frozen {THREADED:?} entry lacks {field:?}"))
+        };
+        let (threaded_p99, threaded_conns) = (number("p99_us")?, number("conns")?);
+        let threaded_rps = number("throughput_rps")?;
+        println!(
+            "frozen {THREADED}: {threaded_conns} conns, {threaded_rps:.0} rps, p99 {threaded_p99:.0} us"
+        );
+        let event_p99_not_worse = event.p99_us <= threaded_p99;
+        if !event_p99_not_worse {
+            // The full run is the regression gate proper: the event loop
+            // holding 4x the connections must not cost tail latency.
+            return Err(format!(
+                "event loop p99 {:.0} us is worse than the frozen threaded baseline \
+                 {threaded_p99:.0} us at 4x conns",
+                event.p99_us
+            ));
+        }
+        derived = Some(Json::object([
+            ("conn_ratio", Json::from(conns as f64 / threaded_conns)),
+            (
+                "p99_ratio_event_over_threaded",
+                Json::from(event.p99_us / threaded_p99.max(1.0)),
+            ),
+            (
+                "throughput_ratio",
+                Json::from(event.throughput_rps / threaded_rps),
+            ),
+            ("event_p99_not_worse", Json::from(event_p99_not_worse)),
+        ]));
+        scenarios.push(threaded);
+    }
+    scenarios.push(scenario_entry(&event));
+    let report = Json::object(
+        [
+            ("schema", Json::from(SCHEMA)),
+            ("seed", Json::from(args.seed)),
+            ("smoke", Json::from(args.smoke)),
+            ("ops_per_conn", Json::from(ops)),
+            (
+                "interarrival_us",
+                Json::from(interarrival.as_micros() as u64),
+            ),
+            ("stall_ms", Json::from(stall_ms)),
+            ("scenarios", Json::array(scenarios)),
+        ]
+        .into_iter()
+        .chain(derived.map(|d| ("derived", d))),
+    );
 
     validate_report(&report)
         .map_err(|err| format!("generated report fails its own schema: {err}"))?;
@@ -607,7 +648,6 @@ fn run(args: &Args) -> Result<(), String> {
         .map_err(|err| format!("generated report is not emittable: {err}"))?;
     std::fs::create_dir_all(&args.out)
         .map_err(|err| format!("cannot create {}: {err}", args.out.display()))?;
-    let path = args.out.join("BENCH_serve.json");
     std::fs::write(&path, text).map_err(|err| format!("cannot write {}: {err}", path.display()))?;
     // Round-trip the on-disk bytes so the smoke gate checks what future
     // readers will actually parse.

@@ -13,8 +13,6 @@
 //! - `--batch-shots <n>` — shots per supervised batch (default 16),
 //! - `--watchdog-ms <n>` — per-batch watchdog deadline (default 30000),
 //! - `--redundancy <n>` — cross-backend vote every `n`-th batch (0 off),
-//! - `--deadline-ms <n>` — per-job deadline for serving mode (none),
-//! - `--queue-depth <n>` — bounded admission-queue depth (default 256),
 //! - `--replay-quarantine <f>` — re-submit quarantined batches from `f`.
 //!
 //! The supervised execution engine behind those flags lives in
@@ -87,29 +85,19 @@ pub struct HarnessArgs {
     /// Fault-injection: the task index that hangs once on its first
     /// attempt (`--chaos-hang`, test instrumentation, default none).
     pub chaos_hang: Option<usize>,
-    /// Per-job deadline in milliseconds for serving-mode execution
-    /// (`--deadline-ms`, default none = no deadline).
-    pub deadline_ms: Option<u64>,
-    /// Bounded admission-queue depth for serving-mode execution
-    /// (`--queue-depth`, default 256).
-    pub queue_depth: usize,
     /// Re-submit previously quarantined batches from this `quarantine.csv`
     /// instead of running the full sweep (`--replay-quarantine`).
     pub replay_quarantine: Option<PathBuf>,
 }
 
-/// Upper bound accepted for millisecond flags (`--watchdog-ms`,
-/// `--deadline-ms`): one day. Larger values are almost certainly a
-/// units mistake (seconds or nanoseconds pasted into a ms flag).
+/// Upper bound accepted for millisecond flags (`--watchdog-ms` here,
+/// and the daemons' own): one day. Larger values are almost certainly
+/// a units mistake (seconds or nanoseconds pasted into a ms flag).
 pub const MAX_MS_FLAG: u64 = 86_400_000;
 
 /// Upper bound accepted for `--batch-shots`: a single batch beyond a
 /// billion shots starves the watchdog and the checkpoint cadence.
 pub const MAX_BATCH_SHOTS: u64 = 1 << 30;
-
-/// Upper bound accepted for `--queue-depth`: bounded admission is the
-/// point; a million queued jobs is an unbounded queue in disguise.
-pub const MAX_QUEUE_DEPTH: usize = 1 << 20;
 
 /// Upper bound accepted for `--jobs`: beyond this the worker pool is
 /// pure scheduler overhead on any real machine.
@@ -131,8 +119,6 @@ impl HarnessArgs {
             redundancy: 0,
             chaos_panic: 0.0,
             chaos_hang: None,
-            deadline_ms: None,
-            queue_depth: 256,
             replay_quarantine: None,
         }
     }
@@ -145,9 +131,9 @@ impl HarnessArgs {
     /// Returns [`ParseError::Help`] for `--help`/`-h` and
     /// [`ParseError::Invalid`] for unknown flags, missing values, or
     /// out-of-range values (zero `--jobs`/`--batch-shots`/
-    /// `--watchdog-ms`/`--deadline-ms`/`--queue-depth`, values above
-    /// the [`MAX_MS_FLAG`]/[`MAX_BATCH_SHOTS`]/[`MAX_QUEUE_DEPTH`]/
-    /// [`MAX_JOBS`] sanity caps, `--chaos-panic` outside `[0, 1]`).
+    /// `--watchdog-ms`, values above the [`MAX_MS_FLAG`]/
+    /// [`MAX_BATCH_SHOTS`]/[`MAX_JOBS`] sanity caps, `--chaos-panic`
+    /// outside `[0, 1]`).
     pub fn try_parse_from<I, S>(raw: I) -> Result<Self, ParseError>
     where
         I: IntoIterator<Item = S>,
@@ -200,28 +186,6 @@ impl HarnessArgs {
                         return invalid(format!(
                             "--watchdog-ms must be at most {MAX_MS_FLAG} (one day)"
                         ));
-                    }
-                }
-                "--deadline-ms" => {
-                    let ms: u64 = parse_value(iter.next(), "--deadline-ms", "a positive integer")?;
-                    if ms == 0 {
-                        return invalid("--deadline-ms must be at least 1");
-                    }
-                    if ms > MAX_MS_FLAG {
-                        return invalid(format!(
-                            "--deadline-ms must be at most {MAX_MS_FLAG} (one day)"
-                        ));
-                    }
-                    args.deadline_ms = Some(ms);
-                }
-                "--queue-depth" => {
-                    args.queue_depth =
-                        parse_value(iter.next(), "--queue-depth", "a positive integer")?;
-                    if args.queue_depth == 0 {
-                        return invalid("--queue-depth must be at least 1");
-                    }
-                    if args.queue_depth > MAX_QUEUE_DEPTH {
-                        return invalid(format!("--queue-depth must be at most {MAX_QUEUE_DEPTH}"));
                     }
                 }
                 "--replay-quarantine" => match iter.next() {
@@ -306,8 +270,6 @@ usage: <experiment> [options]
   --batch-shots N    shots per supervised batch (default 16)
   --watchdog-ms N    per-batch watchdog deadline in ms (default 30000)
   --redundancy N     cross-backend vote every Nth batch (default 0 = off)
-  --deadline-ms N    per-job deadline in ms for serving mode (default: none)
-  --queue-depth N    bounded admission-queue depth (default 256)
   --replay-quarantine FILE
                      re-submit quarantined batches listed in FILE
   --chaos-panic P    fault injection: first-attempt panic probability
@@ -506,8 +468,6 @@ mod tests {
         assert_eq!(args.redundancy, 0);
         assert_eq!(args.chaos_panic, 0.0);
         assert_eq!(args.chaos_hang, None);
-        assert_eq!(args.deadline_ms, None);
-        assert_eq!(args.queue_depth, 256);
         assert_eq!(args.replay_quarantine, None);
     }
 
@@ -533,10 +493,6 @@ mod tests {
             "0.05",
             "--chaos-hang",
             "3",
-            "--deadline-ms",
-            "2500",
-            "--queue-depth",
-            "64",
             "--replay-quarantine",
             "results/quarantine.csv",
         ])
@@ -551,8 +507,6 @@ mod tests {
         assert_eq!(args.redundancy, 8);
         assert_eq!(args.chaos_panic, 0.05);
         assert_eq!(args.chaos_hang, Some(3));
-        assert_eq!(args.deadline_ms, Some(2500));
-        assert_eq!(args.queue_depth, 64);
         assert_eq!(
             args.replay_quarantine,
             Some(PathBuf::from("results/quarantine.csv"))
@@ -570,8 +524,6 @@ mod tests {
         assert!(invalid(&["--jobs", "0"]));
         assert!(invalid(&["--batch-shots", "0"]));
         assert!(invalid(&["--watchdog-ms", "0"]));
-        assert!(invalid(&["--deadline-ms", "0"]));
-        assert!(invalid(&["--queue-depth", "0"]));
         assert!(invalid(&["--jobs"]));
         assert!(invalid(&["--jobs", "many"]));
         assert!(invalid(&["--chaos-panic", "1.5"]));
@@ -580,9 +532,7 @@ mod tests {
         assert!(invalid(&["--frobnicate"]));
         // Nonsense magnitudes are rejected, not silently accepted.
         assert!(invalid(&["--watchdog-ms", "99999999999"]));
-        assert!(invalid(&["--deadline-ms", "99999999999"]));
         assert!(invalid(&["--batch-shots", "1099511627776"]));
-        assert!(invalid(&["--queue-depth", "10000000"]));
         assert!(invalid(&["--jobs", "1000000"]));
         assert_eq!(
             HarnessArgs::try_parse_from(["--help"]),

@@ -6,17 +6,15 @@
 //! `kill -9`: restart the daemon on the same journal directory and
 //! every accepted-but-incomplete job re-executes deterministically.
 //!
-//! Serve-specific flags are parsed here; everything else is the shared
-//! harness vocabulary (`--jobs`, `--watchdog-ms`, `--seed`,
-//! `--queue-depth`, `--deadline-ms`).
+//! Every flag is parsed here; anything else exits 2 with the usage.
 //!
 //! ```text
-//! qpdo_serve --wal-dir results/wal [--port N] [shared harness flags]
-//!     [--io-model event|threaded] [--commit-batch N]
-//!     [--commit-interval-us N] [--max-inflight-bytes N]
-//!     [--max-job-attempts N] [--breaker-threshold N]
-//!     [--breaker-cooloff-ms N] [--retain-terminal N]
-//!     [--max-conns N] [--io-timeout-ms N]
+//! qpdo_serve --wal-dir results/wal [--port N] [--jobs N]
+//!     [--watchdog-ms N] [--seed N] [--queue-depth N] [--deadline-ms N]
+//!     [--commit-batch N] [--commit-interval-us N]
+//!     [--max-inflight-bytes N] [--max-job-attempts N]
+//!     [--breaker-threshold N] [--breaker-cooloff-ms N]
+//!     [--retain-terminal N] [--max-conns N] [--io-timeout-ms N]
 //!     [--progress-batches N]
 //!     [--chaos-backend-fail BACKEND:N] [--chaos-stall-ms N]
 //!     [--chaos-fsync-fail N] [--chaos-progress-fail N]
@@ -29,57 +27,63 @@ use std::path::PathBuf;
 use std::process::exit;
 use std::time::Duration;
 
-use qpdo_bench::{HarnessArgs, ParseError, MAX_MS_FLAG, USAGE};
-use qpdo_serve::daemon::{serve, DaemonConfig, IoModel};
+use qpdo_bench::{MAX_JOBS, MAX_MS_FLAG};
+use qpdo_serve::daemon::{serve, DaemonConfig};
 use qpdo_serve::job::Backend;
+
+/// Upper bound accepted for `--queue-depth`: bounded admission is the
+/// point; a million queued jobs is an unbounded queue in disguise.
+const MAX_QUEUE_DEPTH: u64 = 1 << 20;
 
 const SERVE_USAGE: &str = "\
 usage: qpdo_serve --wal-dir DIR [options]
   --wal-dir DIR             write-ahead journal directory (required)
   --port N                  TCP port to bind on 127.0.0.1 (default 0 = ephemeral)
+  --jobs N                  supervised worker threads (default: machine parallelism)
+  --watchdog-ms N           per-batch watchdog deadline (default 30000)
+  --seed N                  base RNG seed; job seeds derive from it and the id (default 2016)
+  --queue-depth N           bounded admission-queue depth (default 256)
+  --deadline-ms N           deadline for submissions that carry none (default: none)
   --max-job-attempts N      attempts across backends before terminal failure (default 5)
   --breaker-threshold N     consecutive failures that trip a backend breaker (default 3)
   --breaker-cooloff-ms N    breaker cooloff before the half-open probe (default 500)
   --retain-terminal N       terminal jobs kept through journal compaction (default 65536)
   --max-conns N             concurrent client connections before shedding (default 256)
   --io-timeout-ms N         read/write deadline on client streams, 0 = none (default 30000)
-  --io-model MODEL          connection handling: event (default) or threaded
   --commit-batch N          max journal records folded into one fsync (default 64)
   --commit-interval-us N    wait for commit-batch stragglers, 0 = sync now (default 200)
-  --max-inflight-bytes N    event loop read-pause threshold, bytes (default 1048576)
+  --max-inflight-bytes N    buffered bytes before reads pause (default 1048576)
   --progress-batches N      journal a resume checkpoint every N sweep batches, 0 = off (default 8)
   --chaos-backend-fail B:N  fault injection: first N executions on backend B fail
   --chaos-stall-ms N        fault injection: stall every execution N ms
   --chaos-fsync-fail N      fault injection: journal fsync fails after N successes
   --chaos-progress-fail N   fault injection: progress appends fail (ENOSPC) after N successes
   --chaos-corrupt-checkpoint  fault injection: corrupt every other journaled checkpoint
-plus the shared harness flags:
 ";
 
 fn usage_exit(code: i32) -> ! {
     eprint!("{SERVE_USAGE}");
-    eprint!("{USAGE}");
     exit(code);
 }
 
-fn flag_value(args: &mut Vec<String>, i: usize, flag: &str) -> String {
-    if i + 1 >= args.len() {
+fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    args.next().unwrap_or_else(|| {
         eprintln!("error: {flag} requires a value");
         usage_exit(2);
-    }
-    args.remove(i); // the flag
-    args.remove(i) // its value
+    })
 }
 
-fn parse_ms(flag: &str, value: &str, allow_zero: bool) -> u64 {
+/// Parses an integer flag value in `0..=cap` (`1..=cap` unless
+/// `allow_zero`), exiting 2 with the usage otherwise.
+fn parse_capped(flag: &str, value: &str, allow_zero: bool, cap: u64) -> u64 {
     match value.parse::<u64>() {
         Ok(0) if !allow_zero => {
             eprintln!("error: {flag} must be positive");
             usage_exit(2);
         }
-        Ok(n) if n <= MAX_MS_FLAG => n,
+        Ok(n) if n <= cap => n,
         Ok(n) => {
-            eprintln!("error: {flag} {n} exceeds the {MAX_MS_FLAG} ms cap");
+            eprintln!("error: {flag} {n} exceeds the cap of {cap}");
             usage_exit(2);
         }
         Err(_) => {
@@ -89,95 +93,85 @@ fn parse_ms(flag: &str, value: &str, allow_zero: bool) -> u64 {
     }
 }
 
+fn parse_ms(flag: &str, value: &str, allow_zero: bool) -> u64 {
+    parse_capped(flag, value, allow_zero, MAX_MS_FLAG)
+}
+
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut wal_dir: Option<PathBuf> = None;
     let mut port: u16 = 0;
-    let mut config = DaemonConfig::default();
+    let mut config = DaemonConfig {
+        jobs: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        ..DaemonConfig::default()
+    };
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--wal-dir" => wal_dir = Some(PathBuf::from(flag_value(&mut args, i, "--wal-dir"))),
+    while let Some(flag) = args.next() {
+        let mut value = || flag_value(&mut args, &flag);
+        match flag.as_str() {
+            "--wal-dir" => wal_dir = Some(PathBuf::from(value())),
             "--port" => {
-                let v = flag_value(&mut args, i, "--port");
+                let v = value();
                 port = v.parse().unwrap_or_else(|_| {
                     eprintln!("error: --port expects a port number, got {v:?}");
                     usage_exit(2);
                 });
             }
+            "--jobs" => {
+                config.jobs = parse_capped(&flag, &value(), false, MAX_JOBS as u64) as usize;
+            }
+            "--watchdog-ms" => config.watchdog_ms = parse_ms(&flag, &value(), false),
+            "--seed" => {
+                let v = value();
+                config.base_seed = v.parse().unwrap_or_else(|_| {
+                    eprintln!("error: --seed expects an integer, got {v:?}");
+                    usage_exit(2);
+                });
+            }
+            "--queue-depth" => {
+                config.queue_depth = parse_capped(&flag, &value(), false, MAX_QUEUE_DEPTH) as usize;
+            }
+            "--deadline-ms" => config.default_deadline_ms = Some(parse_ms(&flag, &value(), false)),
             "--max-job-attempts" => {
-                let v = flag_value(&mut args, i, "--max-job-attempts");
                 config.max_job_attempts =
-                    parse_ms("--max-job-attempts", &v, false).min(u64::from(u32::MAX)) as u32;
+                    parse_ms(&flag, &value(), false).min(u64::from(u32::MAX)) as u32;
             }
             "--breaker-threshold" => {
-                let v = flag_value(&mut args, i, "--breaker-threshold");
                 config.breaker_threshold =
-                    parse_ms("--breaker-threshold", &v, false).min(u64::from(u32::MAX)) as u32;
+                    parse_ms(&flag, &value(), false).min(u64::from(u32::MAX)) as u32;
             }
             "--breaker-cooloff-ms" => {
-                let v = flag_value(&mut args, i, "--breaker-cooloff-ms");
-                config.breaker_cooloff =
-                    Duration::from_millis(parse_ms("--breaker-cooloff-ms", &v, false));
+                config.breaker_cooloff = Duration::from_millis(parse_ms(&flag, &value(), false));
             }
             "--retain-terminal" => {
-                let v = flag_value(&mut args, i, "--retain-terminal");
                 config.retain_terminal =
-                    parse_ms("--retain-terminal", &v, false).min(usize::MAX as u64) as usize;
+                    parse_ms(&flag, &value(), false).min(usize::MAX as u64) as usize;
             }
             "--max-conns" => {
-                let v = flag_value(&mut args, i, "--max-conns");
-                config.max_conns =
-                    parse_ms("--max-conns", &v, false).min(usize::MAX as u64) as usize;
+                config.max_conns = parse_ms(&flag, &value(), false).min(usize::MAX as u64) as usize;
             }
             "--io-timeout-ms" => {
-                let v = flag_value(&mut args, i, "--io-timeout-ms");
-                config.io_timeout = Duration::from_millis(parse_ms("--io-timeout-ms", &v, true));
-            }
-            "--io-model" => {
-                let v = flag_value(&mut args, i, "--io-model");
-                config.io_model = match v.as_str() {
-                    "event" => IoModel::Event,
-                    "threaded" => IoModel::Threaded,
-                    _ => {
-                        eprintln!("error: --io-model expects event or threaded, got {v:?}");
-                        usage_exit(2);
-                    }
-                };
+                config.io_timeout = Duration::from_millis(parse_ms(&flag, &value(), true));
             }
             "--commit-batch" => {
-                let v = flag_value(&mut args, i, "--commit-batch");
                 config.commit_batch =
-                    parse_ms("--commit-batch", &v, false).min(usize::MAX as u64) as usize;
+                    parse_ms(&flag, &value(), false).min(usize::MAX as u64) as usize;
             }
-            "--commit-interval-us" => {
-                let v = flag_value(&mut args, i, "--commit-interval-us");
-                config.commit_interval_us = parse_ms("--commit-interval-us", &v, true);
-            }
+            "--commit-interval-us" => config.commit_interval_us = parse_ms(&flag, &value(), true),
             "--max-inflight-bytes" => {
-                let v = flag_value(&mut args, i, "--max-inflight-bytes");
                 config.max_inflight_bytes =
-                    parse_ms("--max-inflight-bytes", &v, false).min(usize::MAX as u64) as usize;
+                    parse_ms(&flag, &value(), false).min(usize::MAX as u64) as usize;
             }
-            "--progress-batches" => {
-                let v = flag_value(&mut args, i, "--progress-batches");
-                config.progress_batches = parse_ms("--progress-batches", &v, true);
-            }
+            "--progress-batches" => config.progress_batches = parse_ms(&flag, &value(), true),
             "--chaos-fsync-fail" => {
-                let v = flag_value(&mut args, i, "--chaos-fsync-fail");
-                config.chaos_fsync_fail = Some(parse_ms("--chaos-fsync-fail", &v, true));
+                config.chaos_fsync_fail = Some(parse_ms(&flag, &value(), true));
             }
             "--chaos-progress-fail" => {
-                let v = flag_value(&mut args, i, "--chaos-progress-fail");
-                config.chaos_progress_fail = Some(parse_ms("--chaos-progress-fail", &v, true));
+                config.chaos_progress_fail = Some(parse_ms(&flag, &value(), true));
             }
-            "--chaos-corrupt-checkpoint" => {
-                args.remove(i);
-                config.chaos_corrupt_checkpoint = true;
-            }
+            "--chaos-corrupt-checkpoint" => config.chaos_corrupt_checkpoint = true,
             "--chaos-backend-fail" => {
-                let v = flag_value(&mut args, i, "--chaos-backend-fail");
+                let v = value();
                 let Some((backend, count)) = v.split_once(':') else {
                     eprintln!("error: --chaos-backend-fail expects BACKEND:N, got {v:?}");
                     usage_exit(2);
@@ -195,30 +189,20 @@ fn main() {
                 config.chaos_backend_fail = Some((backend, count));
             }
             "--chaos-stall-ms" => {
-                let v = flag_value(&mut args, i, "--chaos-stall-ms");
-                config.chaos_stall = Duration::from_millis(parse_ms("--chaos-stall-ms", &v, true));
+                config.chaos_stall = Duration::from_millis(parse_ms(&flag, &value(), true));
             }
-            _ => i += 1,
+            "--help" | "-h" => usage_exit(0),
+            other => {
+                eprintln!("error: unknown option {other:?}");
+                usage_exit(2);
+            }
         }
     }
 
-    let harness = match HarnessArgs::try_parse_from(args) {
-        Ok(harness) => harness,
-        Err(ParseError::Help) => usage_exit(0),
-        Err(ParseError::Invalid(message)) => {
-            eprintln!("error: {message}");
-            usage_exit(2);
-        }
-    };
     let Some(wal_dir) = wal_dir else {
         eprintln!("error: --wal-dir is required");
         usage_exit(2);
     };
-    config.jobs = harness.jobs;
-    config.watchdog_ms = harness.watchdog_ms;
-    config.base_seed = harness.seed;
-    config.queue_depth = harness.queue_depth;
-    config.default_deadline_ms = harness.deadline_ms;
 
     let listener = match TcpListener::bind(("127.0.0.1", port)) {
         Ok(listener) => listener,

@@ -1,19 +1,12 @@
 //! The shot-service daemon (`DESIGN.md` §9, §12).
 //!
-//! Two I/O models share one service core ([`ServiceState`] + the
-//! group-committed journal):
-//!
-//! - [`IoModel::Event`] (default): a single nonblocking event loop
-//!   ([`crate::eventloop`]) multiplexes every connection — readiness
-//!   scans, per-connection frame state machines, read/write deadlines,
-//!   byte-budget backpressure. Submissions journal asynchronously: the
-//!   connection parks on a commit token and the ack is written only
-//!   after the batch fsync completes.
-//! - [`IoModel::Threaded`]: the legacy thread-per-connection model,
-//!   kept as the `loadgen` A/B baseline. Handlers block on
-//!   [`GroupCommit::append_sync`] instead, so both models share the
-//!   same WAL-before-ack pipeline (with `--commit-batch 1
-//!   --commit-interval-us 0` it degenerates to fsync-per-record).
+//! A single nonblocking event loop ([`crate::eventloop`]) multiplexes
+//! every connection — readiness scans, per-connection frame state
+//! machines, read/write deadlines, byte-budget backpressure — over one
+//! service core ([`ServiceState`] + the group-committed journal).
+//! Submissions journal asynchronously: the connection parks on a
+//! commit token and the ack is written only after the batch fsync
+//! completes.
 //!
 //! One dispatcher thread drains the admission queue in rounds,
 //! executing each round on the supervised worker pool
@@ -41,7 +34,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -56,20 +49,8 @@ use crate::breaker::CircuitBreaker;
 use crate::commit::{CommitError, GroupCommit};
 use crate::eventloop;
 use crate::job::{execute_tracked, partial_detail, Backend, Execution, JobKind, JobSpec};
-use crate::protocol::{
-    recv_line, send_line, HealthSnapshot, JobState, RejectCode, Request, Response,
-};
+use crate::protocol::{send_line, HealthSnapshot, JobState, RejectCode, Response};
 use crate::wal::{JobOutcome, WalRecord, WriteAheadLog};
-
-/// Which connection-handling architecture the daemon runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum IoModel {
-    /// Single-threaded nonblocking event loop (the default).
-    #[default]
-    Event,
-    /// Thread-per-connection with blocking I/O (benchmark baseline).
-    Threaded,
-}
 
 /// Daemon tuning knobs.
 #[derive(Clone, Debug)]
@@ -98,25 +79,21 @@ pub struct DaemonConfig {
     /// seeds keep any re-execution byte-identical).
     pub retain_terminal: usize,
     /// Bound on concurrent client connections; accepts beyond it are
-    /// answered with a `busy` rejection and closed instead of spawning
-    /// an unbounded handler thread each.
+    /// answered with a `busy` rejection and closed.
     pub max_conns: usize,
     /// Read/write deadline on accepted client streams
     /// ([`Duration::ZERO`] disables it): a stalled, mid-frame, or
     /// vanished client is reaped instead of pinning its connection
     /// slot forever.
     pub io_timeout: Duration,
-    /// Connection-handling architecture (see [`IoModel`]).
-    pub io_model: IoModel,
     /// Most records the commit thread folds into one fsync.
     pub commit_batch: usize,
     /// How long (µs) an under-full commit batch waits for stragglers
     /// before syncing anyway (0 = commit immediately).
     pub commit_interval_us: u64,
-    /// Event loop only: total buffered bytes (unparsed input + pending
-    /// output across all connections) above which reads pause, pushing
-    /// backpressure into the peers' TCP windows instead of growing
-    /// without bound.
+    /// Total buffered bytes (unparsed input + pending output across
+    /// all connections) above which reads pause, pushing backpressure
+    /// into the peers' TCP windows instead of growing without bound.
     pub max_inflight_bytes: usize,
     /// Journal a `progress` checkpoint every this many completed
     /// batches of a resumable shot sweep (0 disables checkpointing).
@@ -158,7 +135,6 @@ impl Default for DaemonConfig {
             retain_terminal: WriteAheadLog::DEFAULT_RETAIN_TERMINAL,
             max_conns: 256,
             io_timeout: Duration::from_secs(30),
-            io_model: IoModel::Event,
             commit_batch: 64,
             commit_interval_us: 200,
             max_inflight_bytes: 1 << 20,
@@ -416,49 +392,16 @@ pub fn serve(
         thread::spawn(move || dispatch_loop(&service))
     };
 
-    match service.config.io_model {
-        IoModel::Event => eventloop::run(&listener, &service)?,
-        IoModel::Threaded => run_threaded(&listener, &service)?,
-    }
+    eventloop::run(&listener, &service)?;
 
     dispatcher.join().expect("dispatcher thread panicked");
     let stats = service.state.lock().expect("state lock").stats;
     Ok(stats)
 }
 
-/// The legacy accept loop: one blocking handler thread per connection.
-fn run_threaded(listener: &TcpListener, service: &Arc<Service>) -> io::Result<()> {
-    let local_addr = listener.local_addr()?;
-    let conns = Arc::new(AtomicUsize::new(0));
-    for stream in listener.incoming() {
-        if service.state.lock().expect("state lock").shutdown {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        // Bounded concurrency: past the cap a connection is answered
-        // with a `busy` rejection and closed, never left to
-        // spawn an unbounded handler thread each.
-        if conns.fetch_add(1, Ordering::AcqRel) >= service.config.max_conns {
-            conns.fetch_sub(1, Ordering::AcqRel);
-            shed_connection(service, stream);
-            continue;
-        }
-        let service = Arc::clone(service);
-        let conns = Arc::clone(&conns);
-        thread::spawn(move || {
-            let _ = handle_connection(&service, stream);
-            conns.fetch_sub(1, Ordering::AcqRel);
-        });
-    }
-    // `drain` sets `shutdown` and pokes the listener via `local_addr`,
-    // which is what broke the loop above.
-    let _ = local_addr;
-    Ok(())
-}
-
 /// Best-effort `busy` rejection for a connection over the cap;
 /// the short write timeout keeps a hostile peer from stalling the
-/// accept loop's thread.
+/// event loop.
 pub(crate) fn shed_connection(service: &Service, mut stream: TcpStream) {
     service.state.lock().expect("state lock").stats.shed += 1;
     let error = ShotError::Overloaded {
@@ -474,64 +417,6 @@ pub(crate) fn shed_connection(service: &Service, mut stream: TcpStream) {
     let _ = send_line(&mut stream, &reply.encode());
 }
 
-fn handle_connection(service: &Service, mut stream: TcpStream) -> io::Result<()> {
-    // Server-side stream timeouts: a client that stops reading or
-    // writing mid-exchange times out instead of holding its handler
-    // thread (and a connection slot) forever.
-    if !service.config.io_timeout.is_zero() {
-        stream.set_read_timeout(Some(service.config.io_timeout))?;
-        stream.set_write_timeout(Some(service.config.io_timeout))?;
-    }
-    loop {
-        let line = match recv_line(&mut stream) {
-            Ok(None) => return Ok(()),
-            Ok(Some(line)) => line,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                // An idle or wedged client hit the stream timeout:
-                // close quietly and release the slot.
-                return Ok(());
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // Corrupt frame: answer once, then hang up (resync is
-                // impossible mid-stream).
-                let reply =
-                    Response::rejected(RejectCode::Malformed, format!("malformed frame: {e}"));
-                let _ = send_line(&mut stream, &reply.encode());
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        let response = match Request::parse(&line) {
-            Err(reason) => Response::rejected(RejectCode::Malformed, reason),
-            Ok(Request::Submit(spec)) => handle_submit(service, spec),
-            Ok(Request::Query(id)) => handle_query(service, &id),
-            Ok(Request::Progress(id)) => handle_progress(service, &id),
-            Ok(Request::Health) => {
-                let degraded = service.commit.is_degraded();
-                let checkpointing = service.checkpointing_on();
-                let state = service.state.lock().expect("state lock");
-                Response::Health(Box::new(state.health(degraded, checkpointing)))
-            }
-            Ok(Request::Drain) => {
-                handle_drain(service);
-                Response::Drained
-            }
-        };
-        let is_drain = response == Response::Drained;
-        send_line(&mut stream, &response.encode())?;
-        if is_drain {
-            // Poke the accept loop so it observes `shutdown`.
-            let _ = TcpStream::connect(stream.local_addr()?);
-            return Ok(());
-        }
-    }
-}
-
 /// How a submission left [`submit_begin`].
 pub(crate) enum SubmitAdmission {
     /// Answered without touching the journal.
@@ -544,8 +429,7 @@ pub(crate) enum SubmitAdmission {
 }
 
 /// Admission checks for one submission, up to (but not including) the
-/// journal append. Shared by both I/O models so the rejection-code
-/// ordering stays identical.
+/// journal append.
 pub(crate) fn submit_begin(service: &Service, mut spec: JobSpec) -> SubmitAdmission {
     if spec.deadline_ms.is_none() {
         spec.deadline_ms = service.config.default_deadline_ms;
@@ -685,16 +569,6 @@ pub(crate) fn submit_finish(
     response
 }
 
-fn handle_submit(service: &Service, spec: JobSpec) -> Response {
-    match submit_begin(service, spec) {
-        SubmitAdmission::Reply(response) => response,
-        SubmitAdmission::Reserved(spec) => {
-            let result = service.commit.append_sync(WalRecord::Accept(spec.clone()));
-            submit_finish(service, &spec, result)
-        }
-    }
-}
-
 pub(crate) fn handle_query(service: &Service, id: &str) -> Response {
     let state = service.state.lock().expect("state lock");
     match state.jobs.get(id) {
@@ -728,24 +602,6 @@ pub(crate) fn handle_progress(service: &Service, id: &str) -> Response {
         },
         None => Response::rejected(RejectCode::UnknownJob, format!("unknown job {id:?}")),
     }
-}
-
-fn handle_drain(service: &Service) {
-    let mut state = service.state.lock().expect("state lock");
-    state.draining = true;
-    service.wake.notify_all();
-    // The degraded latch can flip while we wait (stranding queued jobs
-    // whose terminals can no longer journal), so re-check on a timeout
-    // instead of trusting wakeups alone.
-    while !state.drained(service.commit.is_degraded()) {
-        let (s, _) = service
-            .wake
-            .wait_timeout(state, Duration::from_millis(50))
-            .expect("state lock");
-        state = s;
-    }
-    state.shutdown = true;
-    service.wake.notify_all();
 }
 
 /// One dispatched job within a round.

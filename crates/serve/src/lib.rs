@@ -20,12 +20,10 @@
 //!   per-job deadlines cancel cooperatively through the supervised
 //!   worker pool; a drain request stops admission and waits the queue
 //!   dry.
-//! - **Nonblocking event loop** ([`eventloop`]): the default I/O model
-//!   multiplexes hundreds of connections on one thread with
-//!   per-connection state machines ([`frame`]), read/write deadlines
-//!   that reap slowloris peers, and byte-budget backpressure. The
-//!   legacy thread-per-connection model survives as
-//!   `--io-model threaded` for A/B benchmarking (`loadgen`).
+//! - **Nonblocking event loop** ([`eventloop`]): one thread
+//!   multiplexes hundreds of connections with per-connection state
+//!   machines ([`frame`]), read/write deadlines that reap slowloris
+//!   peers, and byte-budget backpressure.
 //! - **Circuit breakers** ([`breaker`]): per-backend failure tracking
 //!   routes jobs around a sick backend (packed ↔ reference tableau for
 //!   stabilizer jobs) and restores it through a half-open probe.

@@ -210,32 +210,54 @@ echo "== crash-recovery gate: serve_chaos --smoke =="
 ./target/release/serve_chaos --smoke
 
 echo "== serving load gate: loadgen --smoke =="
-# The serving-core load generator (DESIGN.md §12.5): drives the
-# threaded baseline and the event loop at 4x the connections over the
-# real wire protocol with open-loop seeded arrivals, writes
-# BENCH_serve.json to the throwaway directory, and validates the
-# report schema before writing and after re-reading from disk.
+# The serving-core load generator (DESIGN.md §12.5): drives the event
+# loop at 4x the baseline connection count over the real wire protocol
+# with open-loop seeded arrivals, writes BENCH_serve.json to the
+# throwaway directory, and validates the report schema before writing
+# and after re-reading from disk. A smoke run measures event_4x only.
 ./target/release/loadgen --smoke --out "$smoke_out"
 for key in \
-    '"schema": "qpdo-bench-serve-v1"' \
-    '"name": "threaded_baseline"' '"name": "event_4x"' \
-    '"throughput_rps"' '"p50_us"' '"p99_us"' '"p999_us"' '"shed_rate"' \
-    '"conn_ratio"' '"event_p99_not_worse"'; do
+    '"schema": "qpdo-bench-serve-v1"' '"name": "event_4x"' \
+    '"throughput_rps"' '"p50_us"' '"p99_us"' '"p999_us"' '"shed_rate"'; do
     if ! grep -qF "$key" "$smoke_out/BENCH_serve.json"; then
         echo "error: BENCH_serve.json missing key $key" >&2
         exit 1
     fi
 done
-# Nonzero throughput on both scenarios: a loadgen that measured nothing
-# must not pass the gate.
+# Nonzero throughput: a loadgen that measured nothing must not pass the
+# gate.
 awk -F': ' '
     /"throughput_rps"/ { rows += 1; if ($2 + 0 <= 0) bad = 1 }
-    END { exit (rows == 2 && !bad) ? 0 : 1 }
+    END { exit (rows == 1 && !bad) ? 0 : 1 }
 ' "$smoke_out/BENCH_serve.json" || {
-    echo "error: BENCH_serve.json must report nonzero throughput for both scenarios" >&2
+    echo "error: BENCH_serve.json must report nonzero event_4x throughput" >&2
     exit 1
 }
 echo "ok: BENCH_serve.json schema-valid with nonzero throughput"
+
+echo "== checked-in report keys: results/BENCH_serve.json =="
+# The committed report holds the frozen threaded_baseline that every
+# full loadgen run gates against (the threaded server itself is gone),
+# beside a full event_4x run and the derived comparison. Every known
+# key must stay present, with nonzero throughput for both scenarios.
+for key in \
+    '"schema": "qpdo-bench-serve-v1"' \
+    '"name": "threaded_baseline"' '"name": "event_4x"' \
+    '"throughput_rps"' '"p50_us"' '"p99_us"' '"p999_us"' '"shed_rate"' \
+    '"conn_ratio"' '"event_p99_not_worse"'; do
+    if ! grep -qF "$key" results/BENCH_serve.json; then
+        echo "error: results/BENCH_serve.json lost key $key" >&2
+        exit 1
+    fi
+done
+awk -F': ' '
+    /"throughput_rps"/ { rows += 1; if ($2 + 0 <= 0) bad = 1 }
+    END { exit (rows == 2 && !bad) ? 0 : 1 }
+' results/BENCH_serve.json || {
+    echo "error: results/BENCH_serve.json must report nonzero throughput for both scenarios" >&2
+    exit 1
+}
+echo "ok: all report keys present"
 
 echo "== fleet gate: cargo test -p qpdo-router =="
 # In-process fleet coverage (DESIGN.md §11): ring spread/rebalance,
