@@ -25,7 +25,8 @@
 //! - `surface_batch_d13` — one warmed 64-shot [`run_ler_surface`] call at
 //!   d = 13, p = 0.08: a 64-lane Pauli frame pushed through the 337-qubit
 //!   ESM round against the cached noiseless reference, plus 64
-//!   union-find decodes.
+//!   union-find decodes, all on the calling thread: a run with one
+//!   batch never fans out to the helper pool.
 //! - `surface_batch_d5` — the same warmed call at d = 5, p = 0.08: the
 //!   12-bit syndromes mostly hit the sweep point's decoded-parity
 //!   table, so the error draw and the frame push dominate.

@@ -7,13 +7,17 @@
 //! forever, and the workspace builds hermetically offline with zero
 //! external dependencies.
 //!
-//! Two primitives, both public-domain algorithms by Blackman and Vigna:
+//! Two generators, both public-domain algorithms by Blackman and Vigna:
 //!
 //! - [`SplitMix64`] — a tiny 64-bit generator used to expand a `u64` seed
 //!   into a full generator state (the seeding procedure recommended by
 //!   the xoshiro authors),
 //! - [`Xoshiro256StarStar`] — the workhorse generator: 256 bits of state,
 //!   period 2²⁵⁶ − 1, passes BigCrush; aliased as [`rngs::StdRng`].
+//!
+//! [`Bernoulli`] is a `p`-coin for hot loops: the bit of
+//! [`Rng::gen_bool`], draw for draw, from a precomputed integer
+//! threshold.
 //!
 //! The trait surface mirrors the subset of `rand` 0.8 the codebase uses
 //! ([`RngCore`], [`Rng`], [`SeedableRng`]), so call sites read
@@ -33,11 +37,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bernoulli;
 mod splitmix64;
 mod traits;
 mod uniform;
 mod xoshiro256;
 
+pub use bernoulli::Bernoulli;
 pub use splitmix64::SplitMix64;
 pub use traits::{Rng, RngCore, SeedableRng};
 pub use uniform::{SampleRange, SampleUniform, Standard};

@@ -344,9 +344,10 @@ fn connections_over_the_cap_are_shed_and_slots_recycle() {
     };
     let daemon = TestDaemon::start(&dir, config);
 
-    // Two idle connections pin both slots (their handler threads sit
-    // in recv); the third is answered `overloaded` instead of getting
-    // an unbounded handler thread of its own.
+    // Two idle connections fill both of the event loop's connection
+    // slots (each stays in its connection table, waiting for a
+    // request); the third is shed at accept and answered `overloaded`
+    // instead of getting a slot.
     let held: Vec<Client> = (0..2).map(|_| daemon.client()).collect();
     let mut third = daemon.client();
     match third.call(&Request::Health) {
@@ -360,8 +361,9 @@ fn connections_over_the_cap_are_shed_and_slots_recycle() {
         other => panic!("over-cap connection answered {other:?}"),
     }
 
-    // Releasing a held connection frees its slot (the handler exits on
-    // EOF and decrements the counter shortly after the close).
+    // Releasing a held connection frees its slot (the event loop reads
+    // EOF on its next pass and drops the connection from its table
+    // shortly after the close).
     drop(held);
     let deadline = Instant::now() + TIMEOUT;
     loop {

@@ -24,12 +24,12 @@
 //!   rule `logical_z_value` applies to a stack's frame. Up to 16
 //!   syndrome bits (d ≤ 5) a lazily filled syndrome → parity table sits
 //!   in front of the decoder, so each distinct syndrome is decoded once
-//!   per sweep point and worker thread. Above that (d ≥ 7) each batch's
-//!   decodes fan out over the run's share of the cores (all of them
-//!   when it is the process's only surface run): the calling thread and
-//!   one scoped helper thread per further core claim lanes from a
-//!   shared counter, and the caller gathers their bits. Each bit
-//!   depends only on its lane's syndrome, so the outcome does not
+//!   per sweep point and thread. At every distance a run's batches fan
+//!   out over its share of the cores (all of them when it is the
+//!   process's only surface run): the calling thread and idle helpers
+//!   of one process-wide pool of parked threads claim whole batches,
+//!   and the caller commits their tallies in batch order. A batch
+//!   depends only on the seed and its index, so the outcome does not
 //!   depend on the scheduling.
 //!
 //! The sweep has one loop, [`run_ler_surface_controlled`]: polled for
@@ -41,8 +41,8 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
-use std::thread::{self, Thread};
+use std::sync::{Mutex, OnceLock, PoisonError};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use qpdo_core::{
@@ -51,7 +51,7 @@ use qpdo_core::{
 };
 use qpdo_pauli::{LanePauliFrame, Pauli, PauliString};
 use qpdo_rng::rngs::StdRng;
-use qpdo_rng::{Rng, RngCore, SeedableRng};
+use qpdo_rng::{Bernoulli, RngCore, SeedableRng};
 use qpdo_stabilizer::{ShotSlicedSim, LANES};
 
 use crate::{CheckKind, MatchingDecoder, RotatedSurfaceCode, UnionFindDecoder};
@@ -351,17 +351,17 @@ impl SurfaceLerOutcome {
 
 /// Runs one code-capacity LER point by reference-sample frame sampling:
 /// one noiseless ESM round on [`ShotSlicedSim`] per sweep point and
-/// worker thread, then per 64-shot batch a [`LanePauliFrame`] of i.i.d.
-/// data errors pushed through the same ESM circuit, union-find decoding
-/// of every live lane (once per distinct syndrome at d ≤ 5, spread over
-/// every core at d ≥ 7), and a packed logical-failure readout.
+/// thread, then per 64-shot batch a [`LanePauliFrame`] of i.i.d. data
+/// errors pushed through the same ESM circuit, union-find decoding of
+/// every live lane (once per distinct syndrome and thread at d ≤ 5),
+/// and a packed logical-failure readout.
 ///
 /// `(shots, failures, defects)` depend only on the error words, the
 /// first draws of each batch's RNG substream, so they are identical to
 /// re-executing the noisy round on the tableau every batch, and to
-/// decoding every lane on one thread.
+/// running every batch on one thread.
 ///
-/// At d ≥ 7 a run uses every core of the host (see
+/// A run of two or more batches uses every core of the host (see
 /// [`run_ler_surface_controlled`]), so concurrent runs share them.
 ///
 /// # Errors
@@ -507,58 +507,6 @@ impl FrameReference {
                 }
             })
     }
-
-    fn buffers(&self) -> BatchBuffers {
-        BatchBuffers {
-            frame: LanePauliFrame::new(self.code.num_qubits()),
-            err: vec![0; self.code.num_data_qubits()],
-            meas: vec![0; self.code.num_qubits()],
-        }
-    }
-
-    /// Samples, extracts and decodes one 64-lane batch, of which the
-    /// first `live` lanes count; returns the per-lane logical failure
-    /// word. `decode` is a [`with_decode_pool`] lane decoder.
-    fn sample_batch(
-        &self,
-        p: f64,
-        live: usize,
-        rng: &mut StdRng,
-        buf: &mut BatchBuffers,
-        decode: &mut dyn FnMut(usize, &[u64]) -> u64,
-    ) -> u64 {
-        // I.i.d. data errors, one lane word each: the batch substream's
-        // first draws, so the outcome depends on nothing else.
-        for word in &mut buf.err {
-            *word = 0;
-            for lane in 0..LANES {
-                if rng.gen_bool(p) {
-                    *word |= 1 << lane;
-                }
-            }
-        }
-        self.sample(&mut buf.frame, &buf.err, rng, &mut buf.meas);
-        // Checks of the other kind detect the error.
-        #[cfg(debug_assertions)]
-        for ch in (self.code.checks().iter()).filter(|ch| ch.kind != self.error) {
-            let expect = ch.support.iter().fold(0u64, |acc, &q| acc ^ buf.err[q]);
-            debug_assert_eq!(
-                buf.meas[ch.ancilla], expect,
-                "packed syndrome plane disagrees with check supports (ancilla {})",
-                ch.ancilla
-            );
-        }
-        let parity = decode(live, &buf.meas);
-        let fail_word = self.failure_word(&buf.frame, parity);
-        // Cross-check against pure classical bookkeeping: a lane fails
-        // iff error ⊕ correction overlaps the logical support oddly.
-        debug_assert_eq!(
-            fail_word,
-            (self.logical.iter()).fold(parity, |acc, &q| acc ^ buf.err[q]),
-            "frame and classical failure words differ"
-        );
-        fail_word
-    }
 }
 
 /// Executes an ESM round on the sliced tableau, writing each measured
@@ -607,8 +555,12 @@ fn esm_on_tableau(
 /// 4, d = 5 has 12 (a 4 KiB table); d = 7's 24 would need 16 MiB.
 const PARITY_TABLE_MAX_BITS: usize = 16;
 
-/// One warm sweep point: the frame reference, the decoded-parity table
-/// and the lane decoders of a `(distance, error kind)` pair.
+/// One thread's warm sweep point: the frame reference, the decoded-parity
+/// table, the union-find decoder and every buffer a batch uses, for one
+/// `(distance, error kind)` pair. Every thread that runs batches, a
+/// run's calling thread or a pool helper, keeps its own in
+/// [`DECODER_CACHE`], so threads share none of it and a batch
+/// allocates nothing.
 struct SweepPoint {
     reference: FrameReference,
     /// Entry `i` is the parity on the logical support of the union-find
@@ -619,40 +571,165 @@ struct SweepPoint {
     /// seeds, error rates or shot counts. Empty above
     /// [`PARITY_TABLE_MAX_BITS`] syndrome bits.
     table: Vec<Option<bool>>,
-    /// One lane decoder per thread that decodes this point's batches,
-    /// the calling thread's first. A point without a table grows one
-    /// per decode helper thread the first time a run fans out, on the
-    /// calling thread, and keeps them across runs and jobs: a helper
-    /// allocates nothing.
-    decoders: Vec<LaneDecoder>,
-}
-
-/// Per-run working buffers, allocated once per run and reused by every
-/// batch.
-struct BatchBuffers {
+    decoder: UnionFindDecoder,
     frame: LanePauliFrame,
     /// Injected error word per data qubit.
     err: Vec<u64>,
     /// Outcome word per measured qubit.
     meas: Vec<u64>,
+    /// Outcome word of each detecting check, in decoder order: bit
+    /// `lane` is that lane's syndrome bit.
+    words: Vec<u64>,
+    syndrome: Vec<bool>,
+    correction: Vec<usize>,
 }
 
 impl SweepPoint {
     fn new(distance: usize, error: CheckKind) -> Self {
         let reference = FrameReference::new(RotatedSurfaceCode::new(distance), error);
-        let own = LaneDecoder::new(&reference);
-        let len = own.decoder.syndrome_len();
-        let entries = if len <= PARITY_TABLE_MAX_BITS {
-            1 << len
+        let decoder = UnionFindDecoder::new(&reference.code, error);
+        let (checks, data) = (decoder.syndrome_len(), reference.code.num_data_qubits());
+        let entries = if checks <= PARITY_TABLE_MAX_BITS {
+            1 << checks
         } else {
             0
         };
         SweepPoint {
             table: vec![None; entries],
-            decoders: vec![own],
+            decoder,
+            frame: LanePauliFrame::new(reference.code.num_qubits()),
+            err: vec![0; data],
+            meas: vec![0; reference.code.num_qubits()],
+            words: vec![0; checks],
+            syndrome: vec![false; checks],
+            // A correction touches each data qubit at most once, so the
+            // decode path never grows this buffer mid-run.
+            correction: Vec::with_capacity(data),
             reference,
         }
     }
+
+    /// Draws one 64-lane batch of i.i.d. data errors from `rng`, pushes
+    /// it through the ESM round and decodes its first `live` lanes;
+    /// returns the per-lane logical failure word.
+    fn failure_word(&mut self, coin: Bernoulli, live: usize, rng: &mut StdRng) -> u64 {
+        // One lane word per data qubit: the batch substream's first
+        // draws, so the outcome depends on nothing else.
+        for word in &mut self.err {
+            *word = (0..LANES).fold(0, |word, lane| word | u64::from(coin.sample(rng)) << lane);
+        }
+        let reference = &self.reference;
+        reference.sample(&mut self.frame, &self.err, rng, &mut self.meas);
+        // Checks of the other kind detect the error.
+        #[cfg(debug_assertions)]
+        for ch in (reference.code.checks().iter()).filter(|ch| ch.kind != reference.error) {
+            let expect = ch.support.iter().fold(0u64, |acc, &q| acc ^ self.err[q]);
+            debug_assert_eq!(
+                self.meas[ch.ancilla], expect,
+                "packed syndrome plane disagrees with check supports (ancilla {})",
+                ch.ancilla
+            );
+        }
+        let parity = self.decode_lanes(live);
+        let fail_word = self.reference.failure_word(&self.frame, parity);
+        // Cross-check against pure classical bookkeeping: a lane fails
+        // iff error ⊕ correction overlaps the logical support oddly.
+        debug_assert_eq!(
+            fail_word,
+            (self.reference.logical.iter()).fold(parity, |acc, &q| acc ^ self.err[q]),
+            "frame and classical failure words differ"
+        );
+        fail_word
+    }
+
+    /// The failures and defects of batch `batch` of a run, over its
+    /// live lanes: a pure function of `(config, batch)`, whichever
+    /// thread runs it.
+    fn tally(&mut self, config: &SurfaceLerConfig, batch: u64) -> Tally {
+        let lanes = config.lanes(batch);
+        let mask = u64::MAX >> (LANES - lanes);
+        let coin = Bernoulli::new(config.physical_error_rate);
+        let fail_word = self.failure_word(coin, lanes, &mut batch_rng(config.seed, batch));
+        Tally {
+            failures: (fail_word & mask).count_ones(),
+            defects: (self.reference.ancillas.iter())
+                .map(|&anc| (self.meas[anc] & mask).count_ones())
+                .sum(),
+        }
+    }
+
+    /// Runs the decoder on lane `lane` of `words`; returns the parity of
+    /// its correction on the logical support.
+    fn decode(&mut self, lane: usize) -> bool {
+        for (s, &word) in self.syndrome.iter_mut().zip(&self.words) {
+            *s = (word >> lane) & 1 == 1;
+        }
+        self.decoder
+            .decode_into(&self.syndrome, &mut self.correction);
+        let reference = &self.reference;
+        // The correction annihilates the lane's syndrome:
+        // `code.syndrome_of(correction)` without its allocation, so debug
+        // builds stay off the heap too.
+        debug_assert!(
+            (reference.code.checks().iter())
+                .filter(|ch| ch.kind != reference.error)
+                .zip(&self.syndrome)
+                .all(|(ch, &s)| {
+                    let hits = ch.support.iter().filter(|q| self.correction.contains(q));
+                    (hits.count() % 2 == 1) == s
+                }),
+            "union-find correction does not annihilate its syndrome"
+        );
+        (self.correction.iter())
+            .filter(|&&q| reference.on_logical[q])
+            .count()
+            % 2
+            == 1
+    }
+
+    /// The parity word of the first `live` lanes of the detecting
+    /// checks' outcome words. A lane whose syndrome is in the table
+    /// reads its bit; any other lane runs the decoder and, if there is a
+    /// table, records the result.
+    fn decode_lanes(&mut self, live: usize) -> u64 {
+        for (word, &anc) in self.words.iter_mut().zip(&self.reference.ancillas) {
+            *word = self.meas[anc];
+        }
+        let mut parity = 0u64;
+        for lane in 0..live {
+            let index = (!self.table.is_empty()).then(|| {
+                (self.words.iter().enumerate()).fold(0, |index, (k, &word)| {
+                    index | (((word >> lane) & 1) as usize) << k
+                })
+            });
+            let bit = match index.and_then(|i| self.table[i]) {
+                Some(bit) => bit,
+                None => {
+                    let bit = self.decode(lane);
+                    if let Some(i) = index {
+                        self.table[i] = Some(bit);
+                    }
+                    bit
+                }
+            };
+            parity |= u64::from(bit) << lane;
+        }
+        parity
+    }
+}
+
+impl SurfaceLerConfig {
+    /// The counted lanes of batch `batch`.
+    fn lanes(&self, batch: u64) -> usize {
+        (self.shots - batch * LANES as u64).min(LANES as u64) as usize
+    }
+}
+
+/// One batch's failures and defects over its live lanes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Tally {
+    failures: u32,
+    defects: u32,
 }
 
 /// The host's cores, asked once per process, up to one per lane.
@@ -667,8 +744,9 @@ static RUNS: AtomicUsize = AtomicUsize::new(0);
 
 /// A surface run's claim on the host's cores, held for the length of
 /// the run. The runs in progress share the cores equally, so concurrent
-/// jobs (a serving daemon runs one per core) decode on about as many
-/// threads in total as there are cores instead of each taking them all.
+/// jobs (a serving daemon runs one per core) run batches on about as
+/// many threads in total as there are cores instead of each taking them
+/// all.
 struct RunShare;
 
 impl RunShare {
@@ -677,7 +755,7 @@ impl RunShare {
         RunShare
     }
 
-    /// The threads this run may decode on now, its own included.
+    /// The threads this run may use now, its own included.
     fn threads(&self) -> usize {
         (decode_threads() / RUNS.load(Ordering::Relaxed).max(1)).max(1)
     }
@@ -689,376 +767,48 @@ impl Drop for RunShare {
     }
 }
 
-/// One decoding thread's union-find decoder and lane buffers, aligned
-/// to its own cache lines so that neighbouring threads' decoders in a
-/// sweep point do not share one.
-#[repr(align(128))]
-struct LaneDecoder {
-    decoder: UnionFindDecoder,
-    /// Outcome word of each detecting check, in decoder order: bit
-    /// `lane` is that lane's syndrome bit.
-    words: Vec<u64>,
-    syndrome: Vec<bool>,
-    correction: Vec<usize>,
-}
-
-impl LaneDecoder {
-    /// A decoder with all its scratch allocated, on the calling thread.
-    fn new(reference: &FrameReference) -> Self {
-        let decoder = UnionFindDecoder::new(&reference.code, reference.error);
-        let len = decoder.syndrome_len();
-        LaneDecoder {
-            decoder,
-            words: vec![0; len],
-            syndrome: vec![false; len],
-            // A correction touches each data qubit at most once, so the
-            // decode path never grows this buffer mid-run.
-            correction: Vec::with_capacity(reference.code.num_data_qubits()),
-        }
-    }
-
-    /// Loads `words` from a batch's outcome words.
-    fn gather(&mut self, reference: &FrameReference, meas: &[u64]) {
-        for (word, &anc) in self.words.iter_mut().zip(&reference.ancillas) {
-            *word = meas[anc];
-        }
-    }
-
-    /// Runs the decoder on lane `lane` of `words`; returns the parity of
-    /// its correction on the logical support.
-    fn decode(&mut self, reference: &FrameReference, lane: usize) -> bool {
-        for (s, &word) in self.syndrome.iter_mut().zip(&self.words) {
-            *s = (word >> lane) & 1 == 1;
-        }
-        self.decoder
-            .decode_into(&self.syndrome, &mut self.correction);
-        // The correction annihilates the lane's syndrome:
-        // `code.syndrome_of(correction)` without its allocation, so debug
-        // builds stay off the heap too.
-        debug_assert!(
-            reference
-                .code
-                .checks()
-                .iter()
-                .filter(|ch| ch.kind != reference.error)
-                .zip(&self.syndrome)
-                .all(|(ch, &s)| {
-                    let hits = ch.support.iter().filter(|q| self.correction.contains(q));
-                    (hits.count() % 2 == 1) == s
-                }),
-            "union-find correction does not annihilate its syndrome"
-        );
-        self.correction
-            .iter()
-            .filter(|&&q| reference.on_logical[q])
-            .count()
-            % 2
-            == 1
-    }
-
-    /// The parity word of the first `live` lanes of `words`, decoded on
-    /// this thread. A lane whose syndrome is in `table` reads its bit;
-    /// any other lane runs the decoder and, if there is a table, records
-    /// the result.
-    fn decode_lanes(
-        &mut self,
-        reference: &FrameReference,
-        table: &mut [Option<bool>],
-        live: usize,
-    ) -> u64 {
-        let mut parity = 0u64;
-        for lane in 0..live {
-            let index = (!table.is_empty()).then(|| {
-                (self.words.iter().enumerate()).fold(0, |index, (k, &word)| {
-                    index | (((word >> lane) & 1) as usize) << k
-                })
-            });
-            let bit = match index.and_then(|i| table[i]) {
-                Some(bit) => bit,
-                None => {
-                    let bit = self.decode(reference, lane);
-                    if let Some(i) = index {
-                        table[i] = Some(bit);
-                    }
-                    bit
-                }
-            };
-            parity |= u64::from(bit) << lane;
-        }
-        parity
-    }
-}
-
-/// Runs `body` with the point's frame reference and a lane decoder
-/// `decode(live, meas)` that returns the correction parity word of the
-/// first `live` lanes of a batch's outcome words `meas`.
-///
-/// `threads()` is how many threads may decode now, the caller's
-/// included; it is read once to spawn the helpers and again for every
-/// batch, which wakes at most that many. With one thread the calling
-/// thread decodes every lane through the parity table. With more, a
-/// scope holds `threads() − 1` helper threads for the whole of `body`:
-/// per batch the caller posts its syndrome words, every thread it
-/// wakes, the caller included, claims lanes from one atomic counter,
-/// and the caller ORs its own lanes' bits with those the helpers
-/// record. Each bit depends only on its lane's syndrome, so the word
-/// does not depend on which thread decoded which lane. The table is
-/// left alone, which is why only table-less points fan out. The
-/// helpers borrow their decoders from the point, so every exit path, a
-/// panic included, leaves them there.
-fn with_decode_pool<R>(
-    point: &mut SweepPoint,
-    threads: &dyn Fn() -> usize,
-    body: impl FnOnce(&FrameReference, &mut dyn FnMut(usize, &[u64]) -> u64) -> R,
-) -> R {
-    let SweepPoint {
-        reference,
-        table,
-        decoders,
-    } = point;
-    let reference = &*reference;
-    let spawn = threads();
-    if spawn <= 1 {
-        let own = &mut decoders[0];
-        return body(reference, &mut |live, meas| {
-            own.gather(reference, meas);
-            own.decode_lanes(reference, table, live)
-        });
-    }
-    debug_assert!(table.is_empty(), "only table-less points fan out");
-    while decoders.len() < spawn {
-        decoders.push(LaneDecoder::new(reference));
-    }
-    let (own, helpers) = decoders.split_at_mut(1);
-    let own = &mut own[0];
-    let pool = DecodePool::new(own.words.len());
-    thread::scope(|scope| {
-        // Dropped before the scope joins the helpers, also if a spawn
-        // or `body` panics.
-        let mut handle = PoolHandle {
-            pool: &pool,
-            helpers: Vec::with_capacity(spawn - 1),
-            threads,
-            per_decode: YIELD_FOR,
-        };
-        for (index, helper) in helpers[..spawn - 1].iter_mut().enumerate() {
-            let pool = &pool;
-            let spawned = scope.spawn(move || pool.help(index, helper, reference));
-            handle.helpers.push(spawned.thread().clone());
-        }
-        body(reference, &mut |live, meas| {
-            own.gather(reference, meas);
-            handle.decode(own, reference, live)
-        })
-    })
-}
-
-/// The hand-off between a run's calling thread and its decode helpers.
-///
-/// The caller never waits long for a helper: a helper descheduled in
-/// the middle of a lane (by another process or the hypervisor) would
-/// stall the whole batch, so after a short wait the caller decodes that
-/// lane again itself. A decode depends only on the lane's syndrome, so
-/// both give the same bit, and a helper's late result is told apart by
-/// its batch number.
-///
-/// Orderings: the caller writes a batch (`words`, `live`, `helpers`)
-/// and resets `claim` with `Relaxed` stores, then publishes them with a
-/// `Release` store of `posted`, which a helper loads with `Acquire`
-/// before it reads them. A helper may read a later batch's words mixed
-/// in, so it decodes a lane only if its claim, an `AcqRel`
-/// read-modify-write, returns the batch it read: that claim then
-/// precedes the caller's last claim of the batch, which comes before
-/// the caller writes the next one. `lanes` values carry their batch
-/// number and bit in one word, so they are `Relaxed`; `closed` pairs
-/// `Release` with `Acquire`.
-struct DecodePool {
-    /// The number of the posted batch (from 1).
-    posted: AtomicU64,
-    /// Set when the run is over; the helpers return.
-    closed: AtomicBool,
-    /// The posted batch: its live lane count, how many helpers (the
-    /// first ones) decode it, and its syndrome words.
-    live: AtomicUsize,
-    helpers: AtomicUsize,
-    words: Vec<AtomicU64>,
-    /// The posted batch's number (mod 2^32) in the high half and its
-    /// next unclaimed lane in the low half.
-    claim: AtomicU64,
-    /// Per lane, the last helper result: `batch << 1 | parity bit`.
-    lanes: [AtomicU64; LANES],
-}
-
-/// How long an idle helper yields before it parks: a few times a
-/// d = 13 batch's serial part. Unparking a thread can take longer than
-/// that on a virtual machine, and yielding rather than spinning leaves
-/// the core to other runnable threads on an oversubscribed host.
-const YIELD_FOR: Duration = Duration::from_micros(200);
-
-/// The calling thread's end of a decode pool: posts batches to the
-/// helpers, and closes the pool when dropped, also on unwind, so that
-/// the scope can join them.
-struct PoolHandle<'a> {
-    pool: &'a DecodePool,
-    helpers: Vec<Thread>,
-    /// The threads that may decode the next batch, the caller's
-    /// included.
-    threads: &'a dyn Fn() -> usize,
-    /// The caller's last measured time per decode; until it has timed
-    /// one, [`YIELD_FOR`], an overestimate.
-    per_decode: Duration,
-}
-
-impl Drop for PoolHandle<'_> {
-    fn drop(&mut self) {
-        self.pool.closed.store(true, Ordering::Release);
-        for helper in &self.helpers {
-            helper.unpark();
-        }
-    }
-}
-
-impl PoolHandle<'_> {
-    /// Decodes the first `live` lanes of `own.words` on the calling
-    /// thread and as many helpers as `threads` allows now; returns their
-    /// parity word.
-    fn decode(&mut self, own: &mut LaneDecoder, reference: &FrameReference, live: usize) -> u64 {
-        let helpers = (self.threads)().saturating_sub(1).min(self.helpers.len());
-        if helpers == 0 {
-            return own.decode_lanes(reference, &mut [], live);
-        }
-        let batch = self.pool.post(&own.words, live, helpers);
-        for helper in &self.helpers[..helpers] {
-            helper.unpark();
-        }
-        (self.pool).finish(own, reference, batch, live, &mut self.per_decode)
-    }
-}
-
-impl DecodePool {
-    fn new(checks: usize) -> Self {
-        DecodePool {
-            posted: AtomicU64::new(0),
-            closed: AtomicBool::new(false),
-            live: AtomicUsize::new(0),
-            helpers: AtomicUsize::new(0),
-            words: (0..checks).map(|_| AtomicU64::new(0)).collect(),
-            claim: AtomicU64::new(0),
-            lanes: [const { AtomicU64::new(0) }; LANES],
-        }
-    }
-
-    /// Claims the next lane of batch `batch`, if that batch is still
-    /// the posted one and has a lane left below `live`.
-    fn claim(&self, batch: u64, live: usize) -> Option<usize> {
-        let claim = self.claim.fetch_add(1, Ordering::AcqRel);
-        let lane = (claim & u64::from(u32::MAX)) as usize;
-        (claim >> 32 == batch & u64::from(u32::MAX) && lane < live).then_some(lane)
-    }
-
-    /// Posts the next batch, the first `live` lanes of `words`, to the
-    /// first `helpers` helpers; returns its number.
-    fn post(&self, words: &[u64], live: usize, helpers: usize) -> u64 {
-        let batch = self.posted.load(Ordering::Relaxed) + 1;
-        for (posted, &word) in self.words.iter().zip(words) {
-            posted.store(word, Ordering::Relaxed);
-        }
-        self.live.store(live, Ordering::Relaxed);
-        self.helpers.store(helpers, Ordering::Relaxed);
-        self.claim.store(batch << 32, Ordering::Relaxed);
-        self.posted.store(batch, Ordering::Release);
-        batch
-    }
-
-    /// The calling thread's part of posted batch `batch`: decodes the
-    /// lanes it claims, then gathers the helpers' bits, waiting about
-    /// two decode times for them before it decodes a straggler's lane
-    /// itself. A decode time is `per_decode`, which this batch's own
-    /// decodes update; a batch in which the helpers claimed every lane
-    /// keeps the last one. Returns the batch's parity word.
-    fn finish(
-        &self,
-        own: &mut LaneDecoder,
-        reference: &FrameReference,
-        batch: u64,
-        live: usize,
-        per_decode: &mut Duration,
-    ) -> u64 {
-        let start = Instant::now();
-        let (mut parity, mut mine) = (0u64, 0u64);
-        while let Some(lane) = self.claim(batch, live) {
-            parity |= u64::from(own.decode(reference, lane)) << lane;
-            mine |= 1 << lane;
-        }
-        if mine != 0 {
-            *per_decode = start.elapsed() / mine.count_ones();
-        }
-        let deadline = Instant::now() + *per_decode * 2;
-        for lane in (0..live).filter(|&lane| (mine >> lane) & 1 == 0) {
-            let bit = loop {
-                let result = self.lanes[lane].load(Ordering::Relaxed);
-                if result >> 1 == batch {
-                    break result & 1 == 1;
-                }
-                if Instant::now() >= deadline {
-                    break own.decode(reference, lane);
-                }
-                thread::yield_now();
-            };
-            parity |= u64::from(bit) << lane;
-        }
-        parity
-    }
-
-    /// Helper thread `index`: decodes lanes of each posted batch that
-    /// wakes it and records their bits in `lanes`, until the pool
-    /// closes.
-    fn help(&self, index: usize, decoder: &mut LaneDecoder, reference: &FrameReference) {
-        let (mut seen, mut idle) = (0, Instant::now());
-        loop {
-            let posted = self.posted.load(Ordering::Acquire);
-            if self.closed.load(Ordering::Acquire) {
-                return;
-            }
-            if posted == seen || index >= self.helpers.load(Ordering::Relaxed) {
-                seen = posted;
-                if idle.elapsed() < YIELD_FOR {
-                    thread::yield_now();
-                } else {
-                    thread::park();
-                }
-                continue;
-            }
-            seen = posted;
-            for (word, posted) in decoder.words.iter_mut().zip(&self.words) {
-                *word = posted.load(Ordering::Relaxed);
-            }
-            let live = self.live.load(Ordering::Relaxed);
-            while let Some(lane) = self.claim(seen, live) {
-                let bit = decoder.decode(reference, lane);
-                self.lanes[lane].store(seen << 1 | u64::from(bit), Ordering::Relaxed);
-            }
-            idle = Instant::now();
-        }
-    }
-}
-
 thread_local! {
-    // One warm sweep point per (distance, error kind) per worker thread:
-    // the union-find scratch arrays inside its lane decoders survive
-    // across decode calls *and* across jobs hitting the same sweep
+    // One warm sweep point per (distance, error kind) per thread that
+    // runs batches, a run's calling thread or a pool helper: the
+    // union-find scratch inside its decoder and its batch buffers
+    // survive across batches *and* across jobs hitting the same sweep
     // point, the frame reference means the tableau runs once per point,
     // not once per batch, and the parity table keeps every syndrome
     // decoded so far — so the serving path pays decoder construction,
     // the reference ESM round, each distinct d ≤ 5 decode and
-    // steady-state allocation once per worker (ROADMAP: decoder
-    // throughput on the serving path). At d ≥ 7 the entry also holds
-    // the decoders of the run's helper threads, which borrow them for
-    // the run; they are not per-thread caches of their own. The entry
-    // is taken out of the map for the duration of a run and put back
-    // after, so the cache is never borrowed across user code.
+    // steady-state allocation once per thread (ROADMAP: decoder
+    // throughput on the serving path). The entry is taken out of the
+    // map while the thread runs batches and put back after
+    // (`with_sweep_point`), so the cache is never borrowed across user
+    // code.
     static DECODER_CACHE: RefCell<HashMap<(usize, CheckKind), SweepPoint>> =
         RefCell::new(HashMap::new());
+}
+
+/// Runs `body` on this thread's sweep point for `(distance, error)`,
+/// built on first use. The cache makes room for the point before
+/// `body` runs, so putting it back allocates nothing: a helper that
+/// has checked in allocates no more for its run, however late it
+/// finishes. A panic in `body` drops the point; the thread's next run
+/// builds it again.
+fn with_sweep_point<R>(
+    distance: usize,
+    error: CheckKind,
+    body: impl FnOnce(&mut SweepPoint) -> R,
+) -> R {
+    let key = (distance, error);
+    let mut point = DECODER_CACHE
+        .with(|cache| {
+            let mut cache = cache.borrow_mut();
+            cache.reserve(1);
+            cache.remove(&key)
+        })
+        .unwrap_or_else(|| SweepPoint::new(distance, error));
+    let result = body(&mut point);
+    DECODER_CACHE.with(|cache| {
+        cache.borrow_mut().insert(key, point);
+    });
+    result
 }
 
 /// The RNG substream of one 64-shot batch. Substreams are independent
@@ -1067,6 +817,345 @@ thread_local! {
 /// would have.
 fn batch_rng(seed: u64, batch: u64) -> StdRng {
     StdRng::seed_from_u64(seed ^ (batch + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
+/// A board's ring slots: how many batches past the next one to commit
+/// the threads of a run may claim.
+const RING: usize = 2 * LANES;
+
+/// A ring slot holds a batch's tag and tally in one word, so a post is
+/// one store: the low 32 bits of the batch's board sequence number, 7
+/// bits of failures and [`DEFECT_BITS`] of defects. Only runs whose
+/// batches cannot exceed that many defects fan out.
+const DEFECT_BITS: u32 = 25;
+
+fn pack(seq: u64, tally: Tally) -> u64 {
+    (seq & 0xFFFF_FFFF) << 32 | u64::from(tally.failures) << DEFECT_BITS | u64::from(tally.defects)
+}
+
+/// The tally in `word` if it was posted for sequence number `seq`. A
+/// slot starts as `u64::MAX`, whose 127 failures match no batch.
+fn unpack(word: u64, seq: u64) -> Option<Tally> {
+    let failures = (word >> DEFECT_BITS & 0x7F) as u32;
+    (word >> 32 == seq & 0xFFFF_FFFF && failures as usize <= LANES).then_some(Tally {
+        failures,
+        defects: (word & ((1 << DEFECT_BITS) - 1)) as u32,
+    })
+}
+
+/// A run as its board shows it: the run's configuration, the ticket its
+/// helpers check in with, and the board sequence numbers `start..end`
+/// that stand for its batches `first..`.
+#[derive(Clone, Copy, Debug)]
+struct Posted {
+    config: SurfaceLerConfig,
+    ticket: u64,
+    first: u64,
+    start: u64,
+    end: u64,
+}
+
+impl Posted {
+    fn batch(&self, seq: u64) -> u64 {
+        self.first + (seq - self.start)
+    }
+}
+
+/// Where one fanned-out run and its helpers meet.
+///
+/// Batches are claimed by board sequence number from one counter that
+/// only grows: a run takes the numbers after the last run's, so a claim
+/// by a helper still holding an earlier run's numbers fails, and a post
+/// it makes late carries a tag no later run waits for. (A tag is the
+/// number's low 32 bits: it could be mistaken only by a helper held up
+/// while about four billion batches pass on its board.)
+///
+/// Orderings: the posted run is read and written under its mutex, which
+/// also publishes `frontier` and `next`. The caller reads a slot
+/// (`Acquire`) before it moves `frontier` past it (`Release`), and a
+/// thread loads `frontier` (`Acquire`) before it claims, so a claim
+/// that reuses a slot follows the read of its last tally.
+struct Board {
+    taken: AtomicBool,
+    posted: Mutex<Option<Posted>>,
+    /// The next unclaimed sequence number.
+    next: AtomicU64,
+    /// The sequence number of the next batch the caller commits.
+    frontier: AtomicU64,
+    ring: [AtomicU64; RING],
+}
+
+impl Board {
+    /// Claims the next batch of `posted`; `None` once the run has none
+    /// left to claim. While the ring is full, a helper (`wait`) yields
+    /// until the caller commits, and the caller gets `None`.
+    fn claim(&self, posted: &Posted, wait: bool) -> Option<u64> {
+        let mut next = self.next.load(Ordering::Relaxed);
+        loop {
+            if !(posted.start..posted.end).contains(&next) {
+                return None;
+            }
+            if next >= self.frontier.load(Ordering::Acquire) + RING as u64 {
+                if !wait {
+                    return None;
+                }
+                thread::yield_now();
+                next = self.next.load(Ordering::Relaxed);
+                continue;
+            }
+            match (self.next).compare_exchange_weak(
+                next,
+                next + 1,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return Some(next),
+                Err(now) => next = now,
+            }
+        }
+    }
+
+    fn slot(&self, seq: u64) -> &AtomicU64 {
+        &self.ring[seq as usize % RING]
+    }
+}
+
+/// One helper thread's mailbox.
+#[derive(Default)]
+struct Helper {
+    thread: OnceLock<JoinHandle<()>>,
+    /// 0 while idle, else 1 + the index of the board it was recruited
+    /// to. A run recruits only idle helpers; a helper goes back to idle
+    /// once its run has no batch left to claim.
+    assigned: AtomicUsize,
+    /// The ticket of the last run it checked in to.
+    checked_in: AtomicU64,
+    /// Batches it posted (tests check that a run really fanned out).
+    #[cfg(test)]
+    posts: AtomicU64,
+}
+
+/// Parked helper threads that run whole batches of fanned-out runs.
+///
+/// The process has one, [`Pool::global`], spawned by the first run that
+/// fans out, with one helper per core beyond the first. A run that fans
+/// out takes a free [`Board`], posts itself there, recruits idle
+/// helpers up to its share of the cores and unparks them. Each helper
+/// reads the run, warms its own sweep point for it (its check-in), then
+/// claims batches, runs each whole and posts its tally to the board's
+/// ring until the run has none left, and parks again.
+struct Pool {
+    boards: Vec<Board>,
+    helpers: Vec<Helper>,
+    tickets: AtomicU64,
+}
+
+impl Pool {
+    /// A pool of `helpers` threads, which live as long as the process.
+    fn spawn(helpers: usize) -> &'static Pool {
+        let pool: &'static Pool = Box::leak(Box::new(Pool {
+            boards: (0..helpers.max(1))
+                .map(|_| Board {
+                    taken: AtomicBool::new(false),
+                    posted: Mutex::new(None),
+                    next: AtomicU64::new(0),
+                    frontier: AtomicU64::new(0),
+                    ring: [const { AtomicU64::new(u64::MAX) }; RING],
+                })
+                .collect(),
+            helpers: (0..helpers).map(|_| Helper::default()).collect(),
+            tickets: AtomicU64::new(1),
+        }));
+        for (index, helper) in pool.helpers.iter().enumerate() {
+            let spawned = thread::Builder::new()
+                .name(format!("surface-helper-{index}"))
+                .spawn(move || pool.help(index))
+                .expect("spawn a surface helper thread");
+            let _ = helper.thread.set(spawned);
+        }
+        pool
+    }
+
+    /// The process's pool: one helper per core beyond the first.
+    fn global() -> &'static Pool {
+        static POOL: OnceLock<&'static Pool> = OnceLock::new();
+        POOL.get_or_init(|| Pool::spawn(decode_threads() - 1))
+    }
+
+    /// Helper thread `index`: waits to be recruited, then checks in and
+    /// runs the batches it claims, for ever.
+    fn help(&self, index: usize) {
+        let me = &self.helpers[index];
+        loop {
+            let assigned = me.assigned.load(Ordering::Acquire);
+            if assigned == 0 {
+                thread::park();
+                continue;
+            }
+            let board = &self.boards[assigned - 1];
+            let posted = (*board.posted.lock().unwrap_or_else(PoisonError::into_inner))
+                .expect("a helper is recruited to a posted run");
+            let config = &posted.config;
+            with_sweep_point(config.distance, config.error, |point| {
+                me.checked_in.store(posted.ticket, Ordering::Release);
+                while let Some(seq) = board.claim(&posted, true) {
+                    let tally = point.tally(config, posted.batch(seq));
+                    #[cfg(test)]
+                    tests::stall(config.seed);
+                    // With every batch claimed, this post may be the one
+                    // the run ends on: go idle first, so that a run
+                    // started right after it can recruit this helper.
+                    let last = board.next.load(Ordering::Relaxed) >= posted.end;
+                    if last {
+                        me.assigned.store(0, Ordering::Release);
+                    }
+                    board.slot(seq).store(pack(seq, tally), Ordering::Release);
+                    #[cfg(test)]
+                    me.posts.fetch_add(1, Ordering::Relaxed);
+                    if last {
+                        return;
+                    }
+                }
+                me.assigned.store(0, Ordering::Release);
+            });
+        }
+    }
+}
+
+/// A run's hold on a board and on the helpers it recruited there.
+/// Dropping it, also on unwind, closes the run to claims, waits for
+/// each recruited helper to check in, so that its sweep point is warm
+/// for the next run, and frees the board.
+struct Fan {
+    pool: &'static Pool,
+    /// The board's index in the pool, and the board.
+    index: usize,
+    board: &'static Board,
+    posted: Posted,
+    /// How many helpers the run may recruit.
+    helpers: usize,
+    /// Bit `i`: helper `i` was recruited.
+    recruited: u64,
+    /// The caller's last measured time per batch.
+    per_batch: Duration,
+}
+
+impl Fan {
+    /// Posts batches `first..` of `config` on a free board of `pool`, to
+    /// be run by up to `helpers` helpers beside the caller; `None` if no
+    /// board is free.
+    fn open(
+        pool: &'static Pool,
+        config: &SurfaceLerConfig,
+        first: u64,
+        helpers: usize,
+    ) -> Option<Self> {
+        let (index, board) = (pool.boards.iter().enumerate()).find(|(_, board)| {
+            (board.taken)
+                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok()
+        })?;
+        // Every earlier run on the board closed its numbers, so nothing
+        // moves `next` while the board is free.
+        let start = board.next.load(Ordering::Relaxed);
+        let posted = Posted {
+            config: *config,
+            ticket: pool.tickets.fetch_add(1, Ordering::Relaxed),
+            first,
+            start,
+            end: start + (config.shots.div_ceil(LANES as u64) - first),
+        };
+        board.frontier.store(start, Ordering::Relaxed);
+        *board.posted.lock().unwrap_or_else(PoisonError::into_inner) = Some(posted);
+        Some(Fan {
+            pool,
+            index,
+            board,
+            posted,
+            helpers,
+            recruited: 0,
+            // Until the caller has timed a batch of its own.
+            per_batch: Duration::from_millis(1),
+        })
+    }
+
+    /// Recruits idle helpers until the run has as many as it may or no
+    /// batch is left to claim, and wakes them. Called before every
+    /// batch: a helper still busy with the end of another run when this
+    /// one starts joins it later.
+    fn recruit(&mut self) {
+        for (i, helper) in self.pool.helpers.iter().enumerate() {
+            if self.recruited.count_ones() as usize >= self.helpers
+                || self.board.next.load(Ordering::Relaxed) >= self.posted.end
+            {
+                return;
+            }
+            if (self.recruited >> i) & 1 == 0
+                && helper.assigned.load(Ordering::Relaxed) == 0
+                && (helper.assigned)
+                    .compare_exchange(0, self.index + 1, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_ok()
+            {
+                self.recruited |= 1 << i;
+                helper.thread.get().expect("spawned").thread().unpark();
+            }
+        }
+    }
+
+    /// The tally of `batch`, the next batch to commit. A helper's post
+    /// is taken as it is; until it comes the caller claims and runs
+    /// batches itself, posting those past `batch`, and with none left to
+    /// claim it waits about two of its batch times before it runs
+    /// `batch` again itself. The tally is the same either way, since a
+    /// batch is a pure function of the run's configuration and index.
+    fn tally(&mut self, point: &mut SweepPoint, batch: u64) -> Tally {
+        self.recruit();
+        let (board, posted) = (self.board, &self.posted);
+        let seq = posted.start + (batch - posted.first);
+        let mut waiting = None;
+        let tally = loop {
+            if let Some(tally) = unpack(board.slot(seq).load(Ordering::Acquire), seq) {
+                break tally;
+            }
+            if let Some(claimed) = board.claim(posted, false) {
+                let started = Instant::now();
+                let tally = point.tally(&posted.config, posted.batch(claimed));
+                self.per_batch = started.elapsed();
+                if claimed == seq {
+                    break tally;
+                }
+                board
+                    .slot(claimed)
+                    .store(pack(claimed, tally), Ordering::Release);
+            } else if waiting.get_or_insert_with(Instant::now).elapsed() > 2 * self.per_batch {
+                break point.tally(&posted.config, batch);
+            } else {
+                thread::yield_now();
+            }
+        };
+        board.frontier.store(seq + 1, Ordering::Release);
+        tally
+    }
+}
+
+impl Drop for Fan {
+    fn drop(&mut self) {
+        self.board
+            .next
+            .fetch_max(self.posted.end, Ordering::Relaxed);
+        // A helper that panicked will never check in. (A batch is
+        // deterministic, so a panic in one reaches the caller too when
+        // it runs the batch again.)
+        for (i, helper) in self.pool.helpers.iter().enumerate() {
+            while (self.recruited >> i) & 1 == 1
+                && helper.checked_in.load(Ordering::Acquire) != self.posted.ticket
+                && !helper.thread.get().is_some_and(JoinHandle::is_finished)
+            {
+                thread::yield_now();
+            }
+        }
+        self.board.taken.store(false, Ordering::Release);
+    }
 }
 
 /// The controlled surface-code driver: [`run_ler_surface`] polled for
@@ -1086,15 +1175,18 @@ fn batch_rng(seed: u64, batch: u64) -> StdRng {
 /// reproduces the uninterrupted outcome bit for bit
 /// (`tests/resume_oracle.rs`).
 ///
-/// Above [`PARITY_TABLE_MAX_BITS`] syndrome bits (d ≥ 7) a run with
-/// batches left decodes on its share of the cores: the cores divided by
-/// the surface runs in progress in the process, re-read every batch.
-/// It starts one scoped helper thread per core of its share beyond the
-/// first and joins them before it returns. Only the decodes fan out:
-/// the error draw, the frame push, the cancellation poll, `on_batch`
-/// and the defect count stay on the calling thread, in batch order, so
-/// checkpoints and resume are unchanged. A single-core host, or a run
-/// whose share is one core, decodes on the calling thread alone.
+/// A run with two or more batches left runs them on its share of the
+/// cores, at every distance: the cores divided by the surface runs in
+/// progress in the process, read when it starts. Before each batch the
+/// calling thread recruits idle helpers of the process's pool, up to
+/// one per core of its share beyond the first; the helpers and the
+/// caller claim whole batches and run them out of order, while the
+/// caller commits their tallies strictly in batch order: it polls
+/// `cancelled`, adds the tally and calls `on_batch` once per batch, as
+/// a serial run does, so checkpoints and resume are unchanged. A
+/// single-core host, a run whose share is one core, or a run with one
+/// batch left runs on the calling thread alone and leaves the pool
+/// untouched.
 ///
 /// # Errors
 ///
@@ -1110,6 +1202,27 @@ pub fn run_ler_surface_controlled(
     cancelled: &dyn Fn() -> bool,
     on_batch: &mut dyn FnMut(&Checkpoint),
 ) -> Result<(SurfaceLerOutcome, bool), CoreError> {
+    let share = RunShare::join();
+    sweep(
+        config,
+        resume,
+        cancelled,
+        on_batch,
+        share.threads() - 1,
+        &Pool::global,
+    )
+}
+
+/// [`run_ler_surface_controlled`] with up to `helpers` helpers of
+/// `pool()`, which is called only if the run fans out.
+fn sweep(
+    config: &SurfaceLerConfig,
+    resume: Option<&Checkpoint>,
+    cancelled: &dyn Fn() -> bool,
+    on_batch: &mut dyn FnMut(&Checkpoint),
+    helpers: usize,
+    pool: &dyn Fn() -> &'static Pool,
+) -> Result<(SurfaceLerOutcome, bool), CoreError> {
     let p = config.physical_error_rate;
     if !(0.0..=1.0).contains(&p) {
         return Err(CoreError::InvalidProbability {
@@ -1117,55 +1230,36 @@ pub fn run_ler_surface_controlled(
             context: "surface LER physical error rate",
         });
     }
-    let key = (config.distance, config.error);
-    let mut point = DECODER_CACHE
-        .with(|cache| cache.borrow_mut().remove(&key))
-        .unwrap_or_else(|| SweepPoint::new(config.distance, config.error));
-
     let batches = config.shots.div_ceil(LANES as u64);
     // The running position is the checkpoint `on_batch` observes: one
     // per run, updated in place, so the uncontrolled path allocates
     // nothing per batch.
     let mut progress = resume.cloned().unwrap_or_default();
     progress.counters.resize(1, 0);
-    let start = progress.batches.min(batches);
-    let share = RunShare::join();
-    // A parity table, filled as lanes decode, serves most lanes at
-    // d ≤ 5; only table-less points fan out.
-    let fans_out = start < batches && point.table.is_empty();
-    let threads = || if fans_out { share.threads() } else { 1 };
-    let stopped = with_decode_pool(&mut point, &threads, |reference, decode| {
-        let mut buf = reference.buffers();
-        for batch in start..batches {
+    let first = progress.batches.min(batches);
+    let stopped = with_sweep_point(config.distance, config.error, |point| {
+        // With one batch left there is nothing to run beside it, so a
+        // fresh thread's one-batch set-up neither spawns nor wakes a
+        // helper.
+        let fits = point.reference.ancillas.len() * LANES < 1 << DEFECT_BITS;
+        let mut fan = (batches - first >= 2 && helpers > 0 && fits)
+            .then(|| Fan::open(pool(), config, first, helpers))
+            .flatten();
+        for batch in first..batches {
             if cancelled() {
                 return true;
             }
-            let lanes = (config.shots - batch * LANES as u64).min(LANES as u64);
-            let mask = if lanes == LANES as u64 {
-                u64::MAX
-            } else {
-                (1u64 << lanes) - 1
+            let tally = match &mut fan {
+                Some(fan) => fan.tally(point, batch),
+                None => point.tally(config, batch),
             };
-            let fail_word = reference.sample_batch(
-                p,
-                lanes as usize,
-                &mut batch_rng(config.seed, batch),
-                &mut buf,
-                decode,
-            );
-            let defects: u32 = (reference.ancillas.iter())
-                .map(|&anc| (buf.meas[anc] & mask).count_ones())
-                .sum();
             progress.batches = batch + 1;
-            progress.shots += lanes;
-            progress.failures += u64::from((fail_word & mask).count_ones());
-            progress.counters[0] += u64::from(defects);
+            progress.shots += config.lanes(batch) as u64;
+            progress.failures += u64::from(tally.failures);
+            progress.counters[0] += u64::from(tally.defects);
             on_batch(&progress);
         }
         false
-    });
-    DECODER_CACHE.with(|cache| {
-        cache.borrow_mut().insert(key, point);
     });
     Ok((
         SurfaceLerOutcome {
@@ -1180,8 +1274,10 @@ pub fn run_ler_surface_controlled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qpdo_rng::Rng;
     use std::cell::Cell;
-    use std::sync::Barrier;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::{Arc, Barrier};
 
     fn quick(d: usize, p: f64, with_pf: bool, seed: u64) -> DistanceLerConfig {
         DistanceLerConfig {
@@ -1338,72 +1434,9 @@ mod tests {
         assert_eq!(outcome, scratch);
     }
 
-    /// The parity word of the first `live` lanes of `meas`, decoded on
-    /// the calling thread.
-    fn serial_decode(point: &mut SweepPoint, live: usize, meas: &[u64]) -> u64 {
-        with_decode_pool(point, &|| 1, |_, decode| decode(live, meas))
-    }
-
-    /// The outcome words of `n` undecoded p = 0.08 batches.
-    fn sampled_batches(point: &SweepPoint, seed: u64, n: u64) -> Vec<Vec<u64>> {
-        let mut buf = point.reference.buffers();
-        (0..n)
-            .map(|batch| {
-                let rng = &mut batch_rng(seed, batch);
-                (point.reference).sample_batch(0.08, LANES, rng, &mut buf, &mut |_, _| 0);
-                buf.meas.clone()
-            })
-            .collect()
-    }
-
-    /// A run borrows the helper decoders from the cached sweep point, so
-    /// every exit path leaves them in `DECODER_CACHE` and the next run on
-    /// the thread fans out again. The point is primed with four lane
-    /// decoders, since a run's own share of the cores depends on the
-    /// host and on the tests running beside it.
-    #[test]
-    fn helper_decoders_stay_cached_on_every_exit_path() {
-        let key = (7, CheckKind::X);
-        let mut point = SweepPoint::new(7, CheckKind::X);
-        with_decode_pool(&mut point, &|| 4, |_, _| ());
-        DECODER_CACHE.with(|cache| cache.borrow_mut().insert(key, point));
-        let kept = || {
-            DECODER_CACHE
-                .with(|cache| (cache.borrow().get(&key)).is_some_and(|p| p.decoders.len() >= 4))
-        };
-        let config = surface(7, 0.08, CheckKind::X, 200, 3);
-        let scratch = run_ler_surface(&config).unwrap();
-        assert!(kept(), "a full run");
-
-        let (outcome, stopped) =
-            run_ler_surface_controlled(&config, None, &|| true, &mut |_| {}).unwrap();
-        assert!(stopped && outcome.shots == 0);
-        assert!(kept(), "cancelled before batch 0");
-
-        let done = Checkpoint {
-            batches: 4,
-            shots: scratch.shots,
-            failures: scratch.failures,
-            counters: vec![scratch.defects],
-        };
-        let (outcome, _) = run_ler_surface_controlled(&config, Some(&done), &|| false, &mut |_| {
-            panic!("no batch should run")
-        })
-        .unwrap();
-        assert_eq!(outcome, scratch);
-        assert!(kept(), "resumed at the end");
-
-        let empty = run_ler_surface(&surface(7, 0.08, CheckKind::X, 0, 3)).unwrap();
-        assert_eq!(empty.shots, 0);
-        assert!(kept(), "no batches");
-
-        assert_eq!(run_ler_surface(&config).unwrap(), scratch);
-        assert!(kept(), "a full run after them");
-    }
-
     /// The logical-support parity of a direct union-find decode.
     fn direct_parity(point: &SweepPoint, syndrome: &[bool]) -> bool {
-        let correction = point.decoders[0].decoder.decode(syndrome);
+        let correction = point.decoder.decode(syndrome);
         let logical = &point.reference.logical;
         correction.iter().filter(|q| logical.contains(q)).count() % 2 == 1
     }
@@ -1422,12 +1455,9 @@ mod tests {
             for kind in [CheckKind::X, CheckKind::Z] {
                 let mut point = SweepPoint::new(d, kind);
                 assert_eq!(!point.table.is_empty(), d <= 5, "d={d}: table cap");
-                let mut buf = point.reference.buffers();
                 for batch in 0..4 {
-                    let fail_word = with_decode_pool(&mut point, &|| 1, |reference, decode| {
-                        let rng = &mut batch_rng(d as u64, batch);
-                        reference.sample_batch(0.08, LANES, rng, &mut buf, decode)
-                    });
+                    let rng = &mut batch_rng(d as u64, batch);
+                    let fail_word = point.failure_word(Bernoulli::new(0.08), LANES, rng);
                     let reference = &point.reference;
                     let code = &reference.code;
                     let observable = match kind {
@@ -1436,7 +1466,7 @@ mod tests {
                     };
 
                     let mut sim = ShotSlicedSim::new(code.num_qubits());
-                    for (q, &word) in buf.err.iter().enumerate() {
+                    for (q, &word) in point.err.iter().enumerate() {
                         match kind {
                             CheckKind::X => sim.x_masked(q, word),
                             CheckKind::Z => {
@@ -1446,10 +1476,10 @@ mod tests {
                         }
                     }
                     let mut meas = vec![0u64; code.num_qubits()];
-                    esm_on_tableau(&mut sim, &reference.esm, |q| buf.meas[q], &mut meas);
+                    esm_on_tableau(&mut sim, &reference.esm, |q| point.meas[q], &mut meas);
                     for ch in code.checks() {
                         assert_eq!(
-                            meas[ch.ancilla], buf.meas[ch.ancilla],
+                            meas[ch.ancilla], point.meas[ch.ancilla],
                             "d={d} {kind:?} batch {batch}: ancilla {} diverged",
                             ch.ancilla
                         );
@@ -1460,9 +1490,9 @@ mod tests {
                     let mut syndrome = vec![false; reference.ancillas.len()];
                     for lane in 0..LANES {
                         for (s, &anc) in syndrome.iter_mut().zip(&reference.ancillas) {
-                            *s = (buf.meas[anc] >> lane) & 1 == 1;
+                            *s = (point.meas[anc] >> lane) & 1 == 1;
                         }
-                        for q in point.decoders[0].decoder.decode(&syndrome) {
+                        for q in point.decoder.decode(&syndrome) {
                             corr[q] |= 1 << lane;
                         }
                         if !point.table.is_empty() {
@@ -1491,7 +1521,7 @@ mod tests {
                     // (The checks of the error's own kind do not detect it.)
                     if d == 5 {
                         for ch in code.checks_of(kind) {
-                            let word = buf.meas[ch.ancilla];
+                            let word = point.meas[ch.ancilla];
                             assert!(
                                 word != 0 && word != u64::MAX,
                                 "d=5 {kind:?} batch {batch}: ancilla {} constant across lanes",
@@ -1513,24 +1543,22 @@ mod tests {
         for d in [3, 5] {
             for kind in [CheckKind::X, CheckKind::Z] {
                 let mut point = SweepPoint::new(d, kind);
-                let len = point.decoders[0].decoder.syndrome_len();
+                let len = point.decoder.syndrome_len();
                 let entries = 1usize << len;
                 assert_eq!(point.table.len(), entries, "d={d} {kind:?}: table size");
                 assert!(
                     point.table.iter().all(Option::is_none),
                     "d={d} {kind:?}: a fresh table is pre-filled"
                 );
-                let mut buf = point.reference.buffers();
                 for base in (0..entries).step_by(LANES) {
                     // Lane `l` carries syndrome index `base + l`.
                     let live = (entries - base).min(LANES);
                     for (k, &anc) in point.reference.ancillas.iter().enumerate() {
-                        buf.meas[anc] = (0..live).fold(0, |word, lane| {
+                        point.meas[anc] = (0..live).fold(0, |word, lane| {
                             word | ((((base + lane) >> k) & 1) as u64) << lane
                         });
                     }
-                    let mut serial = || serial_decode(&mut point, live, &buf.meas);
-                    let (missed, hit) = (serial(), serial());
+                    let (missed, hit) = (point.decode_lanes(live), point.decode_lanes(live));
                     assert_eq!(missed, hit, "d={d} {kind:?}: lookup disagrees with fill");
                     for lane in 0..live {
                         let index = base + lane;
@@ -1606,56 +1634,6 @@ mod tests {
         }
     }
 
-    /// Fanning a batch's decodes out over helper threads changes nothing:
-    /// at every thread count, including more threads than live lanes,
-    /// each parity word equals the calling thread's serial decode.
-    #[test]
-    fn fanned_out_decodes_match_the_serial_decode() {
-        for d in [7, 13] {
-            let mut point = SweepPoint::new(d, CheckKind::X);
-            let batches = sampled_batches(&point, d as u64, 3);
-            let lives = [1, 3, 8, 63, 64];
-            let serial: Vec<u64> = (batches.iter())
-                .flat_map(|meas| lives.map(|live| (live, meas)))
-                .map(|(live, meas)| serial_decode(&mut point, live, meas))
-                .collect();
-            for (i, &word) in serial.iter().enumerate() {
-                let live = lives[i % lives.len()];
-                assert!(
-                    live == LANES || word >> live == 0,
-                    "d={d}: dead lane decoded"
-                );
-            }
-            assert!(serial.iter().any(|&word| word != 0), "d={d}: vacuous");
-            // More threads than cores too: helpers then wait for a core.
-            let most = (decode_threads() + 2).max(4);
-            for threads in (1..=4).chain([most]) {
-                let fanned: Vec<u64> = with_decode_pool(&mut point, &|| threads, |_, decode| {
-                    (batches.iter())
-                        .flat_map(|meas| lives.map(|live| (live, meas)))
-                        .map(|(live, meas)| decode(live, meas))
-                        .collect()
-                });
-                assert_eq!(fanned, serial, "d={d}, {threads} threads");
-            }
-            // A run's share of the cores may shrink and grow between
-            // batches: 4 threads to spawn, then 1, 3, 2, 4, ...
-            let calls = Cell::new(0);
-            let varying = || {
-                calls.set(calls.get() + 1);
-                [4, 1, 3, 2][(calls.get() - 1) % 4]
-            };
-            let fanned: Vec<u64> = with_decode_pool(&mut point, &varying, |_, decode| {
-                (batches.iter())
-                    .flat_map(|meas| lives.map(|live| (live, meas)))
-                    .map(|(live, meas)| decode(live, meas))
-                    .collect()
-            });
-            assert_eq!(fanned, serial, "d={d}, a varying share");
-            assert_eq!(point.decoders.len(), most, "d={d}: helper decoders kept");
-        }
-    }
-
     /// Surface runs in progress share the cores: with as many runs as
     /// cores each decodes on its own thread alone, and two runs get at
     /// most half the cores each. Other tests' runs only lower a share.
@@ -1671,94 +1649,212 @@ mod tests {
             .all(|share| share.threads() <= (cores / 2).max(1)));
     }
 
-    /// A helper stuck in the middle of a lane neither stalls its batch
-    /// nor changes a parity word: the caller decodes that lane again
-    /// itself, and the helper's late result, tagged with a finished
-    /// batch, is ignored, as is the lane its stale claim used up.
-    #[test]
-    fn a_stuck_helper_neither_stalls_nor_changes_the_parity() {
-        let mut point = SweepPoint::new(7, CheckKind::X);
-        let batches = sampled_batches(&point, 11, 2);
-        let serial: Vec<u64> = (batches.iter())
-            .map(|meas| serial_decode(&mut point, LANES, meas))
-            .collect();
-        let SweepPoint {
-            reference,
-            decoders,
-            ..
-        } = &mut point;
-        let (reference, own) = (&*reference, &mut decoders[0]);
-        let pool = DecodePool::new(own.words.len());
-        let step = Barrier::new(2);
-        thread::scope(|scope| {
-            scope.spawn(|| {
-                // Batch 1 is posted: claim a lane, then hold it while the
-                // caller finishes the batch.
-                step.wait();
-                let lane = pool.claim(1, LANES).expect("batch 1 has lanes left");
-                step.wait();
-                // Batch 2 is posted: a late bit for batch 1 that is wrong
-                // for batch 2, then a claim for batch 1.
-                step.wait();
-                let wrong = !(serial[1] >> lane) & 1;
-                pool.lanes[lane].store(1 << 1 | wrong, Ordering::Relaxed);
-                let stale = pool.claim(1, LANES);
-                step.wait();
-                assert_eq!(stale, None, "a claim for a finished batch");
-            });
-            let mut per_decode = Duration::ZERO;
-            let mut decode = |meas: &[u64], hold: &dyn Fn()| {
-                own.gather(reference, meas);
-                let batch = pool.post(&own.words, LANES, 1);
-                hold();
-                pool.finish(own, reference, batch, LANES, &mut per_decode)
-            };
-            let first = decode(&batches[0], &|| {
-                step.wait();
-                step.wait();
-            });
-            assert_eq!(first, serial[0], "batch 1");
-            let second = decode(&batches[1], &|| {
-                step.wait();
-                step.wait();
-            });
-            assert_eq!(second, serial[1], "batch 2");
-        });
+    /// The seed whose first helper-run batch is held on a barrier, and
+    /// that barrier.
+    static STALL: Mutex<Option<(u64, Arc<Barrier>)>> = Mutex::new(None);
+
+    /// Called by a helper between running a batch and posting it: the
+    /// first such batch of a run seeded with `STALL`'s seed waits twice
+    /// on its barrier, once to show that it holds the batch, once to be
+    /// let go.
+    pub(super) fn stall(seed: u64) {
+        let held =
+            (STALL.lock().unwrap_or_else(PoisonError::into_inner)).take_if(|(s, _)| *s == seed);
+        if let Some((_, barrier)) = held {
+            barrier.wait();
+            barrier.wait();
+        }
     }
 
-    /// When the helpers claim every lane of a batch, the caller has not
-    /// timed a decode of its own in that batch; it waits for their bits
-    /// for about two of its last measured decode times instead of
-    /// decoding every lane again at once. The helper here reports after
-    /// 20 ms, well inside a measured one second per decode, and reports
-    /// every bit flipped, so a lane the caller decoded itself would show.
-    #[test]
-    fn a_caller_that_claimed_no_lane_waits_for_the_helpers() {
-        let mut point = SweepPoint::new(7, CheckKind::X);
-        let meas = &sampled_batches(&point, 5, 1)[0];
-        let serial = serial_decode(&mut point, LANES, meas);
-        let SweepPoint {
-            reference,
-            decoders,
-            ..
-        } = &mut point;
-        let (reference, own) = (&*reference, &mut decoders[0]);
-        let pool = DecodePool::new(own.words.len());
-        own.gather(reference, meas);
-        let batch = pool.post(&own.words, LANES, 1);
-        while pool.claim(batch, LANES).is_some() {}
-        let parity = thread::scope(|scope| {
-            scope.spawn(|| {
-                thread::sleep(Duration::from_millis(20));
-                for (lane, result) in pool.lanes.iter().enumerate() {
-                    let flipped = !(serial >> lane) & 1;
-                    result.store(batch << 1 | flipped, Ordering::Relaxed);
+    /// Batches the helpers of `pool` have posted so far.
+    fn posts(pool: &Pool) -> u64 {
+        (pool.helpers.iter())
+            .map(|helper| helper.posts.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Waits until the helpers of `pool` have posted more than `before`
+    /// batches.
+    fn await_posts(pool: &'static Pool, before: u64) {
+        let started = Instant::now();
+        while posts(pool) <= before {
+            assert!(
+                started.elapsed() < Duration::from_secs(20),
+                "no helper posted a batch"
+            );
+            thread::sleep(Duration::from_micros(200));
+        }
+    }
+
+    /// A controlled run with up to `helpers` helpers of `pool`,
+    /// cancelled once `cancel_at` batches are committed. With `hold`,
+    /// its first `on_batch` call waits until a helper has posted a
+    /// batch, so the helpers run ahead of the commit. Returns the
+    /// outcome, whether it stopped, and every checkpoint.
+    fn controlled(
+        config: &SurfaceLerConfig,
+        cancel_at: u64,
+        helpers: usize,
+        pool: &'static Pool,
+        hold: bool,
+    ) -> (SurfaceLerOutcome, bool, Vec<Checkpoint>) {
+        let before = posts(pool);
+        let done = Cell::new(0);
+        let mut checkpoints = Vec::new();
+        let (outcome, stopped) = sweep(
+            config,
+            None,
+            &|| done.get() >= cancel_at,
+            &mut |c| {
+                if hold && checkpoints.is_empty() {
+                    await_posts(pool, before);
                 }
-            });
-            let mut per_decode = Duration::from_secs(1);
-            pool.finish(own, reference, batch, LANES, &mut per_decode)
-        });
-        assert_eq!(parity, !serial, "the caller decoded a helper's lane");
+                done.set(c.batches);
+                checkpoints.push(c.clone());
+            },
+            helpers,
+            &|| pool,
+        )
+        .unwrap();
+        (outcome, stopped, checkpoints)
+    }
+
+    /// Running whole batches on 1–4 helpers changes nothing: the
+    /// outcome and every checkpoint equal the serial run's, at d = 5
+    /// (parity tables, one per thread) and d = 7 (decoding every lane).
+    #[test]
+    fn helpers_give_the_serial_outcome_and_checkpoints() {
+        let pool = Pool::spawn(4);
+        for d in [5, 7] {
+            // Ten batches, the last with 17 live lanes.
+            let config = surface(d, 0.08, CheckKind::X, 64 * 9 + 17, 0xFA17 + d as u64);
+            let serial = controlled(&config, u64::MAX, 0, pool, false);
+            assert_eq!(serial.2.len(), 10, "d={d}");
+            assert!(serial.0.failures > 0, "d={d}: vacuous");
+            for helpers in 1..=4 {
+                let fanned = controlled(&config, u64::MAX, helpers, pool, true);
+                assert_eq!(fanned, serial, "d={d}, {helpers} helpers");
+            }
+        }
+        assert!((pool.boards.iter()).all(|board| !board.taken.load(Ordering::Acquire)));
+    }
+
+    /// A helper held up in the middle of a batch neither stalls the run
+    /// nor changes it: the caller runs that batch again itself. Let go
+    /// while the next run on the same board is under way, the helper
+    /// posts its stale tally into the ring that run uses (it runs past
+    /// the ring's length, so it meets the slot), and the tag keeps the
+    /// post out of that run's outcome.
+    #[test]
+    fn a_stalled_helper_is_rescued_and_its_late_post_is_ignored() {
+        let pool = Pool::spawn(2);
+        let barrier = Arc::new(Barrier::new(2));
+        let held = surface(5, 0.08, CheckKind::X, 64 * 8, 0x57A11);
+        let after = surface(5, 0.08, CheckKind::X, 64 * (RING as u64 + 8) + 5, 0x57A12);
+        let serial = |config| controlled(config, u64::MAX, 0, pool, false);
+        let (serial_held, serial_after) = (serial(&held), serial(&after));
+        *STALL.lock().unwrap() = Some((held.seed, Arc::clone(&barrier)));
+
+        // Run 1: its first checkpoint waits until a helper holds a batch.
+        let mut checkpoints = Vec::new();
+        let (outcome, stopped) = sweep(
+            &held,
+            None,
+            &|| false,
+            &mut |c| {
+                if c.batches == 1 {
+                    barrier.wait();
+                }
+                checkpoints.push(c.clone());
+            },
+            1,
+            &|| pool,
+        )
+        .unwrap();
+        assert_eq!((outcome, stopped, checkpoints), serial_held, "held run");
+        // Helpers are recruited in order: helper 0 is the held one.
+        assert_ne!(pool.helpers[0].assigned.load(Ordering::Acquire), 0);
+
+        // Run 2 recruits the other helper, on the board run 1 freed, and
+        // lets the held one go at its first checkpoint.
+        let mut checkpoints = Vec::new();
+        let before = posts(pool);
+        let (outcome, stopped) = sweep(
+            &after,
+            None,
+            &|| false,
+            &mut |c| {
+                if c.batches == 1 {
+                    barrier.wait();
+                    while pool.helpers[0].assigned.load(Ordering::Acquire) != 0 {
+                        thread::yield_now();
+                    }
+                    // The late post counts too: wait for one more.
+                    await_posts(pool, before + 1);
+                }
+                checkpoints.push(c.clone());
+            },
+            2,
+            &|| pool,
+        )
+        .unwrap();
+        assert_eq!((outcome, stopped, checkpoints), serial_after, "next run");
+    }
+
+    /// A panic in `on_batch` unwinds through the run, which frees its
+    /// board on the way out; the next run fans out on the same pool and
+    /// still gives the serial outcome.
+    #[test]
+    fn a_panic_in_on_batch_leaves_the_pool_usable() {
+        let pool = Pool::spawn(1);
+        let config = surface(7, 0.08, CheckKind::Z, 64 * 6, 0xBAD);
+        let serial = controlled(&config, u64::MAX, 0, pool, false);
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            sweep(
+                &config,
+                None,
+                &|| false,
+                &mut |c| assert!(c.batches < 2, "on_batch fails at batch 2"),
+                1,
+                &|| pool,
+            )
+        }));
+        assert!(panicked.is_err());
+        assert!((pool.boards.iter()).all(|board| !board.taken.load(Ordering::Acquire)));
+        assert_eq!(
+            controlled(&config, u64::MAX, 1, pool, true),
+            serial,
+            "the run after the panic"
+        );
+    }
+
+    /// Seeded stress over short fanned-out runs: 2–5 batches, mostly
+    /// ragged tails, 1–3 helpers, d = 3, 5, 7 and a cancellation at a
+    /// seeded batch (or none). Each must equal the serial run: outcome,
+    /// stop and every checkpoint.
+    #[test]
+    fn short_fanned_out_runs_match_the_serial_runs() {
+        let pool = Pool::spawn(3);
+        let mut rng = StdRng::seed_from_u64(0x57E55);
+        for run in 0..300 {
+            let d = [3, 5, 7][rng.gen_range(0..3)];
+            let kind = if rng.gen() {
+                CheckKind::X
+            } else {
+                CheckKind::Z
+            };
+            let shots = rng.gen_range(65..=320u64);
+            let config = surface(d, rng.gen_range(0.02..0.12), kind, shots, rng.gen());
+            let cancel_at = rng.gen_range(0..=shots.div_ceil(64) + 1);
+            let helpers = rng.gen_range(1..=3);
+            let serial = controlled(&config, cancel_at, 0, pool, false);
+            let fanned = controlled(&config, cancel_at, helpers, pool, false);
+            assert_eq!(
+                fanned, serial,
+                "run {run}: {config:?}, {helpers} helpers, cancelled at {cancel_at}"
+            );
+        }
+        assert!((pool.boards.iter()).all(|board| !board.taken.load(Ordering::Acquire)));
     }
 
     #[test]

@@ -55,9 +55,9 @@ use crate::{CheckKind, RotatedSurfaceCode};
 /// The decoder owns its decode scratch (see the module docs), so one
 /// instance should be reused across as many `decode` calls as possible;
 /// [`crate::experiment::run_ler_surface`] keeps one per `(d, kind)` per
-/// decoding thread for exactly this reason. The scratch sits behind a
-/// [`RefCell`], which makes the decoder cheap to call through a shared
-/// reference but not `Sync` — give each thread its own decoder.
+/// thread that runs batches for exactly this reason. The scratch sits
+/// behind a [`RefCell`], which makes the decoder cheap to call through a
+/// shared reference but not `Sync` — give each thread its own decoder.
 ///
 /// # Example
 ///

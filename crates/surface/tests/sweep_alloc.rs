@@ -1,16 +1,23 @@
 //! Steady-state allocation audit for the surface-code sweep.
 //!
-//! `run_ler_surface` allocates its working buffers once per run; every
-//! 64-shot batch after that (error draw, frame push, parity-table
-//! lookups, and union-find decodes on table misses) must stay off the
-//! heap. On a warmed thread, a one-batch run and a 1250-batch run must
-//! therefore allocate exactly as often. The long run reaches syndromes
-//! the warm-up never drew, so both the table-hit and the decode path
-//! are exercised. At d = 13, where every batch's decodes fan out over
-//! helper threads, a one-batch and a 64-batch warm run must allocate
-//! equally often too: the helpers are spawned once per run and decode
-//! into buffers the calling thread allocated. A counting global
-//! allocator proves it; being global, it sees the helper threads too.
+//! Every thread that runs batches keeps a warm sweep point (decoder,
+//! frame reference, parity table and batch buffers) per distance and
+//! error kind, so once warm a 64-shot batch (error draw, frame push,
+//! parity-table lookups, and union-find decodes on table misses) must
+//! stay off the heap, and a run allocates only its checkpoint. On a
+//! warmed thread, a one-batch run and a 1250-batch run must therefore
+//! allocate exactly as often. The long run reaches syndromes the
+//! warm-up never drew, so both the table-hit and the decode path are
+//! exercised. A run of two or more batches also fans its batches out
+//! over the process's pool of helper threads, each with its own sweep
+//! point, while a one-batch run stays on the calling thread; so the
+//! equality also shows that the pool, its ring and every helper's
+//! state allocate nothing per run once warm. The warm-up run leaves
+//! every helper it recruited warm, even one that claimed no batch,
+//! since a run returns only after its helpers have built their points.
+//! The same holds at d = 13, where every lane runs the decoder. A
+//! counting global allocator proves it; being global, it sees the
+//! helper threads too.
 //!
 //! This file deliberately holds a single `#[test]`: Rust runs tests in
 //! threads sharing one global allocator, so any sibling test's
