@@ -14,6 +14,14 @@
 //!   the ratio is the honest rowsum-kernel speedup
 //!   (`derived.rowsum_speedup_n17`).
 //! - `esm_round` — one Surface-17 ESM window on a warmed control stack.
+//! - `measure_deterministic_n17` — a deterministic measurement on the
+//!   tableau of that warmed stack, of a Z ancilla that has received the
+//!   CNOTs of its check. Each measurement follows two CNOTs into the
+//!   ancilla from one data qubit (together the identity, a few ns), so
+//!   it is a fresh CNOT target the Z cache does not know and the sign
+//!   kernel computes the outcome.
+//! - `expectation_n17` — the expectation of the logical `Z_L` on the
+//!   same warmed tableau, as the LER driver's logical readout takes it.
 //! - `sc17_shot` — a full shot: build the stack, initialize `|0⟩_L`, run
 //!   one window, evaluate the observable-error gate.
 //! - `sc17_shot_sliced` — the same full-shot workload for 64 independent
@@ -42,7 +50,7 @@ use qpdo_bench::harness::{measure_batched_ns, Stats};
 use qpdo_bench::json::Json;
 use qpdo_bench::supervisor::sliced_lane_seeds;
 use qpdo_core::{ChpCore, ControlStack, DepolarizingModel};
-use qpdo_pauli::{Pauli, PauliFrame};
+use qpdo_pauli::{Pauli, PauliFrame, PauliString};
 use qpdo_rng::rngs::StdRng;
 use qpdo_rng::{Rng, SeedableRng};
 use qpdo_stabilizer::{ReferenceTableau, StabilizerSim, LANES};
@@ -197,6 +205,8 @@ fn validate_report(doc: &Json) -> Result<(), String> {
         "rowsum_packed_n17",
         "rowsum_reference_n17",
         "esm_round",
+        "measure_deterministic_n17",
+        "expectation_n17",
         "sc17_shot",
         "sc17_shot_sliced",
         "frame_merge",
@@ -325,6 +335,56 @@ fn run(args: &Args) -> Result<(), String> {
         ),
     )?;
     println!("esm_round: {:.1} ns", esm_round.median_ns);
+
+    // -- measure_deterministic_n17 / expectation_n17 on the warmed
+    // tableau; the CNOT pair keeps the ancilla out of the Z cache.
+    let mut warmed = stack.core().simulator().expect("qubits allocated").clone();
+    let ancilla = star.layout().z_ancillas[0];
+    let check = StarLayout::z_check_supports(star.properties().rotation)[0].clone();
+    for &d in &check {
+        warmed.cnot(star.layout().data[d], ancilla);
+    }
+    assert!(
+        warmed.clone().peek_deterministic(ancilla).is_some(),
+        "a Z check's ancilla must measure deterministically"
+    );
+    let control = star.layout().data[check[0]];
+    let mut no_draws = StdRng::seed_from_u64(args.seed);
+    let measure_deterministic = measured(
+        "measure_deterministic_n17",
+        measure_batched_ns(
+            samples,
+            collapse_iters,
+            || (),
+            |()| {
+                warmed.cnot(control, ancilla);
+                warmed.cnot(control, ancilla);
+                warmed.measure(ancilla, &mut no_draws)
+            },
+        ),
+    )?;
+    println!(
+        "measure_deterministic_n17: {:.1} ns",
+        measure_deterministic.median_ns
+    );
+    let mut logical_z = PauliString::identity(N);
+    for q in star.logical_z_qubits() {
+        logical_z.set_op(q, Pauli::Z);
+    }
+    assert!(
+        warmed.expectation(&logical_z).is_some(),
+        "Z_L must be in the stabilizer group"
+    );
+    let expectation = measured(
+        "expectation_n17",
+        measure_batched_ns(
+            samples,
+            collapse_iters,
+            || (),
+            |()| warmed.expectation(&logical_z),
+        ),
+    )?;
+    println!("expectation_n17: {:.1} ns", expectation.median_ns);
 
     // -- sc17_shot: stack construction + |0>_L + one window + gate.
     let mut shot_seed = args.seed;
@@ -458,6 +518,8 @@ fn run(args: &Args) -> Result<(), String> {
                 kernel_entry("rowsum_packed_n17", &rowsum_packed),
                 kernel_entry("rowsum_reference_n17", &rowsum_reference),
                 kernel_entry("esm_round", &esm_round),
+                kernel_entry("measure_deterministic_n17", &measure_deterministic),
+                kernel_entry("expectation_n17", &expectation),
                 kernel_entry("sc17_shot", &sc17_shot),
                 kernel_entry("sc17_shot_sliced", &sc17_shot_sliced),
                 kernel_entry("frame_merge", &frame_merge),

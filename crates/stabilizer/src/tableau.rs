@@ -21,8 +21,12 @@ use qpdo_rng::Rng;
 /// one rowsum per row. At Surface-17 scale (`n = 17`, 34 rows) every
 /// column plane is a single word. Unlike the cell-per-entry
 /// [`ReferenceTableau`](crate::ReferenceTableau) there is no scratch
-/// row: deterministic outcomes are computed by a word-parallel
-/// prefix-XOR scan that never materializes the product row.
+/// row: deterministic outcomes and expectation values share one sign
+/// kernel, a word-parallel prefix-XOR scan that never materializes the
+/// product row and skips every word no selected row touches. A
+/// per-qubit Z cache answers the measurement of a qubit already known
+/// to be a `±Z` eigenstate (a just-measured ancilla's reset) without
+/// touching the tableau.
 ///
 /// Semantics — gate action, pivot choice, RNG draws, phase bookkeeping,
 /// canonicalization — are bit-for-bit identical to the reference
@@ -41,16 +45,22 @@ pub struct StabilizerSim {
     z: Vec<u64>,
     /// Sign bits, packed by row (`rwords` words).
     r: Vec<u64>,
+    /// The Z cache: `zc[q] == Some(v)` guarantees that `(-1)^v·Z_q` is
+    /// in the stabilizer group, so measuring `q` yields `v`; `None`
+    /// means unknown. Derived from the tableau (equality ignores it);
+    /// DESIGN.md §8 has the update table.
+    zc: Vec<Option<bool>>,
     /// Measurement scratch (pre-allocated so the steady-state
     /// measurement path performs zero heap allocations): the
-    /// anticommuting-row mask of the current collapse, also reused as a
-    /// temporary by the deterministic-outcome scan.
+    /// anticommuting-row mask of the current collapse, also reused for
+    /// the destabilizer rows that select a sign-kernel product.
     targets: Vec<u64>,
     /// Bit-sliced mod-4 phase accumulator, low bits.
     acc_lo: Vec<u64>,
     /// Bit-sliced mod-4 phase accumulator, high bits.
     acc_hi: Vec<u64>,
-    /// Source-row mask for the deterministic-outcome prefix scan.
+    /// Source-row mask of the sign kernel: the stabilizer rows whose
+    /// ordered product it signs.
     sources: Vec<u64>,
 }
 
@@ -83,6 +93,7 @@ impl StabilizerSim {
             x: vec![0; n * rwords],
             z: vec![0; n * rwords],
             r: vec![0; rwords],
+            zc: vec![Some(false); n],
             targets: vec![0; rwords],
             acc_lo: vec![0; rwords],
             acc_hi: vec![0; rwords],
@@ -136,6 +147,7 @@ impl StabilizerSim {
             }
             grown.set_r(dst, self.r_bit(src));
         }
+        grown.zc[..old_n].copy_from_slice(&self.zc);
         *self = grown;
     }
 
@@ -227,6 +239,7 @@ impl StabilizerSim {
             self.x[base + w] = zw;
             self.z[base + w] = xw;
         }
+        self.zc[q] = None;
     }
 
     /// Applies the phase gate `S` on qubit `q`.
@@ -268,6 +281,7 @@ impl StabilizerSim {
         for w in 0..self.rwords {
             self.r[w] ^= self.z[base + w];
         }
+        self.zc[q] = self.zc[q].map(|v| !v);
     }
 
     /// Applies a Pauli-Y on qubit `q`.
@@ -281,6 +295,7 @@ impl StabilizerSim {
         for w in 0..self.rwords {
             self.r[w] ^= self.x[base + w] ^ self.z[base + w];
         }
+        self.zc[q] = self.zc[q].map(|v| !v);
     }
 
     /// Applies a Pauli-Z on qubit `q` (flips signs of X-type rows).
@@ -317,6 +332,12 @@ impl StabilizerSim {
             self.x[tb + w] = xt ^ xc;
             self.z[cb + w] = zc ^ zt;
         }
+        // Z_c is fixed; Z_t maps to Z_c·Z_t, so ±Z_t stays known only
+        // when both factors are.
+        self.zc[t] = match (self.zc[c], self.zc[t]) {
+            (Some(vc), Some(vt)) => Some(vc ^ vt),
+            _ => None,
+        };
     }
 
     /// Applies a `CZ` on qubits `a` and `b` (`H_b · CNOT_{a,b} · H_b`).
@@ -325,9 +346,13 @@ impl StabilizerSim {
     ///
     /// Panics if `a == b` or either index is out of range.
     pub fn cz(&mut self, a: usize, b: usize) {
+        // CZ fixes Z_b, which the H-sandwich's cache updates would lose.
+        self.check_qubit(b);
+        let zb = self.zc[b];
         self.h(b);
         self.cnot(a, b);
         self.h(b);
+        self.zc[b] = zb;
     }
 
     /// Applies a `SWAP` on qubits `a` and `b` (column exchange).
@@ -344,6 +369,7 @@ impl StabilizerSim {
             self.x.swap(ab + w, bb + w);
             self.z.swap(ab + w, bb + w);
         }
+        self.zc.swap(a, b);
     }
 
     /// Measures qubit `q` in the computational basis.
@@ -357,14 +383,47 @@ impl StabilizerSim {
     /// Panics if `q` is out of range.
     pub fn measure<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> bool {
         self.check_qubit(q);
-        match self.random_pivot(q) {
-            Some(p) => {
+        match self.classify(q) {
+            Ok(outcome) => outcome,
+            Err(p) => {
                 let outcome: bool = rng.gen();
                 self.collapse(q, p, outcome);
                 outcome
             }
-            None => self.deterministic_outcome(q),
         }
+    }
+
+    /// The outcome of measuring `q` when it is deterministic (`Ok`),
+    /// else the random-measurement pivot (`Err`). A Z-cache hit answers
+    /// without touching the tableau; a computed outcome is cached.
+    fn classify(&mut self, q: usize) -> Result<bool, usize> {
+        if let Some(cached) = self.zc[q] {
+            debug_assert_eq!(
+                self.classify_uncached(q),
+                Ok(cached),
+                "Z cache disagrees with the tableau on qubit {q}"
+            );
+            return Ok(cached);
+        }
+        let outcome = self.classify_uncached(q)?;
+        self.zc[q] = Some(outcome);
+        Ok(outcome)
+    }
+
+    /// [`classify`](Self::classify) from the tableau alone. A
+    /// deterministic `Z_q` is the product of the stabilizer rows paired
+    /// with the destabilizer rows that have an X bit on column `q`; the
+    /// sign kernel gives its sign.
+    fn classify_uncached(&mut self, q: usize) -> Result<bool, usize> {
+        if let Some(p) = self.random_pivot(q) {
+            return Err(p);
+        }
+        let qb = q * self.rwords;
+        for w in 0..self.rwords {
+            self.targets[w] = self.x[qb + w] & Self::range_mask(0, self.n, w);
+        }
+        self.select_partners();
+        Ok(self.product_sign())
     }
 
     /// The first stabilizer row whose X bit anticommutes with `Z_q`, if
@@ -468,6 +527,7 @@ impl StabilizerSim {
         self.set_r(d, self.r_bit(p));
         self.set_z(p, q, true);
         self.set_r(p, outcome);
+        self.zc[q] = Some(outcome);
         tcount
     }
 
@@ -495,37 +555,15 @@ impl StabilizerSim {
     #[must_use]
     pub fn peek_deterministic(&mut self, q: usize) -> Option<bool> {
         self.check_qubit(q);
-        if self.random_pivot(q).is_some() {
-            None
-        } else {
-            Some(self.deterministic_outcome(q))
-        }
+        self.classify(q).ok()
     }
 
-    /// Computes a deterministic outcome without a scratch row: the
-    /// product of the stabilizer rows selected by the destabilizer X
-    /// bits on column `q`, with the phase recovered word-parallel.
-    ///
-    /// The reference engine accumulates those rows one `rowsum` at a
-    /// time into a scratch row; because every intermediate product is a
-    /// commuting stabilizer product, each step's phase is even and the
-    /// final sign is simply the mod-4 sum of all per-step `g`
-    /// contributions plus `2·Σ r_src`. The per-step `g` arguments are
-    /// (source bits, XOR of all *earlier* source bits) — an exclusive
-    /// prefix-XOR over the selected rows, which a log-depth in-word
-    /// scan plus a cross-word parity carry computes for a whole column
-    /// at once.
-    fn deterministic_outcome(&mut self, q: usize) -> bool {
-        let rw = self.rwords;
-        let n = self.n;
-        let qb = q * rw;
-        // sources = (destabilizer X bits on column q) << n : the
-        // stabilizer rows to multiply, in ascending row order.
-        for w in 0..rw {
-            self.targets[w] = self.x[qb + w] & Self::range_mask(0, n, w);
-        }
-        let (ws, bs) = (n / 64, n % 64);
-        for w in (0..rw).rev() {
+    /// Loads `sources` with the stabilizer rows paired with the
+    /// destabilizer rows set in `targets` (row `i` → row `i + n`), in
+    /// ascending row order.
+    fn select_partners(&mut self) {
+        let (ws, bs) = (self.n / 64, self.n % 64);
+        for w in (0..self.rwords).rev() {
             let lo = if w >= ws {
                 self.targets[w - ws] << bs
             } else {
@@ -538,10 +576,32 @@ impl StabilizerSim {
             };
             self.sources[w] = lo | hi;
         }
+    }
 
-        let mut plus = 0i64;
-        let mut minus = 0i64;
-        for c in 0..n {
+    /// The sign kernel: whether the ordered product of the stabilizer
+    /// rows selected by `sources` carries sign `-1`. Serves
+    /// deterministic measurement, [`peek_deterministic`] and
+    /// [`expectation`], without a scratch row.
+    ///
+    /// The reference engine accumulates those rows one `rowsum` at a
+    /// time into a scratch row; because every intermediate product is a
+    /// commuting stabilizer product, each step's phase is even and the
+    /// final sign is simply the mod-4 sum of all per-step `g`
+    /// contributions plus `2·Σ r_src`. The per-step `g` arguments are
+    /// (source bits, XOR of all *earlier* source bits) — an exclusive
+    /// prefix-XOR over the selected rows, which a log-depth in-word
+    /// scan plus a cross-word parity carry computes for a whole column
+    /// at once. A column word in which no selected row has an X or Z
+    /// bit adds no phase and leaves both carries as they are, so it is
+    /// skipped.
+    ///
+    /// [`peek_deterministic`]: Self::peek_deterministic
+    /// [`expectation`]: Self::expectation
+    fn product_sign(&self) -> bool {
+        let rw = self.rwords;
+        // Mod-4 phase sum; u32 wrap-around is a multiple of 4.
+        let mut total = 0u32;
+        for c in 0..self.n {
             let cb = c * rw;
             // Cross-word exclusive-prefix carries (0 or all-ones).
             let mut carry_x = 0u64;
@@ -550,6 +610,9 @@ impl StabilizerSim {
                 let s = self.sources[w];
                 let sx = self.x[cb + w] & s;
                 let sz = self.z[cb + w] & s;
+                if sx | sz == 0 {
+                    continue;
+                }
                 let ix = prefix_xor(sx);
                 let iz = prefix_xor(sz);
                 // Exclusive prefix at bit b = inclusive prefix at b-1,
@@ -569,19 +632,19 @@ impl StabilizerSim {
                 let zo = !sx & sz;
                 let pmask = (y1 & pz & !px) | (xo & px & pz) | (zo & px & !pz);
                 let mmask = (y1 & px & !pz) | (xo & pz & !px) | (zo & px & pz);
-                plus += i64::from(pmask.count_ones());
-                minus += i64::from(mmask.count_ones());
+                total = total
+                    .wrapping_add(pmask.count_ones())
+                    .wrapping_sub(mmask.count_ones());
             }
         }
-        let r_sum: i64 = (0..rw)
-            .map(|w| i64::from((self.r[w] & self.sources[w]).count_ones()))
-            .sum();
-        let total = 2 * r_sum + plus - minus;
+        for w in 0..rw {
+            total = total.wrapping_add(2 * (self.r[w] & self.sources[w]).count_ones());
+        }
         debug_assert!(
-            total.rem_euclid(2) == 0,
-            "deterministic-outcome phase must be real"
+            total.is_multiple_of(2),
+            "stabilizer-product phase must be real"
         );
-        total.rem_euclid(4) == 2
+        total % 4 == 2
     }
 
     /// Resets qubit `q` to `|0⟩` (measure, then flip on outcome `|1⟩`).
@@ -741,7 +804,9 @@ impl StabilizerSim {
     ///
     /// # Panics
     ///
-    /// Panics if `observable.len() != num_qubits()`.
+    /// Panics if `observable.len() != num_qubits()`, or if the
+    /// observable commutes with every stabilizer without being in the
+    /// group (impossible for a full-rank tableau).
     #[must_use]
     pub fn expectation(&mut self, observable: &PauliString) -> Option<bool> {
         assert_eq!(
@@ -750,72 +815,46 @@ impl StabilizerSim {
             "observable must act on all {} qubits",
             self.n
         );
-        let n = self.n;
-        for row in n..2 * n {
-            if !self.commutes_with_row(observable, row) {
-                return None;
+        let (n, rw) = (self.n, self.rwords);
+        // Rows anticommuting with the observable, word-parallel: a row
+        // (x, z) anticommutes on column c with (ox, oz) iff x·oz ⊕ z·ox.
+        self.targets.fill(0);
+        for (c, op) in observable.iter().enumerate() {
+            let (ox, oz) = op.bits();
+            let cb = c * rw;
+            for w in 0..rw {
+                if ox {
+                    self.targets[w] ^= self.z[cb + w];
+                }
+                if oz {
+                    self.targets[w] ^= self.x[cb + w];
+                }
             }
+        }
+        if (0..rw).any(|w| self.targets[w] & Self::range_mask(n, 2 * n, w) != 0) {
+            return None;
+        }
+        // The observable is the product of the stabilizers paired with
+        // the destabilizers it anticommutes with: check it column by
+        // column, then sign that product.
+        self.select_partners();
+        for (c, op) in observable.iter().enumerate() {
+            let cb = c * rw;
+            let parity = |plane: &[u64]| {
+                (0..rw)
+                    .map(|w| (plane[cb + w] & self.sources[w]).count_ones())
+                    .sum::<u32>()
+                    % 2
+                    == 1
+            };
+            assert_eq!(
+                (parity(&self.x), parity(&self.z)),
+                op.bits(),
+                "observable commutes with all stabilizers but is not in the group"
+            );
         }
         debug_assert!(observable.phase().is_real());
-        // Express observable = product of stabilizers: stabilizer s_i
-        // participates iff the observable anticommutes with
-        // destabilizer d_i. Accumulate the product sequentially with
-        // the same phase bookkeeping the reference scratch row uses
-        // (every intermediate is even, so the running phase is exact).
-        let mut phase = 0i64;
-        let mut acc: Vec<Pauli> = vec![Pauli::I; n];
-        for i in 0..n {
-            if self.commutes_with_row(observable, i) {
-                continue;
-            }
-            let src = i + n;
-            for (c, slot) in acc.iter_mut().enumerate() {
-                let x1 = self.x_bit(src, c);
-                let z1 = self.z_bit(src, c);
-                let (x2, z2) = slot.bits();
-                phase += match (x1, z1) {
-                    (false, false) => 0,
-                    (true, true) => (z2 as i64) - (x2 as i64),
-                    (true, false) => {
-                        if z2 {
-                            2 * (x2 as i64) - 1
-                        } else {
-                            0
-                        }
-                    }
-                    (false, true) => {
-                        if x2 {
-                            1 - 2 * (z2 as i64)
-                        } else {
-                            0
-                        }
-                    }
-                };
-                *slot = Pauli::from_bits(x2 ^ x1, z2 ^ z1);
-            }
-            phase += 2 * (self.r_bit(src) as i64);
-        }
-        let product = PauliString::new(Phase::PlusOne, acc);
-        let mut obs = observable.clone();
-        obs.set_phase(Phase::PlusOne);
-        assert_eq!(
-            obs, product,
-            "observable commutes with all stabilizers but is not in the group"
-        );
-        let negative = phase.rem_euclid(4) == 2;
-        let obs_negative = observable.phase() == Phase::MinusOne;
-        Some(negative != obs_negative)
-    }
-
-    fn commutes_with_row(&self, observable: &PauliString, row: usize) -> bool {
-        let mut anti = 0usize;
-        for q in 0..self.n {
-            let p = Pauli::from_bits(self.x_bit(row, q), self.z_bit(row, q));
-            if !p.commutes_with(observable.op(q)) {
-                anti += 1;
-            }
-        }
-        anti.is_multiple_of(2)
+        Some(self.product_sign() != (observable.phase() == Phase::MinusOne))
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! The measurement path used to allocate a scratch row per call; the
 //! packed `StabilizerSim` pre-allocates all collapse scratch inside the
-//! struct, so a warmed-up simulator must run gates, measurements and
-//! resets without touching the heap. A counting global allocator proves
-//! it.
+//! struct, so a warmed-up simulator must run gates, measurements,
+//! resets and expectation values without touching the heap. A counting
+//! global allocator proves it.
 //!
 //! This file deliberately holds a single `#[test]`: Rust runs tests in
 //! threads sharing one global allocator, so any sibling test's
@@ -13,6 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use qpdo_pauli::{Pauli, PauliString, Phase};
 use qpdo_rng::rngs::StdRng;
 use qpdo_rng::SeedableRng;
 use qpdo_stabilizer::StabilizerSim;
@@ -45,6 +46,8 @@ fn steady_state_tableau_ops_do_not_allocate() {
     let n = 17;
     let mut rng = StdRng::seed_from_u64(0xA110C);
     let mut sim = StabilizerSim::new(n);
+    // Every window ends in |0…0⟩, where -Z⊗…⊗Z has expectation -1.
+    let observable = PauliString::new(Phase::MinusOne, vec![Pauli::Z; n]);
 
     // Warm-up window: same op mix as the measured window, so any lazily
     // created state exists before counting starts.
@@ -65,7 +68,7 @@ fn steady_state_tableau_ops_do_not_allocate() {
             sim.reset(q, rng);
             acc += usize::from(sim.peek_deterministic(q) == Some(false));
         }
-        acc
+        acc + usize::from(sim.expectation(&observable) == Some(true))
     };
 
     let warm = window(&mut sim, &mut rng);
@@ -77,9 +80,9 @@ fn steady_state_tableau_ops_do_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "steady-state gate/measure/reset window allocated on the heap"
+        "steady-state gate/measure/reset/expectation window allocated on the heap"
     );
     // Keep the window results observable so the loop cannot be optimized
     // away wholesale.
-    assert!(warm <= 3 * n && measured <= 3 * n);
+    assert!(warm <= 3 * n + 1 && measured <= 3 * n + 1);
 }

@@ -11,11 +11,19 @@
 //! After **every** step the raw stabilizer and destabilizer rows
 //! (operators *and* signs) must match exactly; periodically the walks
 //! also cross-check canonical stabilizer sets, deterministic-vs-random
-//! measurement classification for every qubit, and stabilizer-group
-//! expectation values.
+//! measurement classification for every qubit, and expectation values:
+//! of the canonical stabilizers, of random signed stabilizer products
+//! (always in the group) and of random Paulis outside it.
+//!
+//! Besides uniform random Clifford walks, an ESM-shaped walk drives the
+//! packed engine's Z cache the way error correction does: ancillas are
+//! reset, entangled with data qubits, hit by Pauli errors, measured and
+//! reset again, with SWAPs and CNOTs between ancillas whose Z values
+//! are cached.
 
 #![cfg(feature = "reference")]
 
+use qpdo_pauli::{Pauli, PauliString, Phase};
 use qpdo_rng::rngs::StdRng;
 use qpdo_rng::{Rng, SeedableRng};
 use qpdo_stabilizer::{ReferenceTableau, StabilizerSim};
@@ -66,6 +74,75 @@ fn random_step(rng: &mut StdRng, n: usize) -> Step {
         92..=96 => Step::Measure(q),
         _ => Step::Reset(q),
     }
+}
+
+/// An ESM-shaped step stream: the first half of the register holds
+/// data qubits, the rest ancillas. Each round resets every ancilla,
+/// mixes pairs of ancillas whose Z values are known (X, then CNOT,
+/// SWAP, CZ or S) and measures them, then runs each ancilla's check —
+/// a Z check CNOTs four data qubits into it, an X check CNOTs out of it
+/// between two H — with random X/Y/Z errors on any qubit, and measures
+/// it, some of them twice.
+fn esm_steps(n: usize, rounds: usize, seed: u64) -> Vec<Step> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let data = n.div_ceil(2);
+    let ancillas: Vec<usize> = (data..n).collect();
+    let pick_two = |rng: &mut StdRng| {
+        let a = ancillas[rng.gen_range(0..ancillas.len())];
+        let mut b = ancillas[rng.gen_range(0..ancillas.len())];
+        if a == b {
+            b = if a + 1 < n { a + 1 } else { data };
+        }
+        (a, b)
+    };
+    let mut steps: Vec<Step> = (0..data).map(Step::H).collect();
+    for _ in 0..rounds {
+        steps.extend(ancillas.iter().map(|&a| Step::Reset(a)));
+        for _ in 0..3 {
+            let (a, b) = pick_two(&mut rng);
+            if rng.gen::<bool>() {
+                steps.push(Step::X(a));
+            }
+            steps.push(match rng.gen_range(0..4u32) {
+                0 => Step::Cnot(a, b),
+                1 => Step::Swap(a, b),
+                2 => Step::Cz(a, b),
+                _ => Step::S(a),
+            });
+            // Read both cached values back before the checks clear them.
+            steps.extend([Step::Measure(a), Step::Measure(b)]);
+        }
+        for &a in &ancillas {
+            let z_check = a % 2 == 0;
+            if !z_check {
+                steps.push(Step::H(a));
+            }
+            for _ in 0..4 {
+                let d = rng.gen_range(0..data);
+                steps.push(if z_check {
+                    Step::Cnot(d, a)
+                } else {
+                    Step::Cnot(a, d)
+                });
+                if rng.gen_range(0..8u32) == 0 {
+                    let q = rng.gen_range(0..n);
+                    steps.push(match rng.gen_range(0..3u32) {
+                        0 => Step::X(q),
+                        1 => Step::Y(q),
+                        _ => Step::Z(q),
+                    });
+                }
+            }
+            if !z_check {
+                steps.push(Step::H(a));
+            }
+            steps.push(Step::Measure(a));
+            if rng.gen_range(0..4u32) == 0 {
+                steps.push(Step::Measure(a));
+            }
+        }
+    }
+    steps
 }
 
 /// Applies `step` to both engines; for measurements, asserts the
@@ -152,8 +229,16 @@ fn assert_rows_equal(packed: &StabilizerSim, reference: &ReferenceTableau, ctx: 
 
 /// Deep comparison for the periodic checkpoints: canonical stabilizers,
 /// per-qubit measurement classification, and expectation values of the
-/// reference engine's own (canonical) stabilizers.
-fn assert_deep_equal(packed: &mut StabilizerSim, reference: &mut ReferenceTableau, ctx: &str) {
+/// reference engine's own (canonical) stabilizers, of random signed
+/// products of its stabilizer rows (`Some` of the product's sign) and of
+/// random Paulis that anticommute with a stabilizer (`None`), drawn
+/// from `probe_rng`.
+fn assert_deep_equal(
+    packed: &mut StabilizerSim,
+    reference: &mut ReferenceTableau,
+    probe_rng: &mut StdRng,
+    ctx: &str,
+) {
     let canon_p = packed.canonical_stabilizers();
     let canon_r = reference.canonical_stabilizers();
     assert_eq!(canon_p, canon_r, "canonical stabilizers diverged {ctx}");
@@ -171,17 +256,70 @@ fn assert_deep_equal(packed: &mut StabilizerSim, reference: &mut ReferenceTablea
             "expectation of {gen} diverged {ctx}"
         );
     }
+    let n = packed.num_qubits();
+    let stabilizers = reference.stabilizers();
+    let destabilizers = reference.destabilizers();
+    for _ in 0..4 {
+        let mut product = PauliString::identity(n);
+        for row in &stabilizers {
+            if probe_rng.gen::<bool>() {
+                product = product.mul(row);
+            }
+        }
+        let negate = probe_rng.gen::<bool>();
+        let sign = product.phase() == Phase::MinusOne;
+        product.set_phase(if sign != negate {
+            Phase::MinusOne
+        } else {
+            Phase::PlusOne
+        });
+        assert_eq!(
+            packed.expectation(&product),
+            Some(negate),
+            "expectation of stabilizer product {product} {ctx}"
+        );
+        assert_eq!(
+            reference.expectation(&product),
+            Some(negate),
+            "reference expectation of stabilizer product {product} {ctx}"
+        );
+
+        let mut outside = PauliString::identity(n);
+        for q in 0..n {
+            outside.set_op(q, Pauli::from_bits(probe_rng.gen(), probe_rng.gen()));
+        }
+        if stabilizers.iter().all(|s| s.commutes_with(&outside)) {
+            // Destabilizer i anticommutes with stabilizer i alone.
+            outside = outside.mul(&destabilizers[probe_rng.gen_range(0..n)]);
+        }
+        outside.set_phase(Phase::PlusOne);
+        assert_eq!(
+            packed.expectation(&outside),
+            None,
+            "expectation of anticommuting {outside} {ctx}"
+        );
+        assert_eq!(
+            reference.expectation(&outside),
+            None,
+            "reference expectation of anticommuting {outside} {ctx}"
+        );
+    }
 }
 
-fn walk(n: usize, steps: usize, seed: u64, deep_every: usize) {
+/// `steps` seeded random Clifford steps on `n` qubits.
+fn random_steps(n: usize, steps: usize, seed: u64) -> impl Iterator<Item = Step> {
     let mut gate_rng = StdRng::seed_from_u64(seed);
+    (0..steps).map(move |_| random_step(&mut gate_rng, n))
+}
+
+fn walk(n: usize, steps: impl IntoIterator<Item = Step>, seed: u64, deep_every: usize) {
     let mut packed_rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
     let mut reference_rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
+    let mut probe_rng = StdRng::seed_from_u64(seed ^ 0xE4EC_7A71_0000_0000);
     let mut packed = StabilizerSim::new(n);
     let mut reference = ReferenceTableau::new(n);
 
-    for step_idx in 0..steps {
-        let step = random_step(&mut gate_rng, n);
+    for (step_idx, step) in steps.into_iter().enumerate() {
         apply_both(
             &mut packed,
             &mut reference,
@@ -192,7 +330,7 @@ fn walk(n: usize, steps: usize, seed: u64, deep_every: usize) {
         let ctx = format!("at n={n} step={step_idx} ({step:?}, seed={seed:#x})");
         assert_rows_equal(&packed, &reference, &ctx);
         if (step_idx + 1) % deep_every == 0 {
-            assert_deep_equal(&mut packed, &mut reference, &ctx);
+            assert_deep_equal(&mut packed, &mut reference, &mut probe_rng, &ctx);
         }
     }
     // Final deep check plus RNG-stream parity: both engines must have
@@ -200,6 +338,7 @@ fn walk(n: usize, steps: usize, seed: u64, deep_every: usize) {
     assert_deep_equal(
         &mut packed,
         &mut reference,
+        &mut probe_rng,
         &format!("at n={n} end (seed={seed:#x})"),
     );
     assert_eq!(
@@ -224,7 +363,8 @@ fn random_clifford_walks_agree_1_to_17_qubits() {
         } else {
             full
         };
-        walk(n, steps, 0xD1FF_0000 ^ (n as u64), 250);
+        let seed = 0xD1FF_0000 ^ (n as u64);
+        walk(n, random_steps(n, steps, seed), seed, 250);
     }
 }
 
@@ -234,7 +374,25 @@ fn random_clifford_walks_agree_1_to_17_qubits() {
 fn random_clifford_walks_agree_across_word_boundary() {
     for n in [32usize, 33] {
         let steps = if cfg!(debug_assertions) { 600 } else { 4_000 };
-        walk(n, steps, 0xD1FF_B0AD ^ (n as u64), 200);
+        let seed = 0xD1FF_B0AD ^ (n as u64);
+        walk(n, random_steps(n, steps, seed), seed, 200);
+    }
+}
+
+/// ESM-shaped walks at the Surface-17 register and across the word
+/// boundary (70 qubits: three words per column plane), so every Z-cache
+/// hit, update and invalidation is checked against the reference row
+/// for row after every step.
+#[test]
+fn esm_shaped_walks_agree() {
+    for (n, rounds) in [(17usize, 60usize), (70, 6)] {
+        let rounds = if cfg!(debug_assertions) {
+            rounds / 3
+        } else {
+            rounds
+        };
+        let seed = 0xE5A1_0000 ^ (n as u64);
+        walk(n, esm_steps(n, rounds, seed), seed, 97);
     }
 }
 
@@ -281,7 +439,12 @@ fn measurement_heavy_walk_agrees() {
             &format!("in measurement-heavy round {round}"),
         );
     }
-    assert_deep_equal(&mut packed, &mut reference, "after measurement-heavy walk");
+    assert_deep_equal(
+        &mut packed,
+        &mut reference,
+        &mut gate_rng,
+        "after measurement-heavy walk",
+    );
 }
 
 /// `grow` keeps both engines in agreement (entangled prefix + fresh
@@ -311,5 +474,10 @@ fn grow_agrees() {
         reference.grow(2);
         assert_rows_equal(&packed, &reference, &format!("after grow #{phase}"));
     }
-    assert_deep_equal(&mut packed, &mut reference, "after grow walk");
+    assert_deep_equal(
+        &mut packed,
+        &mut reference,
+        &mut gate_rng,
+        "after grow walk",
+    );
 }

@@ -83,8 +83,9 @@ fn warm_windows_allocate_per_slot_not_per_operation() {
         let ops = outcome.ops_above_frame as f64 / LONG as f64 + 48.0;
         // A prebuilt round costs one allocation per slot plus one for the
         // circuit when cloned (three circuits a window, and the rare
-        // correction slot), and the logical readout takes a few scratch
-        // vectors: at most 8 beyond the slot count.
+        // correction slot), and the logical readout builds its observable
+        // string and frame records (the tableau's expectation itself
+        // allocates nothing): at most 8 beyond the slot count.
         let bound = slots + 8.0;
         assert!(
             per_window <= bound,

@@ -150,6 +150,7 @@ for key in \
     '"schema": "qpdo-bench-stabilizer-v1"' \
     '"name": "rowsum_packed_n17"' '"name": "rowsum_reference_n17"' \
     '"name": "esm_round"' '"name": "sc17_shot"' \
+    '"name": "measure_deterministic_n17"' '"name": "expectation_n17"' \
     '"name": "sc17_shot_sliced"' '"name": "frame_merge"' \
     '"name": "surface_batch_d13"' '"name": "surface_batch_d5"' \
     '"rowsum_speedup_n17"' '"rowsum_targets_n17"' \
