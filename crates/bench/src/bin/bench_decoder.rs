@@ -229,7 +229,7 @@ fn run(args: &Args) -> Result<(), String> {
                         next = (next + 1) % POOL;
                         next
                     },
-                    |i| decoder.decode(&pool[i]),
+                    |&mut i| decoder.decode(&pool[i]),
                 ),
             )?;
             println!("{name}: {:.1} ns", stats.median_ns);
@@ -260,7 +260,7 @@ fn run(args: &Args) -> Result<(), String> {
                 next = (next + 1) % POOL;
                 next
             },
-            |i| matching.decode(&pool[i]),
+            |&mut i| matching.decode(&pool[i]),
         ),
     )?;
     println!("matching_exact_d3_p05: {:.1} ns", matching_stats.median_ns);

@@ -300,7 +300,7 @@ fn run(args: &Args) -> Result<(), String> {
             samples,
             collapse_iters,
             || packed_state.clone(),
-            |mut sim| sim.bench_collapse(q, false),
+            |sim| sim.bench_collapse(q, false),
         ),
     )?;
     let rowsum_reference = measured(
@@ -309,7 +309,7 @@ fn run(args: &Args) -> Result<(), String> {
             samples,
             collapse_iters,
             || reference_state.clone(),
-            |mut sim| sim.bench_collapse(q, false),
+            |sim| sim.bench_collapse(q, false),
         ),
     )?;
     let speedup = rowsum_reference.median_ns / rowsum_packed.median_ns;
@@ -331,7 +331,7 @@ fn run(args: &Args) -> Result<(), String> {
             samples,
             window_iters,
             || (),
-            |()| star.run_window(&mut stack).expect("window runs"),
+            |_| star.run_window(&mut stack).expect("window runs"),
         ),
     )?;
     println!("esm_round: {:.1} ns", esm_round.median_ns);
@@ -356,7 +356,7 @@ fn run(args: &Args) -> Result<(), String> {
             samples,
             collapse_iters,
             || (),
-            |()| {
+            |_| {
                 warmed.cnot(control, ancilla);
                 warmed.cnot(control, ancilla);
                 warmed.measure(ancilla, &mut no_draws)
@@ -381,7 +381,7 @@ fn run(args: &Args) -> Result<(), String> {
             samples,
             collapse_iters,
             || (),
-            |()| warmed.expectation(&logical_z),
+            |_| warmed.expectation(&logical_z),
         ),
     )?;
     println!("expectation_n17: {:.1} ns", expectation.median_ns);
@@ -397,7 +397,7 @@ fn run(args: &Args) -> Result<(), String> {
                 shot_seed = shot_seed.wrapping_add(1);
                 shot_seed
             },
-            |seed| {
+            |&mut seed| {
                 let mut stack = ControlStack::with_seed(ChpCore::new(), seed);
                 stack.set_error_model(DepolarizingModel::try_new(1e-3).expect("valid rate"));
                 stack.create_qubits(N).expect("17 qubits fit");
@@ -433,7 +433,7 @@ fn run(args: &Args) -> Result<(), String> {
                 sliced_lane_seeds(args.seed, "bench", sliced_batch)
             },
             |lane_seeds| {
-                run_ler_sliced(&sliced_config, &lane_seeds, &|| false).expect("valid configuration")
+                run_ler_sliced(&sliced_config, lane_seeds, &|| false).expect("valid configuration")
             },
         ),
     )?;
@@ -462,7 +462,7 @@ fn run(args: &Args) -> Result<(), String> {
             samples,
             merge_iters,
             || (),
-            |()| target_frame.merge(&pattern),
+            |_| target_frame.merge(&pattern),
         ),
     )?;
     println!("frame_merge: {:.1} ns", frame_merge.median_ns);
@@ -487,7 +487,7 @@ fn run(args: &Args) -> Result<(), String> {
                     config.seed = config.seed.wrapping_add(1);
                     config
                 },
-                |config| run_ler_surface(&config).expect("valid configuration"),
+                |config| run_ler_surface(config).expect("valid configuration"),
             ),
         )?;
         println!("{name}: {:.1} ns", stats.median_ns);

@@ -26,8 +26,8 @@ use std::sync::{Arc, Mutex};
 
 use qpdo_bench::checkpoint::SweepCheckpoint;
 use qpdo_bench::supervisor::{
-    run_supervised, silence_chaos_panics, with_chaos, BatchCtx, BatchSpec, ChaosConfig,
-    SupervisorConfig, QUARANTINE_HEADER,
+    run_supervised, silence_chaos_panics, with_chaos, BatchCtx, BatchSpec, CancelToken,
+    ChaosConfig, SupervisorConfig, QUARANTINE_HEADER,
 };
 use qpdo_bench::{render_table, sci, HarnessArgs};
 use qpdo_core::fault::FaultRates;
@@ -145,6 +145,7 @@ fn run_grid(
                     point: point.clone(),
                     batch: rep as u64,
                     shots: base.target_logical_errors,
+                    deadline: None,
                 });
                 spec_points.push(gi);
             }
@@ -156,7 +157,7 @@ fn run_grid(
         }
     }
 
-    let config = SupervisorConfig::from_args(args);
+    let config = SupervisorConfig::from(args);
     let shared_ckpt = Arc::new(Mutex::new(ckpt));
     let job_grid = grid.clone();
     let job_points = spec_points.clone();
@@ -182,9 +183,15 @@ fn run_grid(
     let report = match ChaosConfig::from_args(args) {
         Some(chaos) => {
             silence_chaos_panics();
-            run_supervised(&config, specs, with_chaos(chaos, job))
+            run_supervised(
+                &config,
+                specs,
+                with_chaos(chaos, job),
+                None,
+                &CancelToken::new(),
+            )
         }
-        None => run_supervised(&config, specs, job),
+        None => run_supervised(&config, specs, job, None, &CancelToken::new()),
     };
 
     let path = args.write_csv(

@@ -32,9 +32,8 @@ use std::sync::{Arc, Mutex};
 
 use qpdo_bench::checkpoint::SweepCheckpoint;
 use qpdo_bench::supervisor::{
-    read_quarantine_csv, run_supervised, run_supervised_with_vote, silence_chaos_panics,
-    with_chaos, BatchCtx, BatchSpec, ChaosConfig, SupervisorConfig, SupervisorReport,
-    QUARANTINE_HEADER,
+    read_quarantine_csv, run_supervised, silence_chaos_panics, with_chaos, BatchCtx, BatchSpec,
+    CancelToken, ChaosConfig, SupervisorConfig, SupervisorReport, QUARANTINE_HEADER,
 };
 use qpdo_bench::{log_space, pseudo_threshold, render_table, sci, HarnessArgs};
 use qpdo_core::ShotError;
@@ -180,6 +179,7 @@ fn run_sweep(
                     point: point.clone(),
                     batch: rep as u64,
                     shots: cell.target,
+                    deadline: None,
                 });
                 spec_cells.push((ci, rep));
             }
@@ -191,7 +191,7 @@ fn run_sweep(
         }
     }
 
-    let config = SupervisorConfig::from_args(args);
+    let config = SupervisorConfig::from(args);
     // Completed batches checkpoint from inside the workers, so a kill
     // mid-sweep-point only loses in-flight batches.
     let shared_ckpt = Arc::new(Mutex::new(ckpt.take()));
@@ -219,9 +219,21 @@ fn run_sweep(
     let report = match ChaosConfig::from_args(args) {
         Some(chaos) => {
             silence_chaos_panics();
-            run_supervised_with_vote(&config, specs, with_chaos(chaos, job), Some(Box::new(vote)))
+            run_supervised(
+                &config,
+                specs,
+                with_chaos(chaos, job),
+                Some(Box::new(vote)),
+                &CancelToken::new(),
+            )
         }
-        None => run_supervised_with_vote(&config, specs, job, Some(Box::new(vote))),
+        None => run_supervised(
+            &config,
+            specs,
+            job,
+            Some(Box::new(vote)),
+            &CancelToken::new(),
+        ),
     };
     // Take the checkpoint back out of the shared cell (worker threads
     // may still hold clones of the Arc briefly after shutdown).
@@ -316,6 +328,7 @@ fn replay_quarantine(args: &HarnessArgs, path: &Path) {
                     point: point.clone(),
                     batch: rep as u64,
                     shots: cell.target,
+                    deadline: None,
                 });
                 spec_cells.push(ci);
             }
@@ -337,11 +350,17 @@ fn replay_quarantine(args: &HarnessArgs, path: &Path) {
         path.display()
     );
 
-    let config = SupervisorConfig::from_args(args);
+    let config = SupervisorConfig::from(args);
     let job_cells = cells.clone();
     let job_map = spec_cells.clone();
     let job = move |ctx: &BatchCtx| ler_job(&job_cells[job_map[ctx.task]], ctx);
-    let report = run_supervised_with_vote(&config, specs.clone(), job, Some(Box::new(vote)));
+    let report = run_supervised(
+        &config,
+        specs.clone(),
+        job,
+        Some(Box::new(vote)),
+        &CancelToken::new(),
+    );
     report_engine_events(args, &report);
 
     let mut rows = Vec::new();
@@ -728,22 +747,29 @@ fn smoke(args: &HarnessArgs) {
     );
 
     // 3. A batch that fails every attempt quarantines; the run completes.
-    let config = SupervisorConfig::from_args(&pool_args);
+    let config = SupervisorConfig::from(&pool_args);
     let specs: Vec<BatchSpec> = (0..4)
         .map(|i| BatchSpec {
             key: format!("smoke-q{i}"),
             point: "smoke-q".to_owned(),
             batch: i,
             shots: 1,
+            deadline: None,
         })
         .collect();
-    let report = run_supervised(&config, specs, |ctx: &BatchCtx| {
-        if ctx.task == 1 {
-            Err(ShotError::PoolFailure("poisoned batch".to_owned()))
-        } else {
-            Ok(ctx.seed)
-        }
-    });
+    let report = run_supervised(
+        &config,
+        specs,
+        |ctx: &BatchCtx| {
+            if ctx.task == 1 {
+                Err(ShotError::PoolFailure("poisoned batch".to_owned()))
+            } else {
+                Ok(ctx.seed)
+            }
+        },
+        None,
+        &CancelToken::new(),
+    );
     assert_eq!(report.quarantined.len(), 1);
     assert_eq!(report.quarantined[0].key, "smoke-q1");
     assert_eq!(report.results.iter().filter(|r| r.is_some()).count(), 3);

@@ -10,7 +10,7 @@
 //! workers (`DESIGN.md` §7); the order-independent count reduction
 //! makes the histograms identical for any worker count.
 
-use qpdo_bench::supervisor::{run_supervised, BatchCtx, BatchSpec, SupervisorConfig};
+use qpdo_bench::supervisor::{run_supervised, BatchCtx, BatchSpec, CancelToken, SupervisorConfig};
 use qpdo_bench::{HarnessArgs, USAGE};
 use qpdo_core::{ChpCore, ControlStack, CoreError, PauliFrameLayer, ShotError};
 use qpdo_stats::Histogram;
@@ -65,10 +65,17 @@ fn run(args: &HarnessArgs, shots: u64, with_frame: bool) -> Histogram {
             point: format!("odd-bell-pf{}", u8::from(with_frame)),
             batch: b,
             shots: batch_shots.min(shots - b * batch_shots),
+            deadline: None,
         })
         .collect();
-    let config = SupervisorConfig::from_args(args);
-    let report = run_supervised(&config, specs, move |ctx: &BatchCtx| batch(with_frame, ctx));
+    let config = SupervisorConfig::from(args);
+    let report = run_supervised(
+        &config,
+        specs,
+        move |ctx: &BatchCtx| batch(with_frame, ctx),
+        None,
+        &CancelToken::new(),
+    );
     assert!(
         report.quarantined.is_empty(),
         "odd-Bell batches must not fail: {:?}",

@@ -14,7 +14,7 @@
 
 use qpdo_bench::supervisor::{
     read_quarantine_csv, run_supervised, silence_chaos_panics, with_chaos, BatchCtx, BatchSpec,
-    ChaosConfig, SupervisorConfig, SupervisorReport, QUARANTINE_HEADER,
+    CancelToken, ChaosConfig, SupervisorConfig, SupervisorReport, QUARANTINE_HEADER,
 };
 use qpdo_bench::{HarnessArgs, USAGE};
 use qpdo_core::testbench::random_circuit;
@@ -155,6 +155,7 @@ fn replay_quarantine(args: &HarnessArgs, path: &Path) {
             point: "rc".to_owned(),
             batch: i,
             shots: 1,
+            deadline: None,
         })
         .collect();
     for unknown in &wanted {
@@ -173,10 +174,14 @@ fn replay_quarantine(args: &HarnessArgs, path: &Path) {
         path.display()
     );
     let total = specs.len();
-    let config = SupervisorConfig::from_args(args);
-    let report = run_supervised(&config, specs, move |ctx: &BatchCtx| {
-        circuit_job(qubits, gates, ctx)
-    });
+    let config = SupervisorConfig::from(args);
+    let report = run_supervised(
+        &config,
+        specs,
+        move |ctx: &BatchCtx| circuit_job(qubits, gates, ctx),
+        None,
+        &CancelToken::new(),
+    );
     report_engine_events(args, &report);
     let matches = report.results.iter().filter(|r| r.is_some()).count();
     println!("{matches}/{total} replayed circuits now verify");
@@ -251,16 +256,23 @@ fn main() {
             point: "rc".to_owned(),
             batch: i,
             shots: 1,
+            deadline: None,
         })
         .collect();
-    let config = SupervisorConfig::from_args(&args);
+    let config = SupervisorConfig::from(&args);
     let job = move |ctx: &BatchCtx| circuit_job(qubits, gates, ctx);
     let report = match ChaosConfig::from_args(&args) {
         Some(chaos) => {
             silence_chaos_panics();
-            run_supervised(&config, specs, with_chaos(chaos, job))
+            run_supervised(
+                &config,
+                specs,
+                with_chaos(chaos, job),
+                None,
+                &CancelToken::new(),
+            )
         }
-        None => run_supervised(&config, specs, job),
+        None => run_supervised(&config, specs, job, None, &CancelToken::new()),
     };
     report_engine_events(&args, &report);
 

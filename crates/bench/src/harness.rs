@@ -308,7 +308,9 @@ fn estimate_per_iter<O>(budget: Duration, f: &mut impl FnMut() -> O) -> Duration
 /// Programmatic batched measurement for report-emitting binaries (e.g.
 /// `bench_kernels`): times `routine` on fresh `setup()` inputs,
 /// `iters` per sample over `samples` samples, without the harness's
-/// CLI/printing wrapper. Only `routine` is timed.
+/// CLI/printing wrapper. Only `routine` is timed: it borrows each input,
+/// and every input and output lives until the clock has stopped, so no
+/// deallocation is timed.
 ///
 /// # Errors
 ///
@@ -320,7 +322,7 @@ pub fn measure_batched_ns<I, O>(
     samples: usize,
     iters: usize,
     mut setup: impl FnMut() -> I,
-    mut routine: impl FnMut(I) -> O,
+    mut routine: impl FnMut(&mut I) -> O,
 ) -> Result<Stats, HarnessError> {
     if samples == 0 {
         return Err(HarnessError::NoSamples);
@@ -330,16 +332,19 @@ pub fn measure_batched_ns<I, O>(
     }
     // Warmup: one untimed batch primes caches and branch predictors.
     for _ in 0..iters.min(64) {
-        std::hint::black_box(routine(setup()));
+        std::hint::black_box(routine(&mut setup()));
     }
     let mut per_iter_ns = Vec::with_capacity(samples);
+    let mut outputs = Vec::with_capacity(iters);
     for _ in 0..samples {
-        let inputs: Vec<I> = (0..iters).map(|_| setup()).collect();
+        let mut inputs: Vec<I> = (0..iters).map(|_| setup()).collect();
         let start = Instant::now();
-        for input in inputs {
-            std::hint::black_box(routine(input));
+        for input in &mut inputs {
+            outputs.push(routine(input));
         }
         per_iter_ns.push(start.elapsed().as_nanos() as f64 / iters as f64);
+        std::hint::black_box(&outputs);
+        outputs.clear();
     }
     summarize(per_iter_ns, iters)
 }
@@ -443,14 +448,14 @@ mod tests {
         // Zero samples/iters were silently clamped to 1 before, hiding
         // caller bugs; now they are explicit errors.
         assert_eq!(
-            measure_batched_ns(0, 8, || (), |()| ()).unwrap_err(),
+            measure_batched_ns(0, 8, || (), |_| ()).unwrap_err(),
             HarnessError::NoSamples
         );
         assert_eq!(
-            measure_batched_ns(3, 0, || (), |()| ()).unwrap_err(),
+            measure_batched_ns(3, 0, || (), |_| ()).unwrap_err(),
             HarnessError::NoIterations
         );
-        let stats = measure_batched_ns(3, 2, || (), |()| ()).expect("valid request");
+        let stats = measure_batched_ns(3, 2, || (), |_| ()).expect("valid request");
         assert_eq!(stats.samples, 3);
         assert!(stats.median_ns.is_finite());
     }

@@ -8,15 +8,18 @@
 //!   mode with the same structure at reduced statistics),
 //! - `--out <dir>` — where CSV series are written (default `results/`),
 //! - `--seed <n>` — base RNG seed (default 2016),
-//! - `--jobs <n>` — supervised worker threads (default: the machine's
-//!   available parallelism),
+//! - `--jobs <n>` — most executor helpers a supervised run may use
+//!   (default: the machine's available parallelism; not a thread
+//!   count),
 //! - `--batch-shots <n>` — shots per supervised batch (default 16),
 //! - `--watchdog-ms <n>` — per-batch watchdog deadline (default 30000),
 //! - `--redundancy <n>` — cross-backend vote every `n`-th batch (0 off),
 //! - `--replay-quarantine <f>` — re-submit quarantined batches from `f`.
 //!
-//! The supervised execution engine behind those flags lives in
-//! [`supervisor`]; see `DESIGN.md` §7.
+//! The supervised execution engine behind those flags is
+//! `qpdo_core::supervisor` on the process's executor, with its
+//! command-line glue and chaos injection in [`supervisor`]; see
+//! `DESIGN.md` §7.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,8 +71,8 @@ pub struct HarnessArgs {
     /// Self-check mode requested with `--test <mode>` (e.g. `smoke`):
     /// the binary runs a reduced, assertion-checked configuration.
     pub test_mode: Option<String>,
-    /// Supervised worker threads (`--jobs`, default: available
-    /// parallelism). Always at least 1.
+    /// Most executor helpers a supervised run may use (`--jobs`,
+    /// default: available parallelism). Always at least 1.
     pub jobs: usize,
     /// Shots per supervised batch (`--batch-shots`, default 16).
     pub batch_shots: u64,
@@ -99,8 +102,8 @@ pub const MAX_MS_FLAG: u64 = 86_400_000;
 /// billion shots starves the watchdog and the checkpoint cadence.
 pub const MAX_BATCH_SHOTS: u64 = 1 << 30;
 
-/// Upper bound accepted for `--jobs`: beyond this the worker pool is
-/// pure scheduler overhead on any real machine.
+/// Upper bound accepted for `--jobs`, a sanity cap on the flag only:
+/// the executor's pool bounds the threads, whatever `--jobs` says.
 pub const MAX_JOBS: usize = 4096;
 
 impl HarnessArgs {
@@ -266,7 +269,7 @@ usage: <experiment> [options]
   --seed N           base RNG seed (default 2016)
   --test MODE        run a self-check mode (e.g. smoke)
   --smoke            alias for --test smoke
-  --jobs N           supervised worker threads (default: machine parallelism)
+  --jobs N           most helpers a supervised run may use (default: machine parallelism)
   --batch-shots N    shots per supervised batch (default 16)
   --watchdog-ms N    per-batch watchdog deadline in ms (default 30000)
   --redundancy N     cross-backend vote every Nth batch (default 0 = off)

@@ -1,158 +1,28 @@
-//! Supervised shot execution: the fault-tolerant classical harness the
-//! experiment binaries route their batches through (`DESIGN.md` §7).
-//!
-//! A sweep is divided into **batches** ([`BatchSpec`]), each executed by
-//! a worker thread of a fixed pool. The supervisor thread watches a
-//! heartbeat channel and enforces a per-batch watchdog deadline:
-//!
-//! - A batch that **panics** is caught (`catch_unwind`), converted to
-//!   [`ShotError::Panic`], and retried with exponential backoff on a
-//!   fresh deterministic RNG substream.
-//! - A batch that **hangs** past the watchdog deadline has its worker
-//!   declared lost; a replacement worker is spawned (bounded) and the
-//!   batch is retried elsewhere. If the straggler eventually delivers a
-//!   result and nothing else resolved the batch first, the straggler's
-//!   result is accepted.
-//! - A batch that exhausts its retry budget is **quarantined** — recorded
-//!   in the report (and `quarantine.csv`) instead of aborting the sweep.
-//! - If the whole pool is lost and the replacement budget is spent, the
-//!   supervisor **degrades to serial in-process execution** of the
-//!   remaining batches: slower and without hang protection, but the
-//!   sweep still completes.
-//!
-//! Results are reduced in task order into `Vec<Option<T>>`, so the
-//! output is independent of worker count and scheduling: `--jobs N` is
-//! bit-identical to `--jobs 1`.
-//!
-//! **Seeding.** Each batch's payload seed is a deterministic substream
-//! of the base seed: `substream_seed(base, point, batch, attempt)`,
-//! mixing an FNV-1a hash of the sweep-point name with the batch index
-//! and attempt counter through SplitMix64. Under the default
-//! [`SeedPolicy::Stable`] the payload seed pins `attempt = 0`, so a
-//! retried batch reproduces the fault-free result bit-for-bit; the
-//! attempt-salted stream is still exposed as [`BatchCtx::attempt_seed`]
-//! (and drives chaos injection). [`SeedPolicy::PerAttempt`] salts the
-//! payload seed itself, for workloads whose failures are data-dependent.
-//!
-//! **Redundancy.** With a stride `r > 0`, every `r`-th batch also runs a
-//! cross-backend vote (e.g. the Surface-17 stabilizer-vs-statevector
-//! oracle); disagreement is flagged as a first-class
-//! [`DivergenceRecord`] in the report rather than a crash.
+//! Supervised execution for the experiment binaries: the engine itself
+//! lives in [`qpdo_core::supervisor`] on the process's executor
+//! (`DESIGN.md` §7); this module re-exports what the binaries use and
+//! adds the command-line glue and the chaos injection that exercises
+//! the engine (`--chaos-panic`, `--chaos-hang`).
 
-use std::collections::HashMap;
-use std::panic::{self, AssertUnwindSafe};
+use std::panic;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use qpdo_core::ShotError;
+use qpdo_rng::{RngCore, SplitMix64};
+
+pub use qpdo_core::supervisor::{
+    read_quarantine_csv, run_supervised, BatchCtx, BatchSpec, SupervisorConfig, SupervisorReport,
+    QUARANTINE_HEADER,
+};
+pub use qpdo_core::{sliced_lane_seeds, CancelToken};
 
 use crate::HarnessArgs;
 
-/// One batch of work in a supervised sweep.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BatchSpec {
-    /// Stable identifier used in checkpoint and quarantine records
-    /// (non-empty, whitespace-free, e.g. `p3-XL-pf1-r2`).
-    pub key: String,
-    /// The sweep-point name hashed into the RNG substream.
-    pub point: String,
-    /// Batch index within the sweep point (second substream input).
-    pub batch: u64,
-    /// Shots this batch covers (informational; the job interprets it).
-    pub shots: u64,
-}
-
-/// Everything a job closure receives about the batch it is executing.
-#[derive(Clone, Debug)]
-pub struct BatchCtx {
-    /// Index of this batch in the spec list (and in the result vector).
-    pub task: usize,
-    /// The batch description.
-    pub spec: BatchSpec,
-    /// The payload RNG seed (see [`SeedPolicy`]).
-    pub seed: u64,
-    /// Retry attempt number, starting at 0.
-    pub attempt: u32,
-    /// An attempt-salted substream, distinct from `seed`, for decisions
-    /// that *should* differ between retries (chaos injection, jitter).
-    pub attempt_seed: u64,
-    /// The run's cancellation token: long-running payloads may poll it
-    /// and bail out early with [`ShotError::Cancelled`].
-    pub cancel: CancelToken,
-}
-
-/// A shared cooperative-cancellation flag for a supervised run.
-///
-/// Cancelling stops the supervisor from dispatching further batches:
-/// every batch not yet resolved is quarantined with
-/// [`ShotError::Cancelled`] and the run returns promptly. Batches
-/// already executing run to completion (or poll
-/// [`BatchCtx::cancel`] themselves); their late results are discarded.
-/// This is the hook the shot-service daemon uses for per-job deadlines
-/// and graceful drain.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, uncancelled token.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Requests cancellation. Idempotent and thread-safe.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether cancellation has been requested.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
-}
-
-/// How retry attempts are seeded.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SeedPolicy {
-    /// Every attempt uses the attempt-0 substream, so a retried batch
-    /// reproduces the fault-free result bit-for-bit (the default).
-    #[default]
-    Stable,
-    /// Every attempt draws a fresh substream
-    /// (`substream_seed(base, point, batch, attempt)`), for failures
-    /// that are data-dependent rather than environmental.
-    PerAttempt,
-}
-
-/// Supervisor tuning knobs.
-#[derive(Clone, Debug)]
-pub struct SupervisorConfig {
-    /// Worker threads in the pool (at least 1).
-    pub jobs: usize,
-    /// Per-batch watchdog deadline.
-    pub watchdog: Duration,
-    /// Attempts per batch before quarantine (at least 1).
-    pub max_attempts: u32,
-    /// Base retry backoff; attempt `a` waits `backoff · 2^a`.
-    pub backoff: Duration,
-    /// Replacement workers that may be spawned for lost ones.
-    pub max_replacements: usize,
-    /// Base RNG seed the substreams derive from.
-    pub base_seed: u64,
-    /// Retry seeding policy.
-    pub seed_policy: SeedPolicy,
-    /// Cross-backend vote stride: every `n`-th batch votes (0 = off).
-    pub redundancy: u64,
-}
-
-impl SupervisorConfig {
+impl From<&HarnessArgs> for SupervisorConfig {
     /// A configuration driven by the shared command-line flags.
-    #[must_use]
-    pub fn from_args(args: &HarnessArgs) -> Self {
+    fn from(args: &HarnessArgs) -> Self {
         SupervisorConfig {
             jobs: args.jobs.max(1),
             watchdog: Duration::from_millis(args.watchdog_ms),
@@ -160,213 +30,10 @@ impl SupervisorConfig {
             backoff: Duration::from_millis(10),
             max_replacements: args.jobs.max(1),
             base_seed: args.seed,
-            seed_policy: SeedPolicy::Stable,
             redundancy: args.redundancy,
         }
     }
 }
-
-/// A batch that exhausted its retry budget.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct QuarantineRecord {
-    /// The batch key from its [`BatchSpec`].
-    pub key: String,
-    /// Batch index in the spec list.
-    pub task: usize,
-    /// Attempts consumed before giving up.
-    pub attempts: u32,
-    /// The last error observed.
-    pub error: String,
-    /// Whether the last error was a typed [`ShotError::Cancelled`] —
-    /// the run's [`CancelToken`] (or a per-batch cancellation) stopped
-    /// the batch, as opposed to a genuine failure. Set at quarantine
-    /// time from the error variant, never by matching message text, so
-    /// consumers (the daemon's requeue-vs-fail decision) stay correct
-    /// even when an error message happens to contain "cancelled".
-    /// Runtime-only: not persisted in `quarantine.csv` (a CSV replay
-    /// resubmits regardless of cause), so [`parse_row`](Self::parse_row)
-    /// always yields `false`.
-    pub cancelled: bool,
-}
-
-impl QuarantineRecord {
-    /// One `quarantine.csv` row (matching [`QUARANTINE_HEADER`]);
-    /// commas and newlines inside the error message are flattened so the
-    /// record stays one machine-readable row.
-    #[must_use]
-    pub fn to_row(&self) -> String {
-        format!(
-            "{},{},{},{}",
-            self.key,
-            self.task,
-            self.attempts,
-            self.error.replace([',', '\n'], ";")
-        )
-    }
-
-    /// Parses one `quarantine.csv` row back into a record (the
-    /// `--replay-quarantine` read path). Returns `None` on the header
-    /// line, blank lines, and malformed rows.
-    #[must_use]
-    pub fn parse_row(line: &str) -> Option<Self> {
-        let line = line.trim_end_matches(['\r', '\n']);
-        if line.is_empty() || line == QUARANTINE_HEADER {
-            return None;
-        }
-        let mut fields = line.splitn(4, ',');
-        let key = fields.next()?.to_owned();
-        let task = fields.next()?.parse().ok()?;
-        let attempts = fields.next()?.parse().ok()?;
-        let error = fields.next().unwrap_or("").to_owned();
-        if key.is_empty() || key.contains(char::is_whitespace) {
-            return None;
-        }
-        Some(QuarantineRecord {
-            key,
-            task,
-            attempts,
-            error,
-            cancelled: false,
-        })
-    }
-}
-
-/// Loads every well-formed record of a `quarantine.csv` file (header and
-/// malformed rows are skipped). Used by the sweep binaries'
-/// `--replay-quarantine` mode to resubmit exactly the batches that
-/// previously exhausted their retries.
-///
-/// # Errors
-///
-/// Returns the underlying read error (e.g. a missing file).
-pub fn read_quarantine_csv(path: &std::path::Path) -> std::io::Result<Vec<QuarantineRecord>> {
-    Ok(std::fs::read_to_string(path)?
-        .lines()
-        .filter_map(QuarantineRecord::parse_row)
-        .collect())
-}
-
-/// A redundancy vote that found the back-ends disagreeing.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DivergenceRecord {
-    /// The batch key from its [`BatchSpec`].
-    pub key: String,
-    /// Batch index in the spec list.
-    pub task: usize,
-    /// What disagreed.
-    pub detail: String,
-}
-
-/// Counters describing how eventful a supervised run was.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SupervisorStats {
-    /// Retry attempts issued (for any failure kind).
-    pub retries: u64,
-    /// Batch attempts that ended in a caught panic.
-    pub panics: u64,
-    /// Batch attempts that tripped the watchdog.
-    pub timeouts: u64,
-    /// Replacement workers spawned for lost ones.
-    pub replacements: u64,
-    /// Redundancy votes executed.
-    pub votes: u64,
-    /// Batches quarantined as cancelled when the run's
-    /// [`CancelToken`] fired before they resolved.
-    pub cancelled: u64,
-    /// Whether the pool was lost and the tail ran serially in-process.
-    pub degraded_to_serial: bool,
-}
-
-/// Header line of `quarantine.csv`.
-pub const QUARANTINE_HEADER: &str = "key,task,attempts,error";
-
-/// The outcome of a supervised sweep.
-#[derive(Debug)]
-pub struct SupervisorReport<T> {
-    /// Per-batch results in task order; `None` exactly for quarantined
-    /// batches. Independent of worker count and scheduling.
-    pub results: Vec<Option<T>>,
-    /// Batches that exhausted their retries, sorted by task index.
-    pub quarantined: Vec<QuarantineRecord>,
-    /// Redundancy votes that disagreed, sorted by task index.
-    pub divergences: Vec<DivergenceRecord>,
-    /// Event counters.
-    pub stats: SupervisorStats,
-}
-
-impl<T> SupervisorReport<T> {
-    /// Whether every batch produced a result and every vote agreed.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.quarantined.is_empty() && self.divergences.is_empty()
-    }
-
-    /// CSV rows (matching [`QUARANTINE_HEADER`]) describing the
-    /// quarantined batches; commas and newlines inside error messages
-    /// are flattened so each record stays one machine-readable row.
-    #[must_use]
-    pub fn quarantine_rows(&self) -> Vec<String> {
-        self.quarantined
-            .iter()
-            .map(QuarantineRecord::to_row)
-            .collect()
-    }
-}
-
-/// The deterministic RNG substream for (`point`, `batch`, `attempt`)
-/// under `base`: an FNV-1a hash of the point name folded into the base
-/// seed and mixed with the batch and attempt indices through SplitMix64
-/// finalization rounds. Distinct inputs give independent streams; the
-/// same inputs always give the same stream.
-#[must_use]
-pub fn substream_seed(base: u64, point: &str, batch: u64, attempt: u32) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in point.bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    let s = splitmix64(base ^ splitmix64(h));
-    splitmix64(splitmix64(s ^ batch) ^ u64::from(attempt))
-}
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Lanes per shot-sliced batch (re-exported from the sliced simulator
-/// so batch arithmetic and the engine can never drift apart).
-pub use qpdo_stabilizer::LANES;
-
-/// Rounds a requested shot count up to a whole number of shot-sliced
-/// batches of [`LANES`] trajectories. Zero stays zero — an empty sweep
-/// point never fabricates work.
-#[must_use]
-pub fn round_up_to_lanes(shots: u64) -> u64 {
-    shots.div_ceil(LANES as u64) * LANES as u64
-}
-
-/// The per-lane seeds of shot-sliced batch `batch`: lane `k` gets the
-/// substream of scalar shot index `batch * LANES + k`, so a sliced
-/// batch covers exactly the shots `batch*64 .. batch*64+63` of the
-/// scalar numbering and every lane is byte-identical to the scalar
-/// shot it replaces. Retrying a batch reuses the same seeds
-/// (attempt `0` — sliced trajectories are deterministic, so retries
-/// after infrastructure failures must reproduce, not resample).
-#[must_use]
-pub fn sliced_lane_seeds(base: u64, point: &str, batch: u64) -> [u64; LANES] {
-    core::array::from_fn(|k| substream_seed(base, point, batch * LANES as u64 + k as u64, 0))
-}
-
-/// Domain separator so `attempt_seed` never collides with the payload
-/// seed of any attempt.
-const ATTEMPT_DOMAIN: u64 = 0xA77E_3137_5EED_0001;
-
-/// A cross-backend redundancy vote: `Ok(())` when the back-ends agree,
-/// [`ShotError::Divergence`] (or any other error) when they do not.
-pub type RedundancyCheck = dyn Fn(&BatchCtx) -> Result<(), ShotError> + Send + Sync;
 
 /// Fault-injection knobs for exercising the supervisor itself (driven
 /// by `--chaos-panic` / `--chaos-hang`; off in normal runs).
@@ -422,7 +89,7 @@ where
 
 /// A uniform draw in `[0, 1)` from one seed (53 mantissa bits).
 fn unit_coin(seed: u64) -> f64 {
-    (splitmix64(seed) >> 11) as f64 / (1u64 << 53) as f64
+    (SplitMix64::new(seed).next_u64() >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Installs a process-wide panic hook that swallows the reports of
@@ -442,735 +109,9 @@ pub fn silence_chaos_panics() {
     }));
 }
 
-/// Runs `specs` through `job` under supervision (see the module docs)
-/// without a redundancy check.
-pub fn run_supervised<T, F>(
-    config: &SupervisorConfig,
-    specs: Vec<BatchSpec>,
-    job: F,
-) -> SupervisorReport<T>
-where
-    T: Send + 'static,
-    F: Fn(&BatchCtx) -> Result<T, ShotError> + Send + Sync + 'static,
-{
-    run_supervised_with_vote(config, specs, job, None)
-}
-
-/// Runs `specs` through `job` under supervision; when
-/// `config.redundancy > 0`, every `redundancy`-th batch additionally
-/// runs `vote` after a successful payload, and disagreement lands in
-/// [`SupervisorReport::divergences`].
-pub fn run_supervised_with_vote<T, F>(
-    config: &SupervisorConfig,
-    specs: Vec<BatchSpec>,
-    job: F,
-    vote: Option<Box<RedundancyCheck>>,
-) -> SupervisorReport<T>
-where
-    T: Send + 'static,
-    F: Fn(&BatchCtx) -> Result<T, ShotError> + Send + Sync + 'static,
-{
-    run_supervised_cancellable(config, specs, job, vote, CancelToken::new())
-}
-
-/// The fully-plumbed entry point: supervision, an optional redundancy
-/// vote, and a caller-held [`CancelToken`]. When the token fires, no
-/// further batches are dispatched; every batch not yet resolved is
-/// quarantined with [`ShotError::Cancelled`] (counted in
-/// [`SupervisorStats::cancelled`]) and the call returns promptly.
-pub fn run_supervised_cancellable<T, F>(
-    config: &SupervisorConfig,
-    specs: Vec<BatchSpec>,
-    job: F,
-    vote: Option<Box<RedundancyCheck>>,
-    cancel: CancelToken,
-) -> SupervisorReport<T>
-where
-    T: Send + 'static,
-    F: Fn(&BatchCtx) -> Result<T, ShotError> + Send + Sync + 'static,
-{
-    let total = specs.len();
-    let shared = Arc::new(Shared {
-        queue: Queue::new((0..total).map(|task| Pending {
-            task,
-            attempt: 0,
-            not_before: Instant::now(),
-        })),
-        job: Box::new(job),
-        vote,
-        factory: CtxFactory {
-            specs,
-            base_seed: config.base_seed,
-            policy: config.seed_policy,
-            cancel: cancel.clone(),
-        },
-        redundancy: config.redundancy,
-        cancel,
-    });
-    Supervisor::new(config, shared).run()
-}
-
-// ---------------------------------------------------------------------
-// Engine internals
-// ---------------------------------------------------------------------
-
-struct Pending {
-    task: usize,
-    attempt: u32,
-    not_before: Instant,
-}
-
-struct QueueState {
-    pending: Vec<Pending>,
-    shutdown: bool,
-}
-
-struct Queue {
-    state: Mutex<QueueState>,
-    ready: Condvar,
-}
-
-fn unpoison<'a, T>(
-    r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    r.unwrap_or_else(PoisonError::into_inner)
-}
-
-impl Queue {
-    fn new(initial: impl Iterator<Item = Pending>) -> Self {
-        Queue {
-            state: Mutex::new(QueueState {
-                pending: initial.collect(),
-                shutdown: false,
-            }),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Blocks until a ready batch is available (lowest task index first,
-    /// for reproducible pickup order) or shutdown is signalled.
-    fn pop(&self) -> Option<Pending> {
-        let mut state = unpoison(self.state.lock());
-        loop {
-            if state.shutdown {
-                return None;
-            }
-            let now = Instant::now();
-            let ready = state
-                .pending
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.not_before <= now)
-                .min_by_key(|(_, p)| p.task)
-                .map(|(i, _)| i);
-            if let Some(i) = ready {
-                return Some(state.pending.remove(i));
-            }
-            let earliest = state.pending.iter().map(|p| p.not_before).min();
-            state = match earliest {
-                Some(at) => {
-                    let wait = at
-                        .saturating_duration_since(now)
-                        .max(Duration::from_millis(1));
-                    self.ready
-                        .wait_timeout(state, wait)
-                        .map(|(guard, _)| guard)
-                        .unwrap_or_else(|e| e.into_inner().0)
-                }
-                None => unpoison(self.ready.wait(state)),
-            };
-        }
-    }
-
-    fn push(&self, pending: Pending) {
-        unpoison(self.state.lock()).pending.push(pending);
-        self.ready.notify_one();
-    }
-
-    fn shutdown(&self) {
-        unpoison(self.state.lock()).shutdown = true;
-        self.ready.notify_all();
-    }
-
-    fn drain(&self) -> Vec<Pending> {
-        std::mem::take(&mut unpoison(self.state.lock()).pending)
-    }
-}
-
-type Job<T> = Box<dyn Fn(&BatchCtx) -> Result<T, ShotError> + Send + Sync>;
-
-struct CtxFactory {
-    specs: Vec<BatchSpec>,
-    base_seed: u64,
-    policy: SeedPolicy,
-    cancel: CancelToken,
-}
-
-impl CtxFactory {
-    fn ctx(&self, task: usize, attempt: u32) -> BatchCtx {
-        let spec = self.specs[task].clone();
-        let salted = substream_seed(self.base_seed, &spec.point, spec.batch, attempt);
-        let seed = match self.policy {
-            SeedPolicy::Stable => substream_seed(self.base_seed, &spec.point, spec.batch, 0),
-            SeedPolicy::PerAttempt => salted,
-        };
-        BatchCtx {
-            task,
-            spec,
-            seed,
-            attempt,
-            attempt_seed: splitmix64(salted ^ ATTEMPT_DOMAIN),
-            cancel: self.cancel.clone(),
-        }
-    }
-}
-
-struct Shared<T> {
-    queue: Queue,
-    job: Job<T>,
-    vote: Option<Box<RedundancyCheck>>,
-    factory: CtxFactory,
-    redundancy: u64,
-    cancel: CancelToken,
-}
-
-impl<T> Shared<T> {
-    fn vote_due(&self, task: usize) -> bool {
-        self.vote.is_some() && self.redundancy > 0 && (task as u64).is_multiple_of(self.redundancy)
-    }
-
-    /// One attempt of one batch, panic-isolated; also runs the
-    /// redundancy vote when due.
-    fn execute(&self, pending: &Pending) -> Attempt<T> {
-        let ctx = self.factory.ctx(pending.task, pending.attempt);
-        let outcome = match panic::catch_unwind(AssertUnwindSafe(|| (self.job)(&ctx))) {
-            Ok(result) => result,
-            Err(payload) => Err(ShotError::Panic(panic_message(payload.as_ref()))),
-        };
-        let mut voted = false;
-        let divergence = if outcome.is_ok() && self.vote_due(pending.task) {
-            voted = true;
-            let vote = self.vote.as_ref().map(|v| {
-                panic::catch_unwind(AssertUnwindSafe(|| v(&ctx)))
-                    .unwrap_or_else(|p| Err(ShotError::Panic(panic_message(p.as_ref()))))
-            });
-            match vote {
-                Some(Err(e)) => Some(e.to_string()),
-                _ => None,
-            }
-        } else {
-            None
-        };
-        Attempt {
-            task: pending.task,
-            attempt: pending.attempt,
-            outcome,
-            divergence,
-            voted,
-        }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
-struct Attempt<T> {
-    task: usize,
-    attempt: u32,
-    outcome: Result<T, ShotError>,
-    divergence: Option<String>,
-    voted: bool,
-}
-
-enum Event<T> {
-    Started {
-        worker: usize,
-        task: usize,
-        attempt: u32,
-    },
-    Finished {
-        worker: usize,
-        result: Attempt<T>,
-    },
-}
-
-fn spawn_worker<T: Send + 'static>(worker: usize, shared: &Arc<Shared<T>>, tx: &Sender<Event<T>>) {
-    let shared = Arc::clone(shared);
-    let tx = tx.clone();
-    thread::spawn(move || {
-        while let Some(pending) = shared.queue.pop() {
-            if tx
-                .send(Event::Started {
-                    worker,
-                    task: pending.task,
-                    attempt: pending.attempt,
-                })
-                .is_err()
-            {
-                return;
-            }
-            let result = shared.execute(&pending);
-            if tx.send(Event::Finished { worker, result }).is_err() {
-                return;
-            }
-        }
-    });
-}
-
-struct RunningInfo {
-    worker: usize,
-    attempt: u32,
-    deadline: Instant,
-}
-
-struct Supervisor<T> {
-    config: SupervisorConfig,
-    shared: Arc<Shared<T>>,
-    results: Vec<Option<T>>,
-    resolved: Vec<bool>,
-    /// Latest attempt number queued or running per task.
-    issued: Vec<u32>,
-    running: HashMap<usize, RunningInfo>,
-    lost: std::collections::HashSet<usize>,
-    spawned: usize,
-    replacements: usize,
-    unresolved: usize,
-    quarantined: Vec<QuarantineRecord>,
-    divergences: Vec<DivergenceRecord>,
-    stats: SupervisorStats,
-}
-
-impl<T: Send + 'static> Supervisor<T> {
-    fn new(config: &SupervisorConfig, shared: Arc<Shared<T>>) -> Self {
-        let total = shared.factory.specs.len();
-        Supervisor {
-            config: config.clone(),
-            shared,
-            results: (0..total).map(|_| None).collect(),
-            resolved: vec![false; total],
-            issued: vec![0; total],
-            running: HashMap::new(),
-            lost: std::collections::HashSet::new(),
-            spawned: 0,
-            replacements: 0,
-            unresolved: total,
-            quarantined: Vec::new(),
-            divergences: Vec::new(),
-            stats: SupervisorStats::default(),
-        }
-    }
-
-    fn run(mut self) -> SupervisorReport<T> {
-        let (tx, rx) = mpsc::channel::<Event<T>>();
-        let workers = self.config.jobs.max(1).min(self.unresolved.max(1));
-        for worker in 0..workers {
-            spawn_worker(worker, &self.shared, &tx);
-        }
-        self.spawned = workers;
-
-        let tick = (self.config.watchdog / 4).max(Duration::from_millis(2));
-        while self.unresolved > 0 {
-            if self.shared.cancel.is_cancelled() {
-                self.cancel_unresolved();
-                break;
-            }
-            if self.live_workers() == 0 {
-                self.degrade_to_serial();
-                break;
-            }
-            match rx.recv_timeout(tick) {
-                Ok(event) => self.handle(event),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    // All worker senders gone (cannot normally happen
-                    // while we hold `tx`): finish the tail serially.
-                    self.degrade_to_serial();
-                    break;
-                }
-            }
-            self.sweep_deadlines(&tx);
-        }
-        self.shared.queue.shutdown();
-        drop(tx);
-        self.quarantined.sort_by_key(|q| q.task);
-        self.divergences.sort_by_key(|d| d.task);
-        SupervisorReport {
-            results: self.results,
-            quarantined: self.quarantined,
-            divergences: self.divergences,
-            stats: self.stats,
-        }
-    }
-
-    fn live_workers(&self) -> usize {
-        self.spawned - self.lost.len()
-    }
-
-    fn handle(&mut self, event: Event<T>) {
-        match event {
-            Event::Started {
-                worker,
-                task,
-                attempt,
-            } => {
-                // A message from a "lost" worker proves it alive again.
-                self.lost.remove(&worker);
-                self.running.insert(
-                    task,
-                    RunningInfo {
-                        worker,
-                        attempt,
-                        deadline: Instant::now() + self.config.watchdog,
-                    },
-                );
-            }
-            Event::Finished { worker, result } => {
-                self.lost.remove(&worker);
-                if self
-                    .running
-                    .get(&result.task)
-                    .is_some_and(|r| r.worker == worker && r.attempt == result.attempt)
-                {
-                    self.running.remove(&result.task);
-                }
-                self.absorb(result);
-            }
-        }
-    }
-
-    fn absorb(&mut self, attempt: Attempt<T>) {
-        if attempt.voted {
-            self.stats.votes += 1;
-        }
-        if let Some(detail) = attempt.divergence {
-            self.divergences.push(DivergenceRecord {
-                key: self.shared.factory.specs[attempt.task].key.clone(),
-                task: attempt.task,
-                detail,
-            });
-        }
-        match attempt.outcome {
-            Ok(value) => {
-                // Accepted even from stragglers, as long as nothing else
-                // resolved the task first.
-                if !self.resolved[attempt.task] {
-                    self.results[attempt.task] = Some(value);
-                    self.resolved[attempt.task] = true;
-                    self.unresolved -= 1;
-                }
-            }
-            Err(error) => {
-                if matches!(error, ShotError::Panic(_)) {
-                    self.stats.panics += 1;
-                }
-                self.fail_attempt(attempt.task, attempt.attempt, &error);
-            }
-        }
-    }
-
-    /// Registers a failed attempt: requeue with backoff, or quarantine
-    /// once the budget is spent. Failures of superseded attempts (an
-    /// already-requeued straggler) are ignored.
-    fn fail_attempt(&mut self, task: usize, attempt: u32, error: &ShotError) {
-        if self.resolved[task] || attempt < self.issued[task] {
-            return;
-        }
-        let next = attempt + 1;
-        if next >= self.config.max_attempts {
-            let cancelled = matches!(error, ShotError::Cancelled { .. });
-            self.quarantine(task, next, error.to_string(), cancelled);
-        } else {
-            self.issued[task] = next;
-            self.stats.retries += 1;
-            let backoff = self.config.backoff * 2u32.pow(attempt.min(16));
-            self.shared.queue.push(Pending {
-                task,
-                attempt: next,
-                not_before: Instant::now() + backoff,
-            });
-        }
-    }
-
-    /// Resolves every outstanding task as cancelled: the run's
-    /// [`CancelToken`] fired, so pending batches must not start and
-    /// in-flight results are discarded.
-    fn cancel_unresolved(&mut self) {
-        let reason = ShotError::Cancelled {
-            reason: "supervised run cancelled".to_owned(),
-        }
-        .to_string();
-        for task in 0..self.resolved.len() {
-            if !self.resolved[task] {
-                self.stats.cancelled += 1;
-                let attempts = self.issued[task];
-                self.quarantine(task, attempts, reason.clone(), true);
-            }
-        }
-    }
-
-    fn quarantine(&mut self, task: usize, attempts: u32, error: String, cancelled: bool) {
-        if self.resolved[task] {
-            return;
-        }
-        self.resolved[task] = true;
-        self.unresolved -= 1;
-        self.quarantined.push(QuarantineRecord {
-            key: self.shared.factory.specs[task].key.clone(),
-            task,
-            attempts,
-            error,
-            cancelled,
-        });
-    }
-
-    /// Declares workers running past their deadline lost, requeues
-    /// their batches, and spawns bounded replacements.
-    fn sweep_deadlines(&mut self, tx: &Sender<Event<T>>) {
-        let now = Instant::now();
-        let expired: Vec<(usize, usize, u32)> = self
-            .running
-            .iter()
-            .filter(|(task, info)| info.deadline <= now && !self.resolved[**task])
-            .map(|(task, info)| (*task, info.worker, info.attempt))
-            .collect();
-        for (task, worker, attempt) in expired {
-            self.running.remove(&task);
-            if self.lost.insert(worker) && self.replacements < self.config.max_replacements {
-                self.replacements += 1;
-                self.stats.replacements += 1;
-                spawn_worker(self.spawned, &self.shared, tx);
-                self.spawned += 1;
-            }
-            self.stats.timeouts += 1;
-            let budget_ms = u64::try_from(self.config.watchdog.as_millis()).unwrap_or(u64::MAX);
-            self.fail_attempt(task, attempt, &ShotError::Timeout { budget_ms });
-        }
-    }
-
-    /// Last resort when the whole pool is lost: run the remaining
-    /// batches on this thread, panic-isolated but without a watchdog.
-    fn degrade_to_serial(&mut self) {
-        self.stats.degraded_to_serial = true;
-        let mut next_attempt: Vec<Option<u32>> = vec![None; self.results.len()];
-        for pending in self.shared.queue.drain() {
-            next_attempt[pending.task] = Some(pending.attempt);
-        }
-        for (task, queued) in next_attempt.iter().enumerate() {
-            if self.shared.cancel.is_cancelled() {
-                self.cancel_unresolved();
-                return;
-            }
-            if self.resolved[task] {
-                continue;
-            }
-            let start = queued.unwrap_or(self.issued[task] + 1);
-            let mut attempt = start;
-            loop {
-                if attempt >= self.config.max_attempts {
-                    self.quarantine(task, attempt, "retry budget exhausted".to_owned(), false);
-                    break;
-                }
-                let pending = Pending {
-                    task,
-                    attempt,
-                    not_before: Instant::now(),
-                };
-                let result = self.shared.execute(&pending);
-                if result.voted {
-                    self.stats.votes += 1;
-                }
-                if let Some(detail) = result.divergence {
-                    self.divergences.push(DivergenceRecord {
-                        key: self.shared.factory.specs[task].key.clone(),
-                        task,
-                        detail,
-                    });
-                }
-                match result.outcome {
-                    Ok(value) => {
-                        self.results[task] = Some(value);
-                        self.resolved[task] = true;
-                        self.unresolved -= 1;
-                        break;
-                    }
-                    Err(error) => {
-                        if matches!(error, ShotError::Panic(_)) {
-                            self.stats.panics += 1;
-                        }
-                        attempt += 1;
-                        if attempt >= self.config.max_attempts {
-                            let cancelled = matches!(error, ShotError::Cancelled { .. });
-                            self.quarantine(task, attempt, error.to_string(), cancelled);
-                            break;
-                        }
-                        self.stats.retries += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn specs(n: usize) -> Vec<BatchSpec> {
-        (0..n)
-            .map(|i| BatchSpec {
-                key: format!("t{i}"),
-                point: "unit".to_owned(),
-                batch: i as u64,
-                shots: 4,
-            })
-            .collect()
-    }
-
-    fn config(jobs: usize) -> SupervisorConfig {
-        SupervisorConfig {
-            jobs,
-            watchdog: Duration::from_millis(200),
-            max_attempts: 3,
-            backoff: Duration::from_millis(1),
-            max_replacements: jobs,
-            base_seed: 2016,
-            seed_policy: SeedPolicy::Stable,
-            redundancy: 0,
-        }
-    }
-
-    #[test]
-    fn substreams_are_deterministic_and_distinct() {
-        let a = substream_seed(1, "p0", 0, 0);
-        assert_eq!(a, substream_seed(1, "p0", 0, 0));
-        let others = [
-            substream_seed(1, "p0", 0, 1),
-            substream_seed(1, "p0", 1, 0),
-            substream_seed(1, "p1", 0, 0),
-            substream_seed(2, "p0", 0, 0),
-        ];
-        for other in others {
-            assert_ne!(a, other);
-        }
-    }
-
-    #[test]
-    fn lane_rounding_covers_exact_and_ragged_counts() {
-        assert_eq!(round_up_to_lanes(0), 0);
-        assert_eq!(round_up_to_lanes(1), 64);
-        assert_eq!(round_up_to_lanes(64), 64);
-        assert_eq!(round_up_to_lanes(65), 128);
-        assert_eq!(round_up_to_lanes(1000), 1024);
-    }
-
-    #[test]
-    fn sliced_lane_seeds_match_the_scalar_shot_numbering() {
-        // Lane k of batch b is scalar shot b*64+k: the sliced engine
-        // substitutes for scalar sweeps without renumbering anything.
-        let seeds = sliced_lane_seeds(2016, "p=1e-3", 3);
-        for (k, &seed) in seeds.iter().enumerate() {
-            assert_eq!(seed, substream_seed(2016, "p=1e-3", 3 * 64 + k as u64, 0));
-        }
-        // Deterministic across calls (retries reproduce), distinct
-        // across lanes and batches.
-        assert_eq!(seeds, sliced_lane_seeds(2016, "p=1e-3", 3));
-        let mut all: Vec<u64> = seeds.into_iter().collect();
-        all.extend(sliced_lane_seeds(2016, "p=1e-3", 4));
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), 2 * LANES);
-    }
-
-    #[test]
-    fn stable_policy_pins_attempt_zero_seed() {
-        let factory = CtxFactory {
-            specs: specs(1),
-            base_seed: 9,
-            policy: SeedPolicy::Stable,
-            cancel: CancelToken::new(),
-        };
-        let a0 = factory.ctx(0, 0);
-        let a1 = factory.ctx(0, 1);
-        assert_eq!(a0.seed, a1.seed);
-        assert_ne!(a0.attempt_seed, a1.attempt_seed);
-        assert_ne!(a0.seed, a0.attempt_seed);
-
-        let per_attempt = CtxFactory {
-            specs: specs(1),
-            base_seed: 9,
-            policy: SeedPolicy::PerAttempt,
-            cancel: CancelToken::new(),
-        };
-        assert_ne!(per_attempt.ctx(0, 0).seed, per_attempt.ctx(0, 1).seed);
-        assert_eq!(per_attempt.ctx(0, 0).seed, a0.seed);
-    }
-
-    #[test]
-    fn clean_run_resolves_every_batch_in_order() {
-        let report = run_supervised(&config(3), specs(8), |ctx| Ok(ctx.seed));
-        assert!(report.is_clean());
-        assert!(!report.stats.degraded_to_serial);
-        let expected: Vec<u64> = (0..8).map(|b| substream_seed(2016, "unit", b, 0)).collect();
-        let got: Vec<u64> = report.results.into_iter().map(Option::unwrap).collect();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn persistent_failure_is_quarantined_not_fatal() {
-        let report = run_supervised(&config(2), specs(5), |ctx| {
-            if ctx.task == 2 {
-                Err(ShotError::PoolFailure("broken batch".to_owned()))
-            } else {
-                Ok(ctx.task)
-            }
-        });
-        assert_eq!(report.quarantined.len(), 1);
-        assert_eq!(report.quarantined[0].task, 2);
-        assert_eq!(report.quarantined[0].key, "t2");
-        assert_eq!(report.quarantined[0].attempts, 3);
-        assert!(report.results[2].is_none());
-        for task in [0, 1, 3, 4] {
-            assert_eq!(report.results[task], Some(task));
-        }
-        let rows = report.quarantine_rows();
-        assert_eq!(rows.len(), 1);
-        assert!(rows[0].starts_with("t2,2,3,"));
-        assert!(!rows[0].contains('\n'));
-    }
-
-    #[test]
-    fn divergence_is_flagged_not_retried() {
-        let mut cfg = config(2);
-        cfg.redundancy = 2; // tasks 0, 2 vote
-        let report = run_supervised_with_vote(
-            &cfg,
-            specs(4),
-            |ctx| Ok(ctx.task),
-            Some(Box::new(|ctx: &BatchCtx| {
-                if ctx.task == 2 {
-                    Err(ShotError::Divergence {
-                        detail: "backends disagree".to_owned(),
-                    })
-                } else {
-                    Ok(())
-                }
-            })),
-        );
-        assert_eq!(report.stats.votes, 2);
-        assert_eq!(report.divergences.len(), 1);
-        assert_eq!(report.divergences[0].task, 2);
-        assert!(report.divergences[0].detail.contains("disagree"));
-        // The payload result is still delivered, flagged.
-        assert_eq!(report.results[2], Some(2));
-        assert!(report.quarantined.is_empty());
-    }
 
     #[test]
     fn chaos_coin_is_deterministic() {
@@ -1178,163 +119,5 @@ mod tests {
         assert_eq!(c, unit_coin(42));
         assert!((0.0..1.0).contains(&c));
         assert_ne!(c, unit_coin(43));
-    }
-
-    #[test]
-    fn pre_cancelled_run_quarantines_everything_promptly() {
-        let token = CancelToken::new();
-        token.cancel();
-        let executed = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let seen = Arc::clone(&executed);
-        let report = run_supervised_cancellable(
-            &config(2),
-            specs(6),
-            move |ctx: &BatchCtx| {
-                seen.fetch_add(1, Ordering::SeqCst);
-                Ok(ctx.task)
-            },
-            None,
-            token,
-        );
-        // Every batch is either resolved with a straggler result or
-        // quarantined as cancelled; none is silently lost.
-        assert_eq!(
-            report.quarantined.len() + report.results.iter().filter(|r| r.is_some()).count(),
-            6
-        );
-        assert!(report.stats.cancelled > 0);
-        for q in &report.quarantined {
-            assert!(q.cancelled, "not typed as cancelled: {q:?}");
-            assert!(q.error.contains("cancelled"), "{}", q.error);
-        }
-    }
-
-    #[test]
-    fn quarantine_cancellation_flag_is_typed_not_textual() {
-        // An error whose *message* merely mentions cancellation must not
-        // classify as cancelled — only the typed variant may. This is
-        // the regression the daemon's requeue-vs-fail decision rests on
-        // (it used to substring-match the message).
-        let report: SupervisorReport<()> = run_supervised(&config(1), specs(1), |_| {
-            Err(ShotError::PoolFailure(
-                "backend reported: upstream cancelled the lease".to_owned(),
-            ))
-        });
-        assert_eq!(report.quarantined.len(), 1);
-        assert!(!report.quarantined[0].cancelled, "textual match leaked in");
-
-        let report: SupervisorReport<()> = run_supervised(&config(1), specs(1), |_| {
-            Err(ShotError::Cancelled {
-                reason: "stopped by test".to_owned(),
-            })
-        });
-        assert_eq!(report.quarantined.len(), 1);
-        assert!(report.quarantined[0].cancelled, "typed variant not flagged");
-    }
-
-    #[test]
-    fn mid_run_cancellation_stops_dispatch() {
-        let token = CancelToken::new();
-        let trigger = token.clone();
-        // Task 0 cancels the run; jobs observe the token through their
-        // BatchCtx, mirroring how a serving-layer deadline fires.
-        let report = run_supervised_cancellable(
-            &config(1),
-            specs(16),
-            move |ctx: &BatchCtx| {
-                if ctx.task == 0 {
-                    trigger.cancel();
-                }
-                thread::sleep(Duration::from_millis(5));
-                Ok(ctx.task)
-            },
-            None,
-            token.clone(),
-        );
-        assert!(token.is_cancelled());
-        assert!(report.stats.cancelled > 0, "no batch was cancelled");
-        assert!(
-            report.quarantined.iter().all(|q| q.cancelled),
-            "{:?}",
-            report.quarantined
-        );
-        // Nothing is silently lost: every task resolved or quarantined.
-        assert_eq!(
-            report.quarantined.len() + report.results.iter().filter(|r| r.is_some()).count(),
-            16
-        );
-    }
-
-    #[test]
-    fn quarantine_rows_round_trip_through_parse() {
-        let record = QuarantineRecord {
-            key: "p3-XL-pf1-r2".to_owned(),
-            task: 14,
-            attempts: 3,
-            error: "worker panic: chaos, injected\nboom".to_owned(),
-            cancelled: false,
-        };
-        let row = record.to_row();
-        let parsed = QuarantineRecord::parse_row(&row).unwrap();
-        assert_eq!(parsed.key, record.key);
-        assert_eq!(parsed.task, record.task);
-        assert_eq!(parsed.attempts, record.attempts);
-        // The flattened error survives (commas/newlines became ';').
-        assert_eq!(parsed.error, "worker panic: chaos; injected;boom");
-        // Header, blank, and malformed rows are rejected.
-        assert_eq!(QuarantineRecord::parse_row(QUARANTINE_HEADER), None);
-        assert_eq!(QuarantineRecord::parse_row(""), None);
-        assert_eq!(QuarantineRecord::parse_row("key,notanumber,3,err"), None);
-        assert_eq!(QuarantineRecord::parse_row("bad key,1,3,err"), None);
-    }
-
-    #[test]
-    fn quarantine_csv_file_round_trip() {
-        let dir = std::env::temp_dir().join(format!("qpdo-quar-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("quarantine.csv");
-        let records = vec![
-            QuarantineRecord {
-                key: "a-r0".to_owned(),
-                task: 0,
-                attempts: 3,
-                error: "watchdog timeout: batch exceeded 50 ms".to_owned(),
-                cancelled: false,
-            },
-            QuarantineRecord {
-                key: "b-r1".to_owned(),
-                task: 5,
-                attempts: 2,
-                error: "worker panic: chaos".to_owned(),
-                cancelled: false,
-            },
-        ];
-        let mut text = format!("{QUARANTINE_HEADER}\n");
-        for r in &records {
-            text.push_str(&r.to_row());
-            text.push('\n');
-        }
-        std::fs::write(&path, text).unwrap();
-        let loaded = read_quarantine_csv(&path).unwrap();
-        assert_eq!(loaded, records);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn quarantine_rows_flatten_commas() {
-        let report: SupervisorReport<()> = SupervisorReport {
-            results: vec![None],
-            quarantined: vec![QuarantineRecord {
-                key: "k".to_owned(),
-                task: 0,
-                attempts: 3,
-                error: "a, b\nc".to_owned(),
-                cancelled: false,
-            }],
-            divergences: Vec::new(),
-            stats: SupervisorStats::default(),
-        };
-        assert_eq!(report.quarantine_rows(), vec!["k,0,3,a; b;c".to_owned()]);
     }
 }

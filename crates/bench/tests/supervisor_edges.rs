@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use qpdo_bench::supervisor::{run_supervised, BatchCtx, BatchSpec, SeedPolicy, SupervisorConfig};
+use qpdo_bench::supervisor::{run_supervised, BatchCtx, BatchSpec, CancelToken, SupervisorConfig};
 use qpdo_core::ShotError;
 use qpdo_surface17::experiment::{run_ler, LerConfig, LogicalErrorKind};
 
@@ -18,7 +18,6 @@ fn config(jobs: usize) -> SupervisorConfig {
         backoff: Duration::from_millis(1),
         max_replacements: jobs,
         base_seed: 2016,
-        seed_policy: SeedPolicy::Stable,
         redundancy: 0,
     }
 }
@@ -29,6 +28,7 @@ fn spec(batch: u64, shots: u64) -> BatchSpec {
         point: "edge".to_owned(),
         batch,
         shots,
+        deadline: None,
     }
 }
 
@@ -51,7 +51,7 @@ fn zero_shot_batches_resolve_cleanly() {
     // They must resolve like any other batch: a `Some` result carrying
     // zero shots, no retries, no quarantine.
     let specs = vec![spec(0, 0), spec(1, 8), spec(2, 0)];
-    let report = run_supervised(&config(3), specs.clone(), walk);
+    let report = run_supervised(&config(3), specs.clone(), walk, None, &CancelToken::new());
     assert!(report.is_clean(), "quarantined: {:?}", report.quarantined);
     assert_eq!(report.stats.retries, 0);
     assert_eq!(report.results[0], Some(Vec::new()));
@@ -59,12 +59,18 @@ fn zero_shot_batches_resolve_cleanly() {
     assert_eq!(report.results[1].as_ref().map(Vec::len), Some(8));
 
     // An all-empty sweep (total shots == 0) is also fine.
-    let empty = run_supervised(&config(2), vec![spec(0, 0)], walk);
+    let empty = run_supervised(
+        &config(2),
+        vec![spec(0, 0)],
+        walk,
+        None,
+        &CancelToken::new(),
+    );
     assert!(empty.is_clean());
     assert_eq!(empty.results, vec![Some(Vec::new())]);
 
     // Worker count cannot matter for degenerate plans either.
-    let serial = run_supervised(&config(1), specs, walk);
+    let serial = run_supervised(&config(1), specs, walk, None, &CancelToken::new());
     assert_eq!(report.results, serial.results);
 }
 
@@ -93,7 +99,7 @@ fn oversized_batch_clamps_to_the_sweep_total() {
     assert_eq!(specs.len(), 1, "oversized batch must clamp to one batch");
     assert_eq!(specs[0].shots, TOTAL);
 
-    let report = run_supervised(&config(4), specs, walk);
+    let report = run_supervised(&config(4), specs, walk, None, &CancelToken::new());
     assert!(report.is_clean(), "quarantined: {:?}", report.quarantined);
     let produced: usize = report
         .results
@@ -131,8 +137,14 @@ fn jobs_byte_identity_holds_on_packed_kernel_payloads() {
     // (ESM rounds, decoder, Pauli frame), not just a synthetic walk:
     // identical record strings from `--jobs 1` and `--jobs 4`.
     let specs: Vec<BatchSpec> = (0..6).map(|i| spec(i, 1)).collect();
-    let serial = run_supervised(&config(1), specs.clone(), ler_payload);
-    let parallel = run_supervised(&config(4), specs, ler_payload);
+    let serial = run_supervised(
+        &config(1),
+        specs.clone(),
+        ler_payload,
+        None,
+        &CancelToken::new(),
+    );
+    let parallel = run_supervised(&config(4), specs, ler_payload, None, &CancelToken::new());
     assert!(serial.is_clean(), "quarantined: {:?}", serial.quarantined);
     assert!(
         parallel.is_clean(),

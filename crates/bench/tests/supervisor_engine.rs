@@ -6,8 +6,7 @@
 use std::time::Duration;
 
 use qpdo_bench::supervisor::{
-    run_supervised, substream_seed, with_chaos, BatchCtx, BatchSpec, ChaosConfig, SeedPolicy,
-    SupervisorConfig,
+    run_supervised, with_chaos, BatchCtx, BatchSpec, CancelToken, ChaosConfig, SupervisorConfig,
 };
 use qpdo_core::ShotError;
 
@@ -18,6 +17,7 @@ fn specs(n: usize) -> Vec<BatchSpec> {
             point: "p0".to_owned(),
             batch: i as u64,
             shots: 8,
+            deadline: None,
         })
         .collect()
 }
@@ -30,7 +30,6 @@ fn config(jobs: usize) -> SupervisorConfig {
         backoff: Duration::from_millis(1),
         max_replacements: jobs,
         base_seed: 2016,
-        seed_policy: SeedPolicy::Stable,
         redundancy: 0,
     }
 }
@@ -57,12 +56,18 @@ fn injected_panics_recover_via_retry() {
         hang_task: None,
         hang_for: Duration::from_millis(0),
     };
-    let report = run_supervised(&config(4), specs(12), with_chaos(chaos, payload));
+    let report = run_supervised(
+        &config(4),
+        specs(12),
+        with_chaos(chaos, payload),
+        None,
+        &CancelToken::new(),
+    );
     assert!(report.is_clean(), "quarantined: {:?}", report.quarantined);
     assert_eq!(report.stats.panics, 12);
     assert!(report.stats.retries >= 12);
 
-    let clean = run_supervised(&config(4), specs(12), payload);
+    let clean = run_supervised(&config(4), specs(12), payload, None, &CancelToken::new());
     assert_eq!(report.results, clean.results);
 }
 
@@ -73,25 +78,37 @@ fn injected_hang_trips_watchdog_and_recovers() {
         hang_task: Some(2),
         hang_for: Duration::from_millis(1500),
     };
-    let report = run_supervised(&config(2), specs(6), with_chaos(chaos, payload));
+    let report = run_supervised(
+        &config(2),
+        specs(6),
+        with_chaos(chaos, payload),
+        None,
+        &CancelToken::new(),
+    );
     assert!(report.is_clean(), "quarantined: {:?}", report.quarantined);
     assert!(report.stats.timeouts >= 1, "watchdog never fired");
     assert!(report.results.iter().all(Option::is_some));
 
-    let clean = run_supervised(&config(2), specs(6), payload);
+    let clean = run_supervised(&config(2), specs(6), payload, None, &CancelToken::new());
     assert_eq!(report.results, clean.results);
 }
 
 #[test]
 fn exhausted_retries_quarantine_and_run_completes() {
     // Task 3 fails on every attempt; everything else succeeds.
-    let report = run_supervised(&config(3), specs(8), |ctx: &BatchCtx| {
-        if ctx.task == 3 {
-            Err(ShotError::PoolFailure("persistent failure".to_owned()))
-        } else {
-            payload(ctx)
-        }
-    });
+    let report = run_supervised(
+        &config(3),
+        specs(8),
+        |ctx: &BatchCtx| {
+            if ctx.task == 3 {
+                Err(ShotError::PoolFailure("persistent failure".to_owned()))
+            } else {
+                payload(ctx)
+            }
+        },
+        None,
+        &CancelToken::new(),
+    );
     assert_eq!(report.quarantined.len(), 1);
     let q = &report.quarantined[0];
     assert_eq!((q.task, q.key.as_str(), q.attempts), (3, "p0-b3", 3));
@@ -115,8 +132,8 @@ fn worker_count_does_not_change_results() {
         let mut parallel_cfg = config(4);
         parallel_cfg.base_seed = seed;
 
-        let serial = run_supervised(&serial_cfg, specs(16), payload);
-        let parallel = run_supervised(&parallel_cfg, specs(16), payload);
+        let serial = run_supervised(&serial_cfg, specs(16), payload, None, &CancelToken::new());
+        let parallel = run_supervised(&parallel_cfg, specs(16), payload, None, &CancelToken::new());
         assert!(serial.is_clean() && parallel.is_clean());
         assert_eq!(
             serial.results, parallel.results,
@@ -136,32 +153,17 @@ fn lost_pool_degrades_to_serial_and_still_finishes() {
         hang_task: Some(0),
         hang_for: Duration::from_millis(1500),
     };
-    let report = run_supervised(&cfg, specs(4), with_chaos(chaos, payload));
+    let report = run_supervised(
+        &cfg,
+        specs(4),
+        with_chaos(chaos, payload),
+        None,
+        &CancelToken::new(),
+    );
     assert!(report.stats.degraded_to_serial);
     assert!(report.is_clean(), "quarantined: {:?}", report.quarantined);
     assert!(report.results.iter().all(Option::is_some));
 
-    let clean = run_supervised(&config(2), specs(4), payload);
+    let clean = run_supervised(&config(2), specs(4), payload, None, &CancelToken::new());
     assert_eq!(report.results, clean.results);
-}
-
-#[test]
-fn per_attempt_policy_changes_retry_seeds() {
-    let mut cfg = config(2);
-    cfg.seed_policy = SeedPolicy::PerAttempt;
-    // Every batch panics on attempt 0, so every result comes from
-    // attempt 1 — whose seed differs from the attempt-0 substream.
-    let chaos = ChaosConfig {
-        panic_rate: 1.0,
-        hang_task: None,
-        hang_for: Duration::from_millis(0),
-    };
-    let report = run_supervised(&cfg, specs(3), with_chaos(chaos, |ctx| Ok(ctx.seed)));
-    assert!(report.is_clean());
-    for (i, result) in report.results.iter().enumerate() {
-        let attempt0 = substream_seed(2016, "p0", i as u64, 0);
-        let attempt1 = substream_seed(2016, "p0", i as u64, 1);
-        assert_eq!(*result, Some(attempt1));
-        assert_ne!(*result, Some(attempt0));
-    }
 }

@@ -51,11 +51,13 @@ pub mod arch;
 mod backend;
 mod error;
 mod error_model;
+pub mod executor;
 pub mod fault;
 mod layer;
 mod layers;
 mod stack;
 mod state;
+pub mod supervisor;
 pub mod testbench;
 
 #[cfg(feature = "reference")]
@@ -63,6 +65,7 @@ pub use backend::ReferenceChpCore;
 pub use backend::{ChpCore, Core, SvCore};
 pub use error::{Checkpoint, CoreError, ShotError};
 pub use error_model::{DepolarizingModel, ErrorCounts};
+pub use executor::{round_up_to_lanes, sliced_lane_seeds, substream_seed, CancelToken};
 pub use layer::{Layer, LayerContext};
 pub use layers::counter::{CounterLayer, Counters};
 pub use layers::pauli_frame::PauliFrameLayer;

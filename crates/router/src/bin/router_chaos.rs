@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use qpdo_bench::supervisor::CancelToken;
+use qpdo_core::CancelToken;
 use qpdo_router::journal::{recover as recover_bindings, RouteState};
 use qpdo_router::protocol::{FleetSnapshot, RouterClient, RouterRequest, RouterResponse};
 use qpdo_router::ring::HashRing;

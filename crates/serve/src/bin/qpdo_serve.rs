@@ -39,7 +39,7 @@ const SERVE_USAGE: &str = "\
 usage: qpdo_serve --wal-dir DIR [options]
   --wal-dir DIR             write-ahead journal directory (required)
   --port N                  TCP port to bind on 127.0.0.1 (default 0 = ephemeral)
-  --jobs N                  supervised worker threads (default: machine parallelism)
+  --jobs N                  jobs per round, each on an executor helper (default: machine parallelism)
   --watchdog-ms N           per-batch watchdog deadline (default 30000)
   --seed N                  base RNG seed; job seeds derive from it and the id (default 2016)
   --queue-depth N           bounded admission-queue depth (default 256)

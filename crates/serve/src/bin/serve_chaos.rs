@@ -62,7 +62,7 @@ use std::time::{Duration, Instant};
 
 use qpdo_bench::framing::write_record;
 
-use qpdo_bench::supervisor::CancelToken;
+use qpdo_core::CancelToken;
 use qpdo_serve::job::{execute, job_seed, JobKind, JobSpec};
 use qpdo_serve::protocol::{Client, JobState, RejectCode, Request, Response};
 use qpdo_serve::wal::{recover, JobOutcome};

@@ -9,41 +9,37 @@
 //! completes.
 //!
 //! One dispatcher thread drains the admission queue in rounds,
-//! executing each round on the supervised worker pool
-//! ([`qpdo_bench::supervisor`]) with panic isolation and per-batch
-//! watchdogs. All state lives in one mutex-protected [`ServiceState`]
-//! signalled by a condvar; the journal is owned by the commit thread
-//! ([`crate::commit`]) and every record is durable *before* the state
-//! change it records becomes observable — WAL-before-ack for
-//! admissions, WAL-before-result for completions. A failed commit
-//! latches the daemon degraded: fresh submissions are refused with the
-//! post-dedup `degraded` code, ids whose accept append failed
-//! mid-commit stay ambiguous (`journal`, which routers park), and a
-//! drain stops immediately instead of waiting for terminals that can
+//! executing each round as one supervised run on the process's
+//! executor ([`qpdo_core::supervisor`]) with panic isolation and
+//! per-job watchdogs. All state lives in one mutex-protected
+//! [`ServiceState`] signalled by a condvar; the journal is owned by the
+//! commit thread ([`crate::commit`]) and every record is durable
+//! *before* the state change it records becomes observable —
+//! WAL-before-ack for admissions, WAL-before-result for completions. A
+//! failed commit latches the daemon degraded: fresh submissions are
+//! refused with the post-dedup `degraded` code, ids whose accept append
+//! failed mid-commit stay ambiguous (`journal`, which routers park), and
+//! a drain stops immediately instead of waiting for terminals that can
 //! no longer land.
 //!
 //! Routing: each job kind declares a backend preference order; the
 //! dispatcher picks the first backend whose circuit breaker admits the
 //! request, counting a reroute when that is not the first preference.
 //! A failed attempt feeds the breaker and requeues the job (bounded
-//! attempts); an expired deadline cancels the round cooperatively
-//! through the supervisor's [`CancelToken`] and fails the job
-//! terminally.
+//! attempts); an expired deadline cancels that job alone, through its
+//! own [`CancelToken`], and ends it with its deadline outcome.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use qpdo_bench::supervisor::{
-    run_supervised_cancellable, BatchCtx, BatchSpec, CancelToken, SeedPolicy, SupervisorConfig,
-};
-use qpdo_core::{Checkpoint, ShotError};
+use qpdo_core::supervisor::{run_supervised, BatchCtx, BatchSpec, SupervisorConfig};
+use qpdo_core::{CancelToken, Checkpoint, ShotError};
 
 use crate::breaker::CircuitBreaker;
 use crate::commit::{CommitError, GroupCommit};
@@ -55,7 +51,7 @@ use crate::wal::{JobOutcome, WalRecord, WriteAheadLog};
 /// Daemon tuning knobs.
 #[derive(Clone, Debug)]
 pub struct DaemonConfig {
-    /// Worker threads in the supervised pool.
+    /// Jobs per round, each on a helper of the process's executor.
     pub jobs: usize,
     /// Per-batch watchdog deadline in milliseconds.
     pub watchdog_ms: u64,
@@ -620,8 +616,8 @@ struct RoundJob {
 /// The anytime terminal for a job whose deadline expired: a `Partial`
 /// carrying the completed prefix when a checkpoint with real shots
 /// exists, otherwise the classic failure. Used by both the pre-dispatch
-/// expiry path and the cancelled-round fold-back so the two paths can
-/// never disagree.
+/// expiry path and the fold-back of a job its deadline cancelled, so
+/// the two paths can never disagree.
 fn deadline_outcome(entry: &JobEntry) -> JobOutcome {
     match &entry.progress {
         Some(cp) if cp.shots > 0 => JobOutcome::Partial(partial_detail(&entry.spec.kind, cp)),
@@ -811,8 +807,10 @@ fn journal_progress(service: &Service, id: &str, checkpoint: &Checkpoint) {
     }
 }
 
-/// Executes one round on the supervised pool and folds the results back
-/// into the service state.
+/// Executes one round as one supervised run on the process's executor
+/// and folds the results back into the service state. Each job carries
+/// its own deadline: the job polls it, and the run stops waiting for
+/// that job alone once it passes.
 fn run_round(service: &Arc<Service>, round: Vec<RoundJob>) {
     let specs: Vec<BatchSpec> = round
         .iter()
@@ -821,35 +819,20 @@ fn run_round(service: &Arc<Service>, round: Vec<RoundJob>) {
             point: job.id.clone(),
             batch: 0,
             shots: 1,
+            deadline: job.deadline,
         })
         .collect();
     let supervisor_config = SupervisorConfig {
         jobs: service.config.jobs.max(1),
         watchdog: Duration::from_millis(service.config.watchdog_ms),
-        // The daemon owns retries (it may change backend); the pool
-        // runs each attempt exactly once.
+        // The daemon owns retries (it may change backend); the run
+        // executes each attempt exactly once.
         max_attempts: 1,
         backoff: Duration::from_millis(10),
         max_replacements: service.config.jobs.max(1),
         base_seed: service.config.base_seed,
-        seed_policy: SeedPolicy::Stable,
         redundancy: 0,
     };
-
-    let cancel = CancelToken::new();
-    // Cooperative deadline enforcement: a watcher cancels the round at
-    // the earliest member deadline; the round-end send retires it.
-    let earliest = round.iter().filter_map(|j| j.deadline).min();
-    let (round_done, watcher_rx) = mpsc::channel::<()>();
-    let watcher = earliest.map(|when| {
-        let token = cancel.clone();
-        thread::spawn(move || {
-            let wait = when.saturating_duration_since(Instant::now());
-            if watcher_rx.recv_timeout(wait) == Err(RecvTimeoutError::Timeout) {
-                token.cancel();
-            }
-        })
-    });
 
     let stall = service.config.chaos_stall;
     let chaos = Arc::new(Mutex::new(
@@ -923,11 +906,7 @@ fn run_round(service: &Arc<Service>, round: Vec<RoundJob>) {
             }
         }
     };
-    let report = run_supervised_cancellable(&supervisor_config, specs, job, None, cancel);
-    let _ = round_done.send(());
-    if let Some(watcher) = watcher {
-        let _ = watcher.join();
-    }
+    let report = run_supervised(&supervisor_config, specs, job, None, &CancelToken::new());
     // Write back the chaos budget consumed by the round.
     let remaining_chaos = *chaos.lock().expect("chaos lock");
 
@@ -961,15 +940,7 @@ fn run_round(service: &Arc<Service>, round: Vec<RoundJob>) {
                 let (error, cancelled) = quarantined
                     .remove(&task)
                     .unwrap_or_else(|| ("worker pool lost the job".to_owned(), false));
-                let expired = job.deadline.is_some_and(|d| d <= now);
-                if cancelled && !expired {
-                    // Collateral cancellation from another job's
-                    // deadline: not a backend failure, just requeue
-                    // (the checkpoint it published resumes it).
-                    requeue_front(&mut state, &job.id);
-                    continue;
-                }
-                if cancelled || expired {
+                if cancelled || job.deadline.is_some_and(|d| d <= now) {
                     let entry = state.jobs.get(&job.id).expect("round job exists");
                     let outcome = deadline_outcome(entry);
                     if terminal_begin(&mut state, &job.id, &outcome) {

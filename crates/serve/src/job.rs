@@ -9,9 +9,11 @@
 //! byte-for-byte (the packed and reference stabilizer engines are
 //! differentially verified to agree bit-exactly).
 
-use qpdo_bench::supervisor::{round_up_to_lanes, sliced_lane_seeds, substream_seed, CancelToken};
 use qpdo_core::testbench::random_circuit;
-use qpdo_core::{Checkpoint, ChpCore, ControlStack, PauliFrameLayer, ShotError, SvCore};
+use qpdo_core::{
+    round_up_to_lanes, sliced_lane_seeds, substream_seed, CancelToken, Checkpoint, ChpCore,
+    ControlStack, PauliFrameLayer, ShotError, SvCore,
+};
 use qpdo_rng::rngs::StdRng;
 use qpdo_rng::SeedableRng;
 use qpdo_stabilizer::{CliffordTableau, StabilizerSim, LANES};
@@ -411,9 +413,8 @@ impl JobSpec {
 }
 
 /// The deterministic payload seed for a job: the attempt-0 supervisor
-/// substream keyed by the job id, exactly what the worker pool derives
-/// for a batch with `point = id, batch = 0` under the stable seed
-/// policy. Crash recovery and breaker rerouting both rely on this being
+/// substream keyed by the job id, exactly what a supervised run derives
+/// for a batch with `point = id, batch = 0`. Crash recovery and breaker rerouting both rely on this being
 /// a pure function of `(base_seed, id)`.
 #[must_use]
 pub fn job_seed(base_seed: u64, id: &str) -> u64 {

@@ -261,6 +261,61 @@ fn deadlines_cancel_stalled_jobs() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A job's deadline cancels that job alone: a long job and a
+/// short-deadline job dispatched in the same round (a restart recovers
+/// both, so the first round holds both) end with the long job `Done`
+/// on its golden record after exactly one dispatch, and the other with
+/// its deadline outcome. Every execution stalls far past the deadline,
+/// so the deadline lands while both are running.
+#[test]
+fn a_deadline_cancels_only_its_own_job() {
+    let dir = fresh_dir("own-deadline");
+    let config = DaemonConfig {
+        jobs: 2,
+        chaos_stall: Duration::from_millis(300),
+        ..DaemonConfig::default()
+    };
+    let seed = config.base_seed;
+    let long = JobSpec {
+        id: "long-1".to_owned(),
+        deadline_ms: None,
+        kind: JobKind::LerSurface {
+            d: 5,
+            per: 0.08,
+            shots: 192,
+        },
+    };
+    let short = JobSpec {
+        id: "short-1".to_owned(),
+        deadline_ms: Some(100),
+        kind: JobKind::Bell { shots: 2 },
+    };
+    {
+        let (mut wal, _) =
+            WriteAheadLog::open(&dir, WriteAheadLog::DEFAULT_MAX_SEGMENT_BYTES).unwrap();
+        wal.append(&WalRecord::Accept(long.clone())).unwrap();
+        wal.append(&WalRecord::Accept(short.clone())).unwrap();
+    }
+    let daemon = TestDaemon::start(&dir, config);
+    let JobState::Failed(error) = daemon.wait_terminal("short-1") else {
+        panic!("short-1 must miss its deadline");
+    };
+    assert!(error.contains("deadline"), "{error:?}");
+    let JobState::Done(record) = daemon.wait_terminal("long-1") else {
+        panic!("long-1 did not complete");
+    };
+    assert_eq!(record, golden(seed, &long));
+    daemon.drain();
+    let recovered = qpdo_serve::wal::recover(&dir).unwrap();
+    let job = |id: &str| {
+        (recovered.jobs().iter())
+            .find(|job| job.spec.id == id)
+            .unwrap_or_else(|| panic!("{id} not in the journal"))
+    };
+    assert_eq!(job("long-1").dispatches, 1, "long-1 was dispatched again");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn sliced_ler_job_completes_end_to_end() {
     let dir = fresh_dir("sliced");

@@ -25,12 +25,11 @@
 //!   syndrome bits (d ≤ 5) a lazily filled syndrome → parity table sits
 //!   in front of the decoder, so each distinct syndrome is decoded once
 //!   per sweep point and thread. At every distance a run's batches fan
-//!   out over its share of the cores (all of them when it is the
-//!   process's only surface run): the calling thread and idle helpers
-//!   of one process-wide pool of parked threads claim whole batches,
-//!   and the caller commits their tallies in batch order. A batch
-//!   depends only on the seed and its index, so the outcome does not
-//!   depend on the scheduling.
+//!   out on the process's executor (`qpdo_core::executor`): the
+//!   calling thread and whichever of its parked helpers are idle claim
+//!   whole batches, and the caller commits their tallies in batch
+//!   order. A batch depends only on the seed and its index, so the
+//!   outcome does not depend on the scheduling.
 //!
 //! The sweep has one loop, [`run_ler_surface_controlled`]: polled for
 //! cancellation per batch, resumable from a [`Checkpoint`] and
@@ -40,11 +39,9 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
-use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
+use qpdo_core::executor::{self, Batches, Claims, Executor, Run};
 use qpdo_core::{
     Checkpoint, ChpCore, ControlStack, CoreError, CounterLayer, DepolarizingModel, ErrorCounts,
     PauliFrameLayer,
@@ -732,41 +729,6 @@ struct Tally {
     defects: u32,
 }
 
-/// The host's cores, asked once per process, up to one per lane.
-fn decode_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS
-        .get_or_init(|| thread::available_parallelism().map_or(1, |cores| cores.get().min(LANES)))
-}
-
-/// Surface runs in progress in this process, on any thread.
-static RUNS: AtomicUsize = AtomicUsize::new(0);
-
-/// A surface run's claim on the host's cores, held for the length of
-/// the run. The runs in progress share the cores equally, so concurrent
-/// jobs (a serving daemon runs one per core) run batches on about as
-/// many threads in total as there are cores instead of each taking them
-/// all.
-struct RunShare;
-
-impl RunShare {
-    fn join() -> Self {
-        RUNS.fetch_add(1, Ordering::Relaxed);
-        RunShare
-    }
-
-    /// The threads this run may use now, its own included.
-    fn threads(&self) -> usize {
-        (decode_threads() / RUNS.load(Ordering::Relaxed).max(1)).max(1)
-    }
-}
-
-impl Drop for RunShare {
-    fn drop(&mut self) {
-        RUNS.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 thread_local! {
     // One warm sweep point per (distance, error kind) per thread that
     // runs batches, a run's calling thread or a pool helper: the
@@ -819,343 +781,30 @@ fn batch_rng(seed: u64, batch: u64) -> StdRng {
     StdRng::seed_from_u64(seed ^ (batch + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// A board's ring slots: how many batches past the next one to commit
-/// the threads of a run may claim.
-const RING: usize = 2 * LANES;
+/// A surface run's batches as the process's executor runs them: each
+/// helper the run recruits warms its own sweep point for the run (the
+/// run waits for that), then tallies the batches it claims.
+#[derive(Clone, Copy)]
+struct Sweep(SurfaceLerConfig);
 
-/// A ring slot holds a batch's tag and tally in one word, so a post is
-/// one store: the low 32 bits of the batch's board sequence number, 7
-/// bits of failures and [`DEFECT_BITS`] of defects. Only runs whose
-/// batches cannot exceed that many defects fan out.
-const DEFECT_BITS: u32 = 25;
+impl Batches for Sweep {
+    type Output = Tally;
 
-fn pack(seq: u64, tally: Tally) -> u64 {
-    (seq & 0xFFFF_FFFF) << 32 | u64::from(tally.failures) << DEFECT_BITS | u64::from(tally.defects)
-}
-
-/// The tally in `word` if it was posted for sequence number `seq`. A
-/// slot starts as `u64::MAX`, whose 127 failures match no batch.
-fn unpack(word: u64, seq: u64) -> Option<Tally> {
-    let failures = (word >> DEFECT_BITS & 0x7F) as u32;
-    (word >> 32 == seq & 0xFFFF_FFFF && failures as usize <= LANES).then_some(Tally {
-        failures,
-        defects: (word & ((1 << DEFECT_BITS) - 1)) as u32,
-    })
-}
-
-/// A run as its board shows it: the run's configuration, the ticket its
-/// helpers check in with, and the board sequence numbers `start..end`
-/// that stand for its batches `first..`.
-#[derive(Clone, Copy, Debug)]
-struct Posted {
-    config: SurfaceLerConfig,
-    ticket: u64,
-    first: u64,
-    start: u64,
-    end: u64,
-}
-
-impl Posted {
-    fn batch(&self, seq: u64) -> u64 {
-        self.first + (seq - self.start)
-    }
-}
-
-/// Where one fanned-out run and its helpers meet.
-///
-/// Batches are claimed by board sequence number from one counter that
-/// only grows: a run takes the numbers after the last run's, so a claim
-/// by a helper still holding an earlier run's numbers fails, and a post
-/// it makes late carries a tag no later run waits for. (A tag is the
-/// number's low 32 bits: it could be mistaken only by a helper held up
-/// while about four billion batches pass on its board.)
-///
-/// Orderings: the posted run is read and written under its mutex, which
-/// also publishes `frontier` and `next`. The caller reads a slot
-/// (`Acquire`) before it moves `frontier` past it (`Release`), and a
-/// thread loads `frontier` (`Acquire`) before it claims, so a claim
-/// that reuses a slot follows the read of its last tally.
-struct Board {
-    taken: AtomicBool,
-    posted: Mutex<Option<Posted>>,
-    /// The next unclaimed sequence number.
-    next: AtomicU64,
-    /// The sequence number of the next batch the caller commits.
-    frontier: AtomicU64,
-    ring: [AtomicU64; RING],
-}
-
-impl Board {
-    /// Claims the next batch of `posted`; `None` once the run has none
-    /// left to claim. While the ring is full, a helper (`wait`) yields
-    /// until the caller commits, and the caller gets `None`.
-    fn claim(&self, posted: &Posted, wait: bool) -> Option<u64> {
-        let mut next = self.next.load(Ordering::Relaxed);
-        loop {
-            if !(posted.start..posted.end).contains(&next) {
-                return None;
+    fn work(&self, claims: &mut Claims<'_, Self>) {
+        let config = &self.0;
+        with_sweep_point(config.distance, config.error, |point| {
+            while let Some(batch) = claims.claim() {
+                claims.post(point.tally(config, batch));
             }
-            if next >= self.frontier.load(Ordering::Acquire) + RING as u64 {
-                if !wait {
-                    return None;
-                }
-                thread::yield_now();
-                next = self.next.load(Ordering::Relaxed);
-                continue;
-            }
-            match (self.next).compare_exchange_weak(
-                next,
-                next + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Some(next),
-                Err(now) => next = now,
-            }
-        }
-    }
-
-    fn slot(&self, seq: u64) -> &AtomicU64 {
-        &self.ring[seq as usize % RING]
+        });
     }
 }
 
-/// One helper thread's mailbox.
-#[derive(Default)]
-struct Helper {
-    thread: OnceLock<JoinHandle<()>>,
-    /// 0 while idle, else 1 + the index of the board it was recruited
-    /// to. A run recruits only idle helpers; a helper goes back to idle
-    /// once its run has no batch left to claim.
-    assigned: AtomicUsize,
-    /// The ticket of the last run it checked in to.
-    checked_in: AtomicU64,
-    /// Batches it posted (tests check that a run really fanned out).
-    #[cfg(test)]
-    posts: AtomicU64,
-}
-
-/// Parked helper threads that run whole batches of fanned-out runs.
-///
-/// The process has one, [`Pool::global`], spawned by the first run that
-/// fans out, with one helper per core beyond the first. A run that fans
-/// out takes a free [`Board`], posts itself there, recruits idle
-/// helpers up to its share of the cores and unparks them. Each helper
-/// reads the run, warms its own sweep point for it (its check-in), then
-/// claims batches, runs each whole and posts its tally to the board's
-/// ring until the run has none left, and parks again.
-struct Pool {
-    boards: Vec<Board>,
-    helpers: Vec<Helper>,
-    tickets: AtomicU64,
-}
-
-impl Pool {
-    /// A pool of `helpers` threads, which live as long as the process.
-    fn spawn(helpers: usize) -> &'static Pool {
-        let pool: &'static Pool = Box::leak(Box::new(Pool {
-            boards: (0..helpers.max(1))
-                .map(|_| Board {
-                    taken: AtomicBool::new(false),
-                    posted: Mutex::new(None),
-                    next: AtomicU64::new(0),
-                    frontier: AtomicU64::new(0),
-                    ring: [const { AtomicU64::new(u64::MAX) }; RING],
-                })
-                .collect(),
-            helpers: (0..helpers).map(|_| Helper::default()).collect(),
-            tickets: AtomicU64::new(1),
-        }));
-        for (index, helper) in pool.helpers.iter().enumerate() {
-            let spawned = thread::Builder::new()
-                .name(format!("surface-helper-{index}"))
-                .spawn(move || pool.help(index))
-                .expect("spawn a surface helper thread");
-            let _ = helper.thread.set(spawned);
-        }
-        pool
-    }
-
-    /// The process's pool: one helper per core beyond the first.
-    fn global() -> &'static Pool {
-        static POOL: OnceLock<&'static Pool> = OnceLock::new();
-        POOL.get_or_init(|| Pool::spawn(decode_threads() - 1))
-    }
-
-    /// Helper thread `index`: waits to be recruited, then checks in and
-    /// runs the batches it claims, for ever.
-    fn help(&self, index: usize) {
-        let me = &self.helpers[index];
-        loop {
-            let assigned = me.assigned.load(Ordering::Acquire);
-            if assigned == 0 {
-                thread::park();
-                continue;
-            }
-            let board = &self.boards[assigned - 1];
-            let posted = (*board.posted.lock().unwrap_or_else(PoisonError::into_inner))
-                .expect("a helper is recruited to a posted run");
-            let config = &posted.config;
-            with_sweep_point(config.distance, config.error, |point| {
-                me.checked_in.store(posted.ticket, Ordering::Release);
-                while let Some(seq) = board.claim(&posted, true) {
-                    let tally = point.tally(config, posted.batch(seq));
-                    #[cfg(test)]
-                    tests::stall(config.seed);
-                    // With every batch claimed, this post may be the one
-                    // the run ends on: go idle first, so that a run
-                    // started right after it can recruit this helper.
-                    let last = board.next.load(Ordering::Relaxed) >= posted.end;
-                    if last {
-                        me.assigned.store(0, Ordering::Release);
-                    }
-                    board.slot(seq).store(pack(seq, tally), Ordering::Release);
-                    #[cfg(test)]
-                    me.posts.fetch_add(1, Ordering::Relaxed);
-                    if last {
-                        return;
-                    }
-                }
-                me.assigned.store(0, Ordering::Release);
-            });
-        }
-    }
-}
-
-/// A run's hold on a board and on the helpers it recruited there.
-/// Dropping it, also on unwind, closes the run to claims, waits for
-/// each recruited helper to check in, so that its sweep point is warm
-/// for the next run, and frees the board.
-struct Fan {
-    pool: &'static Pool,
-    /// The board's index in the pool, and the board.
-    index: usize,
-    board: &'static Board,
-    posted: Posted,
-    /// How many helpers the run may recruit.
-    helpers: usize,
-    /// Bit `i`: helper `i` was recruited.
-    recruited: u64,
-    /// The caller's last measured time per batch.
-    per_batch: Duration,
-}
-
-impl Fan {
-    /// Posts batches `first..` of `config` on a free board of `pool`, to
-    /// be run by up to `helpers` helpers beside the caller; `None` if no
-    /// board is free.
-    fn open(
-        pool: &'static Pool,
-        config: &SurfaceLerConfig,
-        first: u64,
-        helpers: usize,
-    ) -> Option<Self> {
-        let (index, board) = (pool.boards.iter().enumerate()).find(|(_, board)| {
-            (board.taken)
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-        })?;
-        // Every earlier run on the board closed its numbers, so nothing
-        // moves `next` while the board is free.
-        let start = board.next.load(Ordering::Relaxed);
-        let posted = Posted {
-            config: *config,
-            ticket: pool.tickets.fetch_add(1, Ordering::Relaxed),
-            first,
-            start,
-            end: start + (config.shots.div_ceil(LANES as u64) - first),
-        };
-        board.frontier.store(start, Ordering::Relaxed);
-        *board.posted.lock().unwrap_or_else(PoisonError::into_inner) = Some(posted);
-        Some(Fan {
-            pool,
-            index,
-            board,
-            posted,
-            helpers,
-            recruited: 0,
-            // Until the caller has timed a batch of its own.
-            per_batch: Duration::from_millis(1),
-        })
-    }
-
-    /// Recruits idle helpers until the run has as many as it may or no
-    /// batch is left to claim, and wakes them. Called before every
-    /// batch: a helper still busy with the end of another run when this
-    /// one starts joins it later.
-    fn recruit(&mut self) {
-        for (i, helper) in self.pool.helpers.iter().enumerate() {
-            if self.recruited.count_ones() as usize >= self.helpers
-                || self.board.next.load(Ordering::Relaxed) >= self.posted.end
-            {
-                return;
-            }
-            if (self.recruited >> i) & 1 == 0
-                && helper.assigned.load(Ordering::Relaxed) == 0
-                && (helper.assigned)
-                    .compare_exchange(0, self.index + 1, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-            {
-                self.recruited |= 1 << i;
-                helper.thread.get().expect("spawned").thread().unpark();
-            }
-        }
-    }
-
-    /// The tally of `batch`, the next batch to commit. A helper's post
-    /// is taken as it is; until it comes the caller claims and runs
-    /// batches itself, posting those past `batch`, and with none left to
-    /// claim it waits about two of its batch times before it runs
-    /// `batch` again itself. The tally is the same either way, since a
-    /// batch is a pure function of the run's configuration and index.
-    fn tally(&mut self, point: &mut SweepPoint, batch: u64) -> Tally {
-        self.recruit();
-        let (board, posted) = (self.board, &self.posted);
-        let seq = posted.start + (batch - posted.first);
-        let mut waiting = None;
-        let tally = loop {
-            if let Some(tally) = unpack(board.slot(seq).load(Ordering::Acquire), seq) {
-                break tally;
-            }
-            if let Some(claimed) = board.claim(posted, false) {
-                let started = Instant::now();
-                let tally = point.tally(&posted.config, posted.batch(claimed));
-                self.per_batch = started.elapsed();
-                if claimed == seq {
-                    break tally;
-                }
-                board
-                    .slot(claimed)
-                    .store(pack(claimed, tally), Ordering::Release);
-            } else if waiting.get_or_insert_with(Instant::now).elapsed() > 2 * self.per_batch {
-                break point.tally(&posted.config, batch);
-            } else {
-                thread::yield_now();
-            }
-        };
-        board.frontier.store(seq + 1, Ordering::Release);
-        tally
-    }
-}
-
-impl Drop for Fan {
-    fn drop(&mut self) {
-        self.board
-            .next
-            .fetch_max(self.posted.end, Ordering::Relaxed);
-        // A helper that panicked will never check in. (A batch is
-        // deterministic, so a panic in one reaches the caller too when
-        // it runs the batch again.)
-        for (i, helper) in self.pool.helpers.iter().enumerate() {
-            while (self.recruited >> i) & 1 == 1
-                && helper.checked_in.load(Ordering::Acquire) != self.posted.ticket
-                && !helper.thread.get().is_some_and(JoinHandle::is_finished)
-            {
-                thread::yield_now();
-            }
-        }
-        self.board.taken.store(false, Ordering::Release);
-    }
+thread_local! {
+    // The shared state of the runs this thread fans out, kept so that a
+    // warm run allocates none. It is out of the cell while a run is
+    // open, so a run nested in another on the same thread gets its own.
+    static SWEEP_RUN: RefCell<Option<Arc<Run<Sweep>>>> = const { RefCell::new(None) };
 }
 
 /// The controlled surface-code driver: [`run_ler_surface`] polled for
@@ -1175,18 +824,18 @@ impl Drop for Fan {
 /// reproduces the uninterrupted outcome bit for bit
 /// (`tests/resume_oracle.rs`).
 ///
-/// A run with two or more batches left runs them on its share of the
-/// cores, at every distance: the cores divided by the surface runs in
-/// progress in the process, read when it starts. Before each batch the
-/// calling thread recruits idle helpers of the process's pool, up to
-/// one per core of its share beyond the first; the helpers and the
-/// caller claim whole batches and run them out of order, while the
-/// caller commits their tallies strictly in batch order: it polls
-/// `cancelled`, adds the tally and calls `on_batch` once per batch, as
-/// a serial run does, so checkpoints and resume are unchanged. A
-/// single-core host, a run whose share is one core, or a run with one
-/// batch left runs on the calling thread alone and leaves the pool
-/// untouched.
+/// A run with two or more batches left runs them on the process's
+/// executor (`qpdo_core::executor`), at every distance. Before each
+/// batch the calling thread recruits whichever helpers are idle, up to
+/// one per core beyond its own; the helpers and the caller claim whole
+/// batches and run them out of order, while the caller commits their
+/// tallies strictly in batch order: it polls `cancelled`, adds the
+/// tally and calls `on_batch` once per batch, as a serial run does, so
+/// checkpoints and resume are unchanged. A batch a helper holds up is
+/// rerun by the caller after about two of its own batch times. A
+/// single-core host, a run that finds no helper idle, or a run with one
+/// batch left runs on the calling thread alone; the first two leave
+/// the pool untouched.
 ///
 /// # Errors
 ///
@@ -1201,27 +850,6 @@ pub fn run_ler_surface_controlled(
     resume: Option<&Checkpoint>,
     cancelled: &dyn Fn() -> bool,
     on_batch: &mut dyn FnMut(&Checkpoint),
-) -> Result<(SurfaceLerOutcome, bool), CoreError> {
-    let share = RunShare::join();
-    sweep(
-        config,
-        resume,
-        cancelled,
-        on_batch,
-        share.threads() - 1,
-        &Pool::global,
-    )
-}
-
-/// [`run_ler_surface_controlled`] with up to `helpers` helpers of
-/// `pool()`, which is called only if the run fans out.
-fn sweep(
-    config: &SurfaceLerConfig,
-    resume: Option<&Checkpoint>,
-    cancelled: &dyn Fn() -> bool,
-    on_batch: &mut dyn FnMut(&Checkpoint),
-    helpers: usize,
-    pool: &dyn Fn() -> &'static Pool,
 ) -> Result<(SurfaceLerOutcome, bool), CoreError> {
     let p = config.physical_error_rate;
     if !(0.0..=1.0).contains(&p) {
@@ -1241,16 +869,20 @@ fn sweep(
         // With one batch left there is nothing to run beside it, so a
         // fresh thread's one-batch set-up neither spawns nor wakes a
         // helper.
-        let fits = point.reference.ancillas.len() * LANES < 1 << DEFECT_BITS;
-        let mut fan = (batches - first >= 2 && helpers > 0 && fits)
-            .then(|| Fan::open(pool(), config, first, helpers))
-            .flatten();
+        let helpers = executor::cores() - 1;
+        let run = (batches - first >= 2 && helpers > 0)
+            .then(|| SWEEP_RUN.with(RefCell::take).unwrap_or_else(Run::new));
+        let mut fan = (run.as_ref())
+            .map(|run| Executor::global().fan(run, Sweep(*config), first..batches, helpers, true));
+        let mut stopped = false;
         for batch in first..batches {
             if cancelled() {
-                return true;
+                stopped = true;
+                break;
             }
             let tally = match &mut fan {
-                Some(fan) => fan.tally(point, batch),
+                Some(fan) => (fan.next(batch, &mut |b| point.tally(config, b), None, &|| false))
+                    .unwrap_or_else(|| point.tally(config, batch)),
                 None => point.tally(config, batch),
             };
             progress.batches = batch + 1;
@@ -1259,7 +891,11 @@ fn sweep(
             progress.counters[0] += u64::from(tally.defects);
             on_batch(&progress);
         }
-        false
+        drop(fan);
+        if let Some(run) = run {
+            SWEEP_RUN.with(|cell| cell.replace(Some(run)));
+        }
+        stopped
     });
     Ok((
         SurfaceLerOutcome {
@@ -1274,10 +910,6 @@ fn sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qpdo_rng::Rng;
-    use std::cell::Cell;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::{Arc, Barrier};
 
     fn quick(d: usize, p: f64, with_pf: bool, seed: u64) -> DistanceLerConfig {
         DistanceLerConfig {
@@ -1632,229 +1264,6 @@ mod tests {
                 "d={d} {kind:?} seed {seed}"
             );
         }
-    }
-
-    /// Surface runs in progress share the cores: with as many runs as
-    /// cores each decodes on its own thread alone, and two runs get at
-    /// most half the cores each. Other tests' runs only lower a share.
-    #[test]
-    fn concurrent_runs_share_the_cores() {
-        let cores = decode_threads();
-        let all: Vec<RunShare> = (0..cores).map(|_| RunShare::join()).collect();
-        assert!(all.iter().all(|share| share.threads() == 1));
-        drop(all);
-        let two = [RunShare::join(), RunShare::join()];
-        assert!(two
-            .iter()
-            .all(|share| share.threads() <= (cores / 2).max(1)));
-    }
-
-    /// The seed whose first helper-run batch is held on a barrier, and
-    /// that barrier.
-    static STALL: Mutex<Option<(u64, Arc<Barrier>)>> = Mutex::new(None);
-
-    /// Called by a helper between running a batch and posting it: the
-    /// first such batch of a run seeded with `STALL`'s seed waits twice
-    /// on its barrier, once to show that it holds the batch, once to be
-    /// let go.
-    pub(super) fn stall(seed: u64) {
-        let held =
-            (STALL.lock().unwrap_or_else(PoisonError::into_inner)).take_if(|(s, _)| *s == seed);
-        if let Some((_, barrier)) = held {
-            barrier.wait();
-            barrier.wait();
-        }
-    }
-
-    /// Batches the helpers of `pool` have posted so far.
-    fn posts(pool: &Pool) -> u64 {
-        (pool.helpers.iter())
-            .map(|helper| helper.posts.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Waits until the helpers of `pool` have posted more than `before`
-    /// batches.
-    fn await_posts(pool: &'static Pool, before: u64) {
-        let started = Instant::now();
-        while posts(pool) <= before {
-            assert!(
-                started.elapsed() < Duration::from_secs(20),
-                "no helper posted a batch"
-            );
-            thread::sleep(Duration::from_micros(200));
-        }
-    }
-
-    /// A controlled run with up to `helpers` helpers of `pool`,
-    /// cancelled once `cancel_at` batches are committed. With `hold`,
-    /// its first `on_batch` call waits until a helper has posted a
-    /// batch, so the helpers run ahead of the commit. Returns the
-    /// outcome, whether it stopped, and every checkpoint.
-    fn controlled(
-        config: &SurfaceLerConfig,
-        cancel_at: u64,
-        helpers: usize,
-        pool: &'static Pool,
-        hold: bool,
-    ) -> (SurfaceLerOutcome, bool, Vec<Checkpoint>) {
-        let before = posts(pool);
-        let done = Cell::new(0);
-        let mut checkpoints = Vec::new();
-        let (outcome, stopped) = sweep(
-            config,
-            None,
-            &|| done.get() >= cancel_at,
-            &mut |c| {
-                if hold && checkpoints.is_empty() {
-                    await_posts(pool, before);
-                }
-                done.set(c.batches);
-                checkpoints.push(c.clone());
-            },
-            helpers,
-            &|| pool,
-        )
-        .unwrap();
-        (outcome, stopped, checkpoints)
-    }
-
-    /// Running whole batches on 1–4 helpers changes nothing: the
-    /// outcome and every checkpoint equal the serial run's, at d = 5
-    /// (parity tables, one per thread) and d = 7 (decoding every lane).
-    #[test]
-    fn helpers_give_the_serial_outcome_and_checkpoints() {
-        let pool = Pool::spawn(4);
-        for d in [5, 7] {
-            // Ten batches, the last with 17 live lanes.
-            let config = surface(d, 0.08, CheckKind::X, 64 * 9 + 17, 0xFA17 + d as u64);
-            let serial = controlled(&config, u64::MAX, 0, pool, false);
-            assert_eq!(serial.2.len(), 10, "d={d}");
-            assert!(serial.0.failures > 0, "d={d}: vacuous");
-            for helpers in 1..=4 {
-                let fanned = controlled(&config, u64::MAX, helpers, pool, true);
-                assert_eq!(fanned, serial, "d={d}, {helpers} helpers");
-            }
-        }
-        assert!((pool.boards.iter()).all(|board| !board.taken.load(Ordering::Acquire)));
-    }
-
-    /// A helper held up in the middle of a batch neither stalls the run
-    /// nor changes it: the caller runs that batch again itself. Let go
-    /// while the next run on the same board is under way, the helper
-    /// posts its stale tally into the ring that run uses (it runs past
-    /// the ring's length, so it meets the slot), and the tag keeps the
-    /// post out of that run's outcome.
-    #[test]
-    fn a_stalled_helper_is_rescued_and_its_late_post_is_ignored() {
-        let pool = Pool::spawn(2);
-        let barrier = Arc::new(Barrier::new(2));
-        let held = surface(5, 0.08, CheckKind::X, 64 * 8, 0x57A11);
-        let after = surface(5, 0.08, CheckKind::X, 64 * (RING as u64 + 8) + 5, 0x57A12);
-        let serial = |config| controlled(config, u64::MAX, 0, pool, false);
-        let (serial_held, serial_after) = (serial(&held), serial(&after));
-        *STALL.lock().unwrap() = Some((held.seed, Arc::clone(&barrier)));
-
-        // Run 1: its first checkpoint waits until a helper holds a batch.
-        let mut checkpoints = Vec::new();
-        let (outcome, stopped) = sweep(
-            &held,
-            None,
-            &|| false,
-            &mut |c| {
-                if c.batches == 1 {
-                    barrier.wait();
-                }
-                checkpoints.push(c.clone());
-            },
-            1,
-            &|| pool,
-        )
-        .unwrap();
-        assert_eq!((outcome, stopped, checkpoints), serial_held, "held run");
-        // Helpers are recruited in order: helper 0 is the held one.
-        assert_ne!(pool.helpers[0].assigned.load(Ordering::Acquire), 0);
-
-        // Run 2 recruits the other helper, on the board run 1 freed, and
-        // lets the held one go at its first checkpoint.
-        let mut checkpoints = Vec::new();
-        let before = posts(pool);
-        let (outcome, stopped) = sweep(
-            &after,
-            None,
-            &|| false,
-            &mut |c| {
-                if c.batches == 1 {
-                    barrier.wait();
-                    while pool.helpers[0].assigned.load(Ordering::Acquire) != 0 {
-                        thread::yield_now();
-                    }
-                    // The late post counts too: wait for one more.
-                    await_posts(pool, before + 1);
-                }
-                checkpoints.push(c.clone());
-            },
-            2,
-            &|| pool,
-        )
-        .unwrap();
-        assert_eq!((outcome, stopped, checkpoints), serial_after, "next run");
-    }
-
-    /// A panic in `on_batch` unwinds through the run, which frees its
-    /// board on the way out; the next run fans out on the same pool and
-    /// still gives the serial outcome.
-    #[test]
-    fn a_panic_in_on_batch_leaves_the_pool_usable() {
-        let pool = Pool::spawn(1);
-        let config = surface(7, 0.08, CheckKind::Z, 64 * 6, 0xBAD);
-        let serial = controlled(&config, u64::MAX, 0, pool, false);
-        let panicked = catch_unwind(AssertUnwindSafe(|| {
-            sweep(
-                &config,
-                None,
-                &|| false,
-                &mut |c| assert!(c.batches < 2, "on_batch fails at batch 2"),
-                1,
-                &|| pool,
-            )
-        }));
-        assert!(panicked.is_err());
-        assert!((pool.boards.iter()).all(|board| !board.taken.load(Ordering::Acquire)));
-        assert_eq!(
-            controlled(&config, u64::MAX, 1, pool, true),
-            serial,
-            "the run after the panic"
-        );
-    }
-
-    /// Seeded stress over short fanned-out runs: 2–5 batches, mostly
-    /// ragged tails, 1–3 helpers, d = 3, 5, 7 and a cancellation at a
-    /// seeded batch (or none). Each must equal the serial run: outcome,
-    /// stop and every checkpoint.
-    #[test]
-    fn short_fanned_out_runs_match_the_serial_runs() {
-        let pool = Pool::spawn(3);
-        let mut rng = StdRng::seed_from_u64(0x57E55);
-        for run in 0..300 {
-            let d = [3, 5, 7][rng.gen_range(0..3)];
-            let kind = if rng.gen() {
-                CheckKind::X
-            } else {
-                CheckKind::Z
-            };
-            let shots = rng.gen_range(65..=320u64);
-            let config = surface(d, rng.gen_range(0.02..0.12), kind, shots, rng.gen());
-            let cancel_at = rng.gen_range(0..=shots.div_ceil(64) + 1);
-            let helpers = rng.gen_range(1..=3);
-            let serial = controlled(&config, cancel_at, 0, pool, false);
-            let fanned = controlled(&config, cancel_at, helpers, pool, false);
-            assert_eq!(
-                fanned, serial,
-                "run {run}: {config:?}, {helpers} helpers, cancelled at {cancel_at}"
-            );
-        }
-        assert!((pool.boards.iter()).all(|board| !board.taken.load(Ordering::Acquire)));
     }
 
     #[test]

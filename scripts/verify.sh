@@ -84,6 +84,20 @@ CARGO_TARGET_DIR=.bench_build cargo build --release --offline --locked --manifes
 echo "== cargo test -q --offline =="
 cargo test -q --offline --workspace
 
+echo "== one-CPU executor path: taskset -c 0 =="
+# The executor's hang rescue needs a hung batch on a helper, not on the
+# thread that rescues it, and a one-core host must still give a
+# supervised run a helper for that (DESIGN.md §7). Pin the executor's
+# and the supervisor's tests to one CPU wherever taskset exists, so
+# that path runs on every host.
+if command -v taskset >/dev/null 2>&1; then
+    taskset -c 0 cargo test -q --offline -p qpdo-core --lib -- executor supervisor
+    taskset -c 0 cargo test -q --offline -p qpdo-core --test executor_threads
+    taskset -c 0 cargo test -q --offline -p qpdo-bench --test supervisor_engine --test supervisor_edges
+else
+    echo "skip: taskset not found"
+fi
+
 echo "== differential oracle: packed vs reference tableau (fixed seeds) =="
 # Gate-level engine equivalence (DESIGN.md §8): seeded random-Clifford
 # walks must agree row-for-row between the word-packed kernels and the
