@@ -18,17 +18,11 @@
 //!
 //! Each repetition of each sweep point runs as one batch of the
 //! supervised execution engine (`DESIGN.md` §7), and with `--full` every
-//! completed batch is checkpointed individually — a killed paper-scale
+//! completed batch is journaled individually
+//! (`exp_classical_faults.sweep/` under `--out`) — a killed paper-scale
 //! sweep resumes part-way through a sweep point instead of redoing it.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
-use qpdo_bench::checkpoint::SweepCheckpoint;
-use qpdo_bench::supervisor::{
-    run_supervised, silence_chaos_panics, with_chaos, BatchCtx, BatchSpec, CancelToken,
-    ChaosConfig, SupervisorConfig, QUARANTINE_HEADER,
-};
+use qpdo_bench::supervisor::{run_resumable, BatchCtx, BatchSpec, SweepJournal, QUARANTINE_HEADER};
 use qpdo_bench::{render_table, sci, HarnessArgs};
 use qpdo_core::fault::FaultRates;
 use qpdo_core::{FrameProtectionConfig, FrameProtectionStats, ShotError};
@@ -109,91 +103,53 @@ fn batch_job(
 }
 
 /// Runs the whole (rate × mode × repetition) grid through the
-/// supervised engine, checkpointing each completed batch when `ckpt` is
-/// present, and folds the per-batch outcomes into sweep points
-/// (quarantined batches are excluded from their point).
+/// resumable supervised sweep, journaling each completed batch when
+/// `journal` is present, and folds the per-batch outcomes into sweep
+/// points in repetition order (quarantined batches are excluded from
+/// their point).
 fn run_grid(
     args: &HarnessArgs,
     base: &LerConfig,
     rates: &[f64],
     reps: usize,
-    ckpt: Option<SweepCheckpoint>,
+    journal: Option<SweepJournal>,
 ) -> Vec<Point> {
     let grid: Vec<(f64, Mode)> = rates
         .iter()
         .flat_map(|&rate| [(rate, Mode::Unprotected), (rate, Mode::Protected)])
         .collect();
-    let mut cached: HashMap<usize, Vec<ClassicalLerOutcome>> = HashMap::new();
     let mut specs: Vec<BatchSpec> = Vec::new();
     let mut spec_points: Vec<usize> = Vec::new();
     for (gi, (_, mode)) in grid.iter().enumerate() {
         let point = format!("r{}-{}", gi / 2, mode.name());
         for rep in 0..reps {
-            let key = format!("{point}-rep{rep}");
-            let hit = ckpt
-                .as_ref()
-                .and_then(|c| c.get(&key))
-                .and_then(|lines| match lines {
-                    [line] => ClassicalLerOutcome::from_record(line),
-                    _ => None,
-                });
-            if let Some(outcome) = hit {
-                cached.entry(gi).or_default().push(outcome);
-            } else {
-                specs.push(BatchSpec {
-                    key,
-                    point: point.clone(),
-                    batch: rep as u64,
-                    shots: base.target_logical_errors,
-                    deadline: None,
-                });
-                spec_points.push(gi);
-            }
-        }
-    }
-    if let Some(c) = ckpt.as_ref() {
-        if !c.is_empty() {
-            eprintln!("  resuming: {} batches already checkpointed", c.len());
+            specs.push(BatchSpec {
+                key: format!("{point}-rep{rep}"),
+                point: point.clone(),
+                batch: rep as u64,
+                shots: base.target_logical_errors,
+                deadline: None,
+            });
+            spec_points.push(gi);
         }
     }
 
-    let config = SupervisorConfig::from(args);
-    let shared_ckpt = Arc::new(Mutex::new(ckpt));
     let job_grid = grid.clone();
     let job_points = spec_points.clone();
     let job_base = *base;
-    let job_ckpt = Arc::clone(&shared_ckpt);
-    let job = move |ctx: &BatchCtx| -> Result<ClassicalLerOutcome, ShotError> {
+    let job = move |ctx: &BatchCtx| {
         let (rate, mode) = job_grid[job_points[ctx.task]];
-        let outcome = batch_job(&job_base, rate, mode, ctx.seed)?;
-        if let Ok(mut guard) = job_ckpt.lock() {
-            if let Some(c) = guard.as_mut() {
-                if let Err(e) = c.record(&ctx.spec.key, &[outcome.to_record()]) {
-                    // The batch result is still good; only durability of
-                    // the resume point is lost. Keep sweeping.
-                    eprintln!(
-                        "  warning: checkpoint write failed for {}: {e}",
-                        ctx.spec.key
-                    );
-                }
-            }
-        }
-        Ok(outcome)
+        batch_job(&job_base, rate, mode, ctx.seed)
     };
-    let report = match ChaosConfig::from_args(args) {
-        Some(chaos) => {
-            silence_chaos_panics();
-            run_supervised(
-                &config,
-                specs,
-                with_chaos(chaos, job),
-                None,
-                &CancelToken::new(),
-            )
-        }
-        None => run_supervised(&config, specs, job, None, &CancelToken::new()),
-    };
-
+    let (outcomes, report) = run_resumable(
+        args,
+        specs,
+        ClassicalLerOutcome::to_record,
+        ClassicalLerOutcome::from_record,
+        job,
+        None,
+        journal,
+    );
     let path = args.write_csv(
         "quarantine.csv",
         QUARANTINE_HEADER,
@@ -206,46 +162,26 @@ fn run_grid(
             path.display()
         );
     }
-    // Take the checkpoint back out of the shared cell (worker threads
-    // may still hold clones of the Arc briefly after shutdown).
-    let ckpt = shared_ckpt.lock().ok().and_then(|mut guard| guard.take());
-    if let Some(ckpt) = ckpt {
-        if report.quarantined.is_empty() {
-            ckpt.finish().expect("remove finished checkpoint");
-        } else {
-            eprintln!("  checkpoint kept (re-run to retry quarantined batches)");
-        }
-    }
 
-    let mut per_point: Vec<Vec<ClassicalLerOutcome>> = vec![Vec::new(); grid.len()];
-    for (gi, outcomes) in cached {
-        per_point[gi].extend(outcomes);
-    }
-    for (task, result) in report.results.into_iter().enumerate() {
-        if let Some(outcome) = result {
-            per_point[spec_points[task]].push(outcome);
+    let mut points: Vec<Point> = grid
+        .iter()
+        .map(|&(rate, mode)| Point {
+            rate,
+            mode,
+            lers: Vec::with_capacity(reps),
+            stats: FrameProtectionStats::default(),
+            fault_events: 0,
+        })
+        .collect();
+    for (gi, outcome) in spec_points.into_iter().zip(outcomes) {
+        if let Some(outcome) = outcome {
+            let point = &mut points[gi];
+            point.lers.push(outcome.ler.ler());
+            accumulate(&mut point.stats, &outcome.protection);
+            point.fault_events += outcome.fault_events;
         }
     }
-    grid.iter()
-        .zip(per_point)
-        .map(|(&(rate, mode), outcomes)| {
-            let mut stats = FrameProtectionStats::default();
-            let mut fault_events = 0;
-            let mut lers = Vec::with_capacity(outcomes.len());
-            for outcome in &outcomes {
-                lers.push(outcome.ler.ler());
-                accumulate(&mut stats, &outcome.protection);
-                fault_events += outcome.fault_events;
-            }
-            Point {
-                rate,
-                mode,
-                lers,
-                stats,
-                fault_events,
-            }
-        })
-        .collect()
+    points
 }
 
 fn print_sweep(title: &str, sweep: &[Point], args: &HarnessArgs) {
@@ -440,7 +376,7 @@ fn main() {
         (vec![0.0, 1e-3, 5e-3, 1e-2], 3usize, 8u64, 20_000u64)
     };
     println!(
-        "classical-fault sweep: PER {}, {} fault rates, {} repetitions, stop at {} logical errors{}, {} workers",
+        "classical-fault sweep: PER {}, {} fault rates, {} repetitions, stop at {} logical errors{}, jobs cap {}",
         sci(per),
         rates.len(),
         reps,
@@ -458,22 +394,18 @@ fn main() {
         seed: 0, // overwritten per batch by the supervisor substream
     };
     // Batch-level crash safety for the paper-scale sweep: every
-    // completed repetition checkpoints on its own, so a killed run
+    // completed repetition is journaled on its own, so a killed run
     // resumes mid-point.
-    let ckpt = args.full.then(|| {
+    let journal = args.full.then(|| {
         let fingerprint = format!(
             "exp_classical_faults-v1 rates={} reps={reps} target={target} max_windows={max_windows} seed={}",
             rates.len(),
             args.seed,
         );
-        std::fs::create_dir_all(&args.out_dir).expect("create output directory");
-        SweepCheckpoint::open(
-            &args.out_dir.join("exp_classical_faults.ckpt"),
-            &fingerprint,
-        )
-        .expect("open sweep checkpoint")
+        SweepJournal::open(&args.out_dir.join("exp_classical_faults.sweep"), &fingerprint)
+            .expect("open sweep journal")
     });
-    let sweep = run_grid(&args, &base, &rates, reps, ckpt);
+    let sweep = run_grid(&args, &base, &rates, reps, journal);
     print_sweep(
         "Classical frame-corruption rate vs SC17 logical error rate",
         &sweep,

@@ -15,25 +15,24 @@
 //! errors (the paper's stopping rule).
 //!
 //! Every repetition runs as one batch of the supervised shot-execution
-//! engine (`DESIGN.md` §7): `--jobs N` workers with panic isolation,
-//! per-batch watchdogs, retry/quarantine, and (with `--redundancy N`)
-//! cross-backend voting. Batches that exhaust their retries are listed
-//! in `quarantine.csv` and excluded from the analysis instead of
-//! aborting the sweep. With `--full`, completed batches checkpoint
-//! individually, so a killed sweep resumes mid-point.
+//! engine (`DESIGN.md` §7): at most `--jobs N` executor helpers, panic
+//! isolation, per-batch watchdogs, retry/quarantine, and (with
+//! `--redundancy N`) cross-backend voting. Batches that exhaust their
+//! retries are listed in `quarantine.csv` and excluded from the
+//! analysis instead of aborting the sweep. With `--full`, completed
+//! batches are journaled individually (`exp_ler.sweep/` under
+//! `--out`), so a killed sweep resumes mid-point.
 //!
 //! `--test smoke` runs the engine's self-check: a tiny sweep under
 //! forced panics, a forced hang, a poisoned batch that must quarantine,
 //! a redundancy vote, and a worker-count determinism comparison.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
-use qpdo_bench::checkpoint::SweepCheckpoint;
 use qpdo_bench::supervisor::{
-    read_quarantine_csv, run_supervised, silence_chaos_panics, with_chaos, BatchCtx, BatchSpec,
-    CancelToken, ChaosConfig, SupervisorConfig, SupervisorReport, QUARANTINE_HEADER,
+    read_quarantine_csv, run_resumable, run_supervised, BatchCtx, BatchSpec, CancelToken,
+    SupervisorConfig, SupervisorReport, SweepJournal, QUARANTINE_HEADER,
 };
 use qpdo_bench::{log_space, pseudo_threshold, render_table, sci, HarnessArgs};
 use qpdo_core::ShotError;
@@ -147,115 +146,47 @@ fn vote(ctx: &BatchCtx) -> Result<(), ShotError> {
     run_cross_backend_check(ctx.attempt_seed, 2)?.into_result()
 }
 
-/// Runs all (cell × repetition) batches through the supervised engine,
-/// resuming per-batch from `ckpt` when present, and returns the
-/// per-cell outcomes (in repetition order, quarantined batches omitted)
-/// plus the engine report.
+/// Runs all (cell × repetition) batches through the resumable
+/// supervised sweep, resuming per batch from `journal` when present,
+/// and returns the per-cell outcomes (in repetition order, quarantined
+/// batches omitted) plus the engine report.
 fn run_sweep(
     args: &HarnessArgs,
     cells: &[Cell],
     reps: usize,
-    ckpt: &mut Option<SweepCheckpoint>,
+    journal: Option<SweepJournal>,
 ) -> (Vec<Vec<LerOutcome>>, SupervisorReport<LerOutcome>) {
-    let mut cached: HashMap<usize, Vec<(usize, LerOutcome)>> = HashMap::new();
     let mut specs: Vec<BatchSpec> = Vec::new();
-    let mut spec_cells: Vec<(usize, usize)> = Vec::new();
+    let mut spec_cells: Vec<usize> = Vec::new();
     for (ci, cell) in cells.iter().enumerate() {
         let point = cell_point(ci, cell);
         for rep in 0..reps {
-            let key = format!("{point}-r{rep}");
-            let hit = ckpt
-                .as_ref()
-                .and_then(|c| c.get(&key))
-                .and_then(|lines| match lines {
-                    [line] => LerOutcome::from_record(line),
-                    _ => None,
-                });
-            if let Some(outcome) = hit {
-                cached.entry(ci).or_default().push((rep, outcome));
-            } else {
-                specs.push(BatchSpec {
-                    key,
-                    point: point.clone(),
-                    batch: rep as u64,
-                    shots: cell.target,
-                    deadline: None,
-                });
-                spec_cells.push((ci, rep));
-            }
+            specs.push(BatchSpec {
+                key: format!("{point}-r{rep}"),
+                point: point.clone(),
+                batch: rep as u64,
+                shots: cell.target,
+                deadline: None,
+            });
+            spec_cells.push(ci);
         }
     }
-    if let Some(c) = ckpt.as_ref() {
-        if !c.is_empty() {
-            eprintln!("  resuming: {} batches already checkpointed", c.len());
-        }
-    }
-
-    let config = SupervisorConfig::from(args);
-    // Completed batches checkpoint from inside the workers, so a kill
-    // mid-sweep-point only loses in-flight batches.
-    let shared_ckpt = Arc::new(Mutex::new(ckpt.take()));
     let job_cells: Vec<Cell> = cells.to_vec();
     let job_map = spec_cells.clone();
-    let job_ckpt = Arc::clone(&shared_ckpt);
-    let job = move |ctx: &BatchCtx| -> Result<LerOutcome, ShotError> {
-        let (ci, _) = job_map[ctx.task];
-        let outcome = ler_job(&job_cells[ci], ctx)?;
-        if let Ok(mut guard) = job_ckpt.lock() {
-            if let Some(c) = guard.as_mut() {
-                if let Err(e) = c.record(&ctx.spec.key, &[outcome.to_record()]) {
-                    // The batch result is still good; only durability of
-                    // the resume point is lost. Keep sweeping.
-                    eprintln!(
-                        "  warning: checkpoint write failed for {}: {e}",
-                        ctx.spec.key
-                    );
-                }
-            }
-        }
-        Ok(outcome)
-    };
-
-    let report = match ChaosConfig::from_args(args) {
-        Some(chaos) => {
-            silence_chaos_panics();
-            run_supervised(
-                &config,
-                specs,
-                with_chaos(chaos, job),
-                Some(Box::new(vote)),
-                &CancelToken::new(),
-            )
-        }
-        None => run_supervised(
-            &config,
-            specs,
-            job,
-            Some(Box::new(vote)),
-            &CancelToken::new(),
-        ),
-    };
-    // Take the checkpoint back out of the shared cell (worker threads
-    // may still hold clones of the Arc briefly after shutdown).
-    *ckpt = shared_ckpt.lock().ok().and_then(|mut guard| guard.take());
-
-    let mut per_cell: Vec<Vec<(usize, LerOutcome)>> = vec![Vec::new(); cells.len()];
-    for (ci, hits) in cached {
-        per_cell[ci].extend(hits);
+    let job = move |ctx: &BatchCtx| ler_job(&job_cells[job_map[ctx.task]], ctx);
+    let (results, report) = run_resumable(
+        args,
+        specs,
+        LerOutcome::to_record,
+        LerOutcome::from_record,
+        job,
+        Some(Box::new(vote)),
+        journal,
+    );
+    let mut outcomes = vec![Vec::new(); cells.len()];
+    for (ci, outcome) in spec_cells.into_iter().zip(results) {
+        outcomes[ci].extend(outcome);
     }
-    for (task, result) in report.results.iter().enumerate() {
-        if let Some(outcome) = result {
-            let (ci, rep) = spec_cells[task];
-            per_cell[ci].push((rep, *outcome));
-        }
-    }
-    let outcomes = per_cell
-        .into_iter()
-        .map(|mut v| {
-            v.sort_by_key(|(rep, _)| *rep);
-            v.into_iter().map(|(_, o)| o).collect()
-        })
-        .collect();
     (outcomes, report)
 }
 
@@ -403,7 +334,7 @@ fn main() {
     }
     let (points, reps, target, max_windows) = sweep_params(&args);
     println!(
-        "LER sweep: {} PER points in [{}, {}], {} repetitions, stop at {} logical errors{}, {} workers",
+        "LER sweep: {} PER points in [{}, {}], {} repetitions, stop at {} logical errors{}, jobs cap {}",
         points.len(),
         sci(points[0]),
         sci(points[points.len() - 1]),
@@ -421,29 +352,21 @@ fn main() {
 
     // A paper-scale sweep takes long enough that being killed mid-run
     // must not restart it from scratch: each completed batch (one
-    // repetition of one sweep cell) is checkpointed under the output
+    // repetition of one sweep cell) is journaled under the output
     // directory, and a re-invoked `--full` run resumes past every batch
     // already on disk — including part-way through a sweep point.
-    let mut ckpt = args.full.then(|| {
+    let journal = args.full.then(|| {
         let fingerprint = format!(
             "exp_ler-v2 points={} reps={reps} target={target} max_windows={max_windows} seed={}",
             points.len(),
             args.seed,
         );
-        std::fs::create_dir_all(&args.out_dir).expect("create output directory");
-        SweepCheckpoint::open(&args.out_dir.join("exp_ler.ckpt"), &fingerprint)
-            .expect("open sweep checkpoint")
+        SweepJournal::open(&args.out_dir.join("exp_ler.sweep"), &fingerprint)
+            .expect("open sweep journal")
     });
 
-    let (outcomes, report) = run_sweep(&args, &cells, reps, &mut ckpt);
+    let (outcomes, report) = run_sweep(&args, &cells, reps, journal);
     report_engine_events(&args, &report);
-    if report.quarantined.is_empty() {
-        if let Some(ckpt) = ckpt.take() {
-            ckpt.finish().expect("remove finished checkpoint");
-        }
-    } else if ckpt.is_some() {
-        eprintln!("  checkpoint kept (quarantined batches can be re-attempted by re-running)");
-    }
 
     let mut sweep: Vec<SweepPoint> = Vec::new();
     let mut raw_rows: Vec<String> = Vec::new();
@@ -697,7 +620,6 @@ fn smoke(args: &HarnessArgs) {
         })
         .collect();
     let reps = 3usize;
-    let mut none = None;
 
     // 1. Fault-free runs at --jobs 1 and --jobs N are bit-identical.
     let mut serial_args = args.clone();
@@ -706,8 +628,8 @@ fn smoke(args: &HarnessArgs) {
     serial_args.chaos_hang = None;
     let mut pool_args = serial_args.clone();
     pool_args.jobs = args.jobs.max(2);
-    let (serial, serial_report) = run_sweep(&serial_args, &cells, reps, &mut none);
-    let (pooled, pooled_report) = run_sweep(&pool_args, &cells, reps, &mut none);
+    let (serial, serial_report) = run_sweep(&serial_args, &cells, reps, None);
+    let (pooled, pooled_report) = run_sweep(&pool_args, &cells, reps, None);
     assert!(serial_report.is_clean() && pooled_report.is_clean());
     assert_eq!(
         serial, pooled,
@@ -726,7 +648,7 @@ fn smoke(args: &HarnessArgs) {
     chaos_args.chaos_panic = 1.0;
     chaos_args.chaos_hang = Some(1);
     chaos_args.watchdog_ms = chaos_args.watchdog_ms.min(300);
-    let (chaotic, chaos_report) = run_sweep(&chaos_args, &cells, reps, &mut none);
+    let (chaotic, chaos_report) = run_sweep(&chaos_args, &cells, reps, None);
     assert!(
         chaos_report.quarantined.is_empty(),
         "chaos run quarantined: {:?}",
@@ -786,7 +708,7 @@ fn smoke(args: &HarnessArgs) {
     // 4. Cross-backend redundancy vote agrees on fault-free windows.
     let mut vote_args = pool_args.clone();
     vote_args.redundancy = 1;
-    let (_, vote_report) = run_sweep(&vote_args, &cells, reps, &mut none);
+    let (_, vote_report) = run_sweep(&vote_args, &cells, reps, None);
     assert!(vote_report.stats.votes > 0, "no redundancy vote ran");
     assert!(
         vote_report.divergences.is_empty(),

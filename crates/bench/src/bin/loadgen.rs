@@ -29,9 +29,9 @@
 //! `event_4x` on a tiny configuration and schema-checks the report; it
 //! gates nothing against the baseline.
 //!
-//! This binary deliberately speaks the wire protocol through
-//! [`qpdo_bench::framing`] alone (the serve crate depends on this one,
-//! so the types are out of reach) — which doubles as an independent
+//! This binary deliberately speaks the wire protocol through the
+//! record frame of [`qpdo_core::journal`] alone (the serve crate's
+//! manifest still lists this one, so its types are out of reach) — which doubles as an independent
 //! check that the protocol is implementable from its documented
 //! grammar: `submit <id> <deadline|-> bell <shots>` in, one-token-verb
 //! replies out.
@@ -49,8 +49,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use qpdo_bench::framing::{read_record, write_record};
 use qpdo_bench::json::Json;
+use qpdo_core::journal::{read_record, write_record};
 use qpdo_rng::rngs::StdRng;
 use qpdo_rng::{Rng, SeedableRng};
 

@@ -24,8 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
-pub mod framing;
 pub mod harness;
 pub mod json;
 pub mod supervisor;
@@ -34,6 +32,8 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
+
+use qpdo_core::executor::{MAX_JOBS, MAX_MS_FLAG};
 
 /// A command-line parse failure (or an explicit `--help` request).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -93,18 +93,9 @@ pub struct HarnessArgs {
     pub replay_quarantine: Option<PathBuf>,
 }
 
-/// Upper bound accepted for millisecond flags (`--watchdog-ms` here,
-/// and the daemons' own): one day. Larger values are almost certainly
-/// a units mistake (seconds or nanoseconds pasted into a ms flag).
-pub const MAX_MS_FLAG: u64 = 86_400_000;
-
 /// Upper bound accepted for `--batch-shots`: a single batch beyond a
 /// billion shots starves the watchdog and the checkpoint cadence.
 pub const MAX_BATCH_SHOTS: u64 = 1 << 30;
-
-/// Upper bound accepted for `--jobs`, a sanity cap on the flag only:
-/// the executor's pool bounds the threads, whatever `--jobs` says.
-pub const MAX_JOBS: usize = 4096;
 
 impl HarnessArgs {
     /// The defaults every flag starts from (quick mode, `results/`,

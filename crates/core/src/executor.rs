@@ -24,8 +24,9 @@
 //!   run started on a helper (a nested run) never waits on its own
 //!   thread; with no helper idle it runs every batch itself.
 //!
-//! The cancel poll ([`CancelToken`]) and the seed substreams batches
-//! draw from live here too.
+//! The cancel poll ([`CancelToken`]), the seed substreams batches draw
+//! from, and the caps on the `--jobs` and millisecond flags that size
+//! and time runs live here too.
 
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
@@ -123,6 +124,16 @@ pub fn sliced_lane_seeds(base: u64, point: &str, batch: u64) -> [u64; LANES] {
 /// Ring slots: how many batches past the next one to commit the
 /// threads of a run may claim.
 const RING: usize = 2 * LANES;
+
+/// Upper bound accepted for `--jobs` (the experiment binaries' and the
+/// daemon's), a sanity cap on the flag only: the pool bounds the
+/// helpers a run may use, whatever `--jobs` says.
+pub const MAX_JOBS: usize = 4096;
+
+/// Upper bound accepted for millisecond flags (watchdogs, deadlines,
+/// timeouts): one day. Larger values are almost certainly a units
+/// mistake (seconds or nanoseconds pasted into a ms flag).
+pub const MAX_MS_FLAG: u64 = 86_400_000;
 
 /// The host's cores, asked once per process, up to 32: a run that works
 /// beside its helpers keeps every core busy with `cores() - 1` of them,

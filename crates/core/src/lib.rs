@@ -53,6 +53,7 @@ mod error;
 mod error_model;
 pub mod executor;
 pub mod fault;
+pub mod journal;
 mod layer;
 mod layers;
 mod stack;

@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use std::process::exit;
 use std::time::Duration;
 
-use qpdo_bench::MAX_MS_FLAG;
+use qpdo_core::executor::MAX_MS_FLAG;
 use qpdo_router::router::{run, RouterConfig};
 
 const ROUTER_USAGE: &str = "\

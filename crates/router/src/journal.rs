@@ -1,5 +1,5 @@
 //! The router's binding journal (`DESIGN.md` §11.3): the router's
-//! [`Record`] codec for the shared [`qpdo_serve::journal`], the same
+//! [`Record`] codec for the shared [`qpdo_core::journal`], the same
 //! journal the daemon WAL uses.
 //!
 //! Fleet-wide exactly-once rests on one fact: **at any instant, at most
@@ -44,8 +44,8 @@
 use std::io;
 use std::path::Path;
 
+use qpdo_core::journal::{self, Journal, Record, State};
 use qpdo_serve::job::JobSpec;
-use qpdo_serve::journal::{self, Journal, Record, State};
 use qpdo_serve::wal::JobOutcome;
 
 /// The router's binding journal.
@@ -383,7 +383,7 @@ pub struct BoundJob {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qpdo_bench::framing::read_records;
+    use qpdo_core::journal::read_records;
     use qpdo_serve::job::JobKind;
     use std::fs::File;
     use std::io::BufReader;

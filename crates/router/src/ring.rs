@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use qpdo_serve::journal::id_digest;
+use qpdo_core::journal::id_digest;
 
 /// splitmix64's finalizer: full-avalanche mixing of a 64-bit value.
 fn spread(digest: u64) -> u64 {

@@ -56,12 +56,12 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use qpdo_core::journal::id_digest;
 use qpdo_core::ShotError;
 use qpdo_rng::rngs::StdRng;
 use qpdo_rng::{Rng, SeedableRng};
 use qpdo_serve::breaker::{BreakerState, CircuitBreaker};
 use qpdo_serve::job::JobSpec;
-use qpdo_serve::journal::id_digest;
 use qpdo_serve::protocol::{
     recv_line, send_line, Client, HealthSnapshot, JobState, RejectCode, Request, Response,
 };

@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use qpdo_bench::supervisor::CancelToken;
+use qpdo_core::CancelToken;
 use qpdo_router::journal::{recover as recover_bindings, RouteState, RouterJournal, RouterRecord};
 use qpdo_router::protocol::{RouterClient, RouterRequest, RouterResponse};
 use qpdo_router::router::{run, RouterConfig, RouterStats};

@@ -1,22 +1,23 @@
-//! The durability suite of the shared journal (`qpdo_serve::journal`),
-//! run against both of its record codecs: the daemon WAL's and the
-//! router's binding log. Torn tails, interrupted rotations, rotation
-//! pacing, injected write and fsync failures, retention pruning with
-//! its pruned-id ledger, and linear-time replay are properties of the
-//! journal, not of a codec, so each test is written once, generic over
-//! the codec, and instantiated for both. This crate is the one that
-//! sees both codecs. Codec semantics (record round trips, exactly-once
-//! rules, rebinds, checkpoints) stay with each codec's unit tests.
+//! The durability suite of the shared journal (`qpdo_core::journal`),
+//! run against all three of its record codecs: the daemon WAL's, the
+//! router's binding log and the experiment sweeps' resume log. Torn
+//! tails, interrupted rotations, rotation pacing, injected write and
+//! fsync failures, retention pruning with its pruned-id ledger, and
+//! linear-time replay are properties of the journal, not of a codec, so
+//! each test is written once, generic over the codec, and instantiated
+//! for each. This crate is the one that sees every codec. Codec
+//! semantics (record round trips, exactly-once rules, rebinds,
+//! checkpoints, fingerprints) stay with each codec's unit tests.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use qpdo_bench::framing::{read_records, write_record};
+use qpdo_bench::supervisor::{SweepPoint, SweepRecord};
+use qpdo_core::journal::{read_records, write_record, Journal, Record};
 use qpdo_router::journal::RouterRecord;
 use qpdo_serve::job::{JobKind, JobSpec};
-use qpdo_serve::journal::{Journal, Record};
 use qpdo_serve::wal::{JobOutcome, WalRecord};
 
 /// What the generic tests need from a codec beyond [`Record`].
@@ -25,8 +26,16 @@ trait Fixture: Record {
     fn setup() -> Vec<Self>;
     /// The record that introduces job `id`.
     fn open_job(id: &str) -> Self;
-    /// The records that take job `id` to a terminal outcome.
+    /// The records that take job `id` to a terminal outcome (none for
+    /// a codec whose `open_job` is already terminal).
     fn finish_job(id: &str) -> Vec<Self>;
+    /// A record the journal refuses once the setup is written.
+    fn refused() -> Self;
+
+    /// Whether `open_job` leaves the job in flight.
+    fn opens_pending() -> bool {
+        !Self::finish_job("x").is_empty()
+    }
 }
 
 fn spec(id: &str) -> JobSpec {
@@ -51,6 +60,10 @@ impl Fixture for WalRecord {
             id: id.to_owned(),
             outcome: JobOutcome::Done("0 0 1 1".to_owned()),
         }]
+    }
+
+    fn refused() -> Self {
+        Self::finish_job("ghost").remove(0)
     }
 }
 
@@ -77,6 +90,31 @@ impl Fixture for RouterRecord {
                 outcome: JobOutcome::Done("0 0 1 1".to_owned()),
             },
         ]
+    }
+
+    fn refused() -> Self {
+        Self::finish_job("ghost").remove(0)
+    }
+}
+
+impl Fixture for SweepRecord {
+    fn setup() -> Vec<Self> {
+        vec![SweepRecord::Fingerprint("sweep seed=1".to_owned())]
+    }
+
+    fn open_job(id: &str) -> Self {
+        SweepRecord::Point(SweepPoint {
+            key: id.to_owned(),
+            line: "0 0 1 1".to_owned(),
+        })
+    }
+
+    fn finish_job(_: &str) -> Vec<Self> {
+        Vec::new()
+    }
+
+    fn refused() -> Self {
+        SweepRecord::Fingerprint("sweep seed=2".to_owned())
     }
 }
 
@@ -182,7 +220,7 @@ fn corrupt_mid_segment_byte_keeps_the_prefix<R: Fixture>() {
     file.seek(SeekFrom::Start(0)).unwrap();
     file.write_all(&content).unwrap();
     drop(file);
-    let recovery = qpdo_serve::journal::recover::<R>(&dir).unwrap();
+    let recovery = qpdo_core::journal::recover::<R>(&dir).unwrap();
     assert_eq!(ids::<R>(recovery.jobs()), ["one"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -202,7 +240,7 @@ fn rotation_compacts_and_deletes_old_segments<R: Fixture>() {
         1,
         "old segments were not deleted"
     );
-    let recovery = qpdo_serve::journal::recover::<R>(&dir).unwrap();
+    let recovery = qpdo_core::journal::recover::<R>(&dir).unwrap();
     assert!(recovery.is_consistent());
     assert_eq!(recovery.jobs().len(), 20);
     assert!(recovery.pending().is_empty());
@@ -228,7 +266,7 @@ fn interrupted_rotation_leaves_a_recoverable_journal<R: Fixture>() {
 
     // The audit replays the stale segment, then resets at the snapshot
     // marker: no duplicate terminals, exact state.
-    let recovery = qpdo_serve::journal::recover::<R>(&dir).unwrap();
+    let recovery = qpdo_core::journal::recover::<R>(&dir).unwrap();
     assert!(
         recovery.is_consistent(),
         "duplicates {:?}, orphans {:?}",
@@ -236,7 +274,7 @@ fn interrupted_rotation_leaves_a_recoverable_journal<R: Fixture>() {
         recovery.orphaned
     );
     assert_eq!(ids::<R>(recovery.jobs()), ["a", "b"]);
-    assert_eq!(recovery.pending().len(), 1);
+    assert_eq!(recovery.pending().len(), usize::from(R::opens_pending()));
 
     // And the service-facing open also succeeds and cleans up the stale
     // segment.
@@ -293,7 +331,7 @@ fn rotation_pacing_advances_per_record_not_per_fsync_batch<R: Fixture>() {
         "a batch past the bound must rotate at its commit sync"
     );
     // And the rotated journal replays the whole batch.
-    let recovery = qpdo_serve::journal::recover::<R>(&dir).unwrap();
+    let recovery = qpdo_core::journal::recover::<R>(&dir).unwrap();
     assert!(recovery.is_consistent());
     assert_eq!(recovery.jobs().len(), 24);
     let _ = std::fs::remove_dir_all(&dir);
@@ -309,7 +347,7 @@ fn batched_records_are_not_durable_until_sync<R: Fixture>() {
     // which is exactly why acks wait for sync(). What we can assert
     // without a crash: sync() makes it replayable.
     journal.sync().unwrap();
-    let recovery = qpdo_serve::journal::recover::<R>(&dir).unwrap();
+    let recovery = qpdo_core::journal::recover::<R>(&dir).unwrap();
     assert_eq!(ids::<R>(recovery.jobs()), ["durable", "buffered"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -327,7 +365,7 @@ fn injected_write_failure_leaves_no_bytes<R: Fixture>() {
     assert!(err.to_string().contains("injected write failure"), "{err}");
     // Refused before any byte reached the segment.
     journal.sync().unwrap();
-    let recovery = qpdo_serve::journal::recover::<R>(&dir).unwrap();
+    let recovery = qpdo_core::journal::recover::<R>(&dir).unwrap();
     assert_eq!(ids::<R>(recovery.jobs()), ["written"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -349,7 +387,7 @@ fn injected_fsync_failure_fails_sync_but_not_validation<R: Fixture>() {
     assert!(journal.sync().is_err());
     // Validation is unaffected: rejects still classify correctly.
     assert!(journal.validate(&R::open_job("fresh")).is_ok());
-    assert!(journal.validate(&R::finish_job("ghost")[0]).is_err());
+    assert!(journal.validate(&R::refused()).is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -365,14 +403,18 @@ fn compaction_prunes_terminal_jobs_beyond_retention<R: Fixture>() {
     }
     // Every in-flight rotation pruned down to 2 terminal jobs; only the
     // short tail appended after the last rotation rides on top.
-    let recovery = qpdo_serve::journal::recover::<R>(&dir).unwrap();
+    let recovery = qpdo_core::journal::recover::<R>(&dir).unwrap();
     assert!(recovery.is_consistent());
     let terminal = recovery.jobs().len() - recovery.pending().len();
     assert!(terminal <= 5, "retention kept {terminal} terminal jobs");
-    // The newest terminal job and the pending job always survive.
+    // The newest terminal job and a pending job always survive.
     assert!(ids::<R>(recovery.jobs()).contains(&"t-9"));
     let pending: Vec<&str> = recovery.pending().into_iter().map(R::job_id).collect();
-    assert_eq!(pending, ["keep-pending"]);
+    if R::opens_pending() {
+        assert_eq!(pending, ["keep-pending"]);
+    } else {
+        assert!(pending.is_empty());
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -454,7 +496,8 @@ fn open_is_linear_in_retained_terminal_jobs<R: Fixture>() {
     // segment directly (one fsync'd append per record would dominate).
     let dir = tmp_dir::<R>("linear");
     std::fs::create_dir_all(&dir).unwrap();
-    let jobs = Journal::<R>::DEFAULT_RETAIN_TERMINAL;
+    // A codec that retains every job opens the same 65,536.
+    let jobs = Journal::<R>::DEFAULT_RETAIN_TERMINAL.min(1 << 16);
     let mut bytes = Vec::new();
     let mut write = |record: &R| write_record(&mut bytes, record.encode().as_bytes()).unwrap();
     R::setup().iter().for_each(&mut write);
@@ -481,9 +524,9 @@ fn open_is_linear_in_retained_terminal_jobs<R: Fixture>() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Instantiates each generic test once per codec, as `wal::<name>` and
-/// `router::<name>`.
-macro_rules! for_both_codecs {
+/// Instantiates each generic test once per codec, as `wal::<name>`,
+/// `router::<name>` and `sweep::<name>`.
+macro_rules! for_every_codec {
     ($($name:ident),* $(,)?) => {
         mod wal {
             $(#[test]
@@ -497,10 +540,16 @@ macro_rules! for_both_codecs {
                 super::$name::<qpdo_router::journal::RouterRecord>();
             })*
         }
+        mod sweep {
+            $(#[test]
+            fn $name() {
+                super::$name::<qpdo_bench::supervisor::SweepRecord>();
+            })*
+        }
     };
 }
 
-for_both_codecs!(
+for_every_codec!(
     torn_tail_is_dropped_and_reopen_starts_clean,
     corrupt_mid_segment_byte_keeps_the_prefix,
     rotation_compacts_and_deletes_old_segments,

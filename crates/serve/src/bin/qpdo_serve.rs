@@ -27,7 +27,7 @@ use std::path::PathBuf;
 use std::process::exit;
 use std::time::Duration;
 
-use qpdo_bench::{MAX_JOBS, MAX_MS_FLAG};
+use qpdo_core::executor::{MAX_JOBS, MAX_MS_FLAG};
 use qpdo_serve::daemon::{serve, DaemonConfig};
 use qpdo_serve::job::Backend;
 

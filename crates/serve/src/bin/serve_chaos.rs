@@ -60,12 +60,12 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use qpdo_bench::framing::write_record;
+use qpdo_core::journal::write_record;
 
 use qpdo_core::CancelToken;
 use qpdo_serve::job::{execute, job_seed, JobKind, JobSpec};
 use qpdo_serve::protocol::{Client, JobState, RejectCode, Request, Response};
-use qpdo_serve::wal::{recover, JobOutcome};
+use qpdo_serve::wal::{recover, resumable, JobOutcome};
 use qpdo_surface17::experiment::LogicalErrorKind;
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(20);
@@ -1074,7 +1074,7 @@ fn resume_drill(root: &Path, seed: u64, d: usize, shots: u64, kill_after: u64) {
         recovery.duplicate_terminals,
         recovery.orphaned
     );
-    let resumable = recovery.resumable();
+    let resumable = resumable(&recovery);
     assert!(
         resumable.iter().any(|(j, _)| j.spec.id == spec.id),
         "the killed sweep must be reported resumable, got {:?}",

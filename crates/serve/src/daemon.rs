@@ -46,7 +46,7 @@ use crate::commit::{CommitError, GroupCommit};
 use crate::eventloop;
 use crate::job::{execute_tracked, partial_detail, Backend, Execution, JobKind, JobSpec};
 use crate::protocol::{send_line, HealthSnapshot, JobState, RejectCode, Response};
-use crate::wal::{JobOutcome, WalRecord, WriteAheadLog};
+use crate::wal::{resumable, JobOutcome, WalRecord, WriteAheadLog};
 
 /// Daemon tuning knobs.
 #[derive(Clone, Debug)]
@@ -351,7 +351,7 @@ pub fn serve(
             "recovered {} journaled jobs ({} pending re-execution, {} resumable)",
             recovery.jobs().len(),
             queue.len(),
-            recovery.resumable().len()
+            resumable(&recovery).len()
         );
     }
 

@@ -45,11 +45,13 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use qpdo_core::journal::encode_record;
+
 use crate::daemon::{
     handle_progress, handle_query, shed_connection, submit_begin, submit_finish, Service,
     SubmitAdmission,
 };
-use crate::frame::{encode_frame, FrameBuf};
+use crate::frame::FrameBuf;
 use crate::job::JobSpec;
 use crate::protocol::{RejectCode, Request, Response};
 use crate::wal::WalRecord;
@@ -128,7 +130,7 @@ impl Conn {
 }
 
 fn encode_reply(response: &Response) -> Vec<u8> {
-    encode_frame(response.encode().as_bytes()).expect("responses are far below the frame bound")
+    encode_record(response.encode().as_bytes()).expect("responses are far below the frame bound")
 }
 
 /// Runs the event loop until a drain completes. See the module docs.

@@ -9,42 +9,18 @@
 //! pass — a client may dribble one byte per write and still parse.
 //!
 //! The wire format is the journal's CRC framing
-//! (`[len u32 BE][crc32 u32 BE][payload]`, see `qpdo_bench::framing`),
-//! and the error contract mirrors `read_record`: an oversized length
-//! prefix or a CRC mismatch is `InvalidData` *before* any allocation
-//! sized by attacker-controlled bytes.
+//! (`[len u32 BE][crc32 u32 BE][payload]`, written by
+//! `qpdo_core::journal::encode_record`), and the error contract mirrors
+//! `read_record`: an oversized length prefix or a CRC mismatch is
+//! `InvalidData` *before* any allocation sized by attacker-controlled
+//! bytes.
 
 use std::io;
 
-use qpdo_bench::framing::{crc32, MAX_RECORD_LEN};
+use qpdo_core::journal::{crc32, MAX_RECORD_LEN};
 
 /// Frame header size: 4-byte length + 4-byte CRC, both big-endian.
 pub const HEADER_LEN: usize = 8;
-
-/// Encodes one payload as a CRC frame (the byte sequence
-/// `qpdo_bench::framing::write_record` would emit).
-///
-/// # Errors
-///
-/// `InvalidInput` when the payload exceeds
-/// [`MAX_RECORD_LEN`](qpdo_bench::framing::MAX_RECORD_LEN).
-pub fn encode_frame(payload: &[u8]) -> io::Result<Vec<u8>> {
-    if payload.len() > MAX_RECORD_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds {MAX_RECORD_LEN}", payload.len()),
-        ));
-    }
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-    frame.extend_from_slice(
-        &u32::try_from(payload.len())
-            .expect("bounded above")
-            .to_be_bytes(),
-    );
-    frame.extend_from_slice(&crc32(payload).to_be_bytes());
-    frame.extend_from_slice(payload);
-    Ok(frame)
-}
 
 /// An incremental reassembly buffer: bytes in, complete frames out.
 #[derive(Debug, Default)]
@@ -94,7 +70,7 @@ impl FrameBuf {
     /// # Errors
     ///
     /// `InvalidData` when the length prefix exceeds
-    /// [`MAX_RECORD_LEN`](qpdo_bench::framing::MAX_RECORD_LEN) (checked
+    /// [`MAX_RECORD_LEN`](qpdo_core::journal::MAX_RECORD_LEN) (checked
     /// before anything is allocated from it) or the payload fails its
     /// CRC. The connection is poisoned either way — framing never
     /// resynchronizes after corruption.
@@ -129,11 +105,12 @@ impl FrameBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qpdo_core::journal::encode_record;
 
     #[test]
     fn whole_frame_round_trips() {
         let mut fb = FrameBuf::new();
-        fb.extend(&encode_frame(b"health").unwrap());
+        fb.extend(&encode_record(b"health").unwrap());
         assert_eq!(fb.next_frame().unwrap().as_deref(), Some(&b"health"[..]));
         assert_eq!(fb.next_frame().unwrap(), None);
         assert!(!fb.has_partial());
@@ -141,7 +118,7 @@ mod tests {
 
     #[test]
     fn byte_at_a_time_resumes_cleanly() {
-        let frame = encode_frame(b"submit j-1 - bell 4").unwrap();
+        let frame = encode_record(b"submit j-1 - bell 4").unwrap();
         let mut fb = FrameBuf::new();
         for (i, byte) in frame.iter().enumerate() {
             assert_eq!(fb.next_frame().unwrap(), None, "early frame at byte {i}");
@@ -158,7 +135,7 @@ mod tests {
     fn coalesced_frames_all_extract() {
         let mut bytes = Vec::new();
         for i in 0..5 {
-            bytes.extend_from_slice(&encode_frame(format!("query j-{i}").as_bytes()).unwrap());
+            bytes.extend_from_slice(&encode_record(format!("query j-{i}").as_bytes()).unwrap());
         }
         let mut fb = FrameBuf::new();
         fb.extend(&bytes);
@@ -183,7 +160,7 @@ mod tests {
 
     #[test]
     fn crc_mismatch_is_invalid_data() {
-        let mut frame = encode_frame(b"health").unwrap();
+        let mut frame = encode_record(b"health").unwrap();
         let last = frame.len() - 1;
         frame[last] ^= 0x01;
         let mut fb = FrameBuf::new();
@@ -196,7 +173,7 @@ mod tests {
     fn consumed_prefixes_are_compacted() {
         let mut fb = FrameBuf::new();
         for i in 0..100 {
-            fb.extend(&encode_frame(format!("query j-{i}").as_bytes()).unwrap());
+            fb.extend(&encode_record(format!("query j-{i}").as_bytes()).unwrap());
             assert!(fb.next_frame().unwrap().is_some());
         }
         // After each fully-drained extend the buffer compacts, so

@@ -7,8 +7,9 @@
 //!
 //! - **Write-ahead journal** ([`wal`]): every `accepted → dispatched →
 //!   completed` transition is a CRC-framed, fsync'd record in the
-//!   shared [`journal`], which the fleet router's binding log uses too. `kill -9`
-//!   at any instant loses at most the jobs never acknowledged; every
+//!   shared [`qpdo_core::journal`], which the fleet router's binding
+//!   log and the experiment sweeps use too. `kill -9` at any instant
+//!   loses at most the jobs never acknowledged; every
 //!   acknowledged job is re-executed on restart onto a byte-identical
 //!   result (deterministic substream seeding), exactly once.
 //! - **Group commit** ([`commit`]): appends are batched by a dedicated
@@ -42,6 +43,5 @@ pub mod daemon;
 pub mod eventloop;
 pub mod frame;
 pub mod job;
-pub mod journal;
 pub mod protocol;
 pub mod wal;

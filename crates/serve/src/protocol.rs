@@ -1,7 +1,7 @@
 //! The wire protocol of the shot service (`DESIGN.md` §9.1).
 //!
 //! Every message is one record in the repo's CRC framing
-//! ([`qpdo_bench::framing`]): `[len u32 BE][crc32 u32 BE][payload]`,
+//! ([`qpdo_core::journal`]): `[len u32 BE][crc32 u32 BE][payload]`,
 //! the payload a single UTF-8 line whose first token is the verb. The
 //! same framing protects the write-ahead journal, so a protocol
 //! implementation is also a journal reader.
@@ -27,7 +27,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use qpdo_bench::framing::{read_record, write_record};
+use qpdo_core::journal::{read_record, write_record};
 
 use crate::breaker::BreakerState;
 use crate::job::{Backend, JobSpec};

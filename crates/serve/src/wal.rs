@@ -1,5 +1,5 @@
 //! The write-ahead journal of the shot service (`DESIGN.md` §9.3): the
-//! daemon's [`Record`] codec for the shared [`crate::journal`].
+//! daemon's [`Record`] codec for the shared [`qpdo_core::journal`].
 //!
 //! Every job transition is one record appended to the active segment
 //! and fsync'd before the daemon acts on it:
@@ -45,7 +45,7 @@ use std::path::Path;
 use qpdo_core::Checkpoint;
 
 use crate::job::{Backend, JobSpec};
-use crate::journal::{self, Journal, Record, State};
+use qpdo_core::journal::{self, Journal, Record, State};
 
 /// The daemon's write-ahead journal.
 pub type WriteAheadLog = Journal<WalRecord>;
@@ -320,18 +320,17 @@ pub struct RecoveredJob {
     pub checkpoint: Option<Checkpoint>,
 }
 
-impl Recovery {
-    /// Pending jobs that carry a durable checkpoint — the offline-audit
-    /// view of what a restarted daemon will resume mid-sweep rather than
-    /// re-execute from scratch, with the checkpoint's batch/shot stats.
-    #[must_use]
-    pub fn resumable(&self) -> Vec<(&RecoveredJob, &Checkpoint)> {
-        self.jobs()
-            .iter()
-            .filter(|j| j.outcome.is_none())
-            .filter_map(|j| j.checkpoint.as_ref().map(|c| (j, c)))
-            .collect()
-    }
+/// Pending jobs that carry a durable checkpoint — the offline-audit
+/// view of what a restarted daemon will resume mid-sweep rather than
+/// re-execute from scratch, with the checkpoint's batch/shot stats.
+#[must_use]
+pub fn resumable(recovery: &Recovery) -> Vec<(&RecoveredJob, &Checkpoint)> {
+    recovery
+        .jobs()
+        .iter()
+        .filter(|j| j.outcome.is_none())
+        .filter_map(|j| j.checkpoint.as_ref().map(|c| (j, c)))
+        .collect()
 }
 
 /// The one rule for folding a progress record into a job: a checkpoint
@@ -354,7 +353,7 @@ fn fold_progress(job: &mut RecoveredJob, checkpoint: &Checkpoint) {
 mod tests {
     use super::*;
     use crate::job::JobKind;
-    use qpdo_bench::framing::{read_records, write_record};
+    use qpdo_core::journal::{read_records, write_record};
     use std::fs::{File, OpenOptions};
     use std::io::BufReader;
     use std::path::PathBuf;
@@ -474,7 +473,7 @@ mod tests {
         assert!(recovery.is_consistent());
         // The audit reports exactly the pending job as resumable, with
         // its newest checkpoint's stats.
-        let resumable = recovery.resumable();
+        let resumable = resumable(&recovery);
         assert_eq!(resumable.len(), 1);
         let (job, checkpoint) = resumable[0];
         assert_eq!(job.spec.id, "resumes");
@@ -516,7 +515,7 @@ mod tests {
 
         let recovery = recover(&dir).unwrap();
         assert!(recovery.is_consistent());
-        let resumable = recovery.resumable();
+        let resumable = resumable(&recovery);
         assert_eq!(resumable.len(), 1);
         assert_eq!(resumable[0].1.batches, 8, "fell back past the torn tail");
         let _ = std::fs::remove_dir_all(&dir);
@@ -543,7 +542,7 @@ mod tests {
         std::fs::write(segment_path(&dir, 1), bytes).unwrap();
         let recovery = recover(&dir).unwrap();
         assert!(recovery.is_consistent());
-        let resumable = recovery.resumable();
+        let resumable = resumable(&recovery);
         assert_eq!(resumable.len(), 1);
         assert_eq!(
             resumable[0].1,
@@ -587,8 +586,8 @@ mod tests {
         // marker, the accept, and exactly one progress record — the
         // newest.
         let (wal, recovery) = WriteAheadLog::open(&dir, 1 << 20).unwrap();
-        assert_eq!(recovery.resumable().len(), 1);
-        assert_eq!(recovery.resumable()[0].1.batches, 20);
+        assert_eq!(resumable(&recovery).len(), 1);
+        assert_eq!(resumable(&recovery)[0].1.batches, 20);
         let active = newest_segment(&dir);
         assert_eq!(active, segment_path(&dir, wal.active_seq()));
         let lines = segment_lines(&active);
@@ -599,8 +598,8 @@ mod tests {
         // And the compacted checkpoint replays on the next reopen too.
         drop(wal);
         let (_, recovery) = WriteAheadLog::open(&dir, 1 << 20).unwrap();
-        assert_eq!(recovery.resumable().len(), 1);
-        assert_eq!(recovery.resumable()[0].1.batches, 20);
+        assert_eq!(resumable(&recovery).len(), 1);
+        assert_eq!(resumable(&recovery)[0].1.batches, 20);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,9 +7,10 @@
 
 use std::io::Cursor;
 
+use qpdo_core::journal::encode_record;
 use qpdo_rng::rngs::StdRng;
 use qpdo_rng::{Rng, SeedableRng};
-use qpdo_serve::frame::{encode_frame, FrameBuf};
+use qpdo_serve::frame::FrameBuf;
 use qpdo_serve::protocol::{recv_line, send_line, Request, Response};
 
 const SEED: u64 = 0x5E_EDF0_5E17;
@@ -161,7 +162,7 @@ fn framebuf_reassembles_any_chunking() {
             .collect();
         let mut stream = Vec::new();
         for payload in &payloads {
-            stream.extend_from_slice(&encode_frame(payload).expect("encodable payload"));
+            stream.extend_from_slice(&encode_record(payload).expect("encodable payload"));
         }
         let mut buf = FrameBuf::new();
         let mut out = Vec::new();
@@ -192,7 +193,7 @@ fn framebuf_survives_single_byte_corruption() {
             .collect();
         let mut stream = Vec::new();
         for payload in &payloads {
-            stream.extend_from_slice(&encode_frame(payload).expect("encodable payload"));
+            stream.extend_from_slice(&encode_record(payload).expect("encodable payload"));
         }
         let target = rng.gen_range(0..stream.len());
         stream[target] ^= 1 << rng.gen_range(0..8u32);
@@ -239,7 +240,7 @@ fn framebuf_never_panics_on_random_bytes() {
 /// framed line round-trips through the same pair.
 #[test]
 fn recv_line_rejects_non_utf8_payloads() {
-    let framed = encode_frame(&[0xff, 0xfe, 0x80]).expect("encodable payload");
+    let framed = encode_record(&[0xff, 0xfe, 0x80]).expect("encodable payload");
     let err = recv_line(&mut Cursor::new(framed)).expect_err("non-UTF-8 payload must error");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use qpdo_bench::supervisor::CancelToken;
+use qpdo_core::CancelToken;
 use qpdo_serve::daemon::{serve, DaemonConfig, ServeStats};
 use qpdo_serve::job::{execute, job_seed, Backend, JobKind, JobSpec};
 use qpdo_serve::protocol::{Client, JobState, RejectCode, Request, Response};

@@ -186,15 +186,15 @@ impl LerOutcome {
     }
 
     /// Serializes the outcome as one whitespace-separated record line
-    /// of its ten [`counters`](Self::counters) (the sweep-checkpoint
-    /// format; see [`from_record`](Self::from_record)).
+    /// of its ten [`counters`](Self::counters) (a sweep journal point's
+    /// payload; see [`from_record`](Self::from_record)).
     #[must_use]
     pub fn to_record(&self) -> String {
         self.counters().map(|c| c.to_string()).join(" ")
     }
 
     /// Parses a record line produced by [`to_record`](Self::to_record).
-    /// Returns `None` on any malformed field (a truncated checkpoint line
+    /// Returns `None` on any malformed field (a malformed journal line
     /// must never crash a resuming sweep).
     #[must_use]
     pub fn from_record(line: &str) -> Option<Self> {
@@ -310,7 +310,7 @@ pub struct ClassicalLerOutcome {
 
 impl ClassicalLerOutcome {
     /// Serializes the outcome as one whitespace-separated record line
-    /// (the sweep-checkpoint format): the [`LerOutcome`] record followed
+    /// (a sweep journal point's payload): the [`LerOutcome`] record followed
     /// by the eight protection counters and the fault-event count.
     #[must_use]
     pub fn to_record(&self) -> String {

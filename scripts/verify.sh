@@ -66,6 +66,18 @@ if [ "$bad" -ne 0 ]; then
 fi
 echo "ok: core panics are all justified invariants"
 
+echo "== dependency direction: serve and router do not import qpdo_bench =="
+# The daemon and the router are production crates; the experiment
+# harness sits above them, not below. Their sources must name nothing
+# from `qpdo_bench` (the shared journal, the flag caps and CancelToken
+# live in qpdo-core). Tests and the manifests are not checked here.
+if hits=$(grep -rn --include='*.rs' 'qpdo_bench' crates/serve/src crates/router/src); then
+    echo "$hits"
+    echo "error: crates/serve/src or crates/router/src imports qpdo_bench" >&2
+    exit 1
+fi
+echo "ok: no production serve/router source names qpdo_bench"
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 
