@@ -241,8 +241,11 @@ pub fn run(
     backends: &[(String, String)],
     config: RouterConfig,
 ) -> io::Result<RouterStats> {
-    let (mut journal, recovery) = RouterJournal::open(journal_dir, config.max_segment_bytes)?;
-    journal.set_retain_terminal(config.retain_terminal);
+    let (mut journal, recovery) = RouterJournal::open_retaining(
+        journal_dir,
+        config.max_segment_bytes,
+        config.retain_terminal,
+    )?;
     if !recovery.is_consistent() {
         return Err(io::Error::other(format!(
             "router journal violates exactly-once: duplicate terminals {:?}, orphaned {:?}",

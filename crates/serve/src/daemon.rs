@@ -298,8 +298,8 @@ pub fn serve(
     wal_dir: &Path,
     config: DaemonConfig,
 ) -> io::Result<ServeStats> {
-    let (mut wal, recovery) = WriteAheadLog::open(wal_dir, config.max_segment_bytes)?;
-    wal.set_retain_terminal(config.retain_terminal);
+    let (mut wal, recovery) =
+        WriteAheadLog::open_retaining(wal_dir, config.max_segment_bytes, config.retain_terminal)?;
     wal.set_fail_sync_after(config.chaos_fsync_fail);
     if !recovery.is_consistent() {
         return Err(io::Error::other(format!(
