@@ -20,8 +20,8 @@ use qpdo_core::ShotError;
 use qpdo_rng::{RngCore, SplitMix64};
 
 pub use qpdo_core::supervisor::{
-    read_quarantine_csv, run_supervised, BatchCtx, BatchSpec, SupervisorConfig, SupervisorReport,
-    QUARANTINE_HEADER,
+    read_quarantine_csv, run_supervised, run_supervised_subset, BatchCtx, BatchSpec,
+    SupervisorConfig, SupervisorReport, QUARANTINE_HEADER,
 };
 pub use qpdo_core::{sliced_lane_seeds, CancelToken};
 
@@ -268,12 +268,13 @@ impl SweepJournal {
 /// resuming from `journal`: a batch whose key the journal holds is
 /// decoded from it instead of run, and every batch run now is recorded
 /// (`encode`d) from inside its job, so a kill loses only the batches in
-/// flight. The job's [`BatchCtx::task`] is the batch's index in
-/// `specs`, whatever the journal held. Returns every spec's outcome in
-/// spec order — from the journal or run now, `None` if quarantined —
-/// and the report of the batches run now (its task indices count those
-/// alone). A run that quarantined nothing removes the journal;
-/// otherwise it is kept, and re-running retries only what is missing.
+/// flight. A batch's [`BatchCtx::task`] is its index in `specs`,
+/// whatever the journal held, so the batches that vote and the indices
+/// of quarantined ones are the scratch run's. Returns every spec's
+/// outcome in spec order — from the journal or run now, `None` if
+/// quarantined — and the report of the batches run now. A run that
+/// quarantined nothing removes the journal; otherwise it is kept, and
+/// re-running retries only what is missing.
 pub fn run_resumable<T, F>(
     args: &HarnessArgs,
     specs: Vec<BatchSpec>,
@@ -295,21 +296,17 @@ where
     if resumed > 0 {
         eprintln!("  resuming: {resumed} batches already journaled");
     }
-    let (todo, specs): (Vec<usize>, Vec<BatchSpec>) = specs
+    let specs: Vec<(usize, BatchSpec)> = specs
         .into_iter()
         .enumerate()
         .filter(|(i, _)| outcomes[*i].is_none())
-        .unzip();
+        .collect();
+    let todo: Vec<usize> = specs.iter().map(|(i, _)| *i).collect();
 
     let shared = Arc::new(Mutex::new(journal));
     let job_journal = Arc::clone(&shared);
-    let job_tasks = todo.clone();
     let job = move |ctx: &BatchCtx| -> Result<T, ShotError> {
-        let ctx = BatchCtx {
-            task: job_tasks[ctx.task],
-            ..ctx.clone()
-        };
-        let outcome = job(&ctx)?;
+        let outcome = job(ctx)?;
         if let Ok(mut guard) = job_journal.lock() {
             if let Some(journal) = guard.as_mut() {
                 if let Err(e) = journal.record(&ctx.spec.key, &encode(&outcome)) {
@@ -329,9 +326,9 @@ where
     let report = match ChaosConfig::from_args(args) {
         Some(chaos) => {
             silence_chaos_panics();
-            run_supervised(&config, specs, with_chaos(chaos, job), vote, &cancel)
+            run_supervised_subset(&config, specs, with_chaos(chaos, job), vote, &cancel)
         }
-        None => run_supervised(&config, specs, job, vote, &cancel),
+        None => run_supervised_subset(&config, specs, job, vote, &cancel),
     };
     for (i, result) in todo.into_iter().zip(&report.results) {
         outcomes[i].clone_from(result);

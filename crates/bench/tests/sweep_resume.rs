@@ -11,13 +11,14 @@
 //! cut truncates a copy of that journal at a record boundary or at a
 //! seeded byte inside a record (a torn append) and resumes from it.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use qpdo_bench::supervisor::{run_resumable, BatchCtx, BatchSpec, SweepJournal};
 use qpdo_bench::HarnessArgs;
+use qpdo_core::supervisor::RedundancyCheck;
 use qpdo_core::ShotError;
 use qpdo_rng::{RngCore, SplitMix64};
 
@@ -227,4 +228,90 @@ fn a_journal_of_another_sweep_is_not_resumed() {
     assert_eq!(calls.len(), POINTS * REPS);
     assert_ne!(outcomes[0], Some(12345));
     assert!(!dir.exists());
+}
+
+/// Runs the sweep with every `redundancy`-th batch voting, batch `fail`
+/// failing every attempt: the outcomes, the task index each voting
+/// batch saw (by key), and the task indices quarantined.
+fn run_voting(
+    journal: Option<SweepJournal>,
+    redundancy: u64,
+    fail: Option<&'static str>,
+) -> (Vec<Option<u64>>, BTreeMap<String, usize>, Vec<usize>) {
+    let votes: Arc<Mutex<BTreeMap<String, usize>>> = Arc::default();
+    let vote_log = Arc::clone(&votes);
+    let vote: Box<RedundancyCheck> = Box::new(move |ctx: &BatchCtx| {
+        vote_log
+            .lock()
+            .unwrap()
+            .insert(ctx.spec.key.clone(), ctx.task);
+        Ok(())
+    });
+    let mut args = args();
+    args.redundancy = redundancy;
+    let job = move |ctx: &BatchCtx| -> Result<u64, ShotError> {
+        if fail == Some(ctx.spec.key.as_str()) {
+            return Err(ShotError::PoolFailure("poisoned batch".to_owned()));
+        }
+        Ok((SplitMix64::new(ctx.seed).next_u64() >> 8) ^ ctx.task as u64)
+    };
+    let (outcomes, report) = run_resumable(
+        &args,
+        specs(),
+        |outcome: &u64| outcome.to_string(),
+        |line: &str| line.parse().ok(),
+        job,
+        Some(vote),
+        journal,
+    );
+    let quarantined = report.quarantined.iter().map(|q| q.task).collect();
+    let votes = votes.lock().unwrap().clone();
+    (outcomes, votes, quarantined)
+}
+
+#[test]
+fn a_resumed_run_votes_on_the_scratch_runs_batches() {
+    const REDUNDANCY: u64 = 3;
+    let specs = specs();
+    let (scratch, scratch_votes, _) = run_voting(None, REDUNDANCY, None);
+    let due: BTreeMap<String, usize> = (0..specs.len())
+        .filter(|&i| (i as u64).is_multiple_of(REDUNDANCY))
+        .map(|i| (specs[i].key.clone(), i))
+        .collect();
+    assert_eq!(scratch_votes, due);
+
+    // A non-prefix durable set: the first five records of the full
+    // journal, so batches 3, 4, 6 and on are left to run.
+    let durable = &RECORD_ORDER[..5];
+    assert!(durable.iter().any(|&i| i >= durable.len()));
+    let dir = tmp_dir("votes");
+    let mut journal = SweepJournal::open(&dir, FINGERPRINT).unwrap();
+    for &i in durable {
+        journal
+            .record(&specs[i].key, &scratch[i].unwrap().to_string())
+            .unwrap();
+    }
+    drop(journal);
+    // One of the batches left fails, so the quarantine index shows.
+    let poisoned = 8;
+    assert!(!durable.contains(&poisoned));
+    let journal = SweepJournal::open(&dir, FINGERPRINT).unwrap();
+    let (outcomes, votes, quarantined) = run_voting(Some(journal), REDUNDANCY, Some("p2-r0"));
+    assert_eq!(specs[poisoned].key, "p2-r0");
+
+    let rerun_due: BTreeMap<String, usize> = due
+        .into_iter()
+        .filter(|(_, i)| !durable.contains(i))
+        .collect();
+    assert_eq!(votes, rerun_due, "the resumed run voted on other batches");
+    assert_eq!(
+        quarantined,
+        vec![poisoned],
+        "quarantine counts the whole spec list"
+    );
+    for (i, outcome) in outcomes.iter().enumerate() {
+        let expected = if i == poisoned { None } else { scratch[i] };
+        assert_eq!(*outcome, expected, "batch {i}");
+    }
+    let _ = fs::remove_dir_all(&dir);
 }

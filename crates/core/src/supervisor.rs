@@ -66,7 +66,8 @@ pub struct BatchSpec {
 /// Everything a job closure receives about the batch it is executing.
 #[derive(Clone, Debug)]
 pub struct BatchCtx {
-    /// Index of this batch in the spec list (and in the result vector).
+    /// Index of this batch in the spec list: the whole list's index
+    /// when the run covers part of it ([`run_supervised_subset`]).
     pub task: usize,
     /// The batch description.
     pub spec: BatchSpec,
@@ -99,7 +100,8 @@ pub struct SupervisorConfig {
     pub max_replacements: usize,
     /// Base RNG seed the substreams derive from.
     pub base_seed: u64,
-    /// Cross-backend vote stride: every `n`-th batch votes (0 = off).
+    /// Cross-backend vote stride: every batch whose task index is a
+    /// multiple of `n` votes (0 = off).
     pub redundancy: u64,
 }
 
@@ -108,7 +110,7 @@ pub struct SupervisorConfig {
 pub struct QuarantineRecord {
     /// The batch key from its [`BatchSpec`].
     pub key: String,
-    /// Batch index in the spec list.
+    /// The batch's task index ([`BatchCtx::task`]).
     pub task: usize,
     /// Attempts consumed before giving up.
     pub attempts: u32,
@@ -188,7 +190,7 @@ pub fn read_quarantine_csv(path: &std::path::Path) -> std::io::Result<Vec<Quaran
 pub struct DivergenceRecord {
     /// The batch key from its [`BatchSpec`].
     pub key: String,
-    /// Batch index in the spec list.
+    /// The batch's task index ([`BatchCtx::task`]).
     pub task: usize,
     /// What disagreed.
     pub detail: String,
@@ -221,12 +223,13 @@ pub const QUARANTINE_HEADER: &str = "key,task,attempts,error";
 /// The outcome of a supervised run.
 #[derive(Debug)]
 pub struct SupervisorReport<T> {
-    /// Per-batch results in task order; `None` exactly for quarantined
-    /// batches. Independent of helper count and scheduling.
+    /// Per-batch results in the order the specs were handed over;
+    /// `None` exactly for quarantined batches. Independent of helper
+    /// count and scheduling.
     pub results: Vec<Option<T>>,
-    /// Batches that exhausted their retries, sorted by task index.
+    /// Batches that exhausted their retries, in spec order.
     pub quarantined: Vec<QuarantineRecord>,
-    /// Redundancy votes that disagreed, sorted by task index.
+    /// Redundancy votes that disagreed, in spec order.
     pub divergences: Vec<DivergenceRecord>,
     /// Event counters.
     pub stats: SupervisorStats,
@@ -291,6 +294,8 @@ type Job<T> = Box<dyn Fn(&BatchCtx) -> Result<T, ShotError> + Send + Sync>;
 /// What every thread running a run's batches shares.
 struct Shared<T> {
     specs: Vec<BatchSpec>,
+    /// Each spec's task index ([`BatchCtx::task`]).
+    tasks: Vec<usize>,
     job: Job<T>,
     vote: Option<Box<RedundancyCheck>>,
     base_seed: u64,
@@ -326,31 +331,33 @@ impl<T> Attempts<T> {
 }
 
 impl<T> Shared<T> {
-    /// The batch's cancel poll: the run's token with its deadline.
-    fn token(&self, task: usize) -> CancelToken {
-        self.cancel.with_deadline(self.specs[task].deadline)
+    /// The cancel poll of the batch at `slot` in `specs`: the run's
+    /// token with its deadline.
+    fn token(&self, slot: usize) -> CancelToken {
+        self.cancel.with_deadline(self.specs[slot].deadline)
     }
 
-    fn ctx(&self, task: usize, attempt: u32) -> BatchCtx {
-        let spec = self.specs[task].clone();
+    fn ctx(&self, slot: usize, attempt: u32) -> BatchCtx {
+        let spec = self.specs[slot].clone();
         let salted = substream_seed(self.base_seed, &spec.point, spec.batch, attempt);
         BatchCtx {
-            task,
+            task: self.tasks[slot],
             seed: substream_seed(self.base_seed, &spec.point, spec.batch, 0),
             attempt,
             attempt_seed: splitmix64(salted ^ ATTEMPT_DOMAIN),
-            cancel: self.token(task),
+            cancel: self.token(slot),
             spec,
         }
     }
 
-    /// Runs batch `task` from attempt `from` on this thread, panic
-    /// isolated, retrying with backoff until it succeeds or the budget
-    /// is spent; a success runs the redundancy vote when one is due.
-    fn attempts(&self, task: usize, from: u32) -> Attempts<T> {
+    /// Runs the batch at `slot` in `specs` from attempt `from` on this
+    /// thread, panic isolated, retrying with backoff until it succeeds
+    /// or the budget is spent; a success runs the redundancy vote when
+    /// its task index is due one.
+    fn attempts(&self, slot: usize, from: u32) -> Attempts<T> {
         let mut done = Attempts::failed(ShotError::PoolFailure(String::new()), from);
         loop {
-            let ctx = self.ctx(task, done.attempts);
+            let ctx = self.ctx(slot, done.attempts);
             done.attempts += 1;
             match catch(|| (self.job)(&ctx)) {
                 Ok(value) => {
@@ -358,7 +365,7 @@ impl<T> Shared<T> {
                     if let Some(vote) = self
                         .vote
                         .as_ref()
-                        .filter(|_| redundancy > 0 && (task as u64).is_multiple_of(redundancy))
+                        .filter(|_| redundancy > 0 && (ctx.task as u64).is_multiple_of(redundancy))
                     {
                         done.voted = true;
                         done.divergence = catch(|| vote(&ctx)).err().map(|e| e.to_string());
@@ -407,8 +414,8 @@ impl<T: Send + 'static> Batches for Supervised<T> {
     type Output = Attempts<T>;
 
     fn work(&self, claims: &mut Claims<'_, Self>) {
-        while let Some(task) = claims.claim() {
-            claims.post(self.0.attempts(task as usize, 0));
+        while let Some(slot) = claims.claim() {
+            claims.post(self.0.attempts(slot as usize, 0));
         }
     }
 }
@@ -434,9 +441,32 @@ where
     T: Send + 'static,
     F: Fn(&BatchCtx) -> Result<T, ShotError> + Send + Sync + 'static,
 {
+    let specs = specs.into_iter().enumerate().collect();
+    run_supervised_subset(config, specs, job, vote, cancel)
+}
+
+/// [`run_supervised`] over some batches of a longer spec list, each
+/// given with its index in that list. The index is the batch's
+/// [`BatchCtx::task`], and so decides which batches vote and numbers
+/// quarantined and divergent ones, so a run over a subset treats each
+/// batch exactly as a run over the whole list would. The report's
+/// results follow `specs`.
+pub fn run_supervised_subset<T, F>(
+    config: &SupervisorConfig,
+    specs: Vec<(usize, BatchSpec)>,
+    job: F,
+    vote: Option<Box<RedundancyCheck>>,
+    cancel: &CancelToken,
+) -> SupervisorReport<T>
+where
+    T: Send + 'static,
+    F: Fn(&BatchCtx) -> Result<T, ShotError> + Send + Sync + 'static,
+{
     let total = specs.len();
+    let (tasks, specs) = specs.into_iter().unzip();
     let shared = Arc::new(Shared {
         specs,
+        tasks,
         job: Box::new(job),
         vote,
         base_seed: config.base_seed,
@@ -456,9 +486,9 @@ where
     let batches = Supervised(Arc::clone(&shared));
     let mut fan = Executor::global().fan(&run, batches, 0..total as u64, config.jobs, false);
     let mut replacements = 0;
-    for task in 0..total {
-        let key = &shared.specs[task].key;
-        let token = shared.token(task);
+    for slot in 0..total {
+        let (key, task) = (&shared.specs[slot].key, shared.tasks[slot]);
+        let token = shared.token(slot);
         let stopped = |report: &mut SupervisorReport<T>, reason: &str| {
             report.stats.cancelled += 1;
             let reason = reason.to_owned();
@@ -475,7 +505,7 @@ where
         let watchdog = Instant::now() + config.watchdog;
         let until = token.deadline().map_or(watchdog, |d| d.min(watchdog));
         let next = fan.next(
-            task as u64,
+            slot as u64,
             &mut |t| shared.attempts(t as usize, 0),
             Some(until),
             &|| token.is_cancelled(),
@@ -502,7 +532,7 @@ where
                 }
                 if shared.max_attempts > 1 {
                     report.stats.retries += 1;
-                    shared.attempts(task, 1)
+                    shared.attempts(slot, 1)
                 } else {
                     Attempts::failed(ShotError::Timeout { budget_ms }, 1)
                 }
@@ -599,6 +629,7 @@ mod tests {
     fn retries_keep_the_attempt_zero_seed() {
         let shared = Shared::<()> {
             specs: specs(1),
+            tasks: vec![0],
             job: Box::new(|_| Ok(())),
             vote: None,
             base_seed: 9,
