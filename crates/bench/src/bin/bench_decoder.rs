@@ -11,7 +11,9 @@
 //! - `uf_decode_d{D}_p{P}` — [`UnionFindDecoder::decode`] at distance
 //!   `D` on syndromes drawn at physical error rate `P` (`p01`/`p05`/
 //!   `p10` are 1 %, 5 %, 10 %). Full mode sweeps d = 3…13, the same
-//!   grid as `exp_distance_scaling`.
+//!   grid as `exp_distance_scaling`. Every mode also times
+//!   `uf_decode_d5_p08` and `uf_decode_d13_p08`, the points of the
+//!   repository benchmark's `surface_d5` and `surface_d13` workloads.
 //! - `matching_exact_d3_p05` — the exact matcher on the identical d = 3
 //!   pool, the baseline `derived.uf_over_exact_d3_p05` compares against
 //!   (at d = 3 every syndrome is below `EXACT_LIMIT`, so this is the
@@ -41,6 +43,9 @@ const SCHEMA: &str = "qpdo-bench-decoder-v1";
 /// Syndromes per (d, p) pool; iterations cycle through the pool so no
 /// single syndrome's shape dominates the median.
 const POOL: usize = 64;
+/// The repository benchmark's surface workloads, `(d, p, tag)`, timed in
+/// every mode beside the grid.
+const BENCHMARK_POINTS: [(usize, f64, &str); 2] = [(5, 0.08, "p08"), (13, 0.08, "p08")];
 
 struct Args {
     out: PathBuf,
@@ -135,6 +140,8 @@ fn validate_report(doc: &Json) -> Result<(), String> {
     for name in [
         "uf_decode_d3_p05",
         "uf_decode_d5_p05",
+        "uf_decode_d5_p08",
+        "uf_decode_d13_p08",
         "matching_exact_d3_p05",
     ] {
         if !kernels
@@ -209,6 +216,25 @@ fn run(args: &Args) -> Result<(), String> {
         stats.map_err(|err| format!("kernel {name}: {err}"))
     };
 
+    // One union-find kernel: `decode` cycling through a seeded pool.
+    let uf_kernel = |name: &str, decoder: &UnionFindDecoder, pool: &[Vec<bool>]| {
+        let mut next = 0usize;
+        let stats = measured(
+            name,
+            measure_batched_ns(
+                samples,
+                iters,
+                || {
+                    next = (next + 1) % POOL;
+                    next
+                },
+                |&mut i| decoder.decode(&pool[i]),
+            ),
+        )?;
+        println!("{name}: {:.1} ns", stats.median_ns);
+        Ok::<_, String>(stats)
+    };
+
     let mut kernels = Vec::new();
     // Medians needed for the derived ratios.
     let mut uf_d3_p05 = None;
@@ -219,20 +245,7 @@ fn run(args: &Args) -> Result<(), String> {
         for (pi, &(p, tag)) in pers.iter().enumerate() {
             let name = format!("uf_decode_d{d}_{tag}");
             let pool = syndrome_pool(&code, p, args.seed + 1_000 * d as u64 + pi as u64);
-            let mut next = 0usize;
-            let stats = measured(
-                &name,
-                measure_batched_ns(
-                    samples,
-                    iters,
-                    || {
-                        next = (next + 1) % POOL;
-                        next
-                    },
-                    |&mut i| decoder.decode(&pool[i]),
-                ),
-            )?;
-            println!("{name}: {:.1} ns", stats.median_ns);
+            let stats = uf_kernel(&name, &decoder, &pool)?;
             if tag == "p05" {
                 if d == 3 {
                     uf_d3_p05 = Some(stats.median_ns);
@@ -243,6 +256,15 @@ fn run(args: &Args) -> Result<(), String> {
             }
             kernels.push(kernel_entry(&name, &stats));
         }
+    }
+    for (d, p, tag) in BENCHMARK_POINTS {
+        let code = RotatedSurfaceCode::new(d);
+        let decoder = UnionFindDecoder::new(&code, CheckKind::X);
+        let name = format!("uf_decode_d{d}_{tag}");
+        // Seeds past the grid's (which add 0..3 to `1_000 * d`).
+        let pool = syndrome_pool(&code, p, args.seed + 1_000 * d as u64 + 8);
+        let stats = uf_kernel(&name, &decoder, &pool)?;
+        kernels.push(kernel_entry(&name, &stats));
     }
 
     // Baseline: the exact matcher on the identical d = 3, p = 5 % pool
