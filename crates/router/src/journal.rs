@@ -609,8 +609,7 @@ mod tests {
         // the delivery records its state implies.
         let dir = tmp_dir("golden");
         {
-            let (mut j, _) = RouterJournal::open(&dir, 64).unwrap();
-            j.set_retain_terminal(1);
+            let (mut j, _) = RouterJournal::open_retaining(&dir, 64, 1).unwrap();
             let done = |id: &str| RouterRecord::Terminal {
                 id: id.to_owned(),
                 outcome: JobOutcome::Done("0 1".to_owned()),

@@ -130,7 +130,21 @@ fn tmp_dir<R: Record>(tag: &str) -> PathBuf {
 
 /// Opens a journal and appends the codec's setup records.
 fn open<R: Fixture>(dir: &Path, max_segment_bytes: u64) -> Journal<R> {
-    let (mut journal, _) = Journal::<R>::open(dir, max_segment_bytes).unwrap();
+    open_retaining(
+        dir,
+        max_segment_bytes,
+        Journal::<R>::DEFAULT_RETAIN_TERMINAL,
+    )
+}
+
+/// [`open`] keeping `retain_terminal` terminal jobs through compaction.
+fn open_retaining<R: Fixture>(
+    dir: &Path,
+    max_segment_bytes: u64,
+    retain_terminal: usize,
+) -> Journal<R> {
+    let (mut journal, _) =
+        Journal::<R>::open_retaining(dir, max_segment_bytes, retain_terminal).unwrap();
     for record in R::setup() {
         journal.append(&record).unwrap();
     }
@@ -393,8 +407,7 @@ fn injected_fsync_failure_fails_sync_but_not_validation<R: Fixture>() {
 
 fn compaction_prunes_terminal_jobs_beyond_retention<R: Fixture>() {
     let dir = tmp_dir::<R>("retain");
-    let mut journal = open::<R>(&dir, 64);
-    journal.set_retain_terminal(2);
+    let mut journal = open_retaining::<R>(&dir, 64, 2);
     journal.append(&R::open_job("keep-pending")).unwrap();
     for i in 0..10 {
         let id = format!("t-{i}");
@@ -421,8 +434,7 @@ fn compaction_prunes_terminal_jobs_beyond_retention<R: Fixture>() {
 fn pruned_ids_survive_compaction_and_refuse_reopening<R: Fixture>() {
     let dir = tmp_dir::<R>("pruned");
     {
-        let mut journal = open::<R>(&dir, 64);
-        journal.set_retain_terminal(1);
+        let mut journal = open_retaining::<R>(&dir, 64, 1);
         for i in 0..8 {
             let id = format!("p-{i}");
             journal.append(&R::open_job(&id)).unwrap();
@@ -452,8 +464,7 @@ fn pruned_ids_survive_compaction_and_refuse_reopening<R: Fixture>() {
 fn pruned_ledger_is_sorted_in_chunks_of_256<R: Fixture>() {
     let dir = tmp_dir::<R>("ledger");
     {
-        let mut journal = open::<R>(&dir, 4096);
-        journal.set_retain_terminal(1);
+        let mut journal = open_retaining::<R>(&dir, 4096, 1);
         for i in 0..400 {
             let id = format!("l-{i}");
             journal.append(&R::open_job(&id)).unwrap();

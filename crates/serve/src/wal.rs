@@ -767,8 +767,7 @@ mod tests {
         // newest checkpoint. A change here breaks journals on disk.
         let dir = tmp_dir("golden");
         {
-            let (mut wal, _) = WriteAheadLog::open(&dir, 64).unwrap();
-            wal.set_retain_terminal(2);
+            let (mut wal, _) = WriteAheadLog::open_retaining(&dir, 64, 2).unwrap();
             let done = |id: &str, outcome: JobOutcome| WalRecord::Complete {
                 id: id.to_owned(),
                 outcome,
