@@ -1,7 +1,6 @@
 use qpdo_circuit::{Gate, Operation, OperationKind};
-use qpdo_pauli::Pauli;
 
-use super::{PauliFrameUnit, PfuOutcome};
+use super::{pauli_gate, PauliFrameUnit, PfuOutcome};
 use crate::fault::FaultPlan;
 use crate::CoreError;
 
@@ -300,15 +299,6 @@ impl PauliArbiter {
     #[must_use]
     pub fn map_measurement(&self, q: usize, raw: bool) -> bool {
         self.pfu.map_measurement(q, raw)
-    }
-}
-
-fn pauli_gate(p: Pauli) -> Gate {
-    match p {
-        Pauli::I => Gate::I,
-        Pauli::X => Gate::X,
-        Pauli::Y => Gate::Y,
-        Pauli::Z => Gate::Z,
     }
 }
 

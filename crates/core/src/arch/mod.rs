@@ -21,7 +21,8 @@ mod qcu;
 mod schedule;
 
 pub use arbiter::{ArbiterStats, PauliArbiter, PelCommand};
-pub use pfu::{PauliFrameUnit, PfuOutcome};
+pub(crate) use pfu::{flush_qubits, pauli_gate};
+pub use pfu::{update_frame, FrameFlow, FrameRecords, PauliFrameUnit, PfuOutcome};
 pub use qcu::{
     LogicMeasurementUnit, LogicalQubitEntry, QSymbolTable, QcuInstruction, QuantumControlUnit,
 };

@@ -1,7 +1,153 @@
+//! The Pauli Frame Unit and the one Table 3.1 update every frame shares.
+//!
+//! [`update_frame`] applies one operation to any [`FrameRecords`] — the
+//! scalar [`PauliFrame`] or the 64-lane [`LanePauliFrame`] — and
+//! returns which of the five PFU flows of Fig 3.12 it took
+//! ([`FrameFlow`]). The [`PauliFrameUnit`] here, the
+//! [`PauliFrameLayer`](crate::PauliFrameLayer) and its protected variant
+//! and the shot-sliced SC17 stack all track through it; each caller only
+//! adds what its frame layout needs on top: capturing measurement flips
+//! and flushing records ahead of a non-Clifford gate.
+
 use std::fmt;
 
-use qpdo_circuit::{Gate, Operation, OperationKind};
-use qpdo_pauli::{Pauli, PauliFrame, PauliRecord};
+use qpdo_circuit::{Gate, GateKind, Operation, OperationKind};
+use qpdo_pauli::{LanePauliFrame, Pauli, PauliFrame, PauliRecord};
+
+/// The record updates of Tables 3.3–3.5 that [`update_frame`] drives. A
+/// frame implementing them is tracked by the one Table 3.1 rule set.
+pub trait FrameRecords {
+    /// Sets the record of `q` to `I` (a reset).
+    fn reset(&mut self, q: usize);
+    /// Merges the Pauli gate `p` on `q` into the record (Table 3.3).
+    fn apply_pauli(&mut self, q: usize, p: Pauli);
+    /// Maps the record of `q` through `H`.
+    fn apply_h(&mut self, q: usize);
+    /// Maps the record of `q` through `S`.
+    fn apply_s(&mut self, q: usize);
+    /// Maps the record of `q` through `S†`.
+    fn apply_sdg(&mut self, q: usize);
+    /// Maps the records of control `c` and target `t` through `CNOT`.
+    fn apply_cnot(&mut self, c: usize, t: usize);
+    /// Maps the records of `a` and `b` through `CZ`.
+    fn apply_cz(&mut self, a: usize, b: usize);
+    /// Exchanges the records of `a` and `b` (`SWAP`).
+    fn apply_swap(&mut self, a: usize, b: usize);
+}
+
+/// Implements [`FrameRecords`] by the frame's own methods of the same
+/// names; `$apply_pauli` merges one Pauli gate.
+macro_rules! forward_frame_records {
+    ($ty:ty, $apply_pauli:expr) => {
+        impl FrameRecords for $ty {
+            fn reset(&mut self, q: usize) {
+                self.reset(q);
+            }
+            fn apply_pauli(&mut self, q: usize, p: Pauli) {
+                $apply_pauli(self, q, p);
+            }
+            fn apply_h(&mut self, q: usize) {
+                self.apply_h(q);
+            }
+            fn apply_s(&mut self, q: usize) {
+                self.apply_s(q);
+            }
+            fn apply_sdg(&mut self, q: usize) {
+                self.apply_sdg(q);
+            }
+            fn apply_cnot(&mut self, c: usize, t: usize) {
+                self.apply_cnot(c, t);
+            }
+            fn apply_cz(&mut self, a: usize, b: usize) {
+                self.apply_cz(a, b);
+            }
+            fn apply_swap(&mut self, a: usize, b: usize) {
+                self.apply_swap(a, b);
+            }
+        }
+    };
+}
+
+forward_frame_records!(PauliFrame, PauliFrame::apply_pauli);
+// The lane frame's operations come from the shared schedule, so they
+// reach all 64 trajectories: a Pauli gate merges under the all-lanes mask.
+forward_frame_records!(LanePauliFrame, |f: &mut LanePauliFrame, q, p| {
+    f.apply_pauli_masked(q, p, u64::MAX);
+});
+
+/// Which of the five PFU flows of Fig 3.12 an operation took through
+/// [`update_frame`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FrameFlow {
+    /// A reset: the record was set to `I`; the operation is forwarded.
+    Reset,
+    /// A measurement: records unchanged; the caller captures the flip.
+    Measure,
+    /// A Pauli gate (or `I`): merged into the record, never forwarded.
+    Absorbed,
+    /// A Clifford gate: records mapped; the gate is forwarded.
+    Mapped,
+    /// A non-Clifford gate: records untouched; the caller flushes the
+    /// gate's qubits ahead of it.
+    NonClifford,
+}
+
+/// Applies one operation to a frame's records per Table 3.1 and returns
+/// the flow it took. This is the only place a gate updates a record.
+///
+/// # Panics
+///
+/// Panics if the operation references qubits outside the frame.
+// Inlined into each tracker's loop: out of line, the SC17 frame layer
+// took ~15–25% longer per ESM round.
+#[inline]
+pub fn update_frame<F: FrameRecords>(frame: &mut F, op: &Operation) -> FrameFlow {
+    let q = op.qubits();
+    let gate = match op.kind() {
+        OperationKind::Prep => {
+            frame.reset(q[0]);
+            return FrameFlow::Reset;
+        }
+        OperationKind::Measure => return FrameFlow::Measure,
+        OperationKind::Gate(gate) => gate,
+    };
+    match gate {
+        Gate::X => frame.apply_pauli(q[0], Pauli::X),
+        Gate::Y => frame.apply_pauli(q[0], Pauli::Y),
+        Gate::Z => frame.apply_pauli(q[0], Pauli::Z),
+        Gate::H => frame.apply_h(q[0]),
+        Gate::S => frame.apply_s(q[0]),
+        Gate::Sdg => frame.apply_sdg(q[0]),
+        Gate::Cnot => frame.apply_cnot(q[0], q[1]),
+        Gate::Cz => frame.apply_cz(q[0], q[1]),
+        Gate::Swap => frame.apply_swap(q[0], q[1]),
+        Gate::I | Gate::T | Gate::Tdg | Gate::Toffoli => {}
+    }
+    match gate.kind() {
+        GateKind::Pauli => FrameFlow::Absorbed,
+        GateKind::Clifford => FrameFlow::Mapped,
+        GateKind::NonClifford => FrameFlow::NonClifford,
+    }
+}
+
+/// Flushes the records of `qubits` to `I`, returning the `(qubit, gate)`
+/// pairs that must execute ahead of a non-Clifford gate.
+pub(crate) fn flush_qubits(frame: &mut PauliFrame, qubits: &[usize]) -> Vec<(usize, Pauli)> {
+    qubits
+        .iter()
+        .flat_map(|&q| frame.flush(q).into_iter().map(move |p| (q, p)))
+        .collect()
+}
+
+/// The circuit gate of a Pauli.
+pub(crate) fn pauli_gate(p: Pauli) -> Gate {
+    match p {
+        Pauli::I => Gate::I,
+        Pauli::X => Gate::X,
+        Pauli::Y => Gate::Y,
+        Pauli::Z => Gate::Z,
+    }
+}
 
 /// What the Pauli Frame Unit did with one operation (the five flows of
 /// Fig 3.12).
@@ -94,62 +240,15 @@ impl PauliFrameUnit {
     ///
     /// Panics if the operation references qubits outside the unit.
     pub fn process(&mut self, op: &Operation) -> PfuOutcome {
-        let q = op.qubits();
-        match op.kind() {
-            OperationKind::Prep => {
-                self.frame.reset(q[0]);
-                PfuOutcome::Reset
-            }
-            OperationKind::Measure => PfuOutcome::Measure {
-                invert: self.frame.measurement_flipped(q[0]),
+        match update_frame(&mut self.frame, op) {
+            FrameFlow::Reset => PfuOutcome::Reset,
+            FrameFlow::Measure => PfuOutcome::Measure {
+                invert: self.frame.measurement_flipped(op.qubits()[0]),
             },
-            OperationKind::Gate(gate) => match gate {
-                Gate::I => PfuOutcome::Tracked,
-                Gate::X => {
-                    self.frame.apply_pauli(q[0], Pauli::X);
-                    PfuOutcome::Tracked
-                }
-                Gate::Y => {
-                    self.frame.apply_pauli(q[0], Pauli::Y);
-                    PfuOutcome::Tracked
-                }
-                Gate::Z => {
-                    self.frame.apply_pauli(q[0], Pauli::Z);
-                    PfuOutcome::Tracked
-                }
-                Gate::H => {
-                    self.frame.apply_h(q[0]);
-                    PfuOutcome::Mapped
-                }
-                Gate::S => {
-                    self.frame.apply_s(q[0]);
-                    PfuOutcome::Mapped
-                }
-                Gate::Sdg => {
-                    self.frame.apply_sdg(q[0]);
-                    PfuOutcome::Mapped
-                }
-                Gate::Cnot => {
-                    self.frame.apply_cnot(q[0], q[1]);
-                    PfuOutcome::Mapped
-                }
-                Gate::Cz => {
-                    self.frame.apply_cz(q[0], q[1]);
-                    PfuOutcome::Mapped
-                }
-                Gate::Swap => {
-                    self.frame.apply_swap(q[0], q[1]);
-                    PfuOutcome::Mapped
-                }
-                Gate::T | Gate::Tdg | Gate::Toffoli => {
-                    let mut pauli_gates = Vec::new();
-                    for &qubit in q {
-                        for p in self.frame.flush(qubit) {
-                            pauli_gates.push((qubit, p));
-                        }
-                    }
-                    PfuOutcome::Flushed { pauli_gates }
-                }
+            FrameFlow::Absorbed => PfuOutcome::Tracked,
+            FrameFlow::Mapped => PfuOutcome::Mapped,
+            FrameFlow::NonClifford => PfuOutcome::Flushed {
+                pauli_gates: flush_qubits(&mut self.frame, op.qubits()),
             },
         }
     }

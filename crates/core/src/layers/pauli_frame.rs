@@ -1,9 +1,18 @@
+//! The Pauli-frame layer: Table 3.1 as a stack layer.
+//!
+//! Record updates go through [`update_frame`], the one tracker the PFU,
+//! the protected layer and the shot-sliced stack share. This layer adds
+//! what the stack needs around it: a FIFO of measurement flips per qubit,
+//! flush slots ahead of non-Clifford gates, the whole-frame flush of
+//! [`Layer::drain_flush`] and the saved-gate counters.
+
 use std::any::Any;
 use std::collections::VecDeque;
 
-use qpdo_circuit::{Circuit, Gate, Operation, OperationKind, TimeSlot};
+use qpdo_circuit::{Circuit, Operation, TimeSlot};
 use qpdo_pauli::{Pauli, PauliFrame, PauliRecord};
 
+use crate::arch::{flush_qubits, pauli_gate, update_frame, FrameFlow};
 use crate::{Layer, LayerContext};
 
 /// The Pauli-frame layer: the paper's contribution, as a stack layer.
@@ -41,13 +50,13 @@ use crate::{Layer, LayerContext};
 /// ```
 #[derive(Debug, Default)]
 pub struct PauliFrameLayer {
-    frame: PauliFrame,
+    pub(super) frame: PauliFrame,
     /// Per-measurement pending flips, FIFO per qubit in circuit order.
     pending_flips: Vec<VecDeque<bool>>,
     /// Statistics: Pauli gates absorbed instead of executed.
     filtered_gates: u64,
     /// Statistics: time slots that emptied out entirely.
-    filtered_slots: u64,
+    pub(super) filtered_slots: u64,
     /// Statistics: flush gates emitted for non-Clifford operations.
     flush_gates_emitted: u64,
 }
@@ -93,88 +102,41 @@ impl PauliFrameLayer {
         self.flush_gates_emitted
     }
 
-    /// Applies the frame bookkeeping for one operation and returns whether
-    /// the operation itself is forwarded. Flush slots that must run first
-    /// are pushed onto `before`.
-    fn track(&mut self, op: &Operation, before: &mut Vec<TimeSlot>) -> bool {
-        match op.kind() {
-            OperationKind::Prep => {
-                self.frame.reset(op.qubits()[0]);
-                true
-            }
-            OperationKind::Measure => {
+    /// Applies the frame bookkeeping for one operation and returns the
+    /// flow it took; the operation is forwarded unless it was absorbed.
+    /// Flush slots that must run first are pushed onto `before`.
+    pub(super) fn track(&mut self, op: &Operation, before: &mut Vec<TimeSlot>) -> FrameFlow {
+        let flow = update_frame(&mut self.frame, op);
+        match flow {
+            FrameFlow::Measure => {
                 let q = op.qubits()[0];
                 let flip = self.frame.measurement_flipped(q);
                 self.pending_flips[q].push_back(flip);
-                true
             }
-            OperationKind::Gate(gate) => {
-                let q = op.qubits();
-                match gate {
-                    Gate::I => {
-                        // Identity is trivially a Pauli gate: absorbed.
-                        self.filtered_gates += 1;
-                        false
-                    }
-                    Gate::X | Gate::Y | Gate::Z => {
-                        let p = match gate {
-                            Gate::X => Pauli::X,
-                            Gate::Y => Pauli::Y,
-                            _ => Pauli::Z,
-                        };
-                        self.frame.apply_pauli(q[0], p);
-                        self.filtered_gates += 1;
-                        false
-                    }
-                    Gate::H => {
-                        self.frame.apply_h(q[0]);
-                        true
-                    }
-                    Gate::S => {
-                        self.frame.apply_s(q[0]);
-                        true
-                    }
-                    Gate::Sdg => {
-                        self.frame.apply_sdg(q[0]);
-                        true
-                    }
-                    Gate::Cnot => {
-                        self.frame.apply_cnot(q[0], q[1]);
-                        true
-                    }
-                    Gate::Cz => {
-                        self.frame.apply_cz(q[0], q[1]);
-                        true
-                    }
-                    Gate::Swap => {
-                        self.frame.apply_swap(q[0], q[1]);
-                        true
-                    }
-                    Gate::T | Gate::Tdg | Gate::Toffoli => {
-                        self.flush_slots(q, before);
-                        true
-                    }
-                }
+            FrameFlow::Absorbed => self.filtered_gates += 1,
+            FrameFlow::NonClifford => {
+                let gates = flush_qubits(&mut self.frame, op.qubits());
+                self.flush_slots(gates, before);
             }
+            FrameFlow::Reset | FrameFlow::Mapped => {}
         }
+        flow
     }
 
-    /// Pushes the flush slots for the given qubits onto `before`: one slot
-    /// of `X`s and one slot of `Z`s (a qubit can need both), each only if
-    /// non-empty, resetting the records.
-    fn flush_slots(&mut self, qubits: &[usize], before: &mut Vec<TimeSlot>) {
+    /// Pushes flushed `(qubit, gate)` pairs onto `before` as one slot of
+    /// `X`s and one slot of `Z`s (a qubit can need both), each only if
+    /// non-empty.
+    pub(super) fn flush_slots(&mut self, gates: Vec<(usize, Pauli)>, before: &mut Vec<TimeSlot>) {
         let mut x_slot = TimeSlot::new();
         let mut z_slot = TimeSlot::new();
-        for &q in qubits {
-            for gate in self.frame.flush(q) {
-                self.flush_gates_emitted += 1;
-                let (slot, gate) = match gate {
-                    Pauli::X => (&mut x_slot, Gate::X),
-                    Pauli::Z => (&mut z_slot, Gate::Z),
-                    _ => unreachable!("flush emits only X and Z"),
-                };
-                slot.push(Operation::gate(gate, &[q]));
-            }
+        self.flush_gates_emitted += gates.len() as u64;
+        for (q, p) in gates {
+            let slot = if p == Pauli::X {
+                &mut x_slot
+            } else {
+                &mut z_slot
+            };
+            slot.push(Operation::gate(pauli_gate(p), &[q]));
         }
         before.extend([x_slot, z_slot].into_iter().filter(|s| !s.is_empty()));
     }
@@ -195,7 +157,8 @@ impl Layer for PauliFrameLayer {
         // The stream is filtered as it passes (Figs 3.10-3.12): absorbed
         // Pauli gates leave their slot, flush slots go in ahead of the
         // non-Clifford gate, and nothing else is copied.
-        let emptied = circuit.retain_operations(|op, before| self.track(op, before));
+        let emptied =
+            circuit.retain_operations(|op, before| self.track(op, before) != FrameFlow::Absorbed);
         self.filtered_slots += emptied;
         circuit
     }
@@ -214,15 +177,10 @@ impl Layer for PauliFrameLayer {
         if gates.is_empty() {
             return None;
         }
+        self.flush_gates_emitted += gates.len() as u64;
         let mut circuit = Circuit::new();
         for (q, p) in gates {
-            self.flush_gates_emitted += 1;
-            let gate = match p {
-                Pauli::X => Gate::X,
-                Pauli::Z => Gate::Z,
-                _ => unreachable!("flush emits only X and Z"),
-            };
-            circuit.push(Operation::gate(gate, &[q]));
+            circuit.push(Operation::gate(pauli_gate(p), &[q]));
         }
         Some(circuit)
     }
@@ -239,6 +197,7 @@ impl Layer for PauliFrameLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qpdo_circuit::Gate;
     use qpdo_rng::rngs::StdRng;
     use qpdo_rng::SeedableRng;
 

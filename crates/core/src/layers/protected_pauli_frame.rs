@@ -1,11 +1,23 @@
+//! The fault-tolerant Pauli-frame layer.
+//!
+//! [`ProtectedPauliFrameLayer`] holds a plain
+//! [`PauliFrameLayer`](crate::PauliFrameLayer) and tracks through it, so
+//! its Table 3.1 decisions, flush slots, measurement mapping and
+//! counters are the plain layer's by construction. Around that tracker it
+//! keeps only what protection adds: a parity bit per record, scrubbing,
+//! fault injection from a [`FaultPlan`], a checkpoint with a journal of
+//! the operations that changed the frame since (rollback replays them
+//! through [`update_frame`] on the checkpoint), and degradation to a
+//! flush when a fault cannot be recovered.
+
 use std::any::Any;
-use std::collections::VecDeque;
 
-use qpdo_circuit::{Circuit, Gate, Operation, OperationKind, TimeSlot};
-use qpdo_pauli::{Pauli, PauliFrame, PauliRecord};
+use qpdo_circuit::{Circuit, Gate, Operation, TimeSlot};
+use qpdo_pauli::{PauliFrame, PauliRecord};
 
+use crate::arch::{update_frame, FrameFlow};
 use crate::fault::{ClassicalFaultKind, FaultPlan, FrameBit};
-use crate::{CoreError, Layer, LayerContext};
+use crate::{CoreError, Layer, LayerContext, PauliFrameLayer};
 
 /// Protection configuration for a [`ProtectedPauliFrameLayer`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,57 +111,6 @@ impl FrameProtectionStats {
     }
 }
 
-/// One frame-mutating step, journaled for checkpoint replay.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FrameOp {
-    Reset(usize),
-    Pauli(usize, Pauli),
-    H(usize),
-    S(usize),
-    Sdg(usize),
-    Cnot(usize, usize),
-    Cz(usize, usize),
-    Swap(usize, usize),
-    Flush(usize),
-    FlushAll,
-}
-
-impl FrameOp {
-    /// Applies the step to a bare frame (journal replay discards the
-    /// flush gates — they already executed).
-    fn replay(self, frame: &mut PauliFrame) {
-        match self {
-            FrameOp::Reset(q) => frame.reset(q),
-            FrameOp::Pauli(q, p) => frame.apply_pauli(q, p),
-            FrameOp::H(q) => frame.apply_h(q),
-            FrameOp::S(q) => frame.apply_s(q),
-            FrameOp::Sdg(q) => frame.apply_sdg(q),
-            FrameOp::Cnot(a, b) => frame.apply_cnot(a, b),
-            FrameOp::Cz(a, b) => frame.apply_cz(a, b),
-            FrameOp::Swap(a, b) => frame.apply_swap(a, b),
-            FrameOp::Flush(q) => {
-                let _ = frame.flush(q);
-            }
-            FrameOp::FlushAll => {
-                let _ = frame.flush_all();
-            }
-        }
-    }
-
-    fn touches(self) -> [Option<usize>; 2] {
-        match self {
-            FrameOp::Reset(q)
-            | FrameOp::Pauli(q, _)
-            | FrameOp::H(q)
-            | FrameOp::S(q)
-            | FrameOp::Sdg(q)
-            | FrameOp::Flush(q) => [Some(q), None],
-            FrameOp::Cnot(a, b) | FrameOp::Cz(a, b) | FrameOp::Swap(a, b) => [Some(a), Some(b)],
-            FrameOp::FlushAll => [None, None],
-        }
-    }
-}
-
 fn record_parity(r: PauliRecord) -> bool {
     let (x, z) = r.bits();
     x ^ z
@@ -164,8 +125,8 @@ fn record_parity(r: PauliRecord) -> bool {
 /// - a parity bit per record and periodic **scrubbing** that detects
 ///   single-bit corruption,
 /// - a **checkpoint** of the frame at every circuit (ESM-round) boundary
-///   with a journal of frame-mutating steps, so a detected corruption
-///   rolls back and replays instead of persisting,
+///   with a journal of the operations that changed the frame since, so a
+///   detected corruption rolls back and replays instead of persisting,
 /// - graceful **degradation**: an unrecoverable fault flushes the frame
 ///   as physical Pauli gates (the paper's flush semantics, Table 3.5)
 ///   instead of panicking, and is reported through
@@ -178,18 +139,15 @@ fn record_parity(r: PauliRecord) -> bool {
 /// fault sampling never perturbs the stack's quantum-noise stream.
 #[derive(Debug, Default)]
 pub struct ProtectedPauliFrameLayer {
-    frame: PauliFrame,
+    /// The tracker: frame, pending measurement flips, saved-gate counters.
+    inner: PauliFrameLayer,
     /// Stored parity bit per record (x ⊕ z at last legitimate update).
     parity: Vec<bool>,
-    /// Per-measurement pending flips, FIFO per qubit in circuit order.
-    pending_flips: Vec<VecDeque<bool>>,
-    filtered_gates: u64,
-    filtered_slots: u64,
-    flush_gates_emitted: u64,
     config: FrameProtectionConfig,
     plan: Option<FaultPlan>,
     checkpoint: PauliFrame,
-    journal: Vec<FrameOp>,
+    /// The operations that changed the frame since `checkpoint`, in order.
+    journal: Vec<Operation>,
     slots_since_scrub: u64,
     /// Injected faults not yet reconciled as recovered or missed.
     outstanding: u64,
@@ -228,7 +186,7 @@ impl ProtectedPauliFrameLayer {
     /// The current Pauli frame (for inspection and reporting).
     #[must_use]
     pub fn frame(&self) -> &PauliFrame {
-        &self.frame
+        self.inner.frame()
     }
 
     /// The record currently tracked for qubit `q`.
@@ -238,25 +196,25 @@ impl ProtectedPauliFrameLayer {
     /// Panics if `q` is out of range.
     #[must_use]
     pub fn record(&self, q: usize) -> PauliRecord {
-        self.frame.record(q)
+        self.inner.record(q)
     }
 
     /// Pauli gates absorbed into the frame instead of being executed.
     #[must_use]
     pub fn filtered_gates(&self) -> u64 {
-        self.filtered_gates
+        self.inner.filtered_gates()
     }
 
     /// Time slots removed because every operation in them was absorbed.
     #[must_use]
     pub fn filtered_slots(&self) -> u64 {
-        self.filtered_slots
+        self.inner.filtered_slots()
     }
 
     /// Pauli gates emitted to flush records ahead of non-Clifford gates.
     #[must_use]
     pub fn flush_gates_emitted(&self) -> u64 {
-        self.flush_gates_emitted
+        self.inner.flush_gates_emitted()
     }
 
     /// The protection state-machine counters.
@@ -278,19 +236,32 @@ impl ProtectedPauliFrameLayer {
         std::mem::take(&mut self.events)
     }
 
-    /// Applies one legitimate frame mutation: frame + parity + journal.
-    fn apply_frame_op(&mut self, fop: FrameOp) {
-        fop.replay(&mut self.frame);
-        for q in fop.touches().into_iter().flatten() {
-            self.parity[q] = record_parity(self.frame.record(q));
-        }
-        if matches!(fop, FrameOp::FlushAll) {
-            for (q, p) in self.parity.iter_mut().enumerate() {
-                *p = record_parity(self.frame.record(q));
+    /// Tracks one operation through the plain layer and returns whether
+    /// it is forwarded; flush slots go onto `before`. An operation that
+    /// changed records refreshes their parity from what it left behind
+    /// (masking any fault stored in them) and is journaled; `I` and
+    /// measurements change nothing and leave parity alone.
+    fn track(&mut self, op: &Operation, before: &mut Vec<TimeSlot>) -> bool {
+        let flow = self.inner.track(op, before);
+        if flow != FrameFlow::Measure && op.as_gate() != Some(Gate::I) {
+            for &q in op.qubits() {
+                self.parity[q] = record_parity(self.inner.frame.record(q));
+            }
+            if self.config.checkpoint {
+                self.journal.push(op.clone());
             }
         }
+        flow != FrameFlow::Absorbed
+    }
+
+    /// Bookkeeping after the whole frame was flushed: every record is now
+    /// `I`, so every parity bit is clear, and the checkpoint moves to the
+    /// all-`I` frame any replay would reach from here.
+    fn flushed_all(&mut self) {
+        self.parity.fill(false);
         if self.config.checkpoint {
-            self.journal.push(fop);
+            self.checkpoint.reset_all();
+            self.journal.clear();
         }
     }
 
@@ -299,7 +270,8 @@ impl ProtectedPauliFrameLayer {
         let Some(plan) = self.plan.as_mut() else {
             return;
         };
-        for q in 0..self.frame.len() {
+        let frame = &mut self.inner.frame;
+        for q in 0..frame.len() {
             let Some(mut bit) = plan.sample_frame_bit_flip() else {
                 continue;
             };
@@ -312,12 +284,12 @@ impl ProtectedPauliFrameLayer {
             self.outstanding += 1;
             match bit {
                 FrameBit::X => {
-                    let (x, z) = self.frame.record(q).bits();
-                    self.frame.set_record(q, PauliRecord::from_bits(!x, z));
+                    let (x, z) = frame.record(q).bits();
+                    frame.set_record(q, PauliRecord::from_bits(!x, z));
                 }
                 FrameBit::Z => {
-                    let (x, z) = self.frame.record(q).bits();
-                    self.frame.set_record(q, PauliRecord::from_bits(x, !z));
+                    let (x, z) = frame.record(q).bits();
+                    frame.set_record(q, PauliRecord::from_bits(x, !z));
                 }
                 FrameBit::Parity => self.parity[q] = !self.parity[q],
             }
@@ -332,8 +304,9 @@ impl ProtectedPauliFrameLayer {
             return Vec::new();
         }
         self.stats.scrubs += 1;
-        let corrupt: Vec<usize> = (0..self.frame.len())
-            .filter(|&q| record_parity(self.frame.record(q)) != self.parity[q])
+        let frame = &self.inner.frame;
+        let corrupt: Vec<usize> = (0..frame.len())
+            .filter(|&q| record_parity(frame.record(q)) != self.parity[q])
             .collect();
         if corrupt.is_empty() {
             return Vec::new();
@@ -353,17 +326,24 @@ impl ProtectedPauliFrameLayer {
         }
     }
 
-    /// Restores the checkpoint and replays the journal: the frame is
-    /// exactly what legitimate tracking would have produced, undoing
-    /// every fault injected since the checkpoint (detected or not).
+    /// Restores the checkpoint and replays the journal through the same
+    /// update the layer tracks with, flushing a non-Clifford gate's
+    /// qubits (their gates already executed): the frame is exactly what
+    /// legitimate tracking would have produced, undoing every fault
+    /// injected since the checkpoint (detected or not).
     fn rollback(&mut self) {
         self.stats.rollbacks += 1;
-        self.frame = self.checkpoint.clone();
-        for fop in &self.journal {
-            fop.replay(&mut self.frame);
+        let frame = &mut self.inner.frame;
+        frame.clone_from(&self.checkpoint);
+        for op in &self.journal {
+            if update_frame(frame, op) == FrameFlow::NonClifford {
+                for &q in op.qubits() {
+                    frame.reset(q);
+                }
+            }
         }
         for (q, p) in self.parity.iter_mut().enumerate() {
-            *p = record_parity(self.frame.record(q));
+            *p = record_parity(frame.record(q));
         }
         self.stats.recovered += self.outstanding;
         self.outstanding = 0;
@@ -376,26 +356,11 @@ impl ProtectedPauliFrameLayer {
         self.stats.degraded_flushes += 1;
         self.stats.missed += self.outstanding;
         self.outstanding = 0;
-        let mut x_slot = TimeSlot::new();
-        let mut z_slot = TimeSlot::new();
-        for (q, p) in self.frame.flush_all() {
-            self.flush_gates_emitted += 1;
-            let (gate, slot) = match p {
-                Pauli::X => (Gate::X, &mut x_slot),
-                _ => (Gate::Z, &mut z_slot),
-            };
-            slot.push(Operation::gate(gate, &[q]));
-        }
-        for (q, p) in self.parity.iter_mut().enumerate() {
-            *p = record_parity(self.frame.record(q));
-        }
-        if self.config.checkpoint {
-            self.journal.push(FrameOp::FlushAll);
-        }
-        [x_slot, z_slot]
-            .into_iter()
-            .filter(|s| !s.is_empty())
-            .collect()
+        let gates = self.inner.frame.flush_all();
+        let mut slots = Vec::new();
+        self.inner.flush_slots(gates, &mut slots);
+        self.flushed_all();
+        slots
     }
 
     /// Circuit (ESM-round) boundary: scrub, reconcile, checkpoint.
@@ -407,7 +372,7 @@ impl ProtectedPauliFrameLayer {
         self.stats.missed += self.outstanding;
         self.outstanding = 0;
         if self.config.checkpoint {
-            self.checkpoint = self.frame.clone();
+            self.checkpoint = self.inner.frame.clone();
             self.journal.clear();
             self.stats.checkpoints += 1;
         }
@@ -429,100 +394,6 @@ impl ProtectedPauliFrameLayer {
             Vec::new()
         }
     }
-
-    /// Table 3.1 bookkeeping for one operation — the same decisions as
-    /// `PauliFrameLayer::track`, routed through the journal.
-    fn track(&mut self, op: &Operation) -> (Vec<TimeSlot>, bool) {
-        match op.kind() {
-            OperationKind::Prep => {
-                self.apply_frame_op(FrameOp::Reset(op.qubits()[0]));
-                (Vec::new(), true)
-            }
-            OperationKind::Measure => {
-                let q = op.qubits()[0];
-                let flip = self.frame.measurement_flipped(q);
-                self.pending_flips[q].push_back(flip);
-                (Vec::new(), true)
-            }
-            OperationKind::Gate(gate) => {
-                let q = op.qubits();
-                match gate {
-                    Gate::I => {
-                        self.filtered_gates += 1;
-                        (Vec::new(), false)
-                    }
-                    Gate::X | Gate::Y | Gate::Z => {
-                        let p = match gate {
-                            Gate::X => Pauli::X,
-                            Gate::Y => Pauli::Y,
-                            _ => Pauli::Z,
-                        };
-                        self.apply_frame_op(FrameOp::Pauli(q[0], p));
-                        self.filtered_gates += 1;
-                        (Vec::new(), false)
-                    }
-                    Gate::H => {
-                        self.apply_frame_op(FrameOp::H(q[0]));
-                        (Vec::new(), true)
-                    }
-                    Gate::S => {
-                        self.apply_frame_op(FrameOp::S(q[0]));
-                        (Vec::new(), true)
-                    }
-                    Gate::Sdg => {
-                        self.apply_frame_op(FrameOp::Sdg(q[0]));
-                        (Vec::new(), true)
-                    }
-                    Gate::Cnot => {
-                        self.apply_frame_op(FrameOp::Cnot(q[0], q[1]));
-                        (Vec::new(), true)
-                    }
-                    Gate::Cz => {
-                        self.apply_frame_op(FrameOp::Cz(q[0], q[1]));
-                        (Vec::new(), true)
-                    }
-                    Gate::Swap => {
-                        self.apply_frame_op(FrameOp::Swap(q[0], q[1]));
-                        (Vec::new(), true)
-                    }
-                    Gate::T | Gate::Tdg | Gate::Toffoli => (self.flush_slots(q), true),
-                }
-            }
-        }
-    }
-
-    /// Builds the flush slots ahead of a non-Clifford gate, exactly as
-    /// the unprotected layer does.
-    fn flush_slots(&mut self, qubits: &[usize]) -> Vec<TimeSlot> {
-        let mut x_slot = TimeSlot::new();
-        let mut z_slot = TimeSlot::new();
-        for &q in qubits {
-            let gates = self.frame.flush(q);
-            self.parity[q] = false;
-            if self.config.checkpoint {
-                self.journal.push(FrameOp::Flush(q));
-            }
-            for gate in gates {
-                self.flush_gates_emitted += 1;
-                let slot = match gate {
-                    Pauli::X => &mut x_slot,
-                    Pauli::Z => &mut z_slot,
-                    _ => unreachable!("flush emits only X and Z"),
-                };
-                slot.push(Operation::gate(
-                    match gate {
-                        Pauli::X => Gate::X,
-                        _ => Gate::Z,
-                    },
-                    &[q],
-                ));
-            }
-        }
-        [x_slot, z_slot]
-            .into_iter()
-            .filter(|s| !s.is_empty())
-            .collect()
-    }
 }
 
 impl Layer for ProtectedPauliFrameLayer {
@@ -531,11 +402,9 @@ impl Layer for ProtectedPauliFrameLayer {
     }
 
     fn on_create_qubits(&mut self, n: usize) {
-        self.frame.grow(n);
+        self.inner.on_create_qubits(n);
         self.checkpoint.grow(n);
         self.parity.resize(self.parity.len() + n, false);
-        self.pending_flips
-            .resize_with(self.pending_flips.len() + n, VecDeque::new);
     }
 
     fn process_circuit(&mut self, circuit: Circuit, ctx: &mut LayerContext<'_>) -> Circuit {
@@ -549,9 +418,7 @@ impl Layer for ProtectedPauliFrameLayer {
             let mut out_slot = TimeSlot::new();
             let mut pre_slots: Vec<TimeSlot> = Vec::new();
             for op in slot {
-                let (flush, forward) = self.track(op);
-                pre_slots.extend(flush);
-                if forward {
+                if self.track(op, &mut pre_slots) {
                     out_slot.push(op.clone());
                 }
             }
@@ -559,7 +426,7 @@ impl Layer for ProtectedPauliFrameLayer {
                 out.push_slot(pre);
             }
             if out_slot.is_empty() {
-                self.filtered_slots += 1;
+                self.inner.filtered_slots += 1;
             } else {
                 out.push_slot(out_slot);
             }
@@ -579,36 +446,13 @@ impl Layer for ProtectedPauliFrameLayer {
     }
 
     fn process_measurement(&mut self, qubit: usize, raw: bool) -> bool {
-        let flip = self.pending_flips[qubit]
-            .pop_front()
-            // invariant: the layer saw the measurement on the way down,
-            // so a pending flip was queued for exactly this result.
-            .expect("measurement result without a tracked measurement");
-        raw ^ flip
+        self.inner.process_measurement(qubit, raw)
     }
 
     fn drain_flush(&mut self) -> Option<Circuit> {
-        let gates = self.frame.flush_all();
-        for (q, p) in self.parity.iter_mut().enumerate() {
-            *p = record_parity(self.frame.record(q));
-        }
-        if self.config.checkpoint {
-            self.journal.push(FrameOp::FlushAll);
-        }
-        if gates.is_empty() {
-            return None;
-        }
-        let mut circuit = Circuit::new();
-        for (q, p) in gates {
-            self.flush_gates_emitted += 1;
-            let gate = match p {
-                Pauli::X => Gate::X,
-                Pauli::Z => Gate::Z,
-                _ => unreachable!("flush emits only X and Z"),
-            };
-            circuit.push(Operation::gate(gate, &[q]));
-        }
-        Some(circuit)
+        let flush = self.inner.drain_flush();
+        self.flushed_all();
+        flush
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -760,9 +604,25 @@ mod tests {
         assert_eq!(out.operation_count(), 2); // flush X + T
         pf.stats.detected = 0;
         // Corrupt manually, then scrub: replay must land on I.
-        pf.frame.set_record(0, PauliRecord::Z);
+        pf.inner.frame.set_record(0, PauliRecord::Z);
         let degradation = pf.scrub();
         assert!(degradation.is_empty());
+        assert_eq!(pf.record(0), PauliRecord::I);
+    }
+
+    #[test]
+    fn rollback_after_drain_flush_keeps_the_flush() {
+        // The flush emptied the frame after the checkpoint was taken: a
+        // rollback must land on the flushed frame, not on the
+        // checkpoint's records replayed without it.
+        let mut pf = layer(1);
+        let mut c = Circuit::new();
+        c.x(0);
+        let _ = process(&mut pf, c);
+        assert_eq!(pf.drain_flush().unwrap().operation_count(), 1);
+        pf.inner.frame.set_record(0, PauliRecord::Z);
+        assert!(pf.scrub().is_empty());
+        assert_eq!(pf.protection_stats().rollbacks, 1);
         assert_eq!(pf.record(0), PauliRecord::I);
     }
 

@@ -3,7 +3,7 @@
 //! A single nonblocking event loop ([`crate::eventloop`]) multiplexes
 //! every connection — readiness scans, per-connection frame state
 //! machines, read/write deadlines, byte-budget backpressure — over one
-//! service core ([`ServiceState`] + the group-committed journal).
+//! service core (`ServiceState` + the group-committed journal).
 //! Submissions journal asynchronously: the connection parks on a
 //! commit token and the ack is written only after the batch fsync
 //! completes.
@@ -12,7 +12,7 @@
 //! executing each round as one supervised run on the process's
 //! executor ([`qpdo_core::supervisor`]) with panic isolation and
 //! per-job watchdogs. All state lives in one mutex-protected
-//! [`ServiceState`] signalled by a condvar; the journal is owned by the
+//! `ServiceState` signalled by a condvar; the journal is owned by the
 //! commit thread ([`crate::commit`]) and every record is durable
 //! *before* the state change it records becomes observable —
 //! WAL-before-ack for admissions, WAL-before-result for completions. A

@@ -7,7 +7,7 @@
 //! peer can ever block the loop. The repo forbids `unsafe`, which rules
 //! out raw `epoll`; instead the loop is a scan poller: when a full pass
 //! makes no progress it parks on a condvar for at most
-//! [`IDLE_WAIT`], woken early by the commit thread whenever a batch of
+//! `IDLE_WAIT`, woken early by the commit thread whenever a batch of
 //! submission acks becomes deliverable. On an idle daemon that is one
 //! bounded wakeup every half millisecond; under load the loop never
 //! parks at all.
@@ -22,8 +22,8 @@
 //! - **WAL-before-ack**: a submit's `accepted` frame is only *encoded*
 //!   when its commit token completes successfully — the bytes cannot
 //!   reach the socket before the batch fsync returns.
-//! - **Reservation hygiene**: every [`SubmitAdmission::Reserved`] is
-//!   resolved through [`submit_finish`] exactly once, even when the
+//! - **Reservation hygiene**: every `SubmitAdmission::Reserved` is
+//!   resolved through `submit_finish` exactly once, even when the
 //!   connection dies while the commit is in flight (the completion is
 //!   delivered to a dead connection id and the reply dropped, but the
 //!   reservation is still released — otherwise a drain would wait on it
@@ -38,6 +38,9 @@
 //!   windows; admission sheds (`busy` over the connection cap,
 //!   `overloaded` over the queue depth) are typed so the fleet router
 //!   keeps its failover classification.
+//!
+//! [`DaemonConfig::io_timeout`]: crate::daemon::DaemonConfig::io_timeout
+//! [`DaemonConfig::max_inflight_bytes`]: crate::daemon::DaemonConfig::max_inflight_bytes
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};

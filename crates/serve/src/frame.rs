@@ -69,10 +69,9 @@ impl FrameBuf {
     ///
     /// # Errors
     ///
-    /// `InvalidData` when the length prefix exceeds
-    /// [`MAX_RECORD_LEN`](qpdo_core::journal::MAX_RECORD_LEN) (checked
-    /// before anything is allocated from it) or the payload fails its
-    /// CRC. The connection is poisoned either way — framing never
+    /// `InvalidData` when the length prefix exceeds [`MAX_RECORD_LEN`]
+    /// (checked before anything is allocated from it) or the payload
+    /// fails its CRC. The connection is poisoned either way — framing never
     /// resynchronizes after corruption.
     pub fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
         let avail = &self.buf[self.pos..];

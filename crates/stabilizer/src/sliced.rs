@@ -29,7 +29,8 @@ pub const LANES: usize = 64;
 ///   [`y_masked`], [`z_masked`] flip signs only in the lanes selected by
 ///   the mask, and [`measure_with`] collapses all lanes at once with a
 ///   per-lane outcome word.
-/// * Lane `k` is *byte-identical* to a scalar [`StabilizerSim`] that
+/// * Lane `k` is *byte-identical* to a scalar
+///   [`StabilizerSim`](crate::StabilizerSim) that
 ///   executed the same schedule with lane `k`'s Pauli events:
 ///   [`lane_stabilizers`]/[`lane_destabilizers`] extract any lane for
 ///   the differential oracle in `tests/sliced_oracle.rs`.

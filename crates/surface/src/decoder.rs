@@ -76,7 +76,7 @@ impl MatchingDecoder {
     /// Decodes a syndrome (one flag per detecting check, in
     /// `checks_of` order) into the data qubits of a correction.
     ///
-    /// Up to [`EXACT_LIMIT`] defects the pairing is exact minimum-weight
+    /// Up to `EXACT_LIMIT` (12) defects the pairing is exact minimum-weight
     /// (this is the small-d oracle the union-find decoder is gated
     /// against); denser syndromes go to the near-linear
     /// [`UnionFindDecoder`], which has no defect-count cap.

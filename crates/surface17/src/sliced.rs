@@ -18,12 +18,17 @@
 //! flips, then gate/prep errors, then idle errors, slot by slot — so its
 //! [`LerOutcome`] is byte-identical to
 //! [`run_ler`](crate::experiment::run_ler) with `seed = lane_seeds[k]`.
-//! The differential oracle in `tests/sliced_ler.rs` holds this equality
+//! The differential oracle in this module's tests holds this equality
 //! per lane, per field, with and without the Pauli frame.
+//!
+//! The lane frame is tracked by [`update_frame`], the same Table 3.1
+//! update the scalar `PauliFrameLayer` runs, applied to all 64 lanes at
+//! once; only the measurement-flip words are the lane stack's own.
 
 use std::collections::VecDeque;
 
 use qpdo_circuit::{Circuit, Gate, Operation, OperationKind, TimeSlot};
+use qpdo_core::arch::{update_frame, FrameFlow};
 use qpdo_core::{CoreError, DepolarizingModel};
 use qpdo_pauli::{LanePauliFrame, Pauli, PauliString};
 use qpdo_rng::rngs::StdRng;
@@ -143,7 +148,8 @@ impl SlicedStack {
         Ok(())
     }
 
-    /// The Pauli-frame downward pass on a lane-invariant circuit: Pauli
+    /// The Pauli-frame downward pass on a lane-invariant circuit, through
+    /// the same [`update_frame`] the scalar layer tracks with: Pauli
     /// gates are absorbed (all lanes at once), Cliffords map the frame
     /// and forward, preps reset it, measurements capture their pending
     /// flip word. Emptied slots are dropped — the schedule saving.
@@ -155,50 +161,18 @@ impl SlicedStack {
         for slot in circuit.slots() {
             let mut fwd = TimeSlot::new();
             for op in slot {
-                let q = op.qubits();
-                match op.kind() {
-                    OperationKind::Prep => {
-                        frame.reset(q[0]);
-                        fwd.push(op.clone());
+                match update_frame(frame, op) {
+                    FrameFlow::Absorbed => continue,
+                    FrameFlow::Measure => {
+                        let q = op.qubits()[0];
+                        self.pending[q].push_back(frame.measurement_flip_word(q));
                     }
-                    OperationKind::Measure => {
-                        self.pending[q[0]].push_back(frame.measurement_flip_word(q[0]));
-                        fwd.push(op.clone());
+                    FrameFlow::NonClifford => {
+                        unreachable!("the SC17 LER schedule is Clifford-only")
                     }
-                    OperationKind::Gate(gate) => match gate {
-                        Gate::I => {}
-                        Gate::X => frame.apply_pauli_masked(q[0], Pauli::X, u64::MAX),
-                        Gate::Y => frame.apply_pauli_masked(q[0], Pauli::Y, u64::MAX),
-                        Gate::Z => frame.apply_pauli_masked(q[0], Pauli::Z, u64::MAX),
-                        Gate::H => {
-                            frame.apply_h(q[0]);
-                            fwd.push(op.clone());
-                        }
-                        Gate::S => {
-                            frame.apply_s(q[0]);
-                            fwd.push(op.clone());
-                        }
-                        Gate::Sdg => {
-                            frame.apply_sdg(q[0]);
-                            fwd.push(op.clone());
-                        }
-                        Gate::Cnot => {
-                            frame.apply_cnot(q[0], q[1]);
-                            fwd.push(op.clone());
-                        }
-                        Gate::Cz => {
-                            frame.apply_cz(q[0], q[1]);
-                            fwd.push(op.clone());
-                        }
-                        Gate::Swap => {
-                            frame.apply_swap(q[0], q[1]);
-                            fwd.push(op.clone());
-                        }
-                        Gate::T | Gate::Tdg | Gate::Toffoli => {
-                            unreachable!("the SC17 LER schedule is Clifford-only")
-                        }
-                    },
+                    FrameFlow::Reset | FrameFlow::Mapped => {}
                 }
+                fwd.push(op.clone());
             }
             if !fwd.is_empty() {
                 out.push(fwd);

@@ -84,6 +84,11 @@ cargo fmt --check
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== rustdoc -D warnings: docs build warning-free =="
+# Broken or private intra-doc links rot silently otherwise: nothing else
+# builds the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== cargo build --release --offline =="
 cargo build --release --offline --workspace --all-targets
 
@@ -128,6 +133,10 @@ cargo test -q --offline --release -p qpdo-surface17 --lib 'sliced::'
 # whole Fig 5.8 stack, frame on and off) in the shipped codegen: every
 # operation flows through the streamed layers this checks.
 cargo test -q --offline --release -p qpdo-surface17 --test engine_equivalence
+# Frame-tracker byte identity: the plain and protected frame layers, the
+# classical-fault LER driver and the arbiter must hash to the pinned
+# FNV-1a digests, so the shared Table 3.1 update cannot move an output.
+cargo test -q --offline --release -p qpdo-surface17 --test frame_kat
 
 # Throwaway output directory for every smoke artifact below.
 smoke_out=$(mktemp -d)
@@ -167,6 +176,13 @@ echo "== supervisor smoke: exp_ler --test smoke --jobs 4 =="
 # completion, and the cross-backend redundancy vote. Uses the release
 # binary built above; output goes to the throwaway directory.
 ./target/release/exp_ler --test smoke --jobs 4 --out "$smoke_out"
+
+echo "== protected-frame smoke: exp_classical_faults --test smoke =="
+# The protected Pauli frame's pinned-seed self-check: at zero fault rate
+# the protected and unprotected layers reproduce the plain frame layer's
+# LER run exactly; under frame flips the unprotected frame is strictly
+# worse and the protected one recovers at least 90% of them.
+./target/release/exp_classical_faults --test smoke --out "$smoke_out"
 
 echo "== kernel bench smoke: bench_kernels --smoke =="
 # Smoke-runs the packed-kernel benchmark (tiny sample counts), writes
