@@ -16,9 +16,10 @@ use std::path::PathBuf;
 
 use qpdo_bench::json::Json;
 use qpdo_circuit::OperationKind;
-use qpdo_core::{ChpCore, Core, ReferenceChpCore};
+use qpdo_core::{ChpCore, Core};
 use qpdo_rng::rngs::StdRng;
 use qpdo_rng::SeedableRng;
+use qpdo_stabilizer::ReferenceTableau;
 use qpdo_surface17::{esm_circuit, DanceMode, Rotation, StarLayout};
 
 const SEED: u64 = 0x4B41_5400; // "KAT\0"
@@ -155,7 +156,7 @@ fn reference_engine_reproduces_the_same_kat() {
     // Same circuits, same seeds, the other engine: the documents must be
     // identical except for the backend label.
     let packed = generate(ChpCore::new, "chp");
-    let reference = generate(ReferenceChpCore::empty, "chp");
+    let reference = generate(ChpCore::<ReferenceTableau>::empty, "chp");
     assert_eq!(
         packed, reference,
         "reference and packed engines disagree on the KAT workloads"

@@ -122,11 +122,6 @@ impl<T: CliffordTableau> ChpCore<T> {
     }
 }
 
-/// A [`ChpCore`] running the cell-per-entry reference tableau — the
-/// differential-oracle twin of the default packed core.
-#[cfg(feature = "reference")]
-pub type ReferenceChpCore = ChpCore<qpdo_stabilizer::ReferenceTableau>;
-
 impl<T: CliffordTableau> Core for ChpCore<T> {
     fn name(&self) -> &'static str {
         T::BACKEND_NAME

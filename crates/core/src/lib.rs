@@ -61,8 +61,6 @@ mod state;
 pub mod supervisor;
 pub mod testbench;
 
-#[cfg(feature = "reference")]
-pub use backend::ReferenceChpCore;
 pub use backend::{ChpCore, Core, SvCore};
 pub use error::{Checkpoint, CoreError, ShotError};
 pub use error_model::{DepolarizingModel, ErrorCounts};

@@ -292,10 +292,9 @@ fn wait_terminal(router: &Router, id: &str) -> JobState {
 /// The unfaulted ground truth: every member runs the same base seed,
 /// so the golden record holds no matter which member executed the job.
 fn golden(base_seed: u64, spec: &JobSpec) -> String {
-    let backend = spec.kind.backend_preference()[0];
     execute(
         &spec.kind,
-        backend,
+        spec.kind.backend(),
         job_seed(base_seed, &spec.id),
         &CancelToken::new(),
     )

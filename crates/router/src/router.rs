@@ -1128,9 +1128,8 @@ fn handle_leave(service: &RouterService, name: &str) -> RouterResponse {
 
 /// Maps router state onto the plain serve `health` snapshot so
 /// unmodified serve clients can monitor a fleet: `queued` counts
-/// unconfirmed bindings, `running` confirmed ones, `reroutes` rebinds.
-/// Per-member breaker detail lives in the `fleet` verb; the synthetic
-/// per-backend array is reported all-closed.
+/// unconfirmed bindings, `running` confirmed ones. Rebinds and
+/// per-member breaker states live in the `fleet` verb.
 fn synthesize_health(service: &RouterService) -> HealthSnapshot {
     let state = service.lock_state();
     let (mut unconfirmed, mut confirmed) = (0, 0);
@@ -1155,9 +1154,6 @@ fn synthesize_health(service: &RouterService) -> HealthSnapshot {
         checkpointing: false,
         shed: state.stats.shed,
         duplicates: state.stats.duplicates,
-        breaker_trips: state.members.values().map(|m| m.breaker.trips()).sum(),
-        reroutes: state.stats.rebinds,
-        breakers: [BreakerState::Closed; 3],
     }
 }
 

@@ -164,7 +164,7 @@ fn surface(id: &str, d: usize, per: f64, shots: u64) -> JobSpec {
 fn golden(seed: u64, spec: &JobSpec) -> String {
     execute(
         &spec.kind,
-        spec.kind.backend_preference()[0],
+        spec.kind.backend(),
         job_seed(seed, &spec.id),
         &CancelToken::new(),
     )

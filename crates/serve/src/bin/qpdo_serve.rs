@@ -13,11 +13,10 @@
 //!     [--watchdog-ms N] [--seed N] [--queue-depth N] [--deadline-ms N]
 //!     [--commit-batch N] [--commit-interval-us N]
 //!     [--max-inflight-bytes N] [--max-job-attempts N]
-//!     [--breaker-threshold N] [--breaker-cooloff-ms N]
 //!     [--retain-terminal N] [--max-conns N] [--io-timeout-ms N]
 //!     [--progress-batches N]
-//!     [--chaos-backend-fail BACKEND:N] [--chaos-stall-ms N]
-//!     [--chaos-fsync-fail N] [--chaos-progress-fail N]
+//!     [--chaos-stall-ms N] [--chaos-fsync-fail N]
+//!     [--chaos-progress-fail N]
 //!     [--chaos-corrupt-checkpoint]
 //! ```
 
@@ -29,7 +28,6 @@ use std::time::Duration;
 
 use qpdo_core::executor::{MAX_JOBS, MAX_MS_FLAG};
 use qpdo_serve::daemon::{serve, DaemonConfig};
-use qpdo_serve::job::Backend;
 
 /// Upper bound accepted for `--queue-depth`: bounded admission is the
 /// point; a million queued jobs is an unbounded queue in disguise.
@@ -44,9 +42,7 @@ usage: qpdo_serve --wal-dir DIR [options]
   --seed N                  base RNG seed; job seeds derive from it and the id (default 2016)
   --queue-depth N           bounded admission-queue depth (default 256)
   --deadline-ms N           deadline for submissions that carry none (default: none)
-  --max-job-attempts N      attempts across backends before terminal failure (default 5)
-  --breaker-threshold N     consecutive failures that trip a backend breaker (default 3)
-  --breaker-cooloff-ms N    breaker cooloff before the half-open probe (default 500)
+  --max-job-attempts N      attempts before terminal failure (default 5)
   --retain-terminal N       terminal jobs kept through journal compaction (default 65536)
   --max-conns N             concurrent client connections before shedding (default 256)
   --io-timeout-ms N         read/write deadline on client streams, 0 = none (default 30000)
@@ -54,7 +50,6 @@ usage: qpdo_serve --wal-dir DIR [options]
   --commit-interval-us N    wait for commit-batch stragglers, 0 = sync now (default 200)
   --max-inflight-bytes N    buffered bytes before reads pause (default 1048576)
   --progress-batches N      journal a resume checkpoint every N sweep batches, 0 = off (default 8)
-  --chaos-backend-fail B:N  fault injection: first N executions on backend B fail
   --chaos-stall-ms N        fault injection: stall every execution N ms
   --chaos-fsync-fail N      fault injection: journal fsync fails after N successes
   --chaos-progress-fail N   fault injection: progress appends fail (ENOSPC) after N successes
@@ -136,13 +131,6 @@ fn main() {
                 config.max_job_attempts =
                     parse_ms(&flag, &value(), false).min(u64::from(u32::MAX)) as u32;
             }
-            "--breaker-threshold" => {
-                config.breaker_threshold =
-                    parse_ms(&flag, &value(), false).min(u64::from(u32::MAX)) as u32;
-            }
-            "--breaker-cooloff-ms" => {
-                config.breaker_cooloff = Duration::from_millis(parse_ms(&flag, &value(), false));
-            }
             "--retain-terminal" => {
                 config.retain_terminal =
                     parse_ms(&flag, &value(), false).min(usize::MAX as u64) as usize;
@@ -170,24 +158,6 @@ fn main() {
                 config.chaos_progress_fail = Some(parse_ms(&flag, &value(), true));
             }
             "--chaos-corrupt-checkpoint" => config.chaos_corrupt_checkpoint = true,
-            "--chaos-backend-fail" => {
-                let v = value();
-                let Some((backend, count)) = v.split_once(':') else {
-                    eprintln!("error: --chaos-backend-fail expects BACKEND:N, got {v:?}");
-                    usage_exit(2);
-                };
-                let Some(backend) = Backend::parse(backend) else {
-                    eprintln!("error: unknown backend {backend:?} in --chaos-backend-fail");
-                    usage_exit(2);
-                };
-                let count = count.parse::<u32>().unwrap_or_else(|_| {
-                    eprintln!(
-                        "error: --chaos-backend-fail count must be an integer, got {count:?}"
-                    );
-                    usage_exit(2);
-                });
-                config.chaos_backend_fail = Some((backend, count));
-            }
             "--chaos-stall-ms" => {
                 config.chaos_stall = Duration::from_millis(parse_ms(&flag, &value(), true));
             }
@@ -223,14 +193,13 @@ fn main() {
         Ok(stats) => {
             println!(
                 "drained: accepted={} completed={} failed={} partials={} shed={} \
-                 duplicates={} reroutes={} batches={}",
+                 duplicates={} batches={}",
                 stats.accepted,
                 stats.completed,
                 stats.failed,
                 stats.partials,
                 stats.shed,
                 stats.duplicates,
-                stats.reroutes,
                 stats.batches
             );
         }

@@ -9,41 +9,38 @@
 //! 1. **Crash** — SIGKILL mid-load, restart on the same journal,
 //!    resubmit everything (must all deduplicate), results golden, the
 //!    journal audit clean.
-//! 2. **Breaker** — injected packed-backend failures trip the breaker;
-//!    jobs reroute to the reference backend with identical results; the
-//!    half-open probe restores the backend to closed.
-//! 3. **Overload** — a depth-2 queue sheds a burst with `overloaded`
+//! 2. **Overload** — a depth-2 queue sheds a burst with `overloaded`
 //!    rejections while every accepted job still completes.
-//! 4. **Deadline** — a stalled execution blows a 100 ms job deadline
+//! 3. **Deadline** — a stalled execution blows a 100 ms job deadline
 //!    and fails terminally with `deadline exceeded`.
-//! 5. **Drain-deadline** — a graceful drain races the deadline watcher
+//! 4. **Drain-deadline** — a graceful drain races the deadline watcher
 //!    across a stalled queue: exactly one terminal record lands per
 //!    job and the drain still completes.
-//! 6. **Group-commit crash** — SIGKILL lands while the commit thread
+//! 5. **Group-commit crash** — SIGKILL lands while the commit thread
 //!    is folding concurrent submissions into shared fsync batches
 //!    (`--commit-batch 32 --commit-interval-us 2000`); every acked id
 //!    must survive the torn journal — WAL-before-ack holds across
 //!    batching, not just per-record fsync.
-//! 7. **Overload wave** — concurrent client waves against a depth-3
+//! 6. **Overload wave** — concurrent client waves against a depth-3
 //!    queue on the event loop: sheds carry the typed `overloaded`
 //!    code, health answers mid-wave, accepted jobs finish golden.
-//! 8. **Mid-frame stall** — a slowloris client parks half a frame and
+//! 7. **Mid-frame stall** — a slowloris client parks half a frame and
 //!    goes silent; the read deadline reaps it while live traffic on
 //!    the same loop completes unharmed.
-//! 9. **Fsync failure** — injected journal fsync failures latch the
+//! 8. **Fsync failure** — injected journal fsync failures latch the
 //!    daemon into a refuse-new-work degraded state (typed `journal` /
 //!    `degraded` rejections, health stops advertising `accepting`);
 //!    a restart without the fault completes every acked job golden.
-//! 10. **Resume** — SIGKILL mid shot-sweep; the restarted daemon
-//!     resumes from the last durable checkpoint, re-executes strictly
-//!     fewer batches than a scratch run (proven by the execution
-//!     counter), and the final record is byte-identical to the
-//!     unfaulted golden execution.
-//! 11. **Anytime partial** — a deadline landing mid-sweep yields a
+//! 9. **Resume** — SIGKILL mid shot-sweep; the restarted daemon
+//!    resumes from the last durable checkpoint, re-executes strictly
+//!    fewer batches than a scratch run (proven by the execution
+//!    counter), and the final record is byte-identical to the
+//!    unfaulted golden execution.
+//! 10. **Anytime partial** — a deadline landing mid-sweep yields a
 //!     typed `partial` terminal carrying the completed shots and a
 //!     Wilson interval instead of a bare failure; the `progress` verb
 //!     reports live batch counts before and the cached partial after.
-//! 12. **Checkpoint faults** — injected ENOSPC on progress appends
+//! 11. **Checkpoint faults** — injected ENOSPC on progress appends
 //!     degrades checkpointing to off (health flag) while jobs keep
 //!     completing golden; injected checkpoint corruption is dropped at
 //!     replay in favour of the previous valid checkpoint.
@@ -186,12 +183,11 @@ fn wait_terminal(daemon: &Daemon, id: &str) -> JobState {
 }
 
 /// The unfaulted ground truth: the job executed in-process on its
-/// preferred backend with the deterministic daemon seed.
+/// backend with the deterministic daemon seed.
 fn golden(base_seed: u64, spec: &JobSpec) -> String {
-    let backend = spec.kind.backend_preference()[0];
     execute(
         &spec.kind,
-        backend,
+        spec.kind.backend(),
         job_seed(base_seed, &spec.id),
         &CancelToken::new(),
     )
@@ -340,91 +336,7 @@ fn crash_drill(root: &Path, seed: u64, kills: usize, wave_size: usize) {
     println!("   exactly-once verified for all {} jobs", specs.len());
 }
 
-/// Drill 2: breaker trips on injected failures, reroutes, and recovers
-/// through the half-open probe.
-fn breaker_drill(root: &Path, seed: u64, jobs: usize) {
-    println!("== breaker drill: {jobs} jobs across an injected packed outage ==");
-    let wal_dir = fresh_dir(root, "breaker-wal");
-    let daemon = Daemon::spawn(
-        &wal_dir,
-        seed,
-        &[
-            "--jobs",
-            "1",
-            "--chaos-backend-fail",
-            "packed:3",
-            "--breaker-threshold",
-            "2",
-            "--breaker-cooloff-ms",
-            "150",
-        ],
-    );
-    let specs: Vec<JobSpec> = (0..jobs)
-        .map(|i| job(&format!("brk-{i}"), JobKind::Bell { shots: 8 }))
-        .collect();
-    {
-        let mut client = daemon.client();
-        for spec in &specs {
-            assert_eq!(
-                submit(&mut client, spec),
-                Response::Accepted(spec.id.clone())
-            );
-        }
-    }
-    for spec in &specs {
-        match wait_terminal(&daemon, &spec.id) {
-            JobState::Done(record) => assert_eq!(
-                record,
-                golden(seed, spec),
-                "{} rerouted result must still be golden",
-                spec.id
-            ),
-            JobState::Failed(error) => panic!("{} failed: {error}", spec.id),
-            _ => unreachable!(),
-        }
-    }
-
-    let mut client = daemon.client();
-    let Response::Health(health) = client.call(&Request::Health).expect("health call") else {
-        panic!("health request must answer with a snapshot");
-    };
-    assert!(health.breaker_trips >= 1, "the packed breaker must trip");
-    assert!(health.reroutes >= 1, "jobs must reroute around the outage");
-    println!(
-        "   trips={} reroutes={}",
-        health.breaker_trips, health.reroutes
-    );
-
-    // The injected budget is exhausted; keep probing with fresh jobs
-    // until the half-open probe restores every breaker to closed.
-    let deadline = Instant::now() + TERMINAL_TIMEOUT;
-    let mut probe = 0;
-    loop {
-        let spec = job(&format!("probe-{probe}"), JobKind::Bell { shots: 2 });
-        probe += 1;
-        assert_eq!(
-            submit(&mut client, &spec),
-            Response::Accepted(spec.id.clone())
-        );
-        let _ = wait_terminal(&daemon, &spec.id);
-        let Response::Health(health) = client.call(&Request::Health).expect("health call") else {
-            panic!("health request must answer with a snapshot");
-        };
-        if health.breakers.iter().all(|b| b.name() == "closed") {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "breakers never returned to closed: {:?}",
-            health.breakers
-        );
-        std::thread::sleep(Duration::from_millis(60));
-    }
-    println!("   half-open probe restored all breakers to closed");
-    daemon.drain();
-}
-
-/// Drill 3: a tiny queue sheds a burst; accepted jobs still finish.
+/// Drill 2: a tiny queue sheds a burst; accepted jobs still finish.
 fn overload_drill(root: &Path, seed: u64, burst: usize) {
     println!("== overload drill: burst of {burst} into a depth-2 queue ==");
     let wal_dir = fresh_dir(root, "overload-wal");
@@ -479,7 +391,7 @@ fn overload_drill(root: &Path, seed: u64, burst: usize) {
     daemon.drain();
 }
 
-/// Drill 4: a stalled execution blows the job deadline.
+/// Drill 3: a stalled execution blows the job deadline.
 fn deadline_drill(root: &Path, seed: u64) {
     println!("== deadline drill: 100 ms deadline against a 400 ms stall ==");
     let wal_dir = fresh_dir(root, "deadline-wal");
@@ -506,7 +418,7 @@ fn deadline_drill(root: &Path, seed: u64) {
     daemon.drain();
 }
 
-/// Drill 5: graceful drain racing the deadline watcher — deadlines
+/// Drill 4: graceful drain racing the deadline watcher — deadlines
 /// fire while the daemon drains a stalled queue. Exactly one terminal
 /// record per job must land (the serialized transition), and the drain
 /// must still complete instead of wedging on a conflicting append.
@@ -580,7 +492,7 @@ fn drain_deadline_drill(root: &Path, seed: u64, jobs: usize) {
     );
 }
 
-/// Drill 6: SIGKILL during group commit. Eight submitter threads keep
+/// Drill 5: SIGKILL during group commit. Eight submitter threads keep
 /// the commit thread folding many records per fsync (batch 32, 2 ms
 /// straggler window) when the kill lands, so acks in flight at death
 /// were granted by *batched* syncs. Every acked id must still be in
@@ -719,7 +631,7 @@ fn group_commit_crash_drill(root: &Path, seed: u64, jobs: usize) {
     println!("   exactly-once verified for all {} jobs", specs.len());
 }
 
-/// Drill 7: overload waves against the event loop. Several client
+/// Drill 6: overload waves against the event loop. Several client
 /// threads hammer a depth-3 queue at once; the loop must answer every
 /// one of them (typed `overloaded` sheds, never a stall), keep
 /// answering health queries mid-wave, and finish every accepted job
@@ -816,7 +728,7 @@ fn overload_wave_drill(root: &Path, seed: u64, waves: usize, clients: usize) {
     );
 }
 
-/// Drill 8: a slowloris client sends half a frame and goes silent. The
+/// Drill 7: a slowloris client sends half a frame and goes silent. The
 /// per-connection read deadline must reap it — without it the stalled
 /// parse state would pin its buffer forever — while a live client on
 /// the same event loop completes a job unharmed.
@@ -871,7 +783,7 @@ fn stall_drill(root: &Path, seed: u64) {
     daemon.drain();
 }
 
-/// Drill 9: injected fsync failures. After the fault fires the daemon
+/// Drill 8: injected fsync failures. After the fault fires the daemon
 /// must refuse new work with typed `journal` (the ambiguous in-batch
 /// record) and `degraded` rejections and stop advertising `accepting`;
 /// a restart without the fault completes every previously-acked job
@@ -1036,7 +948,7 @@ fn health(client: &mut Client) -> qpdo_serve::protocol::HealthSnapshot {
     }
 }
 
-/// Drill 10: SIGKILL mid shot-sweep, resume from the durable
+/// Drill 9: SIGKILL mid shot-sweep, resume from the durable
 /// checkpoint. The restarted daemon must finish the job byte-identical
 /// to an unfaulted scratch run while re-executing strictly fewer
 /// batches — exactly the suffix past the checkpoint, proven by the
@@ -1141,7 +1053,7 @@ fn resume_drill(root: &Path, seed: u64, d: usize, shots: u64, kill_after: u64) {
     );
 }
 
-/// Drill 11: a deadline landing mid-sweep ends the job as a typed
+/// Drill 10: a deadline landing mid-sweep ends the job as a typed
 /// anytime `partial` — completed shots, target, failures, and a Wilson
 /// interval — instead of a bare `deadline exceeded` failure. The
 /// `progress` verb answers live batch counts while the sweep runs and
@@ -1216,7 +1128,7 @@ fn partial_drill(root: &Path, seed: u64) {
     println!("   partial delivered: {done_shots} of {target} shots, CI [{lo}, {hi}]");
 }
 
-/// Drill 12: checkpoint-path fault injection.
+/// Drill 11: checkpoint-path fault injection.
 ///
 /// Part A: progress appends start failing (injected ENOSPC) after two
 /// successes. Checkpointing must degrade to off — visible in health —
@@ -1378,7 +1290,6 @@ fn main() {
 
     let (kills, wave, burst) = if smoke { (1, 6, 8) } else { (3, 4, 12) };
     crash_drill(&root, seed, kills, wave);
-    breaker_drill(&root, seed, if smoke { 4 } else { 6 });
     overload_drill(&root, seed, burst);
     deadline_drill(&root, seed);
     drain_deadline_drill(&root, seed, if smoke { 4 } else { 8 });

@@ -1,12 +1,12 @@
-//! Per-backend circuit breakers (`DESIGN.md` §9.4).
+//! Circuit breakers for the fleet router's members (`DESIGN.md` §11.2).
 //!
-//! A breaker wraps one execution backend and runs the classic
-//! three-state machine:
+//! The router keeps one breaker per member daemon, fed by its health
+//! probes, and each runs the classic three-state machine:
 //!
 //! - **Closed** — requests flow; consecutive failures are counted and
 //!   the breaker trips open at a threshold.
-//! - **Open** — requests are refused (the dispatcher routes around the
-//!   backend) until a cooloff has elapsed.
+//! - **Open** — requests are refused (the router routes around the
+//!   member) until a cooloff has elapsed.
 //! - **Half-open** — after the cooloff exactly one probe request is
 //!   admitted. Success closes the breaker; failure re-opens it and
 //!   restarts the cooloff.
@@ -48,8 +48,6 @@ pub struct CircuitBreaker {
     threshold: u32,
     cooloff: Duration,
     opened_at: Option<Instant>,
-    /// Lifetime trip count (closed/half-open → open transitions).
-    trips: u64,
 }
 
 impl CircuitBreaker {
@@ -69,7 +67,6 @@ impl CircuitBreaker {
             threshold,
             cooloff,
             opened_at: None,
-            trips: 0,
         }
     }
 
@@ -79,13 +76,7 @@ impl CircuitBreaker {
         self.state
     }
 
-    /// How many times this breaker has tripped open.
-    #[must_use]
-    pub fn trips(&self) -> u64 {
-        self.trips
-    }
-
-    /// Asks to route one request through this backend at time `now`.
+    /// Asks to route one request to the guarded member at time `now`.
     ///
     /// Returns `true` when the request may proceed. While open, the
     /// first call at or after `opened_at + cooloff` transitions to
@@ -130,7 +121,6 @@ impl CircuitBreaker {
     fn trip(&mut self, now: Instant) {
         self.state = BreakerState::Open;
         self.opened_at = Some(now);
-        self.trips += 1;
     }
 }
 
@@ -156,7 +146,6 @@ mod tests {
         assert_eq!(b.state(), BreakerState::Closed);
         b.record_failure(t0);
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips(), 1);
         assert!(!b.allow(t0));
     }
 
@@ -185,7 +174,6 @@ mod tests {
         assert!(b.allow(t1));
         b.record_failure(t1);
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.trips(), 2);
         // The cooloff restarts from the re-open instant.
         assert!(!b.allow(t1 + Duration::from_millis(99)));
         let t2 = t1 + Duration::from_millis(100);
@@ -223,14 +211,14 @@ mod tests {
 
     #[test]
     fn failed_probes_re_trip_with_a_full_cooloff_instead_of_flapping() {
-        // A backend that stays dead gets exactly one probe per cooloff
+        // A member that stays dead gets exactly one probe per cooloff
         // window: N windows → N probes and N re-trips, never a burst.
         let mut b = breaker();
         let mut now = Instant::now();
         for _ in 0..3 {
             b.record_failure(now);
         }
-        assert_eq!(b.trips(), 1);
+        assert_eq!(b.state(), BreakerState::Open);
         for cycle in 0..5u64 {
             // Nothing flows before the window, even asked repeatedly.
             for i in 0..4 {
@@ -242,10 +230,13 @@ mod tests {
             now += Duration::from_millis(100);
             assert!(b.allow(now), "cycle {cycle}: the probe slot must open");
             b.record_failure(now);
-            assert_eq!(b.state(), BreakerState::Open);
-            assert_eq!(b.trips(), cycle + 2, "one trip per failed probe");
+            assert_eq!(
+                b.state(),
+                BreakerState::Open,
+                "cycle {cycle}: a failed probe re-trips"
+            );
         }
-        // The backend finally recovers: one good probe closes it and
+        // The member finally recovers: one good probe closes it and
         // resets the failure streak, so re-tripping takes a full
         // threshold again rather than a single post-recovery blip.
         now += Duration::from_millis(100);

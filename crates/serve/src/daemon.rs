@@ -22,12 +22,12 @@
 //! a drain stops immediately instead of waiting for terminals that can
 //! no longer land.
 //!
-//! Routing: each job kind declares a backend preference order; the
-//! dispatcher picks the first backend whose circuit breaker admits the
-//! request, counting a reroute when that is not the first preference.
-//! A failed attempt feeds the breaker and requeues the job (bounded
-//! attempts); an expired deadline cancels that job alone, through its
-//! own [`CancelToken`], and ends it with its deadline outcome.
+//! Dispatch: each job kind runs on its one backend
+//! ([`JobKind::backend`]). Every engine is deterministic, so a failed
+//! attempt requeues the job until `max_job_attempts` attempts have
+//! failed, then ends it `failed`; an expired deadline cancels that job
+//! alone, through its own [`CancelToken`], and ends it with its
+//! deadline outcome.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
@@ -41,12 +41,15 @@ use std::time::{Duration, Instant};
 use qpdo_core::supervisor::{run_supervised, BatchCtx, BatchSpec, SupervisorConfig};
 use qpdo_core::{CancelToken, Checkpoint, ShotError};
 
-use crate::breaker::CircuitBreaker;
 use crate::commit::{CommitError, GroupCommit};
 use crate::eventloop;
-use crate::job::{execute_tracked, partial_detail, Backend, Execution, JobKind, JobSpec};
+use crate::job::{execute_tracked, partial_detail, Execution, JobKind, JobSpec};
 use crate::protocol::{send_line, HealthSnapshot, JobState, RejectCode, Response};
 use crate::wal::{resumable, JobOutcome, WalRecord, WriteAheadLog};
+
+/// How long the dispatcher backs off when a pass over a non-empty queue
+/// dispatched nothing because a terminal journal append failed.
+const JOURNAL_RETRY_WAIT: Duration = Duration::from_millis(250);
 
 /// Daemon tuning knobs.
 #[derive(Clone, Debug)]
@@ -61,13 +64,8 @@ pub struct DaemonConfig {
     pub queue_depth: usize,
     /// Default per-job deadline applied when a submission carries none.
     pub default_deadline_ms: Option<u64>,
-    /// Daemon-level attempts (across backends) before a job fails
-    /// terminally.
+    /// Daemon-level attempts before a job fails terminally.
     pub max_job_attempts: u32,
-    /// Consecutive failures that trip a backend's breaker.
-    pub breaker_threshold: u32,
-    /// Breaker cooloff before the half-open probe.
-    pub breaker_cooloff: Duration,
     /// Journal segment size bound before rotation.
     pub max_segment_bytes: u64,
     /// Terminal jobs retained through journal compaction; older ones
@@ -100,8 +98,6 @@ pub struct DaemonConfig {
     /// Fault injection: the journal's active-segment fsync fails after
     /// this many have succeeded, forcing the degraded latch.
     pub chaos_fsync_fail: Option<u64>,
-    /// Fault injection: the first `n` executions on this backend fail.
-    pub chaos_backend_fail: Option<(Backend, u32)>,
     /// Fault injection: every execution stalls this long first (widens
     /// the kill window for crash drills).
     pub chaos_stall: Duration,
@@ -125,8 +121,6 @@ impl Default for DaemonConfig {
             queue_depth: 256,
             default_deadline_ms: None,
             max_job_attempts: 5,
-            breaker_threshold: 3,
-            breaker_cooloff: Duration::from_millis(500),
             max_segment_bytes: WriteAheadLog::DEFAULT_MAX_SEGMENT_BYTES,
             retain_terminal: WriteAheadLog::DEFAULT_RETAIN_TERMINAL,
             max_conns: 256,
@@ -136,7 +130,6 @@ impl Default for DaemonConfig {
             max_inflight_bytes: 1 << 20,
             progress_batches: 8,
             chaos_fsync_fail: None,
-            chaos_backend_fail: None,
             chaos_stall: Duration::ZERO,
             chaos_progress_fail: None,
             chaos_corrupt_checkpoint: false,
@@ -159,8 +152,6 @@ pub struct ServeStats {
     pub shed: u64,
     /// Submissions absorbed as duplicates.
     pub duplicates: u64,
-    /// Jobs routed to a non-preferred backend.
-    pub reroutes: u64,
     /// Shot-sweep batches executed by this process (resumed work starts
     /// past its checkpoint, so a resumed run reports strictly fewer
     /// batches than a scratch run — the crash drill's oracle).
@@ -200,8 +191,6 @@ pub(crate) struct ServiceState {
     pub(crate) draining: bool,
     pub(crate) shutdown: bool,
     pub(crate) stats: ServeStats,
-    breakers: [CircuitBreaker; 3],
-    chaos_backend_fail: Option<(Backend, u32)>,
     /// Remaining progress appends before the injected ENOSPC fires
     /// (`None` = no injection).
     chaos_progress_fail: Option<u64>,
@@ -236,13 +225,6 @@ impl ServiceState {
             checkpointing,
             shed: self.stats.shed,
             duplicates: self.stats.duplicates,
-            breaker_trips: self.breakers.iter().map(CircuitBreaker::trips).sum(),
-            reroutes: self.stats.reroutes,
-            breakers: [
-                self.breakers[0].state(),
-                self.breakers[1].state(),
-                self.breakers[2].state(),
-            ],
         }
     }
 
@@ -355,7 +337,6 @@ pub fn serve(
         );
     }
 
-    let breaker = || CircuitBreaker::new(config.breaker_threshold, config.breaker_cooloff);
     let commit = GroupCommit::spawn(
         wal,
         config.commit_batch,
@@ -369,8 +350,6 @@ pub fn serve(
             draining: false,
             shutdown: false,
             stats,
-            breakers: [breaker(), breaker(), breaker()],
-            chaos_backend_fail: config.chaos_backend_fail,
             chaos_progress_fail: config.chaos_progress_fail,
             pending_accepts: HashSet::new(),
             ambiguous: HashSet::new(),
@@ -604,7 +583,6 @@ pub(crate) fn handle_progress(service: &Service, id: &str) -> Response {
 struct RoundJob {
     id: String,
     kind: JobKind,
-    backend: Backend,
     attempt: u32,
     deadline: Option<Instant>,
     /// The checkpoint this dispatch resumes from, if the kind supports
@@ -651,16 +629,13 @@ fn dispatch_loop(service: &Arc<Service>) {
                 // The pass made durable progress; look again at once.
                 continue;
             }
-            // Jobs are queued but undispatchable — every eligible
-            // breaker is open, or a journal append is failing: wait
-            // out (a fraction of) the cooloff instead of spinning.
-            let wait = service
-                .config
-                .breaker_cooloff
-                .max(Duration::from_millis(10))
-                / 2;
+            // Jobs are queued but a terminal journal append is
+            // failing: back off instead of spinning.
             let state = service.state.lock().expect("state lock");
-            let _ = service.wake.wait_timeout(state, wait).expect("state lock");
+            let _ = service
+                .wake
+                .wait_timeout(state, JOURNAL_RETRY_WAIT)
+                .expect("state lock");
             continue;
         }
         // Dispatch trace records journal off the state lock too: a
@@ -668,7 +643,7 @@ fn dispatch_loop(service: &Arc<Service>) {
         for job in &round {
             if let Err(e) = service.commit.append_sync(WalRecord::Dispatch {
                 id: job.id.clone(),
-                backend: job.backend,
+                backend: job.kind.backend(),
                 attempt: job.attempt,
             }) {
                 eprintln!(
@@ -681,12 +656,11 @@ fn dispatch_loop(service: &Arc<Service>) {
     }
 }
 
-/// Pops up to a pool-sized round of dispatchable jobs, choosing a
-/// backend for each. Jobs past their deadline are claimed as terminal
-/// (the caller journals them off-lock); jobs with every backend's
-/// breaker open stay queued (in order) for a later round. No journal
-/// I/O happens here — the state lock is held, and a group-commit wait
-/// under it would block every admission, query, and health check.
+/// Pops up to a pool-sized round of dispatchable jobs. Jobs past their
+/// deadline, and parked journal retries, are claimed as terminal (the
+/// caller journals them off-lock). No journal I/O happens here — the
+/// state lock is held, and a group-commit wait under it would block
+/// every admission, query, and health check.
 fn pick_round(
     service: &Service,
     state: &mut ServiceState,
@@ -694,7 +668,6 @@ fn pick_round(
     let now = Instant::now();
     let mut round = Vec::new();
     let mut terminals = Vec::new();
-    let mut requeue = VecDeque::new();
     while round.len() < service.config.jobs.max(1) {
         let Some(id) = state.queue.pop_front() else {
             break;
@@ -716,18 +689,6 @@ fn pick_round(
             }
             continue;
         }
-        let preference = entry.spec.kind.backend_preference();
-        let chosen = preference
-            .iter()
-            .copied()
-            .find(|b| state.breakers[b.index()].allow(now));
-        let Some(backend) = chosen else {
-            requeue.push_back(id);
-            continue;
-        };
-        if backend != preference[0] {
-            state.stats.reroutes += 1;
-        }
         let entry = state.jobs.get_mut(&id).expect("queued job exists");
         entry.state = JobState::Running;
         let attempt = entry.attempts;
@@ -739,15 +700,10 @@ fn pick_round(
         round.push(RoundJob {
             id,
             kind,
-            backend,
             attempt,
             deadline,
             resume,
         });
-    }
-    // Breaker-blocked jobs go back to the front, preserving order.
-    for id in requeue.into_iter().rev() {
-        state.queue.push_front(id);
     }
     state.running = round.len();
     (round, terminals)
@@ -825,8 +781,8 @@ fn run_round(service: &Arc<Service>, round: Vec<RoundJob>) {
     let supervisor_config = SupervisorConfig {
         jobs: service.config.jobs.max(1),
         watchdog: Duration::from_millis(service.config.watchdog_ms),
-        // The daemon owns retries (it may change backend); the run
-        // executes each attempt exactly once.
+        // The daemon owns retries (each is journaled as its own
+        // dispatch); the run executes each attempt exactly once.
         max_attempts: 1,
         backoff: Duration::from_millis(10),
         max_replacements: service.config.jobs.max(1),
@@ -835,33 +791,17 @@ fn run_round(service: &Arc<Service>, round: Vec<RoundJob>) {
     };
 
     let stall = service.config.chaos_stall;
-    let chaos = Arc::new(Mutex::new(
-        service.state.lock().expect("state lock").chaos_backend_fail,
-    ));
-    let tasks: Vec<(String, JobKind, Backend, Option<Checkpoint>)> = round
+    let tasks: Vec<(String, JobKind, Option<Checkpoint>)> = round
         .iter()
-        .map(|j| (j.id.clone(), j.kind, j.backend, j.resume.clone()))
+        .map(|j| (j.id.clone(), j.kind, j.resume.clone()))
         .collect();
     let job = {
-        let chaos = Arc::clone(&chaos);
         let service = Arc::clone(service);
         let journal_every = service.config.progress_batches;
         move |ctx: &BatchCtx| -> Result<String, ShotError> {
-            let (id, kind, backend, resume) = &tasks[ctx.task];
+            let (id, kind, resume) = &tasks[ctx.task];
             if !stall.is_zero() {
                 thread::sleep(stall);
-            }
-            {
-                let mut chaos = chaos.lock().expect("chaos lock");
-                if let Some((sick, remaining)) = chaos.as_mut() {
-                    if *sick == *backend && *remaining > 0 {
-                        *remaining -= 1;
-                        return Err(ShotError::PoolFailure(format!(
-                            "injected backend failure on {}",
-                            backend.name()
-                        )));
-                    }
-                }
             }
             // Per-batch sink: publish the checkpoint live (the
             // `progress` query and the deadline's `Partial` both read
@@ -884,7 +824,7 @@ fn run_round(service: &Arc<Service>, round: Vec<RoundJob>) {
             };
             match execute_tracked(
                 kind,
-                *backend,
+                kind.backend(),
                 ctx.seed,
                 &ctx.cancel,
                 resume.as_ref(),
@@ -907,8 +847,6 @@ fn run_round(service: &Arc<Service>, round: Vec<RoundJob>) {
         }
     };
     let report = run_supervised(&supervisor_config, specs, job, None, &CancelToken::new());
-    // Write back the chaos budget consumed by the round.
-    let remaining_chaos = *chaos.lock().expect("chaos lock");
 
     let now = Instant::now();
     let mut quarantined: HashMap<usize, (String, bool)> = report
@@ -922,11 +860,9 @@ fn run_round(service: &Arc<Service>, round: Vec<RoundJob>) {
     // fsync, and admissions must not stall behind it).
     let mut terminals: Vec<(String, JobOutcome)> = Vec::new();
     let mut state = service.state.lock().expect("state lock");
-    state.chaos_backend_fail = remaining_chaos;
     for (task, job) in round.into_iter().enumerate() {
         match report.results.get(task).and_then(Option::as_ref) {
             Some(record) => {
-                state.breakers[job.backend.index()].record_success();
                 let outcome = JobOutcome::Done(record.clone());
                 if terminal_begin(&mut state, &job.id, &outcome) {
                     terminals.push((job.id, outcome));
@@ -948,7 +884,6 @@ fn run_round(service: &Arc<Service>, round: Vec<RoundJob>) {
                     }
                     continue;
                 }
-                state.breakers[job.backend.index()].record_failure(now);
                 let entry = state.jobs.get_mut(&job.id).expect("round job exists");
                 entry.attempts += 1;
                 if entry.attempts >= service.config.max_job_attempts {

@@ -4,10 +4,11 @@
 //! A job is described entirely by its [`JobSpec`]: a client-chosen id
 //! (the idempotency key), an optional deadline, and a [`JobKind`]. The
 //! payload seed derives from the daemon's base seed and the job id
-//! alone ([`job_seed`]), so re-executing a job after a crash — or on a
-//! different backend after a breaker trip — reproduces the result
-//! byte-for-byte (the packed and reference stabilizer engines are
-//! differentially verified to agree bit-exactly).
+//! alone ([`job_seed`]), so re-executing a job after a crash — or
+//! retrying it after a failed attempt — reproduces the result
+//! byte-for-byte. Each kind runs on one backend ([`JobKind::backend`]);
+//! the reference tableau stays executable so the serve-level oracle can
+//! show it agrees bit-exactly with the packed engine.
 
 use qpdo_core::testbench::random_circuit;
 use qpdo_core::{
@@ -16,16 +17,13 @@ use qpdo_core::{
 };
 use qpdo_rng::rngs::StdRng;
 use qpdo_rng::SeedableRng;
-use qpdo_stabilizer::{CliffordTableau, StabilizerSim, LANES};
+use qpdo_stabilizer::{CliffordTableau, ReferenceTableau, StabilizerSim, LANES};
 use qpdo_statevector::Complex;
 use qpdo_stats::wilson_interval;
 use qpdo_surface::experiment::{run_ler_surface_controlled, SurfaceLerConfig};
 use qpdo_surface::CheckKind;
 use qpdo_surface17::experiment::{run_ler_on, LerConfig, LerOutcome, LogicalErrorKind};
 use qpdo_surface17::{logical_cnot, run_ler_sliced, NinjaStar, StarLayout};
-
-#[cfg(feature = "reference")]
-use qpdo_stabilizer::ReferenceTableau;
 
 /// The longest job id the service accepts.
 pub const MAX_JOB_ID_LEN: usize = 128;
@@ -44,7 +42,10 @@ pub const MAX_SURFACE_SHOTS: u64 = 1 << 20;
 /// of the distance-scaling workload (`exp_distance_scaling`).
 pub const MAX_SURFACE_DISTANCE: usize = 13;
 
-/// An execution backend a job can be routed to.
+/// An execution backend. The daemon runs each job kind on one
+/// ([`JobKind::backend`]); [`execute`] also runs LER and Bell jobs on
+/// `Reference`, the twin the differential oracle compares against, and
+/// journals from older daemons may name it in `dispatch` records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
     /// The word-packed production stabilizer engine.
@@ -56,7 +57,7 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Every backend, in health-report order.
+    /// Every backend, in declaration order.
     pub const ALL: [Backend; 3] = [Backend::Packed, Backend::Reference, Backend::Statevector];
 
     /// The lowercase wire name.
@@ -73,12 +74,6 @@ impl Backend {
     #[must_use]
     pub fn parse(name: &str) -> Option<Self> {
         Backend::ALL.into_iter().find(|b| b.name() == name)
-    }
-
-    /// This backend's index into per-backend state arrays.
-    #[must_use]
-    pub fn index(self) -> usize {
-        self as usize
     }
 }
 
@@ -324,18 +319,15 @@ impl JobKind {
         matches!(self, JobKind::LerSliced { .. } | JobKind::LerSurface { .. })
     }
 
-    /// The backends this kind can run on, in routing-preference order.
+    /// The one backend the daemon runs this kind on.
     #[must_use]
-    pub fn backend_preference(&self) -> &'static [Backend] {
+    pub fn backend(&self) -> Backend {
         match self {
-            #[cfg(feature = "reference")]
-            JobKind::Ler { .. } | JobKind::Bell { .. } => &[Backend::Packed, Backend::Reference],
-            #[cfg(not(feature = "reference"))]
-            JobKind::Ler { .. } | JobKind::Bell { .. } => &[Backend::Packed],
-            // The lane-sliced engine lives on the packed word planes
-            // only; there is no reference twin to reroute to.
-            JobKind::LerSliced { .. } | JobKind::LerSurface { .. } => &[Backend::Packed],
-            JobKind::RandomCircuit { .. } => &[Backend::Statevector],
+            JobKind::Ler { .. }
+            | JobKind::LerSliced { .. }
+            | JobKind::LerSurface { .. }
+            | JobKind::Bell { .. } => Backend::Packed,
+            JobKind::RandomCircuit { .. } => Backend::Statevector,
         }
     }
 }
@@ -414,8 +406,9 @@ impl JobSpec {
 
 /// The deterministic payload seed for a job: the attempt-0 supervisor
 /// substream keyed by the job id, exactly what a supervised run derives
-/// for a batch with `point = id, batch = 0`. Crash recovery and breaker rerouting both rely on this being
-/// a pure function of `(base_seed, id)`.
+/// for a batch with `point = id, batch = 0`. Crash recovery and retried
+/// attempts both rely on this being a pure function of
+/// `(base_seed, id)`.
 #[must_use]
 pub fn job_seed(base_seed: u64, id: &str) -> u64 {
     substream_seed(base_seed, id, 0, 0)
@@ -491,12 +484,6 @@ pub fn execute_tracked(
     resume: Option<&Checkpoint>,
     on_batch: &mut dyn FnMut(&Checkpoint),
 ) -> Result<Execution, ShotError> {
-    let unsupported = || {
-        Err(ShotError::PoolFailure(format!(
-            "backend {} cannot run this job kind",
-            backend.name()
-        )))
-    };
     match (kind, backend) {
         (
             JobKind::Ler {
@@ -511,10 +498,7 @@ pub fn execute_tracked(
             let config = ler_config(*per, *kind, *with_pf, *target, *max_windows, seed);
             let cancelled = || cancel.is_cancelled();
             let (outcome, stopped) = match backend {
-                #[cfg(feature = "reference")]
                 Backend::Reference => run_ler_on::<ReferenceTableau>(&config, &cancelled)?,
-                #[cfg(not(feature = "reference"))]
-                Backend::Reference => return unsupported(),
                 _ => run_ler_on::<StabilizerSim>(&config, &cancelled)?,
             };
             if stopped {
@@ -587,7 +571,6 @@ pub fn execute_tracked(
                 counts[0], counts[1], counts[2], counts[3]
             )))
         }
-        #[cfg(feature = "reference")]
         (JobKind::Bell { shots }, Backend::Reference) => {
             let counts = bell_counts::<ReferenceTableau>(*shots, seed, cancel)?;
             Ok(Execution::Done(format!(
@@ -598,7 +581,10 @@ pub fn execute_tracked(
         (JobKind::RandomCircuit { qubits, gates }, Backend::Statevector) => Ok(Execution::Done(
             random_circuit_record(*qubits, *gates, seed)?,
         )),
-        _ => unsupported(),
+        _ => Err(ShotError::PoolFailure(format!(
+            "backend {} cannot run this job kind",
+            backend.name()
+        ))),
     }
 }
 
@@ -902,7 +888,6 @@ mod tests {
         assert_ne!(job_seed(2016, "a"), job_seed(2017, "a"));
     }
 
-    #[cfg(feature = "reference")]
     #[test]
     fn packed_and_reference_backends_agree_byte_for_byte() {
         let cancel = CancelToken::new();
@@ -961,10 +946,10 @@ mod tests {
         assert!(matches!(result, Err(ShotError::Cancelled { .. })));
     }
 
-    /// A breaker may reroute an `ler` job to the reference engine; a
-    /// cancellation must end it the same way there — `Stopped`, which a
-    /// deadline turns into an anytime `partial` — not as an error.
-    #[cfg(feature = "reference")]
+    /// The reference engine runs an `ler` job with the packed engine's
+    /// semantics; a cancellation must end it the same way there —
+    /// `Stopped`, which a deadline turns into an anytime `partial` — not
+    /// as an error.
     #[test]
     fn cancelled_ler_job_stops_identically_on_both_backends() {
         let cancel = CancelToken::new();
@@ -1085,7 +1070,7 @@ mod tests {
             per: 0.05,
             shots: 64,
         };
-        assert_eq!(kind.backend_preference(), &[Backend::Packed]);
+        assert_eq!(kind.backend(), Backend::Packed);
         for backend in [Backend::Reference, Backend::Statevector] {
             let result = execute(&kind, backend, 1, &cancel);
             assert!(matches!(result, Err(ShotError::PoolFailure(_))));
@@ -1103,7 +1088,7 @@ mod tests {
             max_windows: 10,
             shots: 64,
         };
-        assert_eq!(kind.backend_preference(), &[Backend::Packed]);
+        assert_eq!(kind.backend(), Backend::Packed);
         let result = execute(&kind, Backend::Reference, 1, &cancel);
         assert!(matches!(result, Err(ShotError::PoolFailure(_))));
     }

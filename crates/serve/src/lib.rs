@@ -25,9 +25,12 @@
 //!   multiplexes hundreds of connections with per-connection state
 //!   machines ([`frame`]), read/write deadlines that reap slowloris
 //!   peers, and byte-budget backpressure.
-//! - **Circuit breakers** ([`breaker`]): per-backend failure tracking
-//!   routes jobs around a sick backend (packed ↔ reference tableau for
-//!   stabilizer jobs) and restores it through a half-open probe.
+//! - **Bounded retries** ([`daemon`]): each job kind runs on its one
+//!   deterministic backend ([`job::JobKind::backend`]); a failed attempt
+//!   is requeued and rerun there until `max_job_attempts`, then the job
+//!   fails terminally.
+//! - **Circuit breakers** ([`breaker`]): the three-state machine the
+//!   fleet router keeps per member daemon.
 //!
 //! The wire protocol ([`protocol`]) is a minimal length-prefixed codec
 //! over the same CRC framing the journal uses — std-only, no external

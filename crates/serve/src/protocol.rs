@@ -29,8 +29,7 @@ use std::time::Duration;
 
 use qpdo_core::journal::{read_record, write_record};
 
-use crate::breaker::BreakerState;
-use crate::job::{Backend, JobSpec};
+use crate::job::JobSpec;
 
 /// A client-to-daemon message.
 #[derive(Clone, Debug, PartialEq)]
@@ -228,10 +227,6 @@ pub struct HealthSnapshot {
     pub shed: u64,
     /// Submissions deduplicated against an existing id.
     pub duplicates: u64,
-    /// Circuit-breaker trips across all backends.
-    pub breaker_trips: u64,
-    /// Jobs routed to a non-preferred backend by an open breaker.
-    pub reroutes: u64,
     /// Jobs ended with an anytime-partial terminal at deadline expiry.
     pub partials: u64,
     /// Shot-sweep batches executed by the worker pool since startup —
@@ -243,20 +238,13 @@ pub struct HealthSnapshot {
     /// running, but a crash would replay them from their last durable
     /// checkpoint, not from the batches executed since.
     pub checkpointing: bool,
-    /// Per-backend breaker states, in [`Backend::ALL`] order.
-    pub breakers: [BreakerState; 3],
 }
 
 impl HealthSnapshot {
     fn encode(&self) -> String {
-        let breakers: Vec<String> = Backend::ALL
-            .into_iter()
-            .map(|b| format!("{}:{}", b.name(), self.breakers[b.index()].name()))
-            .collect();
         format!(
             "health {} queued={} running={} accepted={} completed={} failed={} shed={} \
-             duplicates={} breaker_trips={} reroutes={} partials={} batches={} checkpoint={} \
-             breakers={}",
+             duplicates={} partials={} batches={} checkpoint={}",
             if self.accepting { "ok" } else { "draining" },
             self.queued,
             self.running,
@@ -265,12 +253,9 @@ impl HealthSnapshot {
             self.failed,
             self.shed,
             self.duplicates,
-            self.breaker_trips,
-            self.reroutes,
             self.partials,
             self.batches,
             if self.checkpointing { "on" } else { "off" },
-            breakers.join(",")
         )
     }
 
@@ -293,12 +278,9 @@ impl HealthSnapshot {
             failed: 0,
             shed: 0,
             duplicates: 0,
-            breaker_trips: 0,
-            reroutes: 0,
             partials: 0,
             batches: 0,
             checkpointing: true,
-            breakers: [BreakerState::Closed; 3],
         };
         for field in fields {
             let (key, value) = field.split_once('=').ok_or_else(bad)?;
@@ -310,8 +292,6 @@ impl HealthSnapshot {
                 "failed" => snapshot.failed = value.parse().map_err(|_| bad())?,
                 "shed" => snapshot.shed = value.parse().map_err(|_| bad())?,
                 "duplicates" => snapshot.duplicates = value.parse().map_err(|_| bad())?,
-                "breaker_trips" => snapshot.breaker_trips = value.parse().map_err(|_| bad())?,
-                "reroutes" => snapshot.reroutes = value.parse().map_err(|_| bad())?,
                 "partials" => snapshot.partials = value.parse().map_err(|_| bad())?,
                 "batches" => snapshot.batches = value.parse().map_err(|_| bad())?,
                 "checkpoint" => {
@@ -319,18 +299,6 @@ impl HealthSnapshot {
                         "on" => true,
                         "off" => false,
                         _ => return Err(bad()),
-                    }
-                }
-                "breakers" => {
-                    for entry in value.split(',') {
-                        let (name, state) = entry.split_once(':').ok_or_else(bad)?;
-                        let backend = Backend::parse(name).ok_or_else(bad)?;
-                        snapshot.breakers[backend.index()] = match state {
-                            "closed" => BreakerState::Closed,
-                            "open" => BreakerState::Open,
-                            "half-open" => BreakerState::HalfOpen,
-                            _ => return Err(bad()),
-                        };
                     }
                 }
                 _ => return Err(bad()),
@@ -572,16 +540,9 @@ mod tests {
             failed: 1,
             shed: 4,
             duplicates: 2,
-            breaker_trips: 1,
-            reroutes: 5,
             partials: 3,
             batches: 417,
             checkpointing: false,
-            breakers: [
-                BreakerState::Open,
-                BreakerState::Closed,
-                BreakerState::HalfOpen,
-            ],
         };
         let responses = vec![
             Response::Accepted("a".to_owned()),

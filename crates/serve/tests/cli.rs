@@ -127,6 +127,11 @@ fn unknown_and_out_of_range_flags_exit_2_without_binding() {
         &["--deadline-ms"],
         &["--jobs", "0"],
         &["--seed", "-3"],
+        // No per-backend breaker or backend fault flags: each job kind
+        // runs on its one backend.
+        &["--chaos-backend-fail", "packed:1"],
+        &["--breaker-threshold", "2"],
+        &["--breaker-cooloff-ms", "5"],
     ] {
         let (code, stdout) = exit_of(args);
         assert_eq!(code, Some(2), "qpdo_serve {args:?}");

@@ -61,7 +61,6 @@ const DICT: &[&str] = &[
     "partial",
     "progress",
     "queued=",
-    "breakers=",
     "partials=",
     "batches=",
     "checkpoint=",
@@ -131,8 +130,7 @@ fn valid_lines_survive_truncation_at_every_boundary() {
         "progress sweep-1",
         "progress sweep-1 176 11264 148",
         "health ok queued=1 running=2 accepted=3 completed=1 failed=0 shed=4 duplicates=0 \
-         breaker_trips=1 reroutes=1 partials=1 batches=176 checkpoint=on \
-         breakers=packed:closed,reference:open,statevector:half-open",
+         partials=1 batches=176 checkpoint=on",
         "drained",
     ];
     for line in lines {

@@ -10,6 +10,7 @@ use std::path::PathBuf;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use qpdo_core::journal::{read_records, Record as _};
 use qpdo_core::CancelToken;
 use qpdo_serve::daemon::{serve, DaemonConfig, ServeStats};
 use qpdo_serve::job::{execute, job_seed, Backend, JobKind, JobSpec};
@@ -87,7 +88,7 @@ fn bell(id: &str, shots: u64) -> JobSpec {
 fn golden(seed: u64, spec: &JobSpec) -> String {
     execute(
         &spec.kind,
-        spec.kind.backend_preference()[0],
+        spec.kind.backend(),
         job_seed(seed, &spec.id),
         &CancelToken::new(),
     )
@@ -677,47 +678,63 @@ fn every_drain_waiter_is_answered_exactly_once() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[cfg(feature = "reference")]
+/// A job whose every attempt fails is retried on its one backend until
+/// `max_job_attempts` attempts have failed, then ends `failed`. A stall
+/// far past the watchdog makes each attempt time out; each retry is
+/// journaled as its own `dispatch` record with the next attempt number.
 #[test]
-fn tripped_breaker_reroutes_with_identical_results() {
-    let dir = fresh_dir("breaker");
+fn failed_attempts_retry_then_fail_terminally() {
+    const ATTEMPTS: u32 = 3;
+    let dir = fresh_dir("retry");
     let config = DaemonConfig {
         jobs: 1,
-        chaos_backend_fail: Some((Backend::Packed, 2)),
-        breaker_threshold: 1,
-        // Long cooloff: the packed breaker stays open for the whole
-        // test, so completion proves the reference reroute.
-        breaker_cooloff: Duration::from_secs(120),
+        watchdog_ms: 50,
+        chaos_stall: Duration::from_millis(1_000),
+        max_job_attempts: ATTEMPTS,
         ..DaemonConfig::default()
     };
-    let seed = config.base_seed;
     let daemon = TestDaemon::start(&dir, config);
     let mut client = daemon.client();
 
-    let spec = bell("reroute-1", 4);
+    let spec = bell("retry-1", 4);
     assert_eq!(
-        client.call(&Request::Submit(spec.clone())).unwrap(),
-        Response::Accepted("reroute-1".to_owned())
+        client.call(&Request::Submit(spec)).unwrap(),
+        Response::Accepted("retry-1".to_owned())
     );
-    let JobState::Done(record) = daemon.wait_terminal("reroute-1") else {
-        panic!("reroute-1 did not complete");
+    let JobState::Failed(error) = daemon.wait_terminal("retry-1") else {
+        panic!("retry-1 must fail once its attempts run out");
     };
-    assert_eq!(
-        record,
-        golden(seed, &spec),
-        "the reference backend must reproduce the packed result"
+    assert!(
+        error.ends_with(&format!("(after {ATTEMPTS} attempts)")),
+        "{error}"
     );
-
-    let Response::Health(health) = client.call(&Request::Health).unwrap() else {
-        panic!("no health snapshot");
-    };
-    assert!(health.breaker_trips >= 1);
-    assert!(health.reroutes >= 1);
-    assert_eq!(health.breakers[Backend::Packed.index()].name(), "open");
-
     let stats = daemon.drain();
-    assert_eq!(stats.completed, 1);
-    assert!(stats.reroutes >= 1);
+    assert_eq!(stats.failed, 1);
+    assert_eq!(stats.completed, 0);
+
+    let mut segments: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "log"))
+        .collect();
+    segments.sort();
+    let mut attempts = Vec::new();
+    for path in segments {
+        let mut file = std::io::BufReader::new(std::fs::File::open(path).unwrap());
+        for payload in read_records(&mut file).unwrap() {
+            let line = String::from_utf8(payload).unwrap();
+            if let Ok(WalRecord::Dispatch {
+                id,
+                backend,
+                attempt,
+            }) = WalRecord::parse(&line)
+            {
+                assert_eq!((id.as_str(), backend), ("retry-1", Backend::Packed));
+                attempts.push(attempt);
+            }
+        }
+    }
+    assert_eq!(attempts, (0..ATTEMPTS).collect::<Vec<_>>());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -13,8 +13,8 @@
 //!   with word-parallel gate kernels, a batched measurement collapse, and an
 //!   allocation-free steady state (DESIGN.md §8).
 //! * [`ReferenceTableau`] — a deliberately cell-per-entry transliteration of
-//!   the published algorithm, kept behind the default-on `reference` feature
-//!   as the differential-test oracle and benchmark baseline.
+//!   the published algorithm, kept as the differential-test oracle and
+//!   benchmark baseline.
 //!
 //! Both implement [`CliffordTableau`], draw from their RNG in the same order,
 //! and are held bit-for-bit in agreement by `tests/differential.rs`.
@@ -47,17 +47,13 @@ use std::fmt;
 use qpdo_pauli::PauliString;
 use qpdo_rng::RngCore;
 
+mod reference;
 mod sliced;
 mod tableau;
 
-#[cfg(feature = "reference")]
-mod reference;
-
+pub use reference::ReferenceTableau;
 pub use sliced::{ShotSlicedSim, LANES};
 pub use tableau::StabilizerSim;
-
-#[cfg(feature = "reference")]
-pub use reference::ReferenceTableau;
 
 /// The contract shared by the packed production engine and the reference
 /// oracle: everything the control stack needs from a CHP-style tableau.
@@ -197,6 +193,4 @@ macro_rules! forward_clifford_tableau {
 }
 
 forward_clifford_tableau!(StabilizerSim, "chp");
-
-#[cfg(feature = "reference")]
 forward_clifford_tableau!(ReferenceTableau, "chp-reference");

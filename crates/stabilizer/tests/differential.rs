@@ -21,8 +21,6 @@
 //! reset again, with SWAPs and CNOTs between ancillas whose Z values
 //! are cached.
 
-#![cfg(feature = "reference")]
-
 use qpdo_pauli::{Pauli, PauliString, Phase};
 use qpdo_rng::rngs::StdRng;
 use qpdo_rng::{Rng, SeedableRng};

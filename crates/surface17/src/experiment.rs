@@ -34,9 +34,7 @@ use qpdo_core::{
     ShotError, SvCore,
 };
 use qpdo_pauli::{Pauli, PauliString};
-#[cfg(feature = "reference")]
-use qpdo_stabilizer::ReferenceTableau;
-use qpdo_stabilizer::{CliffordTableau, StabilizerSim};
+use qpdo_stabilizer::{CliffordTableau, ReferenceTableau, StabilizerSim};
 use qpdo_statevector::Complex;
 
 use crate::{NinjaStar, StarLayout};
@@ -242,7 +240,6 @@ pub fn run_ler(config: &LerConfig) -> Result<LerOutcome, CoreError> {
 /// # Errors
 ///
 /// Same contract as [`run_ler`].
-#[cfg(feature = "reference")]
 pub fn run_ler_reference(config: &LerConfig) -> Result<LerOutcome, CoreError> {
     run_ler_on::<ReferenceTableau>(config, &|| false).map(|(outcome, _)| outcome)
 }

@@ -9,8 +9,6 @@
 //! depolarizing error layer, the LUT decoder, and (optionally) the
 //! frame layer in between — uncancelled and stopped mid-run.
 
-#![cfg(feature = "reference")]
-
 use std::cell::Cell;
 
 use qpdo_stabilizer::{ReferenceTableau, StabilizerSim};

@@ -245,11 +245,9 @@ echo "== crash-recovery gate: serve_chaos --smoke =="
 # qpdo_serve, SIGKILLs it with jobs in flight (including mid
 # group-commit batch), restarts on the same journal, and asserts
 # exactly-once completion with results byte-identical to an unfaulted
-# execution of the same seeds — then trips a circuit breaker with
-# injected backend failures and checks reroute + half-open recovery,
-# overload shedding and waves, deadline enforcement, slowloris
-# reaping, and the injected-fsync-failure degraded latch with clean
-# restart recovery. The checkpoint drills (DESIGN.md §14) then SIGKILL
+# execution of the same seeds — then checks overload shedding and
+# waves, deadline enforcement, slowloris reaping, and the
+# injected-fsync-failure degraded latch with clean restart recovery. The checkpoint drills (DESIGN.md §14) then SIGKILL
 # a sweep past a durable checkpoint and require the restart to resume
 # from it byte-identically with strictly fewer batches re-executed,
 # expire a deadline mid-sweep into an anytime `partial` terminal with
