@@ -38,6 +38,11 @@
 //! - `surface_batch_d5` — the same warmed call at d = 5, p = 0.08: the
 //!   12-bit syndromes mostly hit the sweep point's decoded-parity
 //!   table, so the error draw and the frame push dominate.
+//! - `surface_setup_d13` — a 64-shot [`run_ler_surface`] call at d = 13
+//!   on a freshly spawned thread: the cold sweep point every thread that
+//!   runs d = 13 batches builds once (code, ESM circuit, the frame
+//!   sampler's noiseless reference on the packed tableau, union-find
+//!   decoder), then its first batch. The spawn and join are timed too.
 //!
 //! Flags: `--out DIR` (default `results`), `--samples N` (default 25),
 //! `--seed N` (default 2016), `--smoke` (minimal iterations + schema
@@ -165,7 +170,7 @@ fn build_reference(circuit: &[G]) -> ReferenceTableau {
 
 /// Picks the measurement qubit with the most anticommuting rows, so the
 /// rowsum kernels are timed on the heaviest collapse this state offers.
-fn heaviest_qubit(sim: &StabilizerSim) -> (usize, usize) {
+fn heaviest_qubit(sim: &ReferenceTableau) -> (usize, usize) {
     (0..N)
         .map(|q| {
             let mut probe = sim.clone();
@@ -212,6 +217,7 @@ fn validate_report(doc: &Json) -> Result<(), String> {
         "frame_merge",
         "surface_batch_d13",
         "surface_batch_d5",
+        "surface_setup_d13",
     ];
     for name in required {
         let entry = kernels
@@ -284,13 +290,15 @@ fn run(args: &Args) -> Result<(), String> {
     let circuit = random_circuit(args.seed, 300);
     let packed_state = build_packed(&circuit);
     let reference_state = build_reference(&circuit);
-    let (q, targets) = heaviest_qubit(&packed_state);
+    let (q, targets) = heaviest_qubit(&reference_state);
     {
         // The engines must agree on the workload or the ratio is bogus.
-        let mut probe = reference_state.clone();
+        let (mut packed, mut reference) = (packed_state.clone(), reference_state.clone());
+        packed.measure_forced(q, false);
+        reference.bench_collapse(q, false);
         assert_eq!(
-            probe.bench_collapse(q, false),
-            targets,
+            packed.stabilizers(),
+            reference.stabilizers(),
             "engines disagree on the collapse workload"
         );
     }
@@ -300,7 +308,7 @@ fn run(args: &Args) -> Result<(), String> {
             samples,
             collapse_iters,
             || packed_state.clone(),
-            |sim| sim.bench_collapse(q, false),
+            |sim| sim.measure_forced(q, false),
         ),
     )?;
     let rowsum_reference = measured(
@@ -507,6 +515,35 @@ fn run(args: &Args) -> Result<(), String> {
     .expect("valid configuration");
     let surface_batch_d5 = surface_batch("surface_batch_d5", 5)?;
 
+    // -- surface_setup_d13: a cold d = 13 sweep point, as a thread pays
+    // it on its first batch: each call runs on a fresh thread, whose
+    // spawn and join are timed with it.
+    let mut setup_seed = args.seed;
+    let surface_setup_d13 = measured(
+        "surface_setup_d13",
+        measure_batched_ns(
+            samples,
+            window_iters,
+            || {
+                setup_seed = setup_seed.wrapping_add(1);
+                SurfaceLerConfig {
+                    distance: 13,
+                    physical_error_rate: 0.08,
+                    error: CheckKind::X,
+                    shots: LANES as u64,
+                    seed: setup_seed,
+                }
+            },
+            |&mut config| {
+                std::thread::spawn(move || run_ler_surface(&config))
+                    .join()
+                    .expect("set-up thread panicked")
+                    .expect("valid configuration")
+            },
+        ),
+    )?;
+    println!("surface_setup_d13: {:.1} ns", surface_setup_d13.median_ns);
+
     let report = Json::object([
         ("schema", Json::from(SCHEMA)),
         ("seed", Json::from(args.seed)),
@@ -525,6 +562,7 @@ fn run(args: &Args) -> Result<(), String> {
                 kernel_entry("frame_merge", &frame_merge),
                 kernel_entry("surface_batch_d13", &surface_batch_d13),
                 kernel_entry("surface_batch_d5", &surface_batch_d5),
+                kernel_entry("surface_setup_d13", &surface_setup_d13),
             ]),
         ),
         (

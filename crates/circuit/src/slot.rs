@@ -87,6 +87,35 @@ impl TimeSlot {
         self.operations.push(op);
     }
 
+    /// The slot of `ops`, in order. Conflicts are checked in one pass
+    /// over a qubit occupancy bitmap, so building a slot is linear in
+    /// its size, where [`push`](Self::push) rescans the slot per
+    /// operation.
+    ///
+    /// # Panics
+    ///
+    /// Panics, as `push` does, if an operation uses a qubit an earlier
+    /// one already uses.
+    pub fn from_operations(ops: impl IntoIterator<Item = Operation>) -> Self {
+        let mut slot = TimeSlot::new();
+        let mut busy: Vec<u64> = Vec::new();
+        for op in ops {
+            for &q in op.qubits() {
+                let (word, bit) = (q / 64, 1u64 << (q % 64));
+                if word >= busy.len() {
+                    busy.resize(word + 1, 0);
+                }
+                assert!(
+                    busy[word] & bit == 0,
+                    "operation {op} conflicts with slot {slot}"
+                );
+                busy[word] |= bit;
+            }
+            slot.operations.push(op);
+        }
+        slot
+    }
+
     /// Iterates over the operations.
     pub fn iter(&self) -> impl Iterator<Item = &Operation> {
         self.operations.iter()
@@ -153,6 +182,29 @@ mod tests {
         let mut slot = TimeSlot::new();
         slot.push(Operation::gate(Gate::H, &[0]));
         slot.push(Operation::gate(Gate::X, &[0]));
+    }
+
+    #[test]
+    fn from_operations_matches_push() {
+        let ops = [
+            Operation::gate(Gate::Cnot, &[0, 70]),
+            Operation::gate(Gate::H, &[1]),
+            Operation::measure(130),
+        ];
+        let mut pushed = TimeSlot::new();
+        for op in ops.clone() {
+            pushed.push(op);
+        }
+        assert_eq!(TimeSlot::from_operations(ops), pushed);
+    }
+
+    #[test]
+    #[should_panic(expected = "operation measure q70 conflicts with slot cnot q0,q70")]
+    fn from_operations_panics_on_conflict_as_push_does() {
+        let _ = TimeSlot::from_operations([
+            Operation::gate(Gate::Cnot, &[0, 70]),
+            Operation::measure(70),
+        ]);
     }
 
     #[test]

@@ -301,7 +301,10 @@ impl HealthSnapshot {
                         _ => return Err(bad()),
                     }
                 }
-                _ => return Err(bad()),
+                // A key this version does not know comes from a daemon
+                // of another version; skipping it keeps mixed-version
+                // fleets healthy.
+                _ => {}
             }
         }
         Ok(snapshot)
@@ -619,6 +622,22 @@ mod tests {
         assert!(Response::parse("state id dancing").is_err());
         assert!(Response::parse("progress id 1 2 x").is_err());
         assert!(Response::parse("health ok checkpoint=maybe").is_err());
+    }
+
+    #[test]
+    fn health_skips_unknown_keys_but_not_bad_known_values() {
+        // A newer daemon's extra key, in any position, is skipped.
+        let Ok(Response::Health(snapshot)) =
+            Response::parse("health ok queued=3 backend_trips=2 running=1 zz=")
+        else {
+            panic!("an unknown health key was not skipped");
+        };
+        assert!(snapshot.accepting);
+        assert_eq!((snapshot.queued, snapshot.running), (3, 1));
+        // A known key keeps its value check, and a field stays key=value.
+        assert!(Response::parse("health ok queued=three").is_err());
+        assert!(Response::parse("health ok queued=-1").is_err());
+        assert!(Response::parse("health ok backend_trips").is_err());
     }
 
     #[test]

@@ -382,11 +382,30 @@ impl StabilizerSim {
     ///
     /// Panics if `q` is out of range.
     pub fn measure<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> bool {
+        self.measure_by(q, || rng.gen())
+    }
+
+    /// Measures qubit `q` as [`measure`](Self::measure) does, except that
+    /// a random measurement collapses onto `outcome` instead of drawing
+    /// it; a deterministic outcome is returned as it is. Forcing every
+    /// random branch gives a reference-sample frame sampler its one
+    /// noiseless run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is out of range.
+    pub fn measure_forced(&mut self, q: usize, outcome: bool) -> bool {
+        self.measure_by(q, || outcome)
+    }
+
+    /// Measures `q`, taking a random outcome from `draw`, which runs
+    /// before the collapse and only on the random branch.
+    fn measure_by(&mut self, q: usize, draw: impl FnOnce() -> bool) -> bool {
         self.check_qubit(q);
         match self.classify(q) {
             Ok(outcome) => outcome,
             Err(p) => {
-                let outcome: bool = rng.gen();
+                let outcome = draw();
                 self.collapse(q, p, outcome);
                 outcome
             }
@@ -529,20 +548,6 @@ impl StabilizerSim {
         self.set_r(p, outcome);
         self.zc[q] = Some(outcome);
         tcount
-    }
-
-    /// Benchmark hook: performs the random-measurement collapse on `q`
-    /// with a fixed `outcome` and no RNG, returning the number of
-    /// absorbed rows (the equivalent sequential rowsum count; 0 when
-    /// the outcome is deterministic and no collapse happens). Not part
-    /// of the stable API.
-    #[doc(hidden)]
-    pub fn bench_collapse(&mut self, q: usize, outcome: bool) -> usize {
-        self.check_qubit(q);
-        match self.random_pivot(q) {
-            Some(p) => self.collapse(q, p, outcome),
-            None => 0,
-        }
     }
 
     /// Returns the outcome of measuring `q` if it is deterministic,
@@ -1161,16 +1166,27 @@ mod tests {
     }
 
     #[test]
-    fn bench_collapse_reports_row_count_and_pins_outcome() {
-        let mut sim = StabilizerSim::new(3);
-        sim.h(0);
-        sim.cnot(0, 1);
-        sim.cnot(1, 2);
-        sim.h(0);
-        let count = sim.bench_collapse(0, true);
-        assert!(count > 0);
-        assert_eq!(sim.peek_deterministic(0), Some(true));
-        assert_eq!(sim.bench_collapse(0, true), 0);
+    fn measure_forced_pins_random_outcomes_only() {
+        let mut fresh = StabilizerSim::new(3);
+        fresh.h(0);
+        fresh.cnot(0, 1);
+        fresh.cnot(1, 2);
+        fresh.h(0);
+        assert_eq!(fresh.peek_deterministic(0), None);
+        let mut forced = fresh.clone();
+        assert!(forced.measure_forced(0, true));
+        assert_eq!(forced.peek_deterministic(0), Some(true));
+        // The same collapse as a drawn `true`.
+        let mut rng = rng();
+        let drawn = loop {
+            let mut probe = fresh.clone();
+            if probe.measure(0, &mut rng) {
+                break probe;
+            }
+        };
+        assert_eq!(forced, drawn);
+        // A deterministic outcome wins over the forced one.
+        assert!(forced.measure_forced(0, false));
     }
 
     #[test]

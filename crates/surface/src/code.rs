@@ -197,66 +197,56 @@ impl RotatedSurfaceCode {
     /// NE, SE, NW, SW), basis-change Hadamards, and the measurement slot.
     #[must_use]
     pub fn esm_circuit(&self) -> Circuit {
+        let ancillas = |kind| self.checks_of(kind).map(|ch| ch.ancilla);
         let mut circuit = Circuit::new();
 
         // Slot 1: reset X ancillas.
-        let mut slot = TimeSlot::new();
-        for ch in self.checks_of(CheckKind::X) {
-            slot.push(Operation::prep(ch.ancilla));
-        }
-        circuit.push_slot(slot);
+        circuit.push_slot(TimeSlot::from_operations(
+            ancillas(CheckKind::X).map(Operation::prep),
+        ));
 
         // Slot 2: reset Z ancillas + H on X ancillas.
-        let mut slot = TimeSlot::new();
-        for ch in self.checks_of(CheckKind::Z) {
-            slot.push(Operation::prep(ch.ancilla));
-        }
-        for ch in self.checks_of(CheckKind::X) {
-            slot.push(Operation::gate(Gate::H, &[ch.ancilla]));
-        }
-        circuit.push_slot(slot);
+        circuit.push_slot(TimeSlot::from_operations(
+            (ancillas(CheckKind::Z).map(Operation::prep))
+                .chain(ancillas(CheckKind::X).map(|a| Operation::gate(Gate::H, &[a]))),
+        ));
 
         // Slots 3-6: the CNOT schedule.
         for step in 0..4 {
-            let mut slot = TimeSlot::new();
-            for ch in &self.checks {
-                let (r, c) = ch.coords;
-                // Compass neighbour for this step, by check kind.
-                let (di, dj) = match (ch.kind, step) {
-                    (CheckKind::X, 0) | (CheckKind::Z, 0) => (1, 0), // NE = (r-1, c)
-                    (CheckKind::X, 1) => (1, 1),                     // NW = (r-1, c-1)
-                    (CheckKind::X, 2) => (0, 0),                     // SE = (r, c)
-                    (CheckKind::X, 3) | (CheckKind::Z, 3) => (0, 1), // SW = (r, c-1)
-                    (CheckKind::Z, 1) => (0, 0),                     // SE
-                    (CheckKind::Z, 2) => (1, 1),                     // NW
-                    _ => unreachable!(),
-                };
-                let (i, j) = (r.wrapping_sub(di), c.wrapping_sub(dj));
-                if i < self.d && j < self.d {
-                    let data = i * self.d + j;
-                    let op = match ch.kind {
-                        CheckKind::X => Operation::gate(Gate::Cnot, &[ch.ancilla, data]),
-                        CheckKind::Z => Operation::gate(Gate::Cnot, &[data, ch.ancilla]),
+            circuit.push_slot(TimeSlot::from_operations(self.checks.iter().filter_map(
+                |ch| {
+                    let (r, c) = ch.coords;
+                    // Compass neighbour for this step, by check kind.
+                    let (di, dj) = match (ch.kind, step) {
+                        (CheckKind::X, 0) | (CheckKind::Z, 0) => (1, 0), // NE = (r-1, c)
+                        (CheckKind::X, 1) => (1, 1),                     // NW = (r-1, c-1)
+                        (CheckKind::X, 2) => (0, 0),                     // SE = (r, c)
+                        (CheckKind::X, 3) | (CheckKind::Z, 3) => (0, 1), // SW = (r, c-1)
+                        (CheckKind::Z, 1) => (0, 0),                     // SE
+                        (CheckKind::Z, 2) => (1, 1),                     // NW
+                        _ => unreachable!(),
                     };
-                    slot.push(op);
-                }
-            }
-            circuit.push_slot(slot);
+                    let (i, j) = (r.wrapping_sub(di), c.wrapping_sub(dj));
+                    (i < self.d && j < self.d).then(|| {
+                        let data = i * self.d + j;
+                        match ch.kind {
+                            CheckKind::X => Operation::gate(Gate::Cnot, &[ch.ancilla, data]),
+                            CheckKind::Z => Operation::gate(Gate::Cnot, &[data, ch.ancilla]),
+                        }
+                    })
+                },
+            )));
         }
 
         // Slot 7: H on X ancillas.
-        let mut slot = TimeSlot::new();
-        for ch in self.checks_of(CheckKind::X) {
-            slot.push(Operation::gate(Gate::H, &[ch.ancilla]));
-        }
-        circuit.push_slot(slot);
+        circuit.push_slot(TimeSlot::from_operations(
+            ancillas(CheckKind::X).map(|a| Operation::gate(Gate::H, &[a])),
+        ));
 
         // Slot 8: measure all ancillas.
-        let mut slot = TimeSlot::new();
-        for ch in &self.checks {
-            slot.push(Operation::measure(ch.ancilla));
-        }
-        circuit.push_slot(slot);
+        circuit.push_slot(TimeSlot::from_operations(
+            self.checks.iter().map(|ch| Operation::measure(ch.ancilla)),
+        ));
 
         circuit
     }

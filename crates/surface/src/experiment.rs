@@ -11,13 +11,13 @@
 //!   Pauli-frame layer absorbs it without touching the qubits.
 //! - [`run_ler_surface`] — the code-capacity Monte-Carlo sweep behind
 //!   the d = 3…13 threshold workload, sampled with the paper's own Pauli
-//!   frame (reference-sample frame sampling): the noiseless ESM round
-//!   runs **once** per sweep point on [`ShotSlicedSim`], recording every
-//!   measurement's reference outcome and the logical observable's
-//!   reference sign; each 64-shot batch then only pushes a
-//!   [`LanePauliFrame`] holding that batch's i.i.d. data errors through
-//!   the same ESM circuit with the record maps of Tables 3.4–3.5.
-//!   Syndrome words are `reference ⊕ measurement flip`, every live lane
+//!   frame (reference-sample frame sampling, [`crate::sampler`]): the
+//!   noiseless ESM round runs **once** per sweep point and thread, on the
+//!   packed scalar tableau, recording every measurement's reference
+//!   outcome and the logical observable's reference sign; each 64-shot
+//!   batch then only pushes a [`LanePauliFrame`] holding that batch's
+//!   i.i.d. data errors through the same ESM circuit by the one Table 3.1
+//!   update. Syndrome words are `reference ⊕ measurement flip`, every live lane
 //!   is decoded by the union-find decoder down to one bit, the parity
 //!   of its correction on the logical support, and the failure word is
 //!   the reference sign XOR the frame parity XOR that parity word: the
@@ -48,11 +48,12 @@ use qpdo_core::{
 };
 use qpdo_pauli::{LanePauliFrame, Pauli, PauliString};
 use qpdo_rng::rngs::StdRng;
-use qpdo_rng::{Bernoulli, RngCore, SeedableRng};
-use qpdo_stabilizer::{ShotSlicedSim, LANES};
+use qpdo_rng::{Bernoulli, SeedableRng};
+use qpdo_stabilizer::LANES;
 
+use crate::sampler::FrameSampler;
 use crate::{CheckKind, MatchingDecoder, RotatedSurfaceCode, UnionFindDecoder};
-use qpdo_circuit::{Circuit, Gate, Operation, OperationKind, TimeSlot};
+use qpdo_circuit::{Circuit, Gate, Operation, TimeSlot};
 
 /// Configuration of a distance-scaling LER run (always watches for
 /// logical X errors on `|0⟩_L`, the representative case).
@@ -347,9 +348,10 @@ impl SurfaceLerOutcome {
 }
 
 /// Runs one code-capacity LER point by reference-sample frame sampling:
-/// one noiseless ESM round on [`ShotSlicedSim`] per sweep point and
-/// thread, then per 64-shot batch a [`LanePauliFrame`] of i.i.d. data
-/// errors pushed through the same ESM circuit, union-find decoding of
+/// one noiseless ESM round on the packed tableau per sweep point and
+/// thread ([`FrameSampler`]), then per 64-shot batch a
+/// [`LanePauliFrame`] of i.i.d. data errors pushed through the same ESM
+/// circuit, union-find decoding of
 /// every live lane (once per distinct syndrome and thread at d ≤ 5),
 /// and a packed logical-failure readout.
 ///
@@ -373,193 +375,30 @@ pub fn run_ler_surface(config: &SurfaceLerConfig) -> Result<SurfaceLerOutcome, C
     run_ler_surface_controlled(config, None, &|| false, &mut |_| {}).map(|(outcome, _)| outcome)
 }
 
-/// The noiseless reference of one `(distance, error kind)` sweep point.
-///
-/// A noisy batch is this reference state times a 64-lane Pauli frame,
-/// so the tableau runs once and every batch only tracks the frame: a
-/// measurement reads `reference ⊕ flip` and the logical observable
-/// `reference sign ⊕ frame parity` (Gidney's reference-sample frame
-/// simulation, Stim).
-struct FrameReference {
-    code: RotatedSurfaceCode,
-    error: CheckKind,
-    esm: Circuit,
-    /// Reference outcome word of each qubit's ESM measurement (every
-    /// ancilla is measured exactly once per round).
-    outcomes: Vec<u64>,
-    /// Ancillas of the checks that detect `error`, in decoder order.
-    ancillas: Vec<usize>,
-    /// Support of the logical operator `error` threatens.
-    logical: Vec<usize>,
-    /// Per data qubit: whether it is in `logical`.
-    on_logical: Vec<bool>,
-    /// Reference sign word of that logical operator after the round.
-    logical_sign: u64,
-}
-
-impl FrameReference {
-    fn new(code: RotatedSurfaceCode, error: CheckKind) -> Self {
-        let esm = code.esm_circuit();
-        // X errors flip Z checks and threaten Z_L (its support crosses
-        // their termination boundary); dually for Z errors, which are
-        // watched on |+…+⟩ so that X_L starts deterministic.
-        let (detecting, observable, logical) = match error {
-            CheckKind::X => (
-                CheckKind::Z,
-                code.logical_z_string(),
-                code.logical_z_support(),
-            ),
-            CheckKind::Z => (
-                CheckKind::X,
-                code.logical_x_string(),
-                code.logical_x_support(),
-            ),
-        };
-        let mut sim = ShotSlicedSim::new(code.num_qubits());
-        if error == CheckKind::Z {
-            for q in 0..code.num_data_qubits() {
-                sim.h(q);
-            }
-        }
-        // Random measurements collapse onto the all-zeros branch; the
-        // frame's gauge words re-randomize them per lane.
-        let mut outcomes = vec![0u64; code.num_qubits()];
-        esm_on_tableau(&mut sim, &esm, |_| 0, &mut outcomes);
-        // The observable commutes with every ESM measurement, so it
-        // stays deterministic through the round.
-        let logical_sign = sim
-            .expectation(&observable)
-            .expect("logical observable stays deterministic through ESM");
-        let mut on_logical = vec![false; code.num_data_qubits()];
-        for &q in &logical {
-            on_logical[q] = true;
-        }
-        FrameReference {
-            on_logical,
-            ancillas: code.checks_of(detecting).map(|ch| ch.ancilla).collect(),
-            code,
-            error,
-            esm,
-            outcomes,
-            logical,
-            logical_sign,
-        }
-    }
-
-    /// Loads one batch of error words into `frame` and pushes it through
-    /// the ESM round, writing each measured qubit's outcome word to
-    /// `meas`.
-    ///
-    /// Stabilizers of the reference state may join the frame freely, and
-    /// they must, with a random lane word each, for measurements that are
-    /// random in the reference to come out random per lane: the data
-    /// qubits' initial stabilizers (`Z` on `|0⟩`, `X` on `|+⟩`) and `Z`
-    /// on every freshly reset or measured qubit. A reset clears the
-    /// record first; a measurement keeps its `X` part, since the lane's
-    /// qubit stays in the flipped outcome state.
-    fn sample(&self, frame: &mut LanePauliFrame, err: &[u64], rng: &mut StdRng, meas: &mut [u64]) {
-        frame.reset_all();
-        for (q, &word) in err.iter().enumerate() {
-            let gauge = rng.next_u64();
-            match self.error {
-                CheckKind::X => frame.apply_pauli_words(q, word, gauge),
-                CheckKind::Z => frame.apply_pauli_words(q, gauge, word),
-            }
-        }
-        for slot in self.esm.slots() {
-            for op in slot {
-                let q = op.qubits();
-                match op.kind() {
-                    OperationKind::Prep => {
-                        frame.reset(q[0]);
-                        frame.apply_pauli_words(q[0], 0, rng.next_u64());
-                    }
-                    OperationKind::Measure => {
-                        meas[q[0]] = self.outcomes[q[0]] ^ frame.measurement_flip_word(q[0]);
-                        frame.apply_pauli_words(q[0], 0, rng.next_u64());
-                    }
-                    OperationKind::Gate(Gate::H) => frame.apply_h(q[0]),
-                    OperationKind::Gate(Gate::Cnot) => frame.apply_cnot(q[0], q[1]),
-                    kind => {
-                        unreachable!("ESM rounds are resets, H, CNOT and measurements: {kind:?}")
-                    }
-                }
-            }
-        }
-    }
-
-    /// The per-lane logical failure word after corrections whose parity
-    /// on the logical support is `parity`: the reference sign XOR the
-    /// frame's parity there XOR `parity`. (The frame's gauge part
-    /// commutes with the deterministic observable, so it cancels from
-    /// the parity.)
-    fn failure_word(&self, frame: &LanePauliFrame, parity: u64) -> u64 {
-        self.logical
-            .iter()
-            .fold(self.logical_sign ^ parity, |acc, &q| {
-                let (x, z) = frame.record_words(q);
-                acc ^ match self.error {
-                    CheckKind::X => x,
-                    CheckKind::Z => z,
-                }
-            })
-    }
-}
-
-/// Executes an ESM round on the sliced tableau, writing each measured
-/// qubit's outcome word to `meas`. A measurement the tableau classifies
-/// as random takes its outcome word from `random(qubit)`.
-///
-/// Qubits the round resets before any other operation (the ancillas)
-/// must enter in `|0⟩`: that first reset is the identity and is
-/// skipped, which halves the cost of the round on a fresh tableau.
-fn esm_on_tableau(
-    sim: &mut ShotSlicedSim,
-    esm: &Circuit,
-    mut random: impl FnMut(usize) -> u64,
-    meas: &mut [u64],
-) {
-    let mut touched = vec![false; sim.num_qubits()];
-    for slot in esm.slots() {
-        for op in slot {
-            let q = op.qubits();
-            match op.kind() {
-                OperationKind::Prep if !touched[q[0]] => {
-                    debug_assert_eq!(
-                        sim.peek_deterministic(q[0]),
-                        Some(0),
-                        "qubit {} entered the round outside |0>",
-                        q[0]
-                    );
-                }
-                OperationKind::Prep => sim.reset_with(q[0], |_| false),
-                OperationKind::Measure => {
-                    let word = if sim.is_random(q[0]) { random(q[0]) } else { 0 };
-                    meas[q[0]] = sim.measure_with(q[0], |lane| (word >> lane) & 1 == 1);
-                }
-                OperationKind::Gate(Gate::H) => sim.h(q[0]),
-                OperationKind::Gate(Gate::Cnot) => sim.cnot(q[0], q[1]),
-                kind => unreachable!("ESM rounds are resets, H, CNOT and measurements: {kind:?}"),
-            }
-            for &q in q {
-                touched[q] = true;
-            }
-        }
-    }
-}
-
 /// Syndromes of at most this many bits get a parity table: d = 3 has
 /// 4, d = 5 has 12 (a 4 KiB table); d = 7's 24 would need 16 MiB.
 const PARITY_TABLE_MAX_BITS: usize = 16;
 
-/// One thread's warm sweep point: the frame reference, the decoded-parity
-/// table, the union-find decoder and every buffer a batch uses, for one
-/// `(distance, error kind)` pair. Every thread that runs batches, a
-/// run's calling thread or a pool helper, keeps its own in
-/// [`DECODER_CACHE`], so threads share none of it and a batch
+/// One thread's warm sweep point: the frame sampler of its ESM round,
+/// the decoded-parity table, the union-find decoder and every buffer a
+/// batch uses, for one `(distance, error kind)` pair. Every thread that
+/// runs batches, a run's calling thread or a pool helper, keeps its own
+/// in [`DECODER_CACHE`], so threads share none of it and a batch
 /// allocates nothing.
 struct SweepPoint {
-    reference: FrameReference,
+    code: RotatedSurfaceCode,
+    error: CheckKind,
+    /// The ESM round from the data qubits' error-free state (`|0…0⟩`
+    /// for X errors; `|+…+⟩` for Z errors, so that `X_L` starts
+    /// deterministic), observing the logical operator `error` threatens.
+    sampler: FrameSampler,
+    /// Measurement record of each check that detects `error`, in
+    /// decoder order.
+    detectors: Vec<usize>,
+    /// Support of the logical operator `error` threatens.
+    logical: Vec<usize>,
+    /// Per data qubit: whether it is in `logical`.
+    on_logical: Vec<bool>,
     /// Entry `i` is the parity on the logical support of the union-find
     /// correction of packed syndrome `i` (bit `k` = detecting check
     /// `k`), the one bit of a decode the failure word needs; `None`
@@ -572,8 +411,8 @@ struct SweepPoint {
     frame: LanePauliFrame,
     /// Injected error word per data qubit.
     err: Vec<u64>,
-    /// Outcome word per measured qubit.
-    meas: Vec<u64>,
+    /// Outcome word of each measurement of the round, in circuit order.
+    records: Vec<u64>,
     /// Outcome word of each detecting check, in decoder order: bit
     /// `lane` is that lane's syndrome bit.
     words: Vec<u64>,
@@ -583,9 +422,44 @@ struct SweepPoint {
 
 impl SweepPoint {
     fn new(distance: usize, error: CheckKind) -> Self {
-        let reference = FrameReference::new(RotatedSurfaceCode::new(distance), error);
-        let decoder = UnionFindDecoder::new(&reference.code, error);
-        let (checks, data) = (decoder.syndrome_len(), reference.code.num_data_qubits());
+        let code = RotatedSurfaceCode::new(distance);
+        // X errors flip Z checks and threaten Z_L (its support crosses
+        // their termination boundary); dually for Z errors.
+        let (detecting, observable, logical, basis) = match error {
+            CheckKind::X => (
+                CheckKind::Z,
+                code.logical_z_string(),
+                code.logical_z_support(),
+                Pauli::Z,
+            ),
+            CheckKind::Z => (
+                CheckKind::X,
+                code.logical_x_string(),
+                code.logical_x_support(),
+                Pauli::X,
+            ),
+        };
+        // Every ancilla enters in |0>; the round resets it before use.
+        let data = code.num_data_qubits();
+        let initial: Vec<Pauli> = (0..code.num_qubits())
+            .map(|q| if q < data { basis } else { Pauli::Z })
+            .collect();
+        // The observable commutes with every ESM measurement, so it
+        // stays deterministic through the round.
+        let sampler = FrameSampler::new(code.esm_circuit(), &initial, &[observable]);
+        let detectors = (code.checks_of(detecting))
+            .map(|ch| {
+                (sampler.measured().iter())
+                    .position(|&q| q == ch.ancilla)
+                    .expect("the ESM round measures every ancilla")
+            })
+            .collect();
+        let mut on_logical = vec![false; data];
+        for &q in &logical {
+            on_logical[q] = true;
+        }
+        let decoder = UnionFindDecoder::new(&code, error);
+        let checks = decoder.syndrome_len();
         let entries = if checks <= PARITY_TABLE_MAX_BITS {
             1 << checks
         } else {
@@ -594,15 +468,20 @@ impl SweepPoint {
         SweepPoint {
             table: vec![None; entries],
             decoder,
-            frame: LanePauliFrame::new(reference.code.num_qubits()),
+            frame: LanePauliFrame::new(code.num_qubits()),
             err: vec![0; data],
-            meas: vec![0; reference.code.num_qubits()],
+            records: vec![0; sampler.measured().len()],
             words: vec![0; checks],
             syndrome: vec![false; checks],
             // A correction touches each data qubit at most once, so the
             // decode path never grows this buffer mid-run.
             correction: Vec::with_capacity(data),
-            reference,
+            code,
+            error,
+            sampler,
+            detectors,
+            logical,
+            on_logical,
         }
     }
 
@@ -615,25 +494,37 @@ impl SweepPoint {
         for word in &mut self.err {
             *word = (0..LANES).fold(0, |word, lane| word | u64::from(coin.sample(rng)) << lane);
         }
-        let reference = &self.reference;
-        reference.sample(&mut self.frame, &self.err, rng, &mut self.meas);
+        // The batch's errors on the data qubits' initial state.
+        self.frame.reset_all();
+        for (q, &word) in self.err.iter().enumerate() {
+            match self.error {
+                CheckKind::X => self.frame.apply_pauli_words(q, word, 0),
+                CheckKind::Z => self.frame.apply_pauli_words(q, 0, word),
+            }
+        }
+        self.sampler.sample(&mut self.frame, rng, &mut self.records);
         // Checks of the other kind detect the error.
         #[cfg(debug_assertions)]
-        for ch in (reference.code.checks().iter()).filter(|ch| ch.kind != reference.error) {
+        for (ch, &k) in (self.code.checks().iter())
+            .filter(|ch| ch.kind != self.error)
+            .zip(&self.detectors)
+        {
             let expect = ch.support.iter().fold(0u64, |acc, &q| acc ^ self.err[q]);
             debug_assert_eq!(
-                self.meas[ch.ancilla], expect,
+                self.records[k], expect,
                 "packed syndrome plane disagrees with check supports (ancilla {})",
                 ch.ancilla
             );
         }
+        // The failure word: the logical observable's value after the
+        // lanes' corrections, whose parity on its support is `parity`.
         let parity = self.decode_lanes(live);
-        let fail_word = self.reference.failure_word(&self.frame, parity);
+        let fail_word = self.sampler.observable_word(0, &self.frame) ^ parity;
         // Cross-check against pure classical bookkeeping: a lane fails
         // iff error ⊕ correction overlaps the logical support oddly.
         debug_assert_eq!(
             fail_word,
-            (self.reference.logical.iter()).fold(parity, |acc, &q| acc ^ self.err[q]),
+            (self.logical.iter()).fold(parity, |acc, &q| acc ^ self.err[q]),
             "frame and classical failure words differ"
         );
         fail_word
@@ -649,8 +540,8 @@ impl SweepPoint {
         let fail_word = self.failure_word(coin, lanes, &mut batch_rng(config.seed, batch));
         Tally {
             failures: (fail_word & mask).count_ones(),
-            defects: (self.reference.ancillas.iter())
-                .map(|&anc| (self.meas[anc] & mask).count_ones())
+            defects: (self.detectors.iter())
+                .map(|&k| (self.records[k] & mask).count_ones())
                 .sum(),
         }
     }
@@ -663,13 +554,12 @@ impl SweepPoint {
         }
         self.decoder
             .decode_into(&self.syndrome, &mut self.correction);
-        let reference = &self.reference;
         // The correction annihilates the lane's syndrome:
         // `code.syndrome_of(correction)` without its allocation, so debug
         // builds stay off the heap too.
         debug_assert!(
-            (reference.code.checks().iter())
-                .filter(|ch| ch.kind != reference.error)
+            (self.code.checks().iter())
+                .filter(|ch| ch.kind != self.error)
                 .zip(&self.syndrome)
                 .all(|(ch, &s)| {
                     let hits = ch.support.iter().filter(|q| self.correction.contains(q));
@@ -678,7 +568,7 @@ impl SweepPoint {
             "union-find correction does not annihilate its syndrome"
         );
         (self.correction.iter())
-            .filter(|&&q| reference.on_logical[q])
+            .filter(|&&q| self.on_logical[q])
             .count()
             % 2
             == 1
@@ -689,8 +579,8 @@ impl SweepPoint {
     /// reads its bit; any other lane runs the decoder and, if there is a
     /// table, records the result.
     fn decode_lanes(&mut self, live: usize) -> u64 {
-        for (word, &anc) in self.words.iter_mut().zip(&self.reference.ancillas) {
-            *word = self.meas[anc];
+        for (word, &k) in self.words.iter_mut().zip(&self.detectors) {
+            *word = self.records[k];
         }
         let mut parity = 0u64;
         for lane in 0..live {
@@ -734,7 +624,7 @@ thread_local! {
     // runs batches, a run's calling thread or a pool helper: the
     // union-find scratch inside its decoder and its batch buffers
     // survive across batches *and* across jobs hitting the same sweep
-    // point, the frame reference means the tableau runs once per point,
+    // point, the frame sampler means the tableau runs once per point,
     // not once per batch, and the parity table keeps every syndrome
     // decoded so far — so the serving path pays decoder construction,
     // the reference ESM round, each distinct d ≤ 5 decode and
@@ -910,6 +800,8 @@ pub fn run_ler_surface_controlled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qpdo_circuit::OperationKind;
+    use qpdo_stabilizer::ShotSlicedSim;
 
     fn quick(d: usize, p: f64, with_pf: bool, seed: u64) -> DistanceLerConfig {
         DistanceLerConfig {
@@ -1069,8 +961,103 @@ mod tests {
     /// The logical-support parity of a direct union-find decode.
     fn direct_parity(point: &SweepPoint, syndrome: &[bool]) -> bool {
         let correction = point.decoder.decode(syndrome);
-        let logical = &point.reference.logical;
+        let logical = &point.logical;
         correction.iter().filter(|q| logical.contains(q)).count() % 2 == 1
+    }
+
+    /// The logical operator errors of `kind` threaten.
+    fn observable(code: &RotatedSurfaceCode, kind: CheckKind) -> PauliString {
+        match kind {
+            CheckKind::X => code.logical_z_string(),
+            CheckKind::Z => code.logical_x_string(),
+        }
+    }
+
+    /// A sliced tableau holding `kind`'s error-free data state, `|0…0⟩`
+    /// or `|+…+⟩`.
+    fn sliced_initial(code: &RotatedSurfaceCode, kind: CheckKind) -> ShotSlicedSim {
+        let mut sim = ShotSlicedSim::new(code.num_qubits());
+        if kind == CheckKind::Z {
+            for q in 0..code.num_data_qubits() {
+                sim.h(q);
+            }
+        }
+        sim
+    }
+
+    /// Executes an ESM round on the sliced tableau, the independent
+    /// re-execution the frame sampler is checked against, writing each
+    /// measurement's outcome word to `records`, in circuit order. A
+    /// measurement the tableau classifies as random takes its outcome
+    /// word from `random(record)`.
+    ///
+    /// Qubits the round resets before any other operation (the ancillas)
+    /// must enter in `|0⟩`: that first reset is the identity and is
+    /// skipped, which halves the cost of the round on a fresh tableau.
+    fn esm_on_tableau(
+        sim: &mut ShotSlicedSim,
+        esm: &Circuit,
+        mut random: impl FnMut(usize) -> u64,
+        records: &mut [u64],
+    ) {
+        let mut touched = vec![false; sim.num_qubits()];
+        let mut record = 0;
+        for op in esm.operations() {
+            let q = op.qubits();
+            match op.kind() {
+                OperationKind::Prep if !touched[q[0]] => {
+                    assert_eq!(
+                        sim.peek_deterministic(q[0]),
+                        Some(0),
+                        "qubit {} entered the round outside |0>",
+                        q[0]
+                    );
+                }
+                OperationKind::Prep => sim.reset_with(q[0], |_| false),
+                OperationKind::Measure => {
+                    let word = if sim.is_random(q[0]) {
+                        random(record)
+                    } else {
+                        0
+                    };
+                    records[record] = sim.measure_with(q[0], |lane| (word >> lane) & 1 == 1);
+                    record += 1;
+                }
+                OperationKind::Gate(Gate::H) => sim.h(q[0]),
+                OperationKind::Gate(Gate::Cnot) => sim.cnot(q[0], q[1]),
+                kind => unreachable!("ESM rounds are resets, H, CNOT and measurements: {kind:?}"),
+            }
+            for &q in q {
+                touched[q] = true;
+            }
+        }
+    }
+
+    /// Reference oracle: the packed tableau's one reference run records
+    /// what the sliced engine records for the same noiseless round with
+    /// every random outcome collapsed onto 0, every outcome word and
+    /// the logical sign, at every distance the sweeps use.
+    #[test]
+    fn reference_run_matches_the_sliced_engine() {
+        for d in [3, 5, 7, 9, 11, 13] {
+            for kind in [CheckKind::X, CheckKind::Z] {
+                let point = SweepPoint::new(d, kind);
+                let mut sim = sliced_initial(&point.code, kind);
+                let mut records = vec![0u64; point.records.len()];
+                esm_on_tableau(&mut sim, point.sampler.circuit(), |_| 0, &mut records);
+                assert_eq!(
+                    point.sampler.reference(),
+                    records,
+                    "d={d} {kind:?}: outcome words"
+                );
+                let empty = LanePauliFrame::new(point.code.num_qubits());
+                assert_eq!(
+                    sim.expectation(&observable(&point.code, kind)),
+                    Some(point.sampler.observable_word(0, &empty)),
+                    "d={d} {kind:?}: logical sign"
+                );
+            }
+        }
     }
 
     /// Frame-vs-tableau differential oracle: the frame sampler's batch
@@ -1090,39 +1077,32 @@ mod tests {
                 for batch in 0..4 {
                     let rng = &mut batch_rng(d as u64, batch);
                     let fail_word = point.failure_word(Bernoulli::new(0.08), LANES, rng);
-                    let reference = &point.reference;
-                    let code = &reference.code;
-                    let observable = match kind {
-                        CheckKind::X => code.logical_z_string(),
-                        CheckKind::Z => code.logical_x_string(),
-                    };
+                    let code = &point.code;
+                    let measured = point.sampler.measured();
 
-                    let mut sim = ShotSlicedSim::new(code.num_qubits());
+                    let mut sim = sliced_initial(code, kind);
                     for (q, &word) in point.err.iter().enumerate() {
                         match kind {
                             CheckKind::X => sim.x_masked(q, word),
-                            CheckKind::Z => {
-                                sim.h(q);
-                                sim.z_masked(q, word);
-                            }
+                            CheckKind::Z => sim.z_masked(q, word),
                         }
                     }
-                    let mut meas = vec![0u64; code.num_qubits()];
-                    esm_on_tableau(&mut sim, &reference.esm, |q| point.meas[q], &mut meas);
-                    for ch in code.checks() {
+                    let mut records = vec![0u64; point.records.len()];
+                    let esm = point.sampler.circuit();
+                    esm_on_tableau(&mut sim, esm, |k| point.records[k], &mut records);
+                    for (k, &ancilla) in measured.iter().enumerate() {
                         assert_eq!(
-                            meas[ch.ancilla], point.meas[ch.ancilla],
-                            "d={d} {kind:?} batch {batch}: ancilla {} diverged",
-                            ch.ancilla
+                            records[k], point.records[k],
+                            "d={d} {kind:?} batch {batch}: ancilla {ancilla} diverged"
                         );
                     }
                     // Decode every lane here and apply the correction
                     // planes to the tableau.
                     let mut corr = vec![0u64; code.num_data_qubits()];
-                    let mut syndrome = vec![false; reference.ancillas.len()];
+                    let mut syndrome = vec![false; point.detectors.len()];
                     for lane in 0..LANES {
-                        for (s, &anc) in syndrome.iter_mut().zip(&reference.ancillas) {
-                            *s = (point.meas[anc] >> lane) & 1 == 1;
+                        for (s, &k) in syndrome.iter_mut().zip(&point.detectors) {
+                            *s = (point.records[k] >> lane) & 1 == 1;
                         }
                         for q in point.decoder.decode(&syndrome) {
                             corr[q] |= 1 << lane;
@@ -1144,7 +1124,7 @@ mod tests {
                         }
                     }
                     assert_eq!(
-                        sim.expectation(&observable),
+                        sim.expectation(&observable(code, kind)),
                         Some(fail_word),
                         "d={d} {kind:?} batch {batch}: failure word diverged"
                     );
@@ -1153,7 +1133,8 @@ mod tests {
                     // (The checks of the error's own kind do not detect it.)
                     if d == 5 {
                         for ch in code.checks_of(kind) {
-                            let word = point.meas[ch.ancilla];
+                            let k = measured.iter().position(|&q| q == ch.ancilla).unwrap();
+                            let word = point.records[k];
                             assert!(
                                 word != 0 && word != u64::MAX,
                                 "d=5 {kind:?} batch {batch}: ancilla {} constant across lanes",
@@ -1185,8 +1166,8 @@ mod tests {
                 for base in (0..entries).step_by(LANES) {
                     // Lane `l` carries syndrome index `base + l`.
                     let live = (entries - base).min(LANES);
-                    for (k, &anc) in point.reference.ancillas.iter().enumerate() {
-                        point.meas[anc] = (0..live).fold(0, |word, lane| {
+                    for (k, &r) in point.detectors.iter().enumerate() {
+                        point.records[r] = (0..live).fold(0, |word, lane| {
                             word | ((((base + lane) >> k) & 1) as u64) << lane
                         });
                     }

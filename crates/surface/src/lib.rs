@@ -23,6 +23,9 @@
 //!   behind the d = 3…13 threshold workload, sampled by pushing a
 //!   64-lane Pauli frame through the ESM round against a noiseless
 //!   tableau reference ([`experiment::run_ler_surface`]).
+//! - [`sampler`] — reference-sample Pauli-frame sampling of any Clifford
+//!   circuit: one noiseless run on the packed tableau, then 64-lane
+//!   frame pushes ([`sampler::FrameSampler`]).
 //!
 //! At `d = 3` the code reproduces exactly the SC17 stabilizers of
 //! Table 2.1 (checked in tests), so the extension is a strict superset of
@@ -45,6 +48,7 @@
 mod code;
 mod decoder;
 pub mod experiment;
+pub mod sampler;
 mod uf;
 
 pub use code::{Check, CheckKind, RotatedSurfaceCode};

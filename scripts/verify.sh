@@ -201,6 +201,7 @@ for key in \
     '"name": "measure_deterministic_n17"' '"name": "expectation_n17"' \
     '"name": "sc17_shot_sliced"' '"name": "frame_merge"' \
     '"name": "surface_batch_d13"' '"name": "surface_batch_d5"' \
+    '"name": "surface_setup_d13"' \
     '"rowsum_speedup_n17"' '"rowsum_targets_n17"' \
     '"sc17_sliced_amortized_ns"' '"sc17_slicing_speedup"'; do
     if ! grep -qF "$key" results/BENCH_stabilizer.json; then
