@@ -22,7 +22,9 @@
 //! (`exp_classical_faults.sweep/` under `--out`) — a killed paper-scale
 //! sweep resumes part-way through a sweep point instead of redoing it.
 
-use qpdo_bench::supervisor::{run_resumable, BatchCtx, BatchSpec, SweepJournal, QUARANTINE_HEADER};
+use qpdo_bench::supervisor::{
+    report_engine_events, run_resumable, BatchCtx, BatchSpec, SweepJournal,
+};
 use qpdo_bench::{render_table, sci, HarnessArgs};
 use qpdo_core::fault::FaultRates;
 use qpdo_core::{FrameProtectionConfig, FrameProtectionStats, ShotError};
@@ -150,18 +152,7 @@ fn run_grid(
         None,
         journal,
     );
-    let path = args.write_csv(
-        "quarantine.csv",
-        QUARANTINE_HEADER,
-        &report.quarantine_rows(),
-    );
-    if !report.quarantined.is_empty() {
-        eprintln!(
-            "  {} batches quarantined -> {}",
-            report.quarantined.len(),
-            path.display()
-        );
-    }
+    report_engine_events(args, &report);
 
     let mut points: Vec<Point> = grid
         .iter()

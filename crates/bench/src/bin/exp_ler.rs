@@ -27,12 +27,9 @@
 //! forced panics, a forced hang, a poisoned batch that must quarantine,
 //! a redundancy vote, and a worker-count determinism comparison.
 
-use std::collections::HashSet;
-use std::path::Path;
-
 use qpdo_bench::supervisor::{
-    read_quarantine_csv, run_resumable, run_supervised, BatchCtx, BatchSpec, CancelToken,
-    SupervisorConfig, SupervisorReport, SweepJournal, QUARANTINE_HEADER,
+    report_engine_events, run_resumable, run_supervised, BatchCtx, BatchSpec, CancelToken,
+    SupervisorConfig, SupervisorReport, SweepJournal,
 };
 use qpdo_bench::{log_space, pseudo_threshold, render_table, sci, HarnessArgs};
 use qpdo_core::ShotError;
@@ -76,9 +73,8 @@ fn kind_name(kind: LogicalErrorKind) -> &'static str {
     }
 }
 
-/// The batch naming shared by the sweep and `--replay-quarantine`: the
-/// keys in `quarantine.csv` only identify a batch again if both paths
-/// derive them identically.
+/// The point name of cell `ci`; its batches are keyed
+/// `<point>-r<rep>` in `quarantine.csv` and the sweep journal.
 fn cell_point(ci: usize, cell: &Cell) -> String {
     format!(
         "p{ci}-{}-pf{}",
@@ -190,146 +186,10 @@ fn run_sweep(
     (outcomes, report)
 }
 
-fn report_engine_events(args: &HarnessArgs, report: &SupervisorReport<LerOutcome>) {
-    let s = &report.stats;
-    if s.retries + s.panics + s.timeouts + s.votes > 0 || s.degraded_to_serial {
-        eprintln!(
-            "  supervisor: {} retries, {} panics, {} timeouts, {} replacements, {} votes{}",
-            s.retries,
-            s.panics,
-            s.timeouts,
-            s.replacements,
-            s.votes,
-            if s.degraded_to_serial {
-                " [degraded to serial]"
-            } else {
-                ""
-            }
-        );
-    }
-    for d in &report.divergences {
-        eprintln!(
-            "  DIVERGENCE in batch {} (task {}): {}",
-            d.key, d.task, d.detail
-        );
-    }
-    let path = args.write_csv(
-        "quarantine.csv",
-        QUARANTINE_HEADER,
-        &report.quarantine_rows(),
-    );
-    if !report.quarantined.is_empty() {
-        eprintln!(
-            "  {} batches quarantined -> {}",
-            report.quarantined.len(),
-            path.display()
-        );
-    }
-}
-
-/// `--replay-quarantine <csv>`: re-submit exactly the batches that a
-/// previous sweep quarantined, under the current retry/watchdog flags.
-/// Successful re-runs land in `ler_replay.csv`; batches that fail again
-/// are re-quarantined as usual.
-fn replay_quarantine(args: &HarnessArgs, path: &Path) {
-    let records = match read_quarantine_csv(path) {
-        Ok(records) => records,
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    };
-    if records.is_empty() {
-        println!("{}: no quarantined batches to replay", path.display());
-        return;
-    }
-    let (points, reps, target, max_windows) = sweep_params(args);
-    let cells = build_cells(&points, target, max_windows);
-    let mut wanted: HashSet<String> = records.iter().map(|r| r.key.clone()).collect();
-
-    let mut specs: Vec<BatchSpec> = Vec::new();
-    let mut spec_cells: Vec<usize> = Vec::new();
-    for (ci, cell) in cells.iter().enumerate() {
-        let point = cell_point(ci, cell);
-        for rep in 0..reps {
-            let key = format!("{point}-r{rep}");
-            if wanted.remove(&key) {
-                specs.push(BatchSpec {
-                    key,
-                    point: point.clone(),
-                    batch: rep as u64,
-                    shots: cell.target,
-                    deadline: None,
-                });
-                spec_cells.push(ci);
-            }
-        }
-    }
-    for unknown in &wanted {
-        eprintln!(
-            "  warning: quarantined key {unknown:?} does not name a batch of this sweep \
-             (check --full/--quick and --seed match the original run)"
-        );
-    }
-    if specs.is_empty() {
-        eprintln!("error: no quarantined key matched this sweep's batches");
-        std::process::exit(2);
-    }
-    println!(
-        "replaying {} quarantined batches from {}",
-        specs.len(),
-        path.display()
-    );
-
-    let config = SupervisorConfig::from(args);
-    let job_cells = cells.clone();
-    let job_map = spec_cells.clone();
-    let job = move |ctx: &BatchCtx| ler_job(&job_cells[job_map[ctx.task]], ctx);
-    let report = run_supervised(
-        &config,
-        specs.clone(),
-        job,
-        Some(Box::new(vote)),
-        &CancelToken::new(),
-    );
-    report_engine_events(args, &report);
-
-    let mut rows = Vec::new();
-    for (task, result) in report.results.iter().enumerate() {
-        if let Some(outcome) = result {
-            rows.push(format!(
-                "{},{},{},{}",
-                specs[task].key,
-                outcome.windows,
-                outcome.logical_errors,
-                outcome.ler()
-            ));
-        }
-    }
-    let out = args.write_csv("ler_replay.csv", "key,windows,logical_errors,ler", &rows);
-    println!(
-        "{}/{} batches recovered -> {}",
-        rows.len(),
-        specs.len(),
-        out.display()
-    );
-    if !report.quarantined.is_empty() {
-        eprintln!(
-            "  {} batches failed again and were re-quarantined",
-            report.quarantined.len()
-        );
-        std::process::exit(1);
-    }
-}
-
 fn main() {
     let args = HarnessArgs::parse();
     if args.smoke() {
         smoke(&args);
-        return;
-    }
-    if let Some(path) = args.replay_quarantine.clone() {
-        replay_quarantine(&args, &path);
         return;
     }
     let (points, reps, target, max_windows) = sweep_params(&args);
@@ -695,11 +555,7 @@ fn smoke(args: &HarnessArgs) {
     assert_eq!(report.quarantined.len(), 1);
     assert_eq!(report.quarantined[0].key, "smoke-q1");
     assert_eq!(report.results.iter().filter(|r| r.is_some()).count(), 3);
-    let path = args.write_csv(
-        "quarantine.csv",
-        QUARANTINE_HEADER,
-        &report.quarantine_rows(),
-    );
+    let path = report_engine_events(args, &report);
     println!(
         "smoke 3/4 PASS: poisoned batch quarantined ({}), other 3 completed",
         path.display()

@@ -4,7 +4,9 @@
 //! `H_L` on star 0, transversal `CNOT_L`, `X_L` on star 0 — creating the
 //! logical state `(|01⟩ + |10⟩)/√2`, then both are measured logically.
 //! The resulting histograms with and without a Pauli-frame layer must
-//! match (only `|01⟩_L` and `|10⟩_L`, roughly equal frequencies).
+//! match (only `|01⟩_L` and `|10⟩_L`, roughly equal frequencies). The
+//! shots run the one E5 driver, [`odd_bell_counts`], which the
+//! daemon's `bell` job runs too.
 //!
 //! Shots run in supervised batches of `--batch-shots` across `--jobs`
 //! workers (`DESIGN.md` §7); the order-independent count reduction
@@ -12,48 +14,11 @@
 
 use qpdo_bench::supervisor::{run_supervised, BatchCtx, BatchSpec, CancelToken, SupervisorConfig};
 use qpdo_bench::{HarnessArgs, USAGE};
-use qpdo_core::{ChpCore, ControlStack, CoreError, PauliFrameLayer, ShotError};
+use qpdo_stabilizer::StabilizerSim;
 use qpdo_stats::Histogram;
-use qpdo_surface17::{logical_cnot, NinjaStar, StarLayout};
+use qpdo_surface17::experiment::odd_bell_counts;
 
 const LABELS: [&str; 4] = ["|00>", "|01>", "|10>", "|11>"];
-
-fn run_shot(with_frame: bool, seed: u64) -> Result<(bool, bool), CoreError> {
-    let mut stack = ControlStack::with_seed(ChpCore::new(), seed);
-    if with_frame {
-        stack.push_layer(PauliFrameLayer::new());
-    }
-    stack.create_qubits(26)?;
-    let mut a = NinjaStar::new(StarLayout::with_shared_ancillas(0, 18));
-    let mut b = NinjaStar::new(StarLayout::with_shared_ancillas(9, 18));
-    // |+>_L |0>_L, then CNOT_L, then X_L on the control (Fig 5.6).
-    a.initialize_zero(&mut stack)?;
-    b.initialize_zero(&mut stack)?;
-    a.apply_logical_h(&mut stack)?;
-    let circuit = logical_cnot(
-        a.layout(),
-        a.properties().rotation,
-        b.layout(),
-        b.properties().rotation,
-    );
-    stack.execute_now(circuit)?;
-    // X_L on the (rotated) control — the chain follows the rotation.
-    a.apply_logical_x(&mut stack)?;
-    let ma = a.measure_logical(&mut stack)?;
-    let mb = b.measure_logical(&mut stack)?;
-    Ok((ma, mb))
-}
-
-/// One supervised batch: `spec.shots` independent shots seeded from the
-/// batch substream, reduced to counts over the four ket labels.
-fn batch(with_frame: bool, ctx: &BatchCtx) -> Result<[u64; 4], ShotError> {
-    let mut counts = [0u64; 4];
-    for shot in 0..ctx.spec.shots {
-        let (ma, mb) = run_shot(with_frame, ctx.seed.wrapping_add(shot))?;
-        counts[2 * usize::from(ma) + usize::from(mb)] += 1;
-    }
-    Ok(counts)
-}
 
 /// Runs `shots` supervised shots and folds the batch counts into a
 /// histogram (task-order reduction: independent of `--jobs`).
@@ -72,7 +37,9 @@ fn run(args: &HarnessArgs, shots: u64, with_frame: bool) -> Histogram {
     let report = run_supervised(
         &config,
         specs,
-        move |ctx: &BatchCtx| batch(with_frame, ctx),
+        move |ctx: &BatchCtx| {
+            odd_bell_counts::<StabilizerSim>(ctx.spec.shots, ctx.seed, with_frame, &ctx.cancel)
+        },
         None,
         &CancelToken::new(),
     );

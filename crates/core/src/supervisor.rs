@@ -122,9 +122,7 @@ pub struct QuarantineRecord {
     /// from the error variant, never by matching message text, so
     /// consumers (the daemon's deadline-vs-fail decision) stay correct
     /// even when an error message happens to contain "cancelled".
-    /// Runtime-only: not persisted in `quarantine.csv` (a CSV replay
-    /// resubmits regardless of cause), so [`parse_row`](Self::parse_row)
-    /// always yields `false`.
+    /// Runtime-only: not written to `quarantine.csv`.
     pub cancelled: bool,
 }
 
@@ -142,47 +140,6 @@ impl QuarantineRecord {
             self.error.replace([',', '\n'], ";")
         )
     }
-
-    /// Parses one `quarantine.csv` row back into a record (the
-    /// `--replay-quarantine` read path). Returns `None` on the header
-    /// line, blank lines, and malformed rows.
-    #[must_use]
-    pub fn parse_row(line: &str) -> Option<Self> {
-        let line = line.trim_end_matches(['\r', '\n']);
-        if line.is_empty() || line == QUARANTINE_HEADER {
-            return None;
-        }
-        let mut fields = line.splitn(4, ',');
-        let key = fields.next()?.to_owned();
-        let task = fields.next()?.parse().ok()?;
-        let attempts = fields.next()?.parse().ok()?;
-        let error = fields.next().unwrap_or("").to_owned();
-        if key.is_empty() || key.contains(char::is_whitespace) {
-            return None;
-        }
-        Some(QuarantineRecord {
-            key,
-            task,
-            attempts,
-            error,
-            cancelled: false,
-        })
-    }
-}
-
-/// Loads every well-formed record of a `quarantine.csv` file (header and
-/// malformed rows are skipped). Used by the sweep binaries'
-/// `--replay-quarantine` mode to resubmit exactly the batches that
-/// previously exhausted their retries.
-///
-/// # Errors
-///
-/// Returns the underlying read error (e.g. a missing file).
-pub fn read_quarantine_csv(path: &std::path::Path) -> std::io::Result<Vec<QuarantineRecord>> {
-    Ok(std::fs::read_to_string(path)?
-        .lines()
-        .filter_map(QuarantineRecord::parse_row)
-        .collect())
 }
 
 /// A redundancy vote that found the back-ends disagreeing.
@@ -811,62 +768,6 @@ mod tests {
         assert_eq!(report.quarantined.len(), 1);
         assert!(report.quarantined[0].cancelled && report.quarantined[0].task == 1);
         assert_eq!(report.stats.cancelled, 1);
-    }
-
-    #[test]
-    fn quarantine_rows_round_trip_through_parse() {
-        let record = QuarantineRecord {
-            key: "p3-XL-pf1-r2".to_owned(),
-            task: 14,
-            attempts: 3,
-            error: "worker panic: chaos, injected\nboom".to_owned(),
-            cancelled: false,
-        };
-        let row = record.to_row();
-        let parsed = QuarantineRecord::parse_row(&row).unwrap();
-        assert_eq!(parsed.key, record.key);
-        assert_eq!(parsed.task, record.task);
-        assert_eq!(parsed.attempts, record.attempts);
-        // The flattened error survives (commas/newlines became ';').
-        assert_eq!(parsed.error, "worker panic: chaos; injected;boom");
-        // Header, blank, and malformed rows are rejected.
-        assert_eq!(QuarantineRecord::parse_row(QUARANTINE_HEADER), None);
-        assert_eq!(QuarantineRecord::parse_row(""), None);
-        assert_eq!(QuarantineRecord::parse_row("key,notanumber,3,err"), None);
-        assert_eq!(QuarantineRecord::parse_row("bad key,1,3,err"), None);
-    }
-
-    #[test]
-    fn quarantine_csv_file_round_trip() {
-        let dir = std::env::temp_dir().join(format!("qpdo-quar-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("quarantine.csv");
-        let records = vec![
-            QuarantineRecord {
-                key: "a-r0".to_owned(),
-                task: 0,
-                attempts: 3,
-                error: "watchdog timeout: batch exceeded 50 ms".to_owned(),
-                cancelled: false,
-            },
-            QuarantineRecord {
-                key: "b-r1".to_owned(),
-                task: 5,
-                attempts: 2,
-                error: "worker panic: chaos".to_owned(),
-                cancelled: false,
-            },
-        ];
-        let mut text = format!("{QUARANTINE_HEADER}\n");
-        for r in &records {
-            text.push_str(&r.to_row());
-            text.push('\n');
-        }
-        std::fs::write(&path, text).unwrap();
-        let loaded = read_quarantine_csv(&path).unwrap();
-        assert_eq!(loaded, records);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,9 +1,14 @@
 //! The fleet router service (`DESIGN.md` §11).
 //!
-//! Threading model mirrors the daemon ([`qpdo_serve::daemon`]): the
-//! caller's thread runs the TCP accept loop (bounded by
-//! [`RouterConfig::max_conns`]), each connection gets a handler thread,
-//! and two background threads keep the fleet converging:
+//! Threading model: the daemon ([`qpdo_serve::daemon`]) serves every
+//! connection on one nonblocking event loop, but the router keeps a
+//! handler thread per connection, because answering a request means
+//! blocking I/O to a member — a relayed submit or query waits, up to
+//! the member timeout, on that member's reply, and one slow member must
+//! not stall every other client. The caller's thread runs the TCP
+//! accept loop (bounded by [`RouterConfig::max_conns`]), each
+//! connection gets a handler thread, and two background threads keep
+//! the fleet converging:
 //!
 //! - the **prober** drives one [`CircuitBreaker`] per member off the
 //!   daemons' existing `health` query, so a dead or draining member is

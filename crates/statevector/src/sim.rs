@@ -381,7 +381,8 @@ impl StateVector {
         acc * prefactor
     }
 
-    /// Whether two states are equal up to a single global phase.
+    /// Whether two states are equal up to a single global phase: whether
+    /// [`global_phase_to`](Self::global_phase_to) finds one.
     ///
     /// This is the comparison the paper's random-circuit test bench
     /// performs between execution with and without a Pauli frame (after
@@ -393,40 +394,19 @@ impl StateVector {
     /// Panics if the two states have different qubit counts.
     #[must_use]
     pub fn approx_eq_up_to_global_phase(&self, other: &StateVector, tol: f64) -> bool {
-        assert_eq!(self.n, other.n, "states must have equal qubit counts");
-        // Find the largest amplitude of self to anchor the relative phase.
-        let Some((anchor, _)) = self
-            .amps
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.norm_sqr().total_cmp(&b.1.norm_sqr()))
-        else {
-            return false;
-        };
-        let a = self.amps[anchor];
-        let b = other.amps[anchor];
-        if a.norm() < tol || b.norm() < tol {
-            return false;
-        }
-        // phase = b / a, normalized to unit magnitude.
-        let inv_norm = 1.0 / a.norm_sqr();
-        let phase = (b * a.conj()).scale(inv_norm);
-        if (phase.norm() - 1.0).abs() > tol {
-            return false;
-        }
-        self.amps
-            .iter()
-            .zip(&other.amps)
-            .all(|(&x, &y)| (x * phase).approx_eq(y, tol))
+        self.global_phase_to(other, tol).is_some()
     }
 
     /// The relative global phase `other = phase · self`, if the states are
     /// equal up to global phase within `tol`; `None` otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two states have different qubit counts.
     #[must_use]
     pub fn global_phase_to(&self, other: &StateVector, tol: f64) -> Option<Complex> {
-        if !self.approx_eq_up_to_global_phase(other, tol) {
-            return None;
-        }
+        assert_eq!(self.n, other.n, "states must have equal qubit counts");
+        // Find the largest amplitude of self to anchor the relative phase.
         let (anchor, _) = self
             .amps
             .iter()
@@ -434,7 +414,19 @@ impl StateVector {
             .max_by(|a, b| a.1.norm_sqr().total_cmp(&b.1.norm_sqr()))?;
         let a = self.amps[anchor];
         let b = other.amps[anchor];
-        Some((b * a.conj()).scale(1.0 / a.norm_sqr()))
+        if a.norm() < tol || b.norm() < tol {
+            return None;
+        }
+        // phase = b / a, which must have unit magnitude.
+        let phase = (b * a.conj()).scale(1.0 / a.norm_sqr());
+        if (phase.norm() - 1.0).abs() > tol {
+            return None;
+        }
+        self.amps
+            .iter()
+            .zip(&other.amps)
+            .all(|(&x, &y)| (x * phase).approx_eq(y, tol))
+            .then_some(phase)
     }
 
     /// Extracts the state of a subset of qubits when it factorizes from

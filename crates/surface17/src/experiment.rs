@@ -24,12 +24,15 @@
 //! (packed engine) and `run_ler_reference` (cell-per-entry reference
 //! engine, the differential oracle) are the uncancelled one-line calls
 //! into it; [`run_ler_classical`] swaps in the protected frame layer.
+//!
+//! [`odd_bell_counts`] is the odd-Bell test bench of Section 5.2.3 on
+//! two ninja stars.
 
 use std::ops::AddAssign;
 
 use qpdo_core::fault::{FaultPlan, FaultRates};
 use qpdo_core::{
-    ChpCore, ControlStack, CoreError, CounterLayer, DepolarizingModel, ErrorCounts,
+    CancelToken, ChpCore, ControlStack, CoreError, CounterLayer, DepolarizingModel, ErrorCounts,
     FrameProtectionConfig, FrameProtectionStats, PauliFrameLayer, ProtectedPauliFrameLayer,
     ShotError, SvCore,
 };
@@ -37,7 +40,7 @@ use qpdo_pauli::{Pauli, PauliString};
 use qpdo_stabilizer::{CliffordTableau, ReferenceTableau, StabilizerSim};
 use qpdo_statevector::Complex;
 
-use crate::{NinjaStar, StarLayout};
+use crate::{logical_cnot, NinjaStar, StarLayout};
 
 /// Which logical error the experiment watches for — and hence which
 /// state it prepares (`X_L` errors flip `|0⟩_L`; `Z_L` errors flip
@@ -383,6 +386,57 @@ impl CrossCheckOutcome {
             })
         }
     }
+}
+
+/// The odd-Bell test bench of Section 5.2.3 (Figs 5.5–5.7, E5): two
+/// ninja stars run the circuit of Fig 5.6 — `H_L` on star 0, transversal
+/// `CNOT_L`, `X_L` on star 0 — into `(|01⟩ + |10⟩)/√2`, and both are
+/// measured logically. Shot `k` runs on a fresh stack on engine `T`
+/// seeded with `seed + k` (wrapping), with or without a Pauli-frame
+/// layer. Returns the ket counts in `|00⟩ |01⟩ |10⟩ |11⟩` order.
+///
+/// # Errors
+///
+/// Returns [`ShotError::Cancelled`] when `cancel` fires (polled before
+/// every shot), and propagates stack errors.
+pub fn odd_bell_counts<T: CliffordTableau>(
+    shots: u64,
+    seed: u64,
+    with_frame: bool,
+    cancel: &CancelToken,
+) -> Result<[u64; 4], ShotError> {
+    let mut counts = [0u64; 4];
+    for shot in 0..shots {
+        if cancel.is_cancelled() {
+            return Err(ShotError::Cancelled {
+                reason: format!("bell job cancelled after {shot}/{shots} shots"),
+            });
+        }
+        let mut stack = ControlStack::with_seed(ChpCore::<T>::default(), seed.wrapping_add(shot));
+        if with_frame {
+            stack.push_layer(PauliFrameLayer::new());
+        }
+        stack.create_qubits(26)?;
+        let mut a = NinjaStar::new(StarLayout::with_shared_ancillas(0, 18));
+        let mut b = NinjaStar::new(StarLayout::with_shared_ancillas(9, 18));
+        // |+>_L |0>_L, then CNOT_L, then X_L on the control.
+        a.initialize_zero(&mut stack)?;
+        b.initialize_zero(&mut stack)?;
+        a.apply_logical_h(&mut stack)?;
+        let circuit = logical_cnot(
+            a.layout(),
+            a.properties().rotation,
+            b.layout(),
+            b.properties().rotation,
+        );
+        stack.execute_now(circuit)?;
+        // The X_L chain follows the control's (rotated) lattice.
+        a.apply_logical_x(&mut stack)?;
+        let ma = a.measure_logical(&mut stack)?;
+        let mb = b.measure_logical(&mut stack)?;
+        counts[2 * usize::from(ma) + usize::from(mb)] += 1;
+    }
+    Ok(counts)
 }
 
 /// Cross-backend redundancy oracle: runs the same Clifford-only,

@@ -49,6 +49,6 @@ pub use decoder::{LutDecoder, SyndromeTracker, WindowDecision};
 pub use esm::{esm_ancillas, esm_circuit};
 pub use layout::{CheckKind, Plaquette, StarLayout};
 pub use properties::{DanceMode, LogicalState, Rotation, StarProperties};
-pub use sliced::run_ler_sliced;
+pub use sliced::{run_ler_sliced, run_ler_sliced_controlled, SlicedLerOutcome};
 pub use star::{NinjaStar, WindowReport};
 pub use two_qubit::{logical_cnot, logical_cz, transversal_pairs};

@@ -7,13 +7,16 @@
 //! gate-level oracle lives in `qpdo-stabilizer/tests/differential.rs`;
 //! here the engines are driven by the real Surface-17 workload, with the
 //! depolarizing error layer, the LUT decoder, and (optionally) the
-//! frame layer in between — uncancelled and stopped mid-run.
+//! frame layer in between — uncancelled and stopped mid-run. The
+//! odd-Bell test bench (two stars, a transversal `CNOT_L`) must count
+//! the same kets on both engines too.
 
 use std::cell::Cell;
 
+use qpdo_core::CancelToken;
 use qpdo_stabilizer::{ReferenceTableau, StabilizerSim};
 use qpdo_surface17::experiment::{
-    run_ler, run_ler_on, run_ler_reference, LerConfig, LogicalErrorKind,
+    odd_bell_counts, run_ler, run_ler_on, run_ler_reference, LerConfig, LogicalErrorKind,
 };
 
 fn config(p: f64, kind: LogicalErrorKind, with_pf: bool, seed: u64) -> LerConfig {
@@ -93,5 +96,17 @@ fn cancelled_runs_are_byte_identical_across_engines() {
                 assert_eq!(packed.windows, k);
             }
         }
+    }
+}
+
+#[test]
+fn odd_bell_counts_are_identical_across_engines() {
+    let cancel = CancelToken::new();
+    for with_frame in [false, true] {
+        let seed = 0xBE11_0017 + u64::from(with_frame);
+        let packed = odd_bell_counts::<StabilizerSim>(4, seed, with_frame, &cancel).unwrap();
+        let reference = odd_bell_counts::<ReferenceTableau>(4, seed, with_frame, &cancel).unwrap();
+        assert_eq!(packed, reference, "with_frame={with_frame}");
+        assert_eq!(packed[1] + packed[2], 4, "only |01> and |10>: {packed:?}");
     }
 }

@@ -184,6 +184,14 @@ echo "== protected-frame smoke: exp_classical_faults --test smoke =="
 # worse and the protected one recovers at least 90% of them.
 ./target/release/exp_classical_faults --test smoke --out "$smoke_out"
 
+echo "== paper self-checks: exp_random_circuits, exp_odd_bell --test smoke =="
+# E4 and E5 through the experiment drivers the daemon's rc and bell jobs
+# run too: every random circuit's flushed framed state must equal its
+# reference up to global phase, and both odd-Bell histograms (with and
+# without the Pauli frame) must hold only |01> and |10>, each seen.
+./target/release/exp_random_circuits --test smoke --out "$smoke_out"
+./target/release/exp_odd_bell --test smoke --out "$smoke_out"
+
 echo "== kernel bench smoke: bench_kernels --smoke =="
 # Smoke-runs the packed-kernel benchmark (tiny sample counts), writes
 # BENCH_stabilizer.json to the throwaway directory, and validates the
