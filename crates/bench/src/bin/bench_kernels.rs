@@ -38,6 +38,12 @@
 //! - `surface_batch_d5` — the same warmed call at d = 5, p = 0.08: the
 //!   12-bit syndromes mostly hit the sweep point's decoded-parity
 //!   table, so the error draw and the frame push dominate.
+//! - `frame_push_d5` — the frame-push layer of `surface_batch_d5`: one
+//!   [`FrameSampler::sample`] of the d = 5 ESM round, a 64-lane frame
+//!   of data errors pushed through its compiled steps.
+//! - `error_draw_d5` — the error-draw layer of `surface_batch_d5`: one
+//!   batch's 25 × 64 = 1,600 Bernoulli(0.08) draws, folded into lane
+//!   words as the sweep draws them.
 //! - `surface_setup_d13` — a 64-shot [`run_ler_surface`] call at d = 13
 //!   on a freshly spawned thread: the cold sweep point every thread that
 //!   runs d = 13 batches builds once (code, ESM circuit, the frame
@@ -55,12 +61,13 @@ use qpdo_bench::harness::{measure_batched_ns, Stats};
 use qpdo_bench::json::Json;
 use qpdo_bench::supervisor::sliced_lane_seeds;
 use qpdo_core::{ChpCore, ControlStack, DepolarizingModel};
-use qpdo_pauli::{Pauli, PauliFrame, PauliString};
+use qpdo_pauli::{LanePauliFrame, Pauli, PauliFrame, PauliString};
 use qpdo_rng::rngs::StdRng;
-use qpdo_rng::{Rng, SeedableRng};
+use qpdo_rng::{Bernoulli, Rng, RngCore, SeedableRng};
 use qpdo_stabilizer::{ReferenceTableau, StabilizerSim, LANES};
 use qpdo_surface::experiment::{run_ler_surface, SurfaceLerConfig};
-use qpdo_surface::CheckKind;
+use qpdo_surface::sampler::FrameSampler;
+use qpdo_surface::{CheckKind, RotatedSurfaceCode};
 use qpdo_surface17::experiment::{LerConfig, LogicalErrorKind};
 use qpdo_surface17::{run_ler_sliced, NinjaStar, StarLayout};
 
@@ -217,6 +224,8 @@ fn validate_report(doc: &Json) -> Result<(), String> {
         "frame_merge",
         "surface_batch_d13",
         "surface_batch_d5",
+        "frame_push_d5",
+        "error_draw_d5",
         "surface_setup_d13",
     ];
     for name in required {
@@ -515,6 +524,60 @@ fn run(args: &Args) -> Result<(), String> {
     .expect("valid configuration");
     let surface_batch_d5 = surface_batch("surface_batch_d5", 5)?;
 
+    // -- frame_push_d5 / error_draw_d5: two layers of that batch. The
+    // push runs the sampler the sweep builds for d = 5, X errors
+    // (ancillas in |0>, data in |0>, observing Z_L) on a frame holding
+    // one batch of data errors; each input brings its own gauge stream.
+    let code = RotatedSurfaceCode::new(5);
+    let data = code.num_data_qubits();
+    let initial = vec![Pauli::Z; code.num_qubits()];
+    let sampler = FrameSampler::new(code.esm_circuit(), &initial, &[code.logical_z_string()]);
+    let mut errors = LanePauliFrame::new(code.num_qubits());
+    let mut rng = StdRng::seed_from_u64(args.seed);
+    for q in 0..data {
+        errors.apply_pauli_words(q, rng.next_u64() & rng.next_u64() & rng.next_u64(), 0);
+    }
+    let mut records = vec![0; sampler.measured().len()];
+    let mut push_seed = args.seed;
+    let frame_push_d5 = measured(
+        "frame_push_d5",
+        measure_batched_ns(
+            samples,
+            collapse_iters,
+            || {
+                push_seed = push_seed.wrapping_add(1);
+                (errors.clone(), StdRng::seed_from_u64(push_seed))
+            },
+            |(frame, rng)| {
+                sampler.sample(frame, rng, &mut records);
+                records[0]
+            },
+        ),
+    )?;
+    println!("frame_push_d5: {:.1} ns", frame_push_d5.median_ns);
+    let coin = Bernoulli::new(0.08);
+    let mut err = vec![0u64; data];
+    let mut draw_seed = args.seed;
+    let error_draw_d5 = measured(
+        "error_draw_d5",
+        measure_batched_ns(
+            samples,
+            collapse_iters,
+            || {
+                draw_seed = draw_seed.wrapping_add(1);
+                StdRng::seed_from_u64(draw_seed)
+            },
+            |rng| {
+                for word in &mut err {
+                    *word =
+                        (0..LANES).fold(0, |word, lane| word | u64::from(coin.sample(rng)) << lane);
+                }
+                err[0]
+            },
+        ),
+    )?;
+    println!("error_draw_d5: {:.1} ns", error_draw_d5.median_ns);
+
     // -- surface_setup_d13: a cold d = 13 sweep point, as a thread pays
     // it on its first batch: each call runs on a fresh thread, whose
     // spawn and join are timed with it.
@@ -562,6 +625,8 @@ fn run(args: &Args) -> Result<(), String> {
                 kernel_entry("frame_merge", &frame_merge),
                 kernel_entry("surface_batch_d13", &surface_batch_d13),
                 kernel_entry("surface_batch_d5", &surface_batch_d5),
+                kernel_entry("frame_push_d5", &frame_push_d5),
+                kernel_entry("error_draw_d5", &error_draw_d5),
                 kernel_entry("surface_setup_d13", &surface_setup_d13),
             ]),
         ),

@@ -257,6 +257,13 @@ impl LanePauliFrame {
         (self.xs[q], self.zs[q])
     }
 
+    /// The `x` and `z` record words of every qubit, `(xs, zs)` with
+    /// `xs[q]` the `x` word of qubit `q`, for a caller that checks its
+    /// qubit indices once and then applies many record maps itself.
+    pub fn words_mut(&mut self) -> (&mut [u64], &mut [u64]) {
+        (&mut self.xs, &mut self.zs)
+    }
+
     /// The lanes with at least one non-`I` record (bit `k` = lane `k`).
     #[must_use]
     pub fn tracked_lanes(&self) -> u64 {

@@ -274,7 +274,9 @@ impl JobKind {
             ["rc", qubits, gates] => {
                 let qubits: usize = qubits.parse().map_err(|_| bad("rc"))?;
                 let gates: usize = gates.parse().map_err(|_| bad("rc"))?;
-                if qubits == 0 || qubits > 16 || gates == 0 {
+                // A random circuit draws two-qubit gates, so it needs
+                // two qubits to run at all.
+                if !(2..=16).contains(&qubits) || gates == 0 {
                     return Err(bad("rc"));
                 }
                 Ok(JobKind::RandomCircuit { qubits, gates })
@@ -691,6 +693,7 @@ mod tests {
             &["ler_surface", "5", "0.05", "0"],
             &["ler_surface", "5", "0.05", "1048577"],
             &["rc", "0", "10"],
+            &["rc", "1", "10"],
             &["rc", "30", "10"],
             &["bell", "0"],
             &["teleport", "1"],

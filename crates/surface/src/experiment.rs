@@ -24,7 +24,9 @@
 //!   rule `logical_z_value` applies to a stack's frame. Up to 16
 //!   syndrome bits (d ≤ 5) a lazily filled syndrome → parity table sits
 //!   in front of the decoder, so each distinct syndrome is decoded once
-//!   per sweep point and thread. At every distance a run's batches fan
+//!   per sweep point and thread; one 64-lane transpose of the syndrome
+//!   words builds every lane's table index at once. At every distance a
+//!   run's batches fan
 //!   out on the process's executor (`qpdo_core::executor`): the
 //!   calling thread and whichever of its parked helpers are idle claim
 //!   whole batches, and the caller commits their tallies in batch
@@ -575,27 +577,28 @@ impl SweepPoint {
     }
 
     /// The parity word of the first `live` lanes of the detecting
-    /// checks' outcome words. A lane whose syndrome is in the table
-    /// reads its bit; any other lane runs the decoder and, if there is a
-    /// table, records the result.
+    /// checks' outcome words. With a table, the lanes' indices come from
+    /// one transpose of those words ([`lane_indices`]); a lane whose
+    /// syndrome is in the table reads its bit, any other lane runs the
+    /// decoder and records the result. Without one every lane decodes.
     fn decode_lanes(&mut self, live: usize) -> u64 {
         for (word, &k) in self.words.iter_mut().zip(&self.detectors) {
             *word = self.records[k];
         }
-        let mut parity = 0u64;
-        for lane in 0..live {
-            let index = (!self.table.is_empty()).then(|| {
-                (self.words.iter().enumerate()).fold(0, |index, (k, &word)| {
-                    index | (((word >> lane) & 1) as usize) << k
-                })
+        if self.table.is_empty() {
+            return (0..live).fold(0, |parity, lane| {
+                parity | u64::from(self.decode(lane)) << lane
             });
-            let bit = match index.and_then(|i| self.table[i]) {
+        }
+        let indices = lane_indices(&self.words);
+        let mut parity = 0u64;
+        for (lane, &index) in indices[..live].iter().enumerate() {
+            let index = usize::from(index);
+            let bit = match self.table[index] {
                 Some(bit) => bit,
                 None => {
                     let bit = self.decode(lane);
-                    if let Some(i) = index {
-                        self.table[i] = Some(bit);
-                    }
+                    self.table[index] = Some(bit);
                     bit
                 }
             };
@@ -603,6 +606,45 @@ impl SweepPoint {
         }
         parity
     }
+}
+
+/// Entry `v` spreads the four bits of nibble `v` to bits 0, 16, 32 and
+/// 48: one bit into each of four lanes' 16-bit index fields.
+const NIBBLE_SPREAD: [u64; 16] = {
+    let mut spread = [0; 16];
+    let mut v = 0;
+    while v < 16 {
+        let mut bit = 0;
+        while bit < 4 {
+            spread[v] |= ((v as u64 >> bit) & 1) << (16 * bit);
+            bit += 1;
+        }
+        v += 1;
+    }
+    spread
+};
+
+/// The parity-table index of every lane of `words`, the transpose of at
+/// most [`PARITY_TABLE_MAX_BITS`] syndrome words: bit `k` of lane
+/// `lane`'s index is bit `lane` of `words[k]`. Accumulator `j` holds
+/// lanes `4j … 4j + 3` in its four 16-bit fields, and each word ORs one
+/// [`NIBBLE_SPREAD`] entry, shifted to bit `k`, into every accumulator.
+fn lane_indices(words: &[u64]) -> [u16; LANES] {
+    assert!(
+        words.len() <= PARITY_TABLE_MAX_BITS,
+        "too many syndrome bits"
+    );
+    let mut fields = [0u64; LANES / 4];
+    for (k, &word) in words.iter().enumerate() {
+        for (j, field) in fields.iter_mut().enumerate() {
+            *field |= NIBBLE_SPREAD[(word >> (4 * j) & 0xF) as usize] << k;
+        }
+    }
+    let mut indices = [0u16; LANES];
+    for (lane, index) in indices.iter_mut().enumerate() {
+        *index = (fields[lane / 4] >> (16 * (lane % 4))) as u16;
+    }
+    indices
 }
 
 impl SurfaceLerConfig {
@@ -801,6 +843,7 @@ pub fn run_ler_surface_controlled(
 mod tests {
     use super::*;
     use qpdo_circuit::OperationKind;
+    use qpdo_rng::RngCore;
     use qpdo_stabilizer::ShotSlicedSim;
 
     fn quick(d: usize, p: f64, with_pf: bool, seed: u64) -> DistanceLerConfig {
@@ -1044,7 +1087,7 @@ mod tests {
                 let point = SweepPoint::new(d, kind);
                 let mut sim = sliced_initial(&point.code, kind);
                 let mut records = vec![0u64; point.records.len()];
-                esm_on_tableau(&mut sim, point.sampler.circuit(), |_| 0, &mut records);
+                esm_on_tableau(&mut sim, &point.code.esm_circuit(), |_| 0, &mut records);
                 assert_eq!(
                     point.sampler.reference(),
                     records,
@@ -1088,8 +1131,8 @@ mod tests {
                         }
                     }
                     let mut records = vec![0u64; point.records.len()];
-                    let esm = point.sampler.circuit();
-                    esm_on_tableau(&mut sim, esm, |k| point.records[k], &mut records);
+                    let esm = code.esm_circuit();
+                    esm_on_tableau(&mut sim, &esm, |k| point.records[k], &mut records);
                     for (k, &ancilla) in measured.iter().enumerate() {
                         assert_eq!(
                             records[k], point.records[k],
@@ -1145,6 +1188,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The 64-lane transpose builds the index the per-lane fold does, for
+    /// 1 to 16 random words, all-zero and all-ones words, and a d = 3
+    /// point's four detector words after a batch.
+    #[test]
+    fn lane_indices_match_the_per_lane_fold() {
+        let fold = |words: &[u64], lane: usize| {
+            (words.iter().enumerate()).fold(0u16, |index, (k, &word)| {
+                index | (((word >> lane) & 1) as u16) << k
+            })
+        };
+        let check = |words: &[u64]| {
+            let indices = lane_indices(words);
+            for (lane, &index) in indices.iter().enumerate() {
+                assert_eq!(index, fold(words, lane), "lane {lane} of {words:x?}");
+            }
+        };
+        let mut rng = StdRng::seed_from_u64(29);
+        for len in 1..=PARITY_TABLE_MAX_BITS {
+            for _ in 0..8 {
+                let words: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
+                check(&words);
+            }
+            check(&vec![0; len]);
+            check(&vec![u64::MAX; len]);
+        }
+        let mut point = SweepPoint::new(3, CheckKind::X);
+        assert_eq!(point.detectors.len(), 4, "d = 3 has 4-bit syndromes");
+        point.failure_word(Bernoulli::new(0.2), LANES, &mut batch_rng(3, 0));
+        assert!(point.words.iter().any(|&w| w != 0 && w != u64::MAX));
+        check(&point.words);
     }
 
     /// The parity table is exact: every syndrome index, filled through

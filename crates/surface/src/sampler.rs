@@ -10,6 +10,9 @@
 //! runs then only pushes a [`LanePauliFrame`] through the circuit with
 //! the record maps of Tables 3.3–3.5: a measurement reads `reference ⊕
 //! flip` and an observable `reference sign ⊕ frame parity`, per lane.
+//! The same pass compiles the circuit to a flat list of those record
+//! maps, its qubits checked once, so a sample is one loop of word XORs
+//! over the list.
 //!
 //! Stabilizers of the reference state may join the frame freely, and
 //! they must, with a random lane word each (the *gauge*), for
@@ -21,7 +24,7 @@
 //! circuit resets before any other use takes no load gauge: the reset
 //! replaces it.
 
-use qpdo_circuit::{Circuit, Gate, GateKind, OperationKind};
+use qpdo_circuit::{Circuit, Gate, OperationKind};
 use qpdo_pauli::{LanePauliFrame, Pauli, PauliString};
 use qpdo_rng::RngCore;
 use qpdo_stabilizer::StabilizerSim;
@@ -30,10 +33,11 @@ use qpdo_stabilizer::StabilizerSim;
 /// runs per [`sample`](Self::sample).
 #[derive(Clone, Debug)]
 pub struct FrameSampler {
-    circuit: Circuit,
-    /// The qubits the circuit uses before any reset, ascending, each
-    /// with the stabilizer it is loaded with.
-    load: Vec<(usize, Pauli)>,
+    /// The frame updates of a sample: the load gauges, then the
+    /// circuit's operations in circuit order.
+    steps: Vec<Step>,
+    /// One more than the highest qubit the circuit touches.
+    qubits: usize,
     /// The qubit of each measurement, in circuit order.
     measured: Vec<usize>,
     /// The reference outcome of each measurement, in circuit order: all
@@ -44,12 +48,36 @@ pub struct FrameSampler {
     observables: Vec<(Vec<(usize, Pauli)>, u64)>,
 }
 
+/// One frame update of a sample: a load gauge, or an operation of the
+/// sampled circuit as the record maps of `qpdo_core::arch::update_frame`
+/// act on a [`LanePauliFrame`]. `S` and `S†` share a map; an identity
+/// gate compiles to no step.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// Load a qubit the circuit uses before any reset: merge its
+    /// initial stabilizer in the lanes of a fresh gauge word.
+    Load(usize, Pauli),
+    /// Clear the record, then take a fresh `Z` gauge.
+    Reset(usize),
+    /// Read the next record, then take a fresh `Z` gauge.
+    Measure(usize),
+    H(usize),
+    Cnot(usize, usize),
+    S(usize),
+    Cz(usize, usize),
+    Swap(usize, usize),
+    /// Merge this Pauli in every lane.
+    Pauli(usize, Pauli),
+}
+
 impl FrameSampler {
     /// Runs `circuit` once without noise, from the product state in
     /// which qubit `q` is the `+1` eigenstate of `initial[q]` (`Z`:
     /// `|0⟩`, `X`: `|+⟩`), and records every measurement's
     /// outcome and the sign of each of `observables` after the circuit.
     /// Random measurements, resets included, collapse onto outcome 0.
+    /// The same pass compiles the circuit to the flat list of frame
+    /// updates [`sample`](Self::sample) runs.
     ///
     /// The frame absorbs the circuit's Pauli gates in every lane, so the
     /// reference run skips them: each Pauli gate acts in exactly one of
@@ -71,20 +99,26 @@ impl FrameSampler {
             }
         }
         let mut used = vec![false; initial.len()];
-        let mut load = Vec::new();
+        let (mut steps, mut load) = (Vec::new(), Vec::new());
         let (mut measured, mut reference) = (Vec::new(), Vec::new());
         for op in circuit.operations() {
             let q = op.qubits();
             for &q in q {
+                assert!(
+                    q < initial.len(),
+                    "{op} acts beyond the {} initial qubits",
+                    initial.len()
+                );
                 if !std::mem::replace(&mut used[q], true) && op.kind() != OperationKind::Prep {
                     load.push((q, initial[q]));
                 }
             }
-            match op.kind() {
+            let step = match op.kind() {
                 OperationKind::Prep => {
                     if sim.measure_forced(q[0], false) {
                         sim.x(q[0]);
                     }
+                    Step::Reset(q[0])
                 }
                 OperationKind::Measure => {
                     measured.push(q[0]);
@@ -93,20 +127,48 @@ impl FrameSampler {
                     } else {
                         0
                     });
+                    Step::Measure(q[0])
                 }
                 OperationKind::Gate(gate) => match gate {
-                    _ if gate.kind() == GateKind::Pauli => {}
-                    Gate::H => sim.h(q[0]),
-                    Gate::S => sim.s(q[0]),
-                    Gate::Sdg => sim.sdg(q[0]),
-                    Gate::Cnot => sim.cnot(q[0], q[1]),
-                    Gate::Cz => sim.cz(q[0], q[1]),
-                    Gate::Swap => sim.swap(q[0], q[1]),
-                    _ => panic!("a frame sampler runs Clifford circuits only, not {op}"),
+                    Gate::I => continue,
+                    Gate::X => Step::Pauli(q[0], Pauli::X),
+                    Gate::Y => Step::Pauli(q[0], Pauli::Y),
+                    Gate::Z => Step::Pauli(q[0], Pauli::Z),
+                    Gate::H => {
+                        sim.h(q[0]);
+                        Step::H(q[0])
+                    }
+                    Gate::S => {
+                        sim.s(q[0]);
+                        Step::S(q[0])
+                    }
+                    Gate::Sdg => {
+                        sim.sdg(q[0]);
+                        Step::S(q[0])
+                    }
+                    Gate::Cnot => {
+                        sim.cnot(q[0], q[1]);
+                        Step::Cnot(q[0], q[1])
+                    }
+                    Gate::Cz => {
+                        sim.cz(q[0], q[1]);
+                        Step::Cz(q[0], q[1])
+                    }
+                    Gate::Swap => {
+                        sim.swap(q[0], q[1]);
+                        Step::Swap(q[0], q[1])
+                    }
+                    Gate::T | Gate::Tdg | Gate::Toffoli => {
+                        panic!("a frame sampler runs Clifford circuits only, not {op}")
+                    }
                 },
-            }
+            };
+            steps.push(step);
         }
         load.sort_unstable_by_key(|&(q, _)| q);
+        let steps = (load.into_iter().map(|(q, p)| Step::Load(q, p)))
+            .chain(steps)
+            .collect();
         let observables = (observables.iter())
             .map(|observable| {
                 let sign = sim
@@ -119,18 +181,12 @@ impl FrameSampler {
             })
             .collect();
         FrameSampler {
-            circuit,
-            load,
+            steps,
+            qubits: used.iter().rposition(|&u| u).map_or(0, |q| q + 1),
             measured,
             reference,
             observables,
         }
-    }
-
-    /// The sampled circuit.
-    #[must_use]
-    pub fn circuit(&self) -> &Circuit {
-        &self.circuit
     }
 
     /// The qubit of each measurement, in circuit order: record `k` of a
@@ -163,33 +219,50 @@ impl FrameSampler {
     /// Panics if `frame` is smaller than the circuit or `records` has
     /// fewer entries than the circuit has measurements.
     pub fn sample(&self, frame: &mut LanePauliFrame, rng: &mut impl RngCore, records: &mut [u64]) {
-        for &(q, p) in &self.load {
-            let gauge = rng.next_u64();
-            let (x, z) = p.bits();
-            frame.apply_pauli_words(q, if x { gauge } else { 0 }, if z { gauge } else { 0 });
-        }
+        assert!(
+            frame.len() >= self.qubits,
+            "a {}-qubit frame cannot hold a {}-qubit circuit",
+            frame.len(),
+            self.qubits
+        );
+        let records = &mut records[..self.reference.len()];
+        let (xs, zs) = frame.words_mut();
         let mut record = 0;
-        for slot in self.circuit.slots() {
-            for op in slot {
-                let q = op.qubits();
-                // The record maps `qpdo_core::arch::update_frame` applies,
-                // with a syndrome round's CNOT and H in line and every
-                // other gate out of line: through `update_frame`, or with
-                // every gate in line, a d = 5 round took ~45% longer.
-                match op.kind() {
-                    OperationKind::Prep => {
-                        frame.reset(q[0]);
-                        frame.apply_pauli_words(q[0], 0, rng.next_u64());
-                    }
-                    OperationKind::Measure => {
-                        records[record] =
-                            self.reference[record] ^ frame.measurement_flip_word(q[0]);
-                        record += 1;
-                        frame.apply_pauli_words(q[0], 0, rng.next_u64());
-                    }
-                    OperationKind::Gate(Gate::Cnot) => frame.apply_cnot(q[0], q[1]),
-                    OperationKind::Gate(Gate::H) => frame.apply_h(q[0]),
-                    OperationKind::Gate(gate) => push_gate(frame, gate, q),
+        for &step in &self.steps {
+            match step {
+                Step::Load(q, p) => {
+                    let gauge = rng.next_u64();
+                    let (x, z) = p.bits();
+                    xs[q] ^= if x { gauge } else { 0 };
+                    zs[q] ^= if z { gauge } else { 0 };
+                }
+                Step::Reset(q) => {
+                    xs[q] = 0;
+                    zs[q] = rng.next_u64();
+                }
+                Step::Measure(q) => {
+                    records[record] = self.reference[record] ^ xs[q];
+                    record += 1;
+                    zs[q] ^= rng.next_u64();
+                }
+                Step::H(q) => std::mem::swap(&mut xs[q], &mut zs[q]),
+                Step::Cnot(c, t) => {
+                    xs[t] ^= xs[c];
+                    zs[c] ^= zs[t];
+                }
+                Step::S(q) => zs[q] ^= xs[q],
+                Step::Cz(a, b) => {
+                    zs[a] ^= xs[b];
+                    zs[b] ^= xs[a];
+                }
+                Step::Swap(a, b) => {
+                    xs.swap(a, b);
+                    zs.swap(a, b);
+                }
+                Step::Pauli(q, p) => {
+                    let (x, z) = p.bits();
+                    xs[q] ^= if x { u64::MAX } else { 0 };
+                    zs[q] ^= if z { u64::MAX } else { 0 };
                 }
             }
         }
@@ -214,31 +287,6 @@ impl FrameSampler {
             // an X factor.
             acc ^ (if pz { x } else { 0 }) ^ (if px { z } else { 0 })
         })
-    }
-}
-
-/// Maps the records of `qubits` through the Clifford `gate` (a Pauli
-/// merges in every lane). [`FrameSampler::sample`] maps the `CNOT` and
-/// `H` that make up most of a syndrome round itself and leaves the rare
-/// gates to this, out of line.
-#[cold]
-#[inline(never)]
-fn push_gate(frame: &mut LanePauliFrame, gate: Gate, qubits: &[usize]) {
-    let q = qubits[0];
-    match gate {
-        Gate::S => frame.apply_s(q),
-        Gate::Sdg => frame.apply_sdg(q),
-        Gate::Cz => frame.apply_cz(q, qubits[1]),
-        Gate::Swap => frame.apply_swap(q, qubits[1]),
-        Gate::X => frame.apply_pauli_words(q, u64::MAX, 0),
-        Gate::Y => frame.apply_pauli_words(q, u64::MAX, u64::MAX),
-        Gate::Z => frame.apply_pauli_words(q, 0, u64::MAX),
-        Gate::I => {}
-        Gate::H => frame.apply_h(q),
-        Gate::Cnot => frame.apply_cnot(q, qubits[1]),
-        Gate::T | Gate::Tdg | Gate::Toffoli => {
-            unreachable!("the reference run admits Clifford circuits only")
-        }
     }
 }
 
