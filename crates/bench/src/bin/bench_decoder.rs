@@ -14,6 +14,11 @@
 //!   grid as `exp_distance_scaling`. Every mode also times
 //!   `uf_decode_d5_p08` and `uf_decode_d13_p08`, the points of the
 //!   repository benchmark's `surface_d5` and `surface_d13` workloads.
+//! - `uf_parity_d5_p08`, `uf_parity_d13_p08`, `uf_parity_d13_p01` —
+//!   [`UnionFindDecoder::decode_logical_parity`], the one bit a
+//!   code-capacity sweep decodes per lane, on the same pools as the
+//!   `uf_decode_*` rows of the same point (the p01 pool is the full
+//!   grid's), in every mode.
 //! - `matching_exact_d3_p05` — the exact matcher on the identical d = 3
 //!   pool, the baseline `derived.uf_over_exact_d3_p05` compares against
 //!   (at d = 3 every syndrome is below `EXACT_LIMIT`, so this is the
@@ -109,6 +114,30 @@ fn syndrome_pool(code: &RotatedSurfaceCode, p: f64, seed: u64) -> Vec<Vec<bool>>
     pool
 }
 
+/// Times `decode` on `samples` batches of `iters` syndromes, cycling
+/// through `pool`, and prints the median as kernel `name`.
+fn time_pool<O>(
+    name: &str,
+    samples: usize,
+    iters: usize,
+    pool: &[Vec<bool>],
+    decode: impl Fn(&[bool]) -> O,
+) -> Result<Stats, String> {
+    let mut next = 0usize;
+    let stats = measure_batched_ns(
+        samples,
+        iters,
+        || {
+            next = (next + 1) % POOL;
+            next
+        },
+        |&mut i| decode(&pool[i]),
+    )
+    .map_err(|err| format!("kernel {name}: {err}"))?;
+    println!("{name}: {:.1} ns", stats.median_ns);
+    Ok(stats)
+}
+
 fn kernel_entry(name: &str, stats: &Stats) -> Json {
     Json::object([
         ("name", Json::from(name)),
@@ -142,6 +171,9 @@ fn validate_report(doc: &Json) -> Result<(), String> {
         "uf_decode_d5_p05",
         "uf_decode_d5_p08",
         "uf_decode_d13_p08",
+        "uf_parity_d5_p08",
+        "uf_parity_d13_p08",
+        "uf_parity_d13_p01",
         "matching_exact_d3_p05",
     ] {
         if !kernels
@@ -212,29 +244,6 @@ fn run(args: &Args) -> Result<(), String> {
         )
     };
     let dmax = *distances.last().expect("distance grid is non-empty");
-    let measured = |name: &str, stats: Result<Stats, qpdo_bench::harness::HarnessError>| {
-        stats.map_err(|err| format!("kernel {name}: {err}"))
-    };
-
-    // One union-find kernel: `decode` cycling through a seeded pool.
-    let uf_kernel = |name: &str, decoder: &UnionFindDecoder, pool: &[Vec<bool>]| {
-        let mut next = 0usize;
-        let stats = measured(
-            name,
-            measure_batched_ns(
-                samples,
-                iters,
-                || {
-                    next = (next + 1) % POOL;
-                    next
-                },
-                |&mut i| decoder.decode(&pool[i]),
-            ),
-        )?;
-        println!("{name}: {:.1} ns", stats.median_ns);
-        Ok::<_, String>(stats)
-    };
-
     let mut kernels = Vec::new();
     // Medians needed for the derived ratios.
     let mut uf_d3_p05 = None;
@@ -245,7 +254,7 @@ fn run(args: &Args) -> Result<(), String> {
         for (pi, &(p, tag)) in pers.iter().enumerate() {
             let name = format!("uf_decode_d{d}_{tag}");
             let pool = syndrome_pool(&code, p, args.seed + 1_000 * d as u64 + pi as u64);
-            let stats = uf_kernel(&name, &decoder, &pool)?;
+            let stats = time_pool(&name, samples, iters, &pool, |s| decoder.decode(s))?;
             if tag == "p05" {
                 if d == 3 {
                     uf_d3_p05 = Some(stats.median_ns);
@@ -260,32 +269,35 @@ fn run(args: &Args) -> Result<(), String> {
     for (d, p, tag) in BENCHMARK_POINTS {
         let code = RotatedSurfaceCode::new(d);
         let decoder = UnionFindDecoder::new(&code, CheckKind::X);
-        let name = format!("uf_decode_d{d}_{tag}");
         // Seeds past the grid's (which add 0..3 to `1_000 * d`).
         let pool = syndrome_pool(&code, p, args.seed + 1_000 * d as u64 + 8);
-        let stats = uf_kernel(&name, &decoder, &pool)?;
+        let name = format!("uf_decode_d{d}_{tag}");
+        let stats = time_pool(&name, samples, iters, &pool, |s| decoder.decode(s))?;
+        kernels.push(kernel_entry(&name, &stats));
+        let name = format!("uf_parity_d{d}_{tag}");
+        let stats = time_pool(&name, samples, iters, &pool, |s| {
+            decoder.decode_logical_parity(s)
+        })?;
         kernels.push(kernel_entry(&name, &stats));
     }
+    // The parity path at a sparse point, on the full grid's
+    // `uf_decode_d13_p01` pool (p01 is the grid's first rate).
+    let code = RotatedSurfaceCode::new(13);
+    let decoder = UnionFindDecoder::new(&code, CheckKind::X);
+    let pool = syndrome_pool(&code, 0.01, args.seed + 13_000);
+    let stats = time_pool("uf_parity_d13_p01", samples, iters, &pool, |s| {
+        decoder.decode_logical_parity(s)
+    })?;
+    kernels.push(kernel_entry("uf_parity_d13_p01", &stats));
 
     // Baseline: the exact matcher on the identical d = 3, p = 5 % pool
     // (4 checks per family at d = 3, so every syndrome is exact-path).
     let code = RotatedSurfaceCode::new(3);
     let matching = MatchingDecoder::new(&code, CheckKind::X);
     let pool = syndrome_pool(&code, 0.05, args.seed + 3_000 + 3);
-    let mut next = 0usize;
-    let matching_stats = measured(
-        "matching_exact_d3_p05",
-        measure_batched_ns(
-            samples,
-            iters,
-            || {
-                next = (next + 1) % POOL;
-                next
-            },
-            |&mut i| matching.decode(&pool[i]),
-        ),
-    )?;
-    println!("matching_exact_d3_p05: {:.1} ns", matching_stats.median_ns);
+    let matching_stats = time_pool("matching_exact_d3_p05", samples, iters, &pool, |s| {
+        matching.decode(s)
+    })?;
     kernels.push(kernel_entry("matching_exact_d3_p05", &matching_stats));
 
     let uf_d3 = uf_d3_p05.expect("d=3 p=5% kernel ran");

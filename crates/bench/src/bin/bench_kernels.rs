@@ -531,7 +531,7 @@ fn run(args: &Args) -> Result<(), String> {
     let code = RotatedSurfaceCode::new(5);
     let data = code.num_data_qubits();
     let initial = vec![Pauli::Z; code.num_qubits()];
-    let sampler = FrameSampler::new(code.esm_circuit(), &initial, &[code.logical_z_string()]);
+    let sampler = FrameSampler::new(&code.esm_circuit(), &initial, &[code.logical_z_string()]);
     let mut errors = LanePauliFrame::new(code.num_qubits());
     let mut rng = StdRng::seed_from_u64(args.seed);
     for q in 0..data {

@@ -89,7 +89,7 @@ impl FrameSampler {
     /// non-Clifford gate or a qubit beyond `initial`, or if an
     /// observable is not deterministic after the circuit.
     #[must_use]
-    pub fn new(circuit: Circuit, initial: &[Pauli], observables: &[PauliString]) -> Self {
+    pub fn new(circuit: &Circuit, initial: &[Pauli], observables: &[PauliString]) -> Self {
         let mut sim = StabilizerSim::new(initial.len());
         for (q, &p) in initial.iter().enumerate() {
             match p {
@@ -314,7 +314,7 @@ mod tests {
         let mut zz = PauliString::identity(2);
         zz.set_op(0, Pauli::Z);
         zz.set_op(1, Pauli::Z);
-        let sampler = FrameSampler::new(bell_with_x(), &[Pauli::Z, Pauli::Z], &[zz]);
+        let sampler = FrameSampler::new(&bell_with_x(), &[Pauli::Z, Pauli::Z], &[zz]);
         // The reference skips the X: both measurements collapse onto 0,
         // and Z0·Z1 reads +1.
         assert_eq!(sampler.reference(), [0, 0]);
@@ -334,6 +334,6 @@ mod tests {
     fn non_clifford_circuits_are_refused() {
         let mut circuit = Circuit::new();
         circuit.push(Operation::gate(Gate::T, &[0]));
-        let _ = FrameSampler::new(circuit, &[Pauli::Z], &[]);
+        let _ = FrameSampler::new(&circuit, &[Pauli::Z], &[]);
     }
 }

@@ -98,7 +98,7 @@ fn esm_sampler(code: &RotatedSurfaceCode, error: CheckKind) -> FrameSampler {
     let initial: Vec<Pauli> = (0..code.num_qubits())
         .map(|q| if q < data { basis } else { Pauli::Z })
         .collect();
-    FrameSampler::new(code.esm_circuit(), &initial, &[observable])
+    FrameSampler::new(&code.esm_circuit(), &initial, &[observable])
 }
 
 /// A random Clifford circuit on `n` qubits drawing every gate kind,
@@ -178,7 +178,7 @@ fn digests() -> Vec<(String, u64)> {
         let mut rng = StdRng::seed_from_u64(0xC1_1FF0 ^ c);
         let n = rng.gen_range(2..10);
         let (circuit, initial, observables) = random_case(n, &mut rng);
-        let sampler = FrameSampler::new(circuit, &initial, &observables);
+        let sampler = FrameSampler::new(&circuit, &initial, &observables);
         let digest = digest(&sampler, n, observables.len(), rng.next_u64());
         out.push((format!("clifford/{c:02}/n{n}"), digest));
     }
