@@ -31,15 +31,18 @@
 //! matcher on the same syndromes) and `uf_scaling_dmax_over_d3_p05`
 //! (growth from d = 3 to the largest swept distance, `derived.dmax`).
 //!
-//! Flags: `--out DIR` (default `results`), `--samples N` (default 25),
-//! `--seed N` (default 2016), `--smoke` (minimal iterations + schema
-//! validation, for `scripts/verify.sh`).
+//! Flags (the experiments' shared parser, [`HarnessArgs`]): `--out DIR`
+//! (default `results`), `--seed N` (default 2016), `--smoke` (minimal
+//! iterations + schema validation, for `scripts/verify.sh`). A run takes
+//! [`SAMPLES`] samples per kernel, a smoke run [`SMOKE_SAMPLES`].
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use qpdo_bench::harness::{measure_batched_ns, Stats};
-use qpdo_bench::json::Json;
+use qpdo_bench::harness::{
+    check_kernel_report, kernel_entry, measure_batched_ns, Stats, SAMPLES, SMOKE_SAMPLES,
+};
+use qpdo_bench::json::{write_report, Json};
+use qpdo_bench::HarnessArgs;
 use qpdo_rng::rngs::StdRng;
 use qpdo_rng::{Rng, SeedableRng};
 use qpdo_surface::{CheckKind, MatchingDecoder, RotatedSurfaceCode, UnionFindDecoder};
@@ -51,51 +54,6 @@ const POOL: usize = 64;
 /// The repository benchmark's surface workloads, `(d, p, tag)`, timed in
 /// every mode beside the grid.
 const BENCHMARK_POINTS: [(usize, f64, &str); 2] = [(5, 0.08, "p08"), (13, 0.08, "p08")];
-
-struct Args {
-    out: PathBuf,
-    samples: usize,
-    seed: u64,
-    smoke: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        out: PathBuf::from("results"),
-        samples: 25,
-        seed: 2016,
-        smoke: false,
-    };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => {
-                args.out = iter
-                    .next()
-                    .map(PathBuf::from)
-                    .ok_or("--out requires a directory")?;
-            }
-            "--samples" => {
-                args.samples = iter
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--samples requires a positive integer")?;
-            }
-            "--seed" => {
-                args.seed = iter
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--seed requires an integer")?;
-            }
-            "--smoke" => args.smoke = true,
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if args.samples == 0 {
-        return Err("--samples must be at least 1".into());
-    }
-    Ok(args)
-}
 
 /// A pool of syndromes from Bernoulli(p) error patterns, each with at
 /// least one fired check.
@@ -138,66 +96,25 @@ fn time_pool<O>(
     Ok(stats)
 }
 
-fn kernel_entry(name: &str, stats: &Stats) -> Json {
-    Json::object([
-        ("name", Json::from(name)),
-        ("median_ns", Json::from(stats.median_ns)),
-        ("min_ns", Json::from(stats.min_ns)),
-        ("max_ns", Json::from(stats.max_ns)),
-        ("samples", Json::from(stats.samples)),
-        ("iters", Json::from(stats.iters_per_sample)),
-    ])
-}
-
 /// Validates the report against the `qpdo-bench-decoder-v1` schema; the
 /// smoke gate in `scripts/verify.sh` rides on this. Requires the
 /// smoke-mode kernel subset (present in every mode) and well-formed
 /// positive fields on every entry.
 fn validate_report(doc: &Json) -> Result<(), String> {
-    if doc.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
-        return Err(format!("schema field must be {SCHEMA:?}"));
-    }
-    for field in ["seed", "samples"] {
-        doc.get(field)
-            .and_then(Json::as_f64)
-            .ok_or(format!("missing numeric field {field:?}"))?;
-    }
-    let kernels = doc
-        .get("kernels")
-        .and_then(Json::as_array)
-        .ok_or("missing kernels array")?;
-    for name in [
-        "uf_decode_d3_p05",
-        "uf_decode_d5_p05",
-        "uf_decode_d5_p08",
-        "uf_decode_d13_p08",
-        "uf_parity_d5_p08",
-        "uf_parity_d13_p08",
-        "uf_parity_d13_p01",
-        "matching_exact_d3_p05",
-    ] {
-        if !kernels
-            .iter()
-            .any(|k| k.get("name").and_then(Json::as_str) == Some(name))
-        {
-            return Err(format!("missing kernel entry {name:?}"));
-        }
-    }
-    for entry in kernels {
-        let name = entry
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("kernel entry missing name")?;
-        for field in ["median_ns", "min_ns", "max_ns", "samples", "iters"] {
-            let v = entry
-                .get(field)
-                .and_then(Json::as_f64)
-                .ok_or(format!("kernel {name:?} missing field {field:?}"))?;
-            if v <= 0.0 {
-                return Err(format!("kernel {name:?} field {field:?} must be positive"));
-            }
-        }
-    }
+    check_kernel_report(
+        doc,
+        SCHEMA,
+        &[
+            "uf_decode_d3_p05",
+            "uf_decode_d5_p05",
+            "uf_decode_d5_p08",
+            "uf_decode_d13_p08",
+            "uf_parity_d5_p08",
+            "uf_parity_d13_p08",
+            "uf_parity_d13_p01",
+            "matching_exact_d3_p05",
+        ],
+    )?;
     let derived = doc.get("derived").ok_or("missing derived object")?;
     for field in [
         "uf_over_exact_d3_p05",
@@ -216,30 +133,22 @@ fn validate_report(doc: &Json) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(err) => {
-            eprintln!("bench_decoder: {err}");
-            eprintln!("usage: bench_decoder [--out DIR] [--samples N] [--seed N] [--smoke]");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(err) = run(&args) {
+    if let Err(err) = run(&HarnessArgs::parse()) {
         eprintln!("bench_decoder: {err}");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }
 
-fn run(args: &Args) -> Result<(), String> {
+fn run(args: &HarnessArgs) -> Result<(), String> {
     let (distances, pers, samples, iters): (&[usize], &[(f64, &str)], usize, usize) = if args.smoke
     {
-        (&[3, 5], &[(0.05, "p05")], 3, 16)
+        (&[3, 5], &[(0.05, "p05")], SMOKE_SAMPLES, 16)
     } else {
         (
             &[3, 5, 7, 9, 11, 13],
             &[(0.01, "p01"), (0.05, "p05"), (0.10, "p10")],
-            args.samples,
+            SAMPLES,
             64,
         )
     };
@@ -322,24 +231,12 @@ fn run(args: &Args) -> Result<(), String> {
         ),
     ]);
 
-    validate_report(&report)
-        .map_err(|err| format!("generated report fails its own schema: {err}"))?;
-    // Checked emission: a non-finite ratio (e.g. a zero-median divisor)
-    // must abort here, not land in the report file.
-    let text = report
-        .try_pretty()
-        .map_err(|err| format!("generated report is not emittable: {err}"))?;
-    std::fs::create_dir_all(&args.out)
-        .map_err(|err| format!("cannot create {}: {err}", args.out.display()))?;
-    let path = args.out.join("BENCH_decoder.json");
-    std::fs::write(&path, text).map_err(|err| format!("cannot write {}: {err}", path.display()))?;
-    // Round-trip the on-disk bytes so the smoke gate checks what future
-    // readers will actually parse.
-    std::fs::read_to_string(&path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| Json::parse(&text).map_err(|e| e.to_string()))
-        .and_then(|doc| validate_report(&doc))
-        .map_err(|err| format!("{} fails validation: {err}", path.display()))?;
+    let path = write_report(
+        &report,
+        &args.out_dir,
+        "BENCH_decoder.json",
+        validate_report,
+    )?;
     println!(
         "wrote {} ({})",
         path.display(),

@@ -50,16 +50,20 @@
 //!   sampler's noiseless reference on the packed tableau, union-find
 //!   decoder), then its first batch. The spawn and join are timed too.
 //!
-//! Flags: `--out DIR` (default `results`), `--samples N` (default 25),
-//! `--seed N` (default 2016), `--smoke` (minimal iterations + schema
-//! validation, for `scripts/verify.sh`).
+//! Flags (the experiments' shared parser, [`HarnessArgs`]): `--out DIR`
+//! (default `results`), `--seed N` (default 2016), `--smoke` (minimal
+//! iterations + schema validation, for `scripts/verify.sh`). A run takes
+//! [`SAMPLES`] samples per kernel, a smoke run [`SMOKE_SAMPLES`].
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use qpdo_bench::harness::{measure_batched_ns, Stats};
-use qpdo_bench::json::Json;
+use qpdo_bench::harness::{
+    check_kernel_report, kernel_entry, measure_batched_ns, HarnessError, Stats, SAMPLES,
+    SMOKE_SAMPLES,
+};
+use qpdo_bench::json::{write_report, Json};
 use qpdo_bench::supervisor::sliced_lane_seeds;
+use qpdo_bench::HarnessArgs;
 use qpdo_core::{ChpCore, ControlStack, DepolarizingModel};
 use qpdo_pauli::{LanePauliFrame, Pauli, PauliFrame, PauliString};
 use qpdo_rng::rngs::StdRng;
@@ -73,51 +77,6 @@ use qpdo_surface17::{run_ler_sliced, NinjaStar, StarLayout};
 
 const SCHEMA: &str = "qpdo-bench-stabilizer-v1";
 const N: usize = 17;
-
-struct Args {
-    out: PathBuf,
-    samples: usize,
-    seed: u64,
-    smoke: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        out: PathBuf::from("results"),
-        samples: 25,
-        seed: 2016,
-        smoke: false,
-    };
-    let mut iter = std::env::args().skip(1);
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--out" => {
-                args.out = iter
-                    .next()
-                    .map(PathBuf::from)
-                    .ok_or("--out requires a directory")?;
-            }
-            "--samples" => {
-                args.samples = iter
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--samples requires a positive integer")?;
-            }
-            "--seed" => {
-                args.seed = iter
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--seed requires an integer")?;
-            }
-            "--smoke" => args.smoke = true,
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if args.samples == 0 {
-        return Err("--samples must be at least 1".into());
-    }
-    Ok(args)
-}
 
 /// One gate of the shared random-Clifford warm circuit.
 #[derive(Clone, Copy)]
@@ -187,32 +146,9 @@ fn heaviest_qubit(sim: &ReferenceTableau) -> (usize, usize) {
         .expect("register is non-empty")
 }
 
-fn kernel_entry(name: &str, stats: &Stats) -> Json {
-    Json::object([
-        ("name", Json::from(name)),
-        ("median_ns", Json::from(stats.median_ns)),
-        ("min_ns", Json::from(stats.min_ns)),
-        ("max_ns", Json::from(stats.max_ns)),
-        ("samples", Json::from(stats.samples)),
-        ("iters", Json::from(stats.iters_per_sample)),
-    ])
-}
-
 /// Validates the report against the `qpdo-bench-stabilizer-v1` schema;
 /// the smoke gate in `scripts/verify.sh` rides on this.
 fn validate_report(doc: &Json) -> Result<(), String> {
-    if doc.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
-        return Err(format!("schema field must be {SCHEMA:?}"));
-    }
-    for field in ["seed", "samples"] {
-        doc.get(field)
-            .and_then(Json::as_f64)
-            .ok_or(format!("missing numeric field {field:?}"))?;
-    }
-    let kernels = doc
-        .get("kernels")
-        .and_then(Json::as_array)
-        .ok_or("missing kernels array")?;
     let required = [
         "rowsum_packed_n17",
         "rowsum_reference_n17",
@@ -228,21 +164,7 @@ fn validate_report(doc: &Json) -> Result<(), String> {
         "error_draw_d5",
         "surface_setup_d13",
     ];
-    for name in required {
-        let entry = kernels
-            .iter()
-            .find(|k| k.get("name").and_then(Json::as_str) == Some(name))
-            .ok_or(format!("missing kernel entry {name:?}"))?;
-        for field in ["median_ns", "min_ns", "max_ns", "samples", "iters"] {
-            let v = entry
-                .get(field)
-                .and_then(Json::as_f64)
-                .ok_or(format!("kernel {name:?} missing field {field:?}"))?;
-            if v <= 0.0 {
-                return Err(format!("kernel {name:?} field {field:?} must be positive"));
-            }
-        }
-    }
+    check_kernel_report(doc, SCHEMA, &required)?;
     let derived = doc.get("derived").ok_or("missing derived object")?;
     let speedup = derived
         .get("rowsum_speedup_n17")
@@ -268,30 +190,22 @@ fn validate_report(doc: &Json) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(err) => {
-            eprintln!("bench_kernels: {err}");
-            eprintln!("usage: bench_kernels [--out DIR] [--samples N] [--seed N] [--smoke]");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(err) = run(&args) {
+    if let Err(err) = run(&HarnessArgs::parse()) {
         eprintln!("bench_kernels: {err}");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }
 
-fn run(args: &Args) -> Result<(), String> {
+fn run(args: &HarnessArgs) -> Result<(), String> {
     let (samples, collapse_iters, window_iters, shot_iters, merge_iters) = if args.smoke {
-        (3, 8, 1, 1, 64)
+        (SMOKE_SAMPLES, 8, 1, 1, 64)
     } else {
-        (args.samples, 256, 8, 4, 4096)
+        (SAMPLES, 256, 8, 4, 4096)
     };
     // A degenerate measurement (empty or non-finite samples) aborts the
     // whole run; a placeholder median would poison future report diffs.
-    let measured = |name: &str, stats: Result<Stats, qpdo_bench::harness::HarnessError>| {
+    let measured = |name: &str, stats: Result<Stats, HarnessError>| {
         stats.map_err(|err| format!("kernel {name}: {err}"))
     };
 
@@ -641,24 +555,12 @@ fn run(args: &Args) -> Result<(), String> {
         ),
     ]);
 
-    validate_report(&report)
-        .map_err(|err| format!("generated report fails its own schema: {err}"))?;
-    // Checked emission: a non-finite ratio (e.g. a zero-median divisor)
-    // must abort here, not land in the report file.
-    let text = report
-        .try_pretty()
-        .map_err(|err| format!("generated report is not emittable: {err}"))?;
-    std::fs::create_dir_all(&args.out)
-        .map_err(|err| format!("cannot create {}: {err}", args.out.display()))?;
-    let path = args.out.join("BENCH_stabilizer.json");
-    std::fs::write(&path, text).map_err(|err| format!("cannot write {}: {err}", path.display()))?;
-    // Round-trip the on-disk bytes so the smoke gate checks what future
-    // readers will actually parse.
-    std::fs::read_to_string(&path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| Json::parse(&text).map_err(|e| e.to_string()))
-        .and_then(|doc| validate_report(&doc))
-        .map_err(|err| format!("{} fails validation: {err}", path.display()))?;
+    let path = write_report(
+        &report,
+        &args.out_dir,
+        "BENCH_stabilizer.json",
+        validate_report,
+    )?;
     println!(
         "wrote {} ({})",
         path.display(),

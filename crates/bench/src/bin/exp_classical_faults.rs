@@ -346,8 +346,7 @@ fn smoke(args: &HarnessArgs) {
 
 fn main() {
     let args = HarnessArgs::parse();
-    if let Some(mode) = args.test_mode.as_deref() {
-        assert_eq!(mode, "smoke", "unknown --test mode {mode:?}");
+    if args.smoke {
         smoke(&args);
         return;
     }

@@ -34,7 +34,7 @@ use qpdo_surface::CheckKind;
 fn main() {
     let args = HarnessArgs::parse();
     run_scaling_sweep(&args);
-    if !args.smoke() {
+    if !args.smoke {
         run_frame_comparison(&args);
     }
 }
@@ -42,7 +42,7 @@ fn main() {
 /// Phase 1: union-find LER curves over the (d, p) grid and the
 /// crossing-point threshold estimate.
 fn run_scaling_sweep(args: &HarnessArgs) {
-    let (distances, pers, shots): (&[usize], &[f64], u64) = if args.smoke() {
+    let (distances, pers, shots): (&[usize], &[f64], u64) = if args.smoke {
         (&[3, 5], &[0.05], 4_096)
     } else if args.full {
         (
@@ -82,7 +82,7 @@ fn run_scaling_sweep(args: &HarnessArgs) {
                 outcome.shots, outcome.failures, outcome.defects
             ));
             curve.push((p, ler));
-            if args.smoke() {
+            if args.smoke {
                 assert!(
                     outcome.defects > 0,
                     "smoke: d={d} p={p} saw no defects — the syndrome path is dead"
@@ -131,7 +131,7 @@ fn run_scaling_sweep(args: &HarnessArgs) {
         );
     }
 
-    if args.smoke() {
+    if args.smoke {
         // The gate: below threshold, distance must help. The smoke p
         // (0.05) sits well under the ~0.10 crossing, so d = 5 must beat
         // d = 3 with margin at 4 096 shots.

@@ -27,9 +27,12 @@
 //! forced panics, a forced hang, a poisoned batch that must quarantine,
 //! a redundancy vote, and a worker-count determinism comparison.
 
+use std::time::Duration;
+
 use qpdo_bench::supervisor::{
-    report_engine_events, run_resumable, run_supervised, BatchCtx, BatchSpec, CancelToken,
-    SupervisorConfig, SupervisorReport, SweepJournal,
+    report_engine_events, run_resumable, run_supervised, silence_chaos_panics, with_chaos,
+    BatchCtx, BatchSpec, CancelToken, ChaosConfig, SupervisorConfig, SupervisorReport,
+    SweepJournal,
 };
 use qpdo_bench::{log_space, pseudo_threshold, render_table, sci, HarnessArgs};
 use qpdo_core::ShotError;
@@ -142,15 +145,20 @@ fn vote(ctx: &BatchCtx) -> Result<(), ShotError> {
     run_cross_backend_check(ctx.attempt_seed, 2)?.into_result()
 }
 
+/// The job every sweep batch runs.
+type LerJob = Box<dyn Fn(&BatchCtx) -> Result<LerOutcome, ShotError> + Send + Sync>;
+
 /// Runs all (cell × repetition) batches through the resumable
 /// supervised sweep, resuming per batch from `journal` when present,
 /// and returns the per-cell outcomes (in repetition order, quarantined
-/// batches omitted) plus the engine report.
+/// batches omitted) plus the engine report. The smoke passes `chaos` to
+/// inject faults into every batch's first attempt.
 fn run_sweep(
     args: &HarnessArgs,
     cells: &[Cell],
     reps: usize,
     journal: Option<SweepJournal>,
+    chaos: Option<ChaosConfig>,
 ) -> (Vec<Vec<LerOutcome>>, SupervisorReport<LerOutcome>) {
     let mut specs: Vec<BatchSpec> = Vec::new();
     let mut spec_cells: Vec<usize> = Vec::new();
@@ -170,6 +178,10 @@ fn run_sweep(
     let job_cells: Vec<Cell> = cells.to_vec();
     let job_map = spec_cells.clone();
     let job = move |ctx: &BatchCtx| ler_job(&job_cells[job_map[ctx.task]], ctx);
+    let job: LerJob = match chaos {
+        Some(chaos) => Box::new(with_chaos(chaos, job)),
+        None => Box::new(job),
+    };
     let (results, report) = run_resumable(
         args,
         specs,
@@ -188,7 +200,7 @@ fn run_sweep(
 
 fn main() {
     let args = HarnessArgs::parse();
-    if args.smoke() {
+    if args.smoke {
         smoke(&args);
         return;
     }
@@ -225,7 +237,7 @@ fn main() {
             .expect("open sweep journal")
     });
 
-    let (outcomes, report) = run_sweep(&args, &cells, reps, journal);
+    let (outcomes, report) = run_sweep(&args, &cells, reps, journal, None);
     report_engine_events(&args, &report);
 
     let mut sweep: Vec<SweepPoint> = Vec::new();
@@ -484,12 +496,10 @@ fn smoke(args: &HarnessArgs) {
     // 1. Fault-free runs at --jobs 1 and --jobs N are bit-identical.
     let mut serial_args = args.clone();
     serial_args.jobs = 1;
-    serial_args.chaos_panic = 0.0;
-    serial_args.chaos_hang = None;
     let mut pool_args = serial_args.clone();
     pool_args.jobs = args.jobs.max(2);
-    let (serial, serial_report) = run_sweep(&serial_args, &cells, reps, None);
-    let (pooled, pooled_report) = run_sweep(&pool_args, &cells, reps, None);
+    let (serial, serial_report) = run_sweep(&serial_args, &cells, reps, None, None);
+    let (pooled, pooled_report) = run_sweep(&pool_args, &cells, reps, None, None);
     assert!(serial_report.is_clean() && pooled_report.is_clean());
     assert_eq!(
         serial, pooled,
@@ -504,11 +514,16 @@ fn smoke(args: &HarnessArgs) {
 
     // 2. Forced panics on every first attempt plus one hang: the engine
     //    must retry onto the same results.
+    //    The hang sleeps well past the shortened watchdog.
     let mut chaos_args = pool_args.clone();
-    chaos_args.chaos_panic = 1.0;
-    chaos_args.chaos_hang = Some(1);
     chaos_args.watchdog_ms = chaos_args.watchdog_ms.min(300);
-    let (chaotic, chaos_report) = run_sweep(&chaos_args, &cells, reps, None);
+    let chaos = ChaosConfig {
+        panic_rate: 1.0,
+        hang_task: Some(1),
+        hang_for: Duration::from_millis(chaos_args.watchdog_ms.saturating_mul(20).max(1000)),
+    };
+    silence_chaos_panics();
+    let (chaotic, chaos_report) = run_sweep(&chaos_args, &cells, reps, None, Some(chaos));
     assert!(
         chaos_report.quarantined.is_empty(),
         "chaos run quarantined: {:?}",
@@ -564,7 +579,7 @@ fn smoke(args: &HarnessArgs) {
     // 4. Cross-backend redundancy vote agrees on fault-free windows.
     let mut vote_args = pool_args.clone();
     vote_args.redundancy = 1;
-    let (_, vote_report) = run_sweep(&vote_args, &cells, reps, None);
+    let (_, vote_report) = run_sweep(&vote_args, &cells, reps, None, None);
     assert!(vote_report.stats.votes > 0, "no redundancy vote ran");
     assert!(
         vote_report.divergences.is_empty(),

@@ -13,7 +13,7 @@
 //! makes the histograms identical for any worker count.
 
 use qpdo_bench::supervisor::{run_supervised, BatchCtx, BatchSpec, CancelToken, SupervisorConfig};
-use qpdo_bench::{HarnessArgs, USAGE};
+use qpdo_bench::HarnessArgs;
 use qpdo_stabilizer::StabilizerSim;
 use qpdo_stats::Histogram;
 use qpdo_surface17::experiment::odd_bell_counts;
@@ -64,9 +64,6 @@ fn run(args: &HarnessArgs, shots: u64, with_frame: bool) -> Histogram {
 
 fn main() {
     let args = HarnessArgs::parse();
-    if let Some(mode) = args.test_mode.as_deref() {
-        assert_eq!(mode, "smoke", "unknown --test mode {mode:?}\n{USAGE}");
-    }
     let shots = if args.full { 100 } else { 40 };
 
     println!("== Fig 5.7a: odd Bell state histogram WITH Pauli frame ({shots} shots) ==");
@@ -96,7 +93,7 @@ fn main() {
             "FAIL"
         }
     );
-    if args.test_mode.is_some() {
+    if args.smoke {
         assert!(ok, "odd-Bell smoke failed");
     }
 

@@ -15,10 +15,9 @@
 //! sweep, so one bad circuit cannot take down the other 99.
 
 use qpdo_bench::supervisor::{
-    report_engine_events, run_supervised, silence_chaos_panics, with_chaos, BatchCtx, BatchSpec,
-    CancelToken, ChaosConfig, SupervisorConfig,
+    report_engine_events, run_supervised, BatchCtx, BatchSpec, CancelToken, SupervisorConfig,
 };
-use qpdo_bench::{HarnessArgs, USAGE};
+use qpdo_bench::HarnessArgs;
 use qpdo_core::testbench::{pauli_frame_check, FrameCheckView, WORKLOAD_SALT};
 use qpdo_core::{ControlStack, PauliFrameLayer, ShotError, SvCore};
 use qpdo_statevector::StateVector;
@@ -57,9 +56,6 @@ fn print_listings(view: &FrameCheckView<'_>) {
 
 fn main() {
     let args = HarnessArgs::parse();
-    if let Some(mode) = args.test_mode.as_deref() {
-        assert_eq!(mode, "smoke", "unknown --test mode {mode:?}\n{USAGE}");
-    }
     // ---- the worked example (Listings 5.3-5.6) --------------------------
     // Its circuit is drawn from `--seed` itself; a random circuit is
     // unitary, so the stacks never draw from their own seed.
@@ -91,19 +87,7 @@ fn main() {
     let job = move |ctx: &BatchCtx| {
         pauli_frame_check(qubits, gates, ctx.seed, 1e-7, &mut |_| {}).map(|(filtered, _)| filtered)
     };
-    let report = match ChaosConfig::from_args(&args) {
-        Some(chaos) => {
-            silence_chaos_panics();
-            run_supervised(
-                &config,
-                specs,
-                with_chaos(chaos, job),
-                None,
-                &CancelToken::new(),
-            )
-        }
-        None => run_supervised(&config, specs, job, None, &CancelToken::new()),
-    };
+    let report = run_supervised(&config, specs, job, None, &CancelToken::new());
     report_engine_events(&args, &report);
 
     let matches = report.results.iter().filter(|r| r.is_some()).count() as u64;
@@ -119,7 +103,7 @@ fn main() {
             "FAILED"
         }
     );
-    if args.test_mode.is_some() {
+    if args.smoke {
         assert!(ok, "random-circuit smoke failed");
     }
 }

@@ -49,12 +49,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use qpdo_bench::json::Json;
+use qpdo_bench::json::{write_report, Json};
 use qpdo_core::journal::{read_record, write_record};
 use qpdo_rng::rngs::StdRng;
 use qpdo_rng::{Rng, SeedableRng};
 
 const SCHEMA: &str = "qpdo-bench-serve-v1";
+/// The report's file name under `--out`.
+const REPORT: &str = "BENCH_serve.json";
 /// The frozen scenario, carried forward from the previous report.
 const THREADED: &str = "threaded_baseline";
 /// The live scenario.
@@ -555,11 +557,11 @@ fn run(args: &Args) -> Result<(), String> {
     } else {
         (args.conns, args.ops, Duration::from_millis(20), 5)
     };
-    let path = args.out.join("BENCH_serve.json");
     // Read before measuring: a full run without its baseline fails fast.
     let baseline = if args.smoke {
         None
     } else {
+        let path = args.out.join(REPORT);
         Some(frozen_baseline(&path, ops, interarrival, stall_ms)?)
     };
     let root = std::env::temp_dir().join(format!("loadgen-{}", std::process::id()));
@@ -641,21 +643,7 @@ fn run(args: &Args) -> Result<(), String> {
         .chain(derived.map(|d| ("derived", d))),
     );
 
-    validate_report(&report)
-        .map_err(|err| format!("generated report fails its own schema: {err}"))?;
-    let text = report
-        .try_pretty()
-        .map_err(|err| format!("generated report is not emittable: {err}"))?;
-    std::fs::create_dir_all(&args.out)
-        .map_err(|err| format!("cannot create {}: {err}", args.out.display()))?;
-    std::fs::write(&path, text).map_err(|err| format!("cannot write {}: {err}", path.display()))?;
-    // Round-trip the on-disk bytes so the smoke gate checks what future
-    // readers will actually parse.
-    std::fs::read_to_string(&path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| Json::parse(&text).map_err(|e| e.to_string()))
-        .and_then(|doc| validate_report(&doc))
-        .map_err(|err| format!("{} fails validation: {err}", path.display()))?;
+    let path = write_report(&report, &args.out, REPORT, validate_report)?;
     println!(
         "wrote {} ({})",
         path.display(),

@@ -5,7 +5,8 @@
 //! `results/kat_stabilizer.json`): objects, arrays, strings, finite
 //! numbers, booleans and null, with deterministic emission (object keys
 //! keep insertion order) so byte-level diffs of regenerated reports are
-//! meaningful.
+//! meaningful. [`write_report`] is the one way a `BENCH_*.json` report
+//! reaches the disk.
 //!
 //! # Example
 //!
@@ -22,6 +23,7 @@
 //! ```
 
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 
 /// A JSON document tree.
 #[derive(Clone, Debug, PartialEq)]
@@ -250,6 +252,38 @@ impl Json {
         }
         Ok(value)
     }
+}
+
+/// Writes report `doc` to `dir/name` and returns the path: `validate`
+/// must accept the document, every number must be finite (checked
+/// emission, so a NaN median or a zero-divisor ratio aborts here), and
+/// the bytes re-read from disk must parse and validate again, so a gate
+/// checks what later readers will parse. Nothing is written unless the
+/// first two checks pass.
+///
+/// # Errors
+///
+/// Returns a message naming the failed check or I/O step.
+pub fn write_report(
+    doc: &Json,
+    dir: &Path,
+    name: &str,
+    validate: impl Fn(&Json) -> Result<(), String>,
+) -> Result<PathBuf, String> {
+    validate(doc).map_err(|err| format!("generated report fails its own schema: {err}"))?;
+    let text = doc
+        .try_pretty()
+        .map_err(|err| format!("generated report is not emittable: {err}"))?;
+    std::fs::create_dir_all(dir)
+        .map_err(|err| format!("cannot create {}: {err}", dir.display()))?;
+    let path = dir.join(name);
+    std::fs::write(&path, text).map_err(|err| format!("cannot write {}: {err}", path.display()))?;
+    std::fs::read_to_string(&path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| Json::parse(&text).map_err(|e| e.to_string()))
+        .and_then(|doc| validate(&doc))
+        .map_err(|err| format!("{} fails validation: {err}", path.display()))?;
+    Ok(path)
 }
 
 fn push_indent(out: &mut String, indent: usize) {
@@ -600,6 +634,34 @@ mod tests {
             ("values", Json::array([Json::from(1.0), Json::from(2.5)])),
         ]);
         assert_eq!(doc.try_pretty().unwrap(), doc.pretty());
+    }
+
+    #[test]
+    fn write_report_writes_nothing_that_fails_its_checks() {
+        let dir = std::env::temp_dir().join(format!("qpdo-report-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let needs_seed = |doc: &Json| {
+            doc.get("seed")
+                .map(|_| ())
+                .ok_or_else(|| "missing seed".to_owned())
+        };
+        let err = write_report(
+            &Json::object([("x", Json::Null)]),
+            &dir,
+            "a.json",
+            needs_seed,
+        )
+        .unwrap_err();
+        assert!(err.contains("missing seed"), "{err}");
+        let nan = Json::object([("seed", Json::from(f64::NAN))]);
+        let err = write_report(&nan, &dir, "b.json", needs_seed).unwrap_err();
+        assert!(err.contains("$.seed"), "{err}");
+        assert!(!dir.exists(), "a rejected report left {}", dir.display());
+
+        let doc = Json::object([("seed", Json::from(7u64))]);
+        let path = write_report(&doc, &dir, "c.json", needs_seed).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), doc.pretty());
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

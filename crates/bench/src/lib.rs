@@ -13,12 +13,17 @@
 //!   count),
 //! - `--batch-shots <n>` — shots per supervised batch (default 16),
 //! - `--watchdog-ms <n>` — per-batch watchdog deadline (default 30000),
-//! - `--redundancy <n>` — cross-backend vote every `n`-th batch (0 off).
+//! - `--redundancy <n>` — cross-backend vote every `n`-th batch (0 off),
+//! - `--test smoke` (or `--smoke`) — the binary's reduced,
+//!   assertion-checked self-check; no other mode exists.
+//!
+//! The report binaries (`bench_kernels`, `bench_decoder`) parse the same
+//! flags and use `--out`, `--seed` and `--smoke`; their timing and
+//! report rows are in [`harness`], their report writer in [`json`].
 //!
 //! The supervised execution engine behind those flags is
 //! `qpdo_core::supervisor` on the process's executor, with its
-//! command-line glue and chaos injection in [`supervisor`]; see
-//! `DESIGN.md` §7.
+//! command-line glue in [`supervisor`]; see `DESIGN.md` §7.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,9 +72,9 @@ pub struct HarnessArgs {
     pub out_dir: PathBuf,
     /// Base RNG seed.
     pub seed: u64,
-    /// Self-check mode requested with `--test <mode>` (e.g. `smoke`):
-    /// the binary runs a reduced, assertion-checked configuration.
-    pub test_mode: Option<String>,
+    /// `--test smoke` (or `--smoke`): the binary runs a reduced,
+    /// assertion-checked configuration.
+    pub smoke: bool,
     /// Most executor helpers a supervised run may use (`--jobs`,
     /// default: available parallelism). Always at least 1.
     pub jobs: usize,
@@ -81,12 +86,6 @@ pub struct HarnessArgs {
     /// Cross-backend redundancy stride: every `n`-th batch is re-run on
     /// both back-ends and voted (`--redundancy`, 0 = off).
     pub redundancy: u64,
-    /// Fault-injection probability that a batch panics on its first
-    /// attempt (`--chaos-panic`, test instrumentation, default 0).
-    pub chaos_panic: f64,
-    /// Fault-injection: the task index that hangs once on its first
-    /// attempt (`--chaos-hang`, test instrumentation, default none).
-    pub chaos_hang: Option<usize>,
 }
 
 /// Upper bound accepted for `--batch-shots`: a single batch beyond a
@@ -102,13 +101,11 @@ impl HarnessArgs {
             full: false,
             out_dir: PathBuf::from("results"),
             seed: 2016,
-            test_mode: None,
+            smoke: false,
             jobs: default_jobs(),
             batch_shots: 16,
             watchdog_ms: 30_000,
             redundancy: 0,
-            chaos_panic: 0.0,
-            chaos_hang: None,
         }
     }
 
@@ -121,8 +118,8 @@ impl HarnessArgs {
     /// [`ParseError::Invalid`] for unknown flags, missing values, or
     /// out-of-range values (zero `--jobs`/`--batch-shots`/
     /// `--watchdog-ms`, values above the [`MAX_MS_FLAG`]/
-    /// [`MAX_BATCH_SHOTS`]/[`MAX_JOBS`] sanity caps, `--chaos-panic`
-    /// outside `[0, 1]`).
+    /// [`MAX_BATCH_SHOTS`]/[`MAX_JOBS`] sanity caps, a `--test` mode
+    /// other than `smoke`).
     pub fn try_parse_from<I, S>(raw: I) -> Result<Self, ParseError>
     where
         I: IntoIterator<Item = S>,
@@ -139,13 +136,12 @@ impl HarnessArgs {
                     None => return invalid("--out needs a directory"),
                 },
                 "--seed" => args.seed = parse_value(iter.next(), "--seed", "an integer")?,
-                "--test" => match iter.next() {
-                    Some(mode) => args.test_mode = Some(mode),
-                    None => return invalid("--test needs a mode"),
+                "--test" => match iter.next().as_deref() {
+                    Some("smoke") => args.smoke = true,
+                    Some(mode) => return invalid(format!("unknown --test mode {mode:?}")),
+                    None => return invalid("--test needs a mode (smoke)"),
                 },
-                // Alias for `--test smoke`, matching the bench binaries'
-                // spelling so verify.sh gates read uniformly.
-                "--smoke" => args.test_mode = Some("smoke".to_owned()),
+                "--smoke" => args.smoke = true,
                 "--jobs" => {
                     args.jobs = parse_value(iter.next(), "--jobs", "a positive integer")?;
                     if args.jobs == 0 {
@@ -181,16 +177,6 @@ impl HarnessArgs {
                     args.redundancy =
                         parse_value(iter.next(), "--redundancy", "a batch stride (0 = off)")?;
                 }
-                "--chaos-panic" => {
-                    args.chaos_panic = parse_value(iter.next(), "--chaos-panic", "a probability")?;
-                    if !(0.0..=1.0).contains(&args.chaos_panic) {
-                        return invalid("--chaos-panic must be in [0, 1]");
-                    }
-                }
-                "--chaos-hang" => {
-                    args.chaos_hang =
-                        Some(parse_value(iter.next(), "--chaos-hang", "a task index")?);
-                }
                 "--help" | "-h" => return Err(ParseError::Help),
                 other => return invalid(format!("unknown option {other:?}")),
             }
@@ -215,12 +201,6 @@ impl HarnessArgs {
                 std::process::exit(2);
             }
         }
-    }
-
-    /// Whether `--test smoke` was requested.
-    #[must_use]
-    pub fn smoke(&self) -> bool {
-        self.test_mode.as_deref() == Some("smoke")
     }
 
     /// Writes a CSV series into the output directory, creating it on
@@ -249,14 +229,12 @@ usage: <experiment> [options]
   --quick            quick mode (the default; undoes an earlier --full)
   --out DIR          output directory for CSV series (default results/)
   --seed N           base RNG seed (default 2016)
-  --test MODE        run a self-check mode (e.g. smoke)
+  --test smoke       run the binary's self-check
   --smoke            alias for --test smoke
   --jobs N           most helpers a supervised run may use (default: machine parallelism)
   --batch-shots N    shots per supervised batch (default 16)
   --watchdog-ms N    per-batch watchdog deadline in ms (default 30000)
-  --redundancy N     cross-backend vote every Nth batch (default 0 = off)
-  --chaos-panic P    fault injection: first-attempt panic probability
-  --chaos-hang I     fault injection: task index I hangs on first attempt";
+  --redundancy N     cross-backend vote every Nth batch (default 0 = off)";
 
 fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -444,13 +422,11 @@ mod tests {
         assert!(!args.full);
         assert_eq!(args.out_dir, PathBuf::from("results"));
         assert_eq!(args.seed, 2016);
-        assert_eq!(args.test_mode, None);
+        assert!(!args.smoke);
         assert!(args.jobs >= 1);
         assert_eq!(args.batch_shots, 16);
         assert_eq!(args.watchdog_ms, 30_000);
         assert_eq!(args.redundancy, 0);
-        assert_eq!(args.chaos_panic, 0.0);
-        assert_eq!(args.chaos_hang, None);
     }
 
     #[test]
@@ -471,22 +447,16 @@ mod tests {
             "500",
             "--redundancy",
             "8",
-            "--chaos-panic",
-            "0.05",
-            "--chaos-hang",
-            "3",
         ])
         .unwrap();
         assert!(args.full);
         assert_eq!(args.out_dir, PathBuf::from("tmp"));
         assert_eq!(args.seed, 7);
-        assert!(args.smoke());
+        assert!(args.smoke);
         assert_eq!(args.jobs, 4);
         assert_eq!(args.batch_shots, 32);
         assert_eq!(args.watchdog_ms, 500);
         assert_eq!(args.redundancy, 8);
-        assert_eq!(args.chaos_panic, 0.05);
-        assert_eq!(args.chaos_hang, Some(3));
     }
 
     #[test]
@@ -502,7 +472,13 @@ mod tests {
         assert!(invalid(&["--watchdog-ms", "0"]));
         assert!(invalid(&["--jobs"]));
         assert!(invalid(&["--jobs", "many"]));
-        assert!(invalid(&["--chaos-panic", "1.5"]));
+        // Only one self-check mode exists; fault injection lives in the
+        // tests and the smoke's code, and sample counts are constants.
+        assert!(invalid(&["--test", "fast"]));
+        assert!(invalid(&["--test"]));
+        assert!(invalid(&["--chaos-panic", "0.5"]));
+        assert!(invalid(&["--chaos-hang", "1"]));
+        assert!(invalid(&["--samples", "8"]));
         assert!(invalid(&["--seed", "-3"]));
         assert!(invalid(&["--frobnicate"]));
         // Not a flag: failed batches re-run through a `--full` resume
@@ -532,8 +508,11 @@ mod tests {
     #[test]
     fn smoke_alias_sets_test_mode() {
         let args = HarnessArgs::try_parse_from(["--smoke"]).unwrap();
-        assert!(args.smoke());
-        assert_eq!(args.test_mode.as_deref(), Some("smoke"));
+        assert!(args.smoke);
+        assert_eq!(
+            args,
+            HarnessArgs::try_parse_from(["--test", "smoke"]).unwrap()
+        );
     }
 
     #[test]

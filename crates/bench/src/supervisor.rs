@@ -2,7 +2,8 @@
 //! lives in [`qpdo_core::supervisor`] on the process's executor
 //! (`DESIGN.md` §7); this module re-exports what the binaries use and
 //! adds the command-line glue, the chaos injection that exercises the
-//! engine (`--chaos-panic`, `--chaos-hang`), the one resumable sweep
+//! engine (used by `exp_ler --test smoke` and the engine's tests, never
+//! by a flag), the one resumable sweep
 //! ([`run_resumable`]) over a [`SweepJournal`], and the one report of a
 //! run's engine events and quarantine ([`report_engine_events`]).
 
@@ -42,8 +43,8 @@ impl From<&HarnessArgs> for SupervisorConfig {
     }
 }
 
-/// Fault-injection knobs for exercising the supervisor itself (driven
-/// by `--chaos-panic` / `--chaos-hang`; off in normal runs).
+/// Fault-injection knobs for exercising the supervisor itself, built in
+/// code by the `exp_ler` smoke and the engine's tests.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
     /// Probability that a batch panics on its first attempt, decided by
@@ -54,21 +55,6 @@ pub struct ChaosConfig {
     /// How long the injected hang sleeps (bounded, so test processes
     /// terminate; must exceed the watchdog to trip it).
     pub hang_for: Duration,
-}
-
-impl ChaosConfig {
-    /// Chaos flags from the command line; `None` when both are off.
-    #[must_use]
-    pub fn from_args(args: &HarnessArgs) -> Option<Self> {
-        if args.chaos_panic <= 0.0 && args.chaos_hang.is_none() {
-            return None;
-        }
-        Some(ChaosConfig {
-            panic_rate: args.chaos_panic,
-            hang_task: args.chaos_hang,
-            hang_for: Duration::from_millis(args.watchdog_ms.saturating_mul(20).max(1000)),
-        })
-    }
 }
 
 /// Wraps a job with chaos injection: on a batch's **first** attempt the
@@ -308,8 +294,7 @@ impl SweepJournal {
 }
 
 /// Runs a sweep's batches on the supervised engine under the
-/// command-line configuration (with its chaos injection, if any),
-/// resuming from `journal`: a batch whose key the journal holds is
+/// command-line configuration, resuming from `journal`: a batch whose key the journal holds is
 /// decoded from it instead of run, and every batch run now is recorded
 /// (`encode`d) from inside its job, so a kill loses only the batches in
 /// flight. A batch's [`BatchCtx::task`] is its index in `specs`,
@@ -365,15 +350,13 @@ where
         }
         Ok(outcome)
     };
-    let config = SupervisorConfig::from(args);
-    let cancel = CancelToken::new();
-    let report = match ChaosConfig::from_args(args) {
-        Some(chaos) => {
-            silence_chaos_panics();
-            run_supervised_subset(&config, specs, with_chaos(chaos, job), vote, &cancel)
-        }
-        None => run_supervised_subset(&config, specs, job, vote, &cancel),
-    };
+    let report = run_supervised_subset(
+        &SupervisorConfig::from(args),
+        specs,
+        job,
+        vote,
+        &CancelToken::new(),
+    );
     for (i, result) in todo.into_iter().zip(&report.results) {
         outcomes[i].clone_from(result);
     }
@@ -401,7 +384,7 @@ fn unit_coin(seed: u64) -> f64 {
 /// Installs a process-wide panic hook that swallows the reports of
 /// chaos-injected panics (they are expected, caught, and retried);
 /// every other panic still reports through the previous hook. Meant
-/// for experiment binaries running with `--chaos-panic`.
+/// for runs that wrap their job in [`with_chaos`].
 pub fn silence_chaos_panics() {
     let previous = panic::take_hook();
     panic::set_hook(Box::new(move |info| {

@@ -209,27 +209,38 @@ echo "== kernel bench smoke: bench_kernels --smoke =="
 # report schema — both before writing and after re-reading from disk.
 ./target/release/bench_kernels --smoke --out "$smoke_out"
 
-echo "== checked-in report keys: results/BENCH_stabilizer.json =="
+echo "== report keys: BENCH_stabilizer.json (smoke + checked-in) =="
 # The committed report is the baseline every PR diffs against; a
 # regeneration that silently drops a kernel row or derived ratio would
-# erase the trajectory. Every known key must stay present.
-for key in \
-    '"schema": "qpdo-bench-stabilizer-v1"' \
-    '"name": "rowsum_packed_n17"' '"name": "rowsum_reference_n17"' \
-    '"name": "esm_round"' '"name": "sc17_shot"' \
-    '"name": "measure_deterministic_n17"' '"name": "expectation_n17"' \
-    '"name": "sc17_shot_sliced"' '"name": "frame_merge"' \
-    '"name": "surface_batch_d13"' '"name": "surface_batch_d5"' \
-    '"name": "frame_push_d5"' '"name": "error_draw_d5"' \
-    '"name": "surface_setup_d13"' \
-    '"rowsum_speedup_n17"' '"rowsum_targets_n17"' \
-    '"sc17_sliced_amortized_ns"' '"sc17_slicing_speedup"'; do
-    if ! grep -qF "$key" results/BENCH_stabilizer.json; then
-        echo "error: results/BENCH_stabilizer.json lost key $key" >&2
+# erase the trajectory. Every known key must stay present, in the smoke
+# report just written and in the committed one.
+for report in "$smoke_out/BENCH_stabilizer.json" results/BENCH_stabilizer.json; do
+    for key in \
+        '"schema": "qpdo-bench-stabilizer-v1"' \
+        '"name": "rowsum_packed_n17"' '"name": "rowsum_reference_n17"' \
+        '"name": "esm_round"' '"name": "sc17_shot"' \
+        '"name": "measure_deterministic_n17"' '"name": "expectation_n17"' \
+        '"name": "sc17_shot_sliced"' '"name": "frame_merge"' \
+        '"name": "surface_batch_d13"' '"name": "surface_batch_d5"' \
+        '"name": "frame_push_d5"' '"name": "error_draw_d5"' \
+        '"name": "surface_setup_d13"' \
+        '"rowsum_speedup_n17"' '"rowsum_targets_n17"' \
+        '"sc17_sliced_amortized_ns"' '"sc17_slicing_speedup"'; do
+        if ! grep -qF "$key" "$report"; then
+            echo "error: $report lost key $key" >&2
+            exit 1
+        fi
+    done
+    # Nonzero medians: a kernel bench that timed nothing must not pass.
+    awk -F': ' '
+        /"median_ns"/ { rows += 1; if ($2 + 0 <= 0) bad = 1 }
+        END { exit (rows >= 13 && !bad) ? 0 : 1 }
+    ' "$report" || {
+        echo "error: $report must report positive kernel medians" >&2
         exit 1
-    fi
+    }
 done
-echo "ok: all report keys present"
+echo "ok: BENCH_stabilizer.json schema-valid with positive medians"
 
 echo "== decoder bench smoke: bench_decoder --smoke =="
 # Smoke-runs the decoder-latency benchmark (tiny sample counts), writes
